@@ -56,10 +56,8 @@ from .scene import (
     ModuleId,
     MotionStatus,
     PatchRegion,
-    SceneState,
-    carry_forward,
 )
-from .scheduler import ActivationDecision, brute_force_select, select
+from .scheduler import ActivationDecision, select
 from .toolkit import (
     DetectedBox,
     DetectionOutput,
@@ -68,11 +66,8 @@ from .toolkit import (
     NoiseConfig,
     OutputKind,
     PoseOutput,
-    ReplayLookupError,
-    replay_output,
     simulate_detection,
     simulate_pose,
-    write_replay_log,
 )
 from .tracker import (
     KalmanConfig,

@@ -36,14 +36,11 @@ from .rewards import (
 from .scene import (
     DETECTION,
     POSE,
-    Entity,
     EntityKind,
     FrameStamp,
     ModuleId,
     MotionStatus,
     PatchRegion,
-    SceneState,
-    carry_forward,
 )
 from .scheduler import select
 from .toolkit import (
@@ -123,7 +120,6 @@ class EngineState:
     clock: FrameStamp
     busy_until: Mapping[ModuleId, float]
     pending_outputs: int
-    scene: SceneState
     tracks: Mapping[str, TrackState]
     frames_logged: int
 
@@ -308,6 +304,18 @@ def _public_fields(obj: object) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def believed_region(track: TrackState) -> PatchRegion:
+    """The track's predicted box in frame coordinates, at least 1 px each way."""
+    w = max(float(track.mean[2]), 1.0)
+    h = max(float(track.mean[3]), 1.0)
+    return PatchRegion(float(track.mean[0]) - w / 2.0, float(track.mean[1]) - h / 2.0, w, h)
+
+
+# bench/tracing.py wraps ``engine.carry_forward`` by name, so the name stays
+# until that tracing target goes; the engine itself calls ``believed_region``.
+carry_forward = believed_region
+
+
 class SimEngine:
     """Single-threaded deterministic frame loop over one trace."""
 
@@ -339,11 +347,7 @@ class SimEngine:
         self.queued: Dict[ModuleId, bool] = {m: False for m in self.module_ids}
         self.pending: List[Tuple[int, int, ModuleId, Union[DetectionOutput, PoseOutput]]] = []
         self.history = KeypointConfidenceHistory()
-        self.scene = SceneState(
-            stamp=trace.frames[0].stamp,
-            entities=(),
-            background_region=trace.frames[0].background,
-        )
+        self.background = trace.frames[0].background
         self.prev_pixels: Optional[np.ndarray] = None
         self._seq = 0
         self._expected_index = trace.frames[0].stamp.index
@@ -356,7 +360,6 @@ class SimEngine:
             clock=FrameStamp.at(self._expected_index, self.period),
             busy_until=dict(self.busy_until),
             pending_outputs=len(self.pending),
-            scene=self.scene,
             tracks=dict(self.tracks),
             frames_logged=self._frames_logged,
         )
@@ -368,11 +371,6 @@ class SimEngine:
 
     def _kind_of(self, entity_id: str) -> EntityKind:
         return self.kinds.get(entity_id, EntityKind.OBJECT)
-
-    def _believed_region(self, track: TrackState) -> PatchRegion:
-        w = max(float(track.mean[2]), 1.0)
-        h = max(float(track.mean[3]), 1.0)
-        return PatchRegion(float(track.mean[0]) - w / 2.0, float(track.mean[1]) - h / 2.0, w, h)
 
     # -- step phases ------------------------------------------------------
 
@@ -436,34 +434,6 @@ class SimEngine:
                 self._drop_track(tid)
         return humans_changed
 
-    def _rebuild_scene(self, stamp: FrameStamp) -> None:
-        regions = {tid: self._believed_region(t) for tid, t in self.tracks.items()}
-        carried = carry_forward(self.scene, stamp, regions)
-        entities = [e for e in carried.entities if e.id in self.tracks]
-        known = {e.id for e in entities}
-        for tid in sorted(self.tracks):
-            if tid not in known:
-                entities.append(
-                    Entity(
-                        id=tid,
-                        kind=self._kind_of(tid),
-                        region=regions[tid],
-                        motion=self.motion.get(tid, MotionStatus.STATIONARY),
-                        relevance=self._relevance_of(tid),
-                    )
-                )
-        refreshed = tuple(
-            replace(
-                e,
-                motion=self.motion.get(e.id, MotionStatus.STATIONARY),
-                relevance=self._relevance_of(e.id),
-            )
-            for e in entities
-        )
-        self.scene = SceneState(
-            stamp=stamp, entities=refreshed, background_region=self.scene.background_region
-        )
-
     def _change_stats(self, frame: TraceFrame) -> Tuple[float, HistogramShift, Dict[str, float]]:
         ccfg = self.cfg.change
         if frame.pixels is not None:
@@ -475,7 +445,7 @@ class SimEngine:
             diff = np.abs(current - self.prev_pixels)
             gray = cd.grayscale_diff(
                 cd.PatchDiff(
-                    region=self.scene.background_region,
+                    region=self.background,
                     abs_rgb_diff=np.moveaxis(diff, 2, 0),
                 ),
                 ccfg,
@@ -485,19 +455,20 @@ class SimEngine:
             sx = gray.shape[1] / self.trace.header.frame_w
             patch_cr: Dict[str, float] = {}
             occupied = np.zeros(gray.shape, dtype=bool)
-            for e in self.scene.entities:
+            for tid, track in self.tracks.items():
+                region = believed_region(track)
                 scaled = PatchRegion(
-                    e.region.x * sx, e.region.y * sy,
-                    max(e.region.w * sx, 1.0), max(e.region.h * sy, 1.0),
+                    region.x * sx, region.y * sy,
+                    max(region.w * sx, 1.0), max(region.h * sy, 1.0),
                 )
                 sl = self._clip_region(scaled, gray.shape)
                 if sl is None:
-                    patch_cr[e.id] = 0.0
+                    patch_cr[tid] = 0.0
                     continue
                 ys, xs = sl
                 area = (ys.stop - ys.start) * (xs.stop - xs.start)
                 count = int(np.count_nonzero(gray[ys, xs] > ccfg.intensity_threshold))
-                patch_cr[e.id] = count / area
+                patch_cr[tid] = count / area
                 occupied[ys, xs] = True
             bg_mask = ~occupied
             bg_area = int(np.count_nonzero(bg_mask))
@@ -626,13 +597,11 @@ class SimEngine:
 
         applied, humans_changed = self._apply_ready_outputs(k)
         humans_changed |= self._predict_tracks()
-        self._rebuild_scene(frame.stamp)
 
         bg_cr, shift, patch_cr = self._change_stats(frame)
         composition_change = cd.composition_change_trigger(bg_cr, shift, self.cfg.change)
         g1_yolo = (k == 0) or composition_change
         self._update_motion(patch_cr)
-        self._rebuild_scene(frame.stamp)
         # pose is forced by believed human enter/exit and, optionally, by the
         # raw composition trigger: an element crossing the background may be
         # a human the detector has not confirmed yet

@@ -1,16 +1,16 @@
 """Shared scene-domain types used across the scheduling pipeline.
 
-Everything here is an immutable value object: frames, patch regions,
-entities and the per-frame scene snapshot. Instances can be shared freely
-across threads once constructed.
+Everything here is an immutable value object: frame stamps, patch regions
+and entities. Instances can be shared freely across threads once
+constructed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Tuple
+from typing import Tuple
 
 DEFAULT_FRAME_PERIOD_MS = 1000.0 / 30.0
 
@@ -73,6 +73,10 @@ class PatchRegion:
     h: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
+            raise ValueError(
+                f"patch geometry must be finite, got x={self.x}, y={self.y}, w={self.w}, h={self.h}"
+            )
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"patch extent must be positive, got w={self.w}, h={self.h}")
 
@@ -95,7 +99,7 @@ class Entity:
     """One tracked scene element.
 
     ``relevance`` is an externally supplied weight in [0, 1]; it is never
-    computed here. ``keypoint_confidences`` is only meaningful for humans.
+    computed here.
     """
 
     id: str
@@ -103,56 +107,8 @@ class Entity:
     region: PatchRegion
     motion: MotionStatus = MotionStatus.STATIONARY
     relevance: float = 1.0
-    keypoint_confidences: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.relevance <= 1.0:
             raise ValueError(f"relevance must lie in [0, 1], got {self.relevance}")
-        if self.keypoint_confidences is not None:
-            if self.kind is not EntityKind.HUMAN:
-                raise ValueError("keypoint confidences are only valid for humans")
-            for c in self.keypoint_confidences:
-                if not 0.0 < c <= 1.0:
-                    raise ValueError(f"keypoint confidence must lie in (0, 1], got {c}")
 
-
-@dataclass(frozen=True)
-class SceneState:
-    """Per-frame snapshot of every believed entity plus the background."""
-
-    stamp: FrameStamp
-    entities: Tuple[Entity, ...]
-    background_region: PatchRegion
-
-    def __post_init__(self) -> None:
-        ids = [e.id for e in self.entities]
-        if len(ids) != len(set(ids)):
-            raise ValueError("entity ids must be unique within a frame")
-
-    def entity(self, entity_id: str) -> Optional[Entity]:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        return None
-
-    @property
-    def humans(self) -> Tuple[Entity, ...]:
-        return tuple(e for e in self.entities if e.kind is EntityKind.HUMAN)
-
-
-def carry_forward(
-    prev: SceneState,
-    stamp: FrameStamp,
-    regions: Optional[Mapping[str, PatchRegion]] = None,
-) -> SceneState:
-    """Advance a scene to a new frame without fresh module output.
-
-    Entity identity, kind and relevance are preserved verbatim; geometry is
-    touched only where the caller supplies a predicted region (typically
-    from the tracker).
-    """
-    regions = regions or {}
-    entities = tuple(
-        replace(e, region=regions[e.id]) if e.id in regions else e for e in prev.entities
-    )
-    return SceneState(stamp=stamp, entities=entities, background_region=prev.background_region)

@@ -1,29 +1,22 @@
-"""The schedulable module pool: specs, output types and two backends.
+"""The schedulable module pool: specs, output types and simulated modules.
 
 Simulated modules read ground truth from the trace and perturb it with
-configurable, seed-deterministic noise; replay modules serve pre-recorded
-outputs from a JSONL log. Both honor the same timing rule: an output
-becomes visible at the first frame boundary at or after issue time plus
-inference time.
+configurable, seed-deterministic noise. An output becomes visible at the
+first frame boundary at or after issue time plus inference time.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
 from .scene import DEFAULT_FRAME_PERIOD_MS, EntityKind, FrameStamp, ModuleId
 from .traces import TraceFrame
-
-REPLAY_SCHEMA = "percsched-replay"
-REPLAY_VERSION = 1
 
 
 class OutputKind(str, Enum):
@@ -197,102 +190,3 @@ def simulate_pose(
         per_human=tuple(per_human),
     )
 
-
-# ---------------------------------------------------------------------------
-# replay backend
-# ---------------------------------------------------------------------------
-
-
-def output_to_dict(module: ModuleId, output: Union[DetectionOutput, PoseOutput]) -> dict:
-    rec: dict = {
-        "record": "output",
-        "module": module,
-        "issued": output.stamp_issued.index,
-        "issued_ms": output.stamp_issued.time_ms,
-        "ready": output.stamp_ready.index,
-        "ready_ms": output.stamp_ready.time_ms,
-    }
-    if isinstance(output, DetectionOutput):
-        rec["kind"] = OutputKind.DETECTIONS.value
-        rec["boxes"] = [
-            [b.entity_id, b.x_c, b.y_c, b.w, b.h, b.score] for b in output.boxes
-        ]
-    else:
-        rec["kind"] = OutputKind.KEYPOINTS.value
-        rec["per_human"] = [
-            {"id": hp.entity_id, "keypoints": [[x, y, c] for x, y, c in hp.keypoints]}
-            for hp in output.per_human
-        ]
-    return rec
-
-
-def output_from_dict(rec: dict) -> Union[DetectionOutput, PoseOutput]:
-    issued = FrameStamp(index=rec["issued"], time_ms=rec["issued_ms"])
-    ready = FrameStamp(index=rec["ready"], time_ms=rec["ready_ms"])
-    if rec["kind"] == OutputKind.DETECTIONS.value:
-        return DetectionOutput(
-            stamp_issued=issued,
-            stamp_ready=ready,
-            boxes=tuple(DetectedBox(*row) for row in rec["boxes"]),
-        )
-    return PoseOutput(
-        stamp_issued=issued,
-        stamp_ready=ready,
-        per_human=tuple(
-            HumanPose(
-                entity_id=h["id"],
-                keypoints=tuple((x, y, c) for x, y, c in h["keypoints"]),
-            )
-            for h in rec["per_human"]
-        ),
-    )
-
-
-def write_replay_log(
-    path: Union[str, Path],
-    outputs: Sequence[Tuple[ModuleId, Union[DetectionOutput, PoseOutput]]],
-) -> None:
-    path = Path(path)
-    header = {"record": "header", "schema": REPLAY_SCHEMA, "version": REPLAY_VERSION}
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for module, output in outputs:
-            fh.write(json.dumps(output_to_dict(module, output), separators=(",", ":")) + "\n")
-
-
-class ReplayLookupError(KeyError):
-    """Requested frame or module is not present in a replay log."""
-
-
-def replay_output(
-    log_path: Union[str, Path],
-    stamp: FrameStamp,
-    module: ModuleId,
-) -> Union[DetectionOutput, PoseOutput]:
-    """Return the recorded output the module issued at the given frame.
-
-    A missing frame raises :class:`ReplayLookupError` naming the nearest
-    recorded frame for that module.
-    """
-    log_path = Path(log_path)
-    by_frame: Dict[int, dict] = {}
-    module_seen = False
-    with log_path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if rec.get("record") != "output" or rec.get("module") != module:
-                continue
-            module_seen = True
-            by_frame[rec["issued"]] = rec
-    if not module_seen:
-        raise ReplayLookupError(f"no outputs logged for module {module!r}")
-    rec = by_frame.get(stamp.index)
-    if rec is None:
-        nearest = min(by_frame, key=lambda i: abs(i - stamp.index))
-        raise ReplayLookupError(
-            f"module {module!r} has no output for frame {stamp.index}; "
-            f"nearest recorded frame is {nearest}"
-        )
-    return output_from_dict(rec)

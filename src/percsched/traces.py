@@ -49,6 +49,18 @@ class ChangeStats:
     hist_shift_mean: float
     patch_cr: Mapping[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # written so that NaN fails every check
+        if not 0.0 <= self.background_cr <= 1.0:
+            raise ValueError(f"background_cr must lie in [0, 1], got {self.background_cr}")
+        for eid, cr in self.patch_cr.items():
+            if not 0.0 <= cr <= 1.0:
+                raise ValueError(f"patch_cr[{eid!r}] must lie in [0, 1], got {cr}")
+        if not 0.0 <= self.hist_shift_mean < math.inf:
+            raise ValueError(
+                f"hist_shift_mean must be finite and non-negative, got {self.hist_shift_mean}"
+            )
+
 
 @dataclass(frozen=True)
 class FramePixels:
@@ -195,7 +207,7 @@ def frame_from_dict(rec: dict, header: TraceHeader) -> TraceFrame:
             rgb = np.frombuffer(raw, dtype=np.uint8).reshape(p["h"], p["w"], 3)
             pixels = FramePixels(rgb=rgb)
     except (KeyError, ValueError, TypeError) as exc:
-        raise TraceError(f"malformed frame record: {exc}") from exc
+        raise TraceError(f"frame {rec.get('index', '?')}: malformed record: {exc}") from exc
     for eid in keypoints:
         expected = header.keypoint_count
         if len(keypoints[eid]) != expected:

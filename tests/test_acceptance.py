@@ -40,7 +40,8 @@ from percsched.rewards import (
     keypoint_entropy,
 )
 from percsched.scene import DETECTION, POSE, FrameStamp, MotionStatus
-from percsched.scheduler import brute_force_select, select
+from oracles import brute_force_select
+from percsched.scheduler import select
 from percsched.toolkit import NoiseConfig
 from percsched.tracker import (
     KalmanConfig,

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from percsched.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRACE, main
@@ -103,6 +105,28 @@ class TestRun:
     def test_no_trace_given_is_config_error(self):
         rc = main(["run"])
         assert rc == EXIT_CONFIG
+
+    @staticmethod
+    def _corrupt_frame(path, index, edit):
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[index + 1])
+        edit(rec)
+        lines[index + 1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_nan_box_width_is_trace_error_naming_the_frame(self, trace_path, capsys):
+        self._corrupt_frame(trace_path, 7, lambda rec: rec["entities"][0].update(w=float("nan")))
+        rc = main(["run", "--trace", str(trace_path)])
+        assert rc == EXIT_TRACE
+        assert "frame 7" in capsys.readouterr().err
+
+    def test_infinite_background_change_is_trace_error_naming_the_frame(self, trace_path, capsys):
+        self._corrupt_frame(
+            trace_path, 9, lambda rec: rec["change"].update(background_cr=float("inf"))
+        )
+        rc = main(["run", "--trace", str(trace_path)])
+        assert rc == EXIT_TRACE
+        assert "frame 9" in capsys.readouterr().err
 
 
 class TestCompare:

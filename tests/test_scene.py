@@ -7,21 +7,11 @@ from percsched.scene import (
     EntityKind,
     FrameStamp,
     PatchRegion,
-    SceneState,
-    carry_forward,
 )
 
 
 def _entity(eid, kind=EntityKind.OBJECT, x=10, y=10, w=30, h=40, relevance=1.0):
     return Entity(id=eid, kind=kind, region=PatchRegion(x, y, w, h), relevance=relevance)
-
-
-def _scene(entities, index=5):
-    return SceneState(
-        stamp=FrameStamp.at(index),
-        entities=tuple(entities),
-        background_region=PatchRegion(0, 0, 640, 480),
-    )
 
 
 class TestFrameStamp:
@@ -53,6 +43,12 @@ class TestPatchRegion:
         with pytest.raises(ValueError):
             PatchRegion(0, 0, 10, -1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_geometry(self, bad):
+        for args in ((bad, 0, 1, 1), (0, bad, 1, 1), (0, 0, bad, 1), (0, 0, 1, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                PatchRegion(*args)
+
     def test_center_and_scale(self):
         r = PatchRegion(10, 20, 30, 40)
         assert r.center == (25.0, 40.0)
@@ -63,99 +59,3 @@ class TestEntity:
     def test_relevance_bounds(self):
         with pytest.raises(ValueError):
             _entity("a", relevance=1.5)
-
-    def test_confidences_only_for_humans(self):
-        with pytest.raises(ValueError):
-            Entity(
-                id="a",
-                kind=EntityKind.OBJECT,
-                region=PatchRegion(0, 0, 1, 1),
-                keypoint_confidences=(0.5,),
-            )
-        human = Entity(
-            id="h",
-            kind=EntityKind.HUMAN,
-            region=PatchRegion(0, 0, 1, 1),
-            keypoint_confidences=(0.5, 1.0),
-        )
-        assert human.keypoint_confidences == (0.5, 1.0)
-
-    def test_confidence_range(self):
-        with pytest.raises(ValueError):
-            Entity(
-                id="h",
-                kind=EntityKind.HUMAN,
-                region=PatchRegion(0, 0, 1, 1),
-                keypoint_confidences=(0.0,),
-            )
-
-
-class TestSceneState:
-    def test_unique_ids_enforced(self):
-        with pytest.raises(ValueError):
-            _scene([_entity("a"), _entity("a")])
-
-    def test_humans_filter(self):
-        scene = _scene([_entity("a"), _entity("h", kind=EntityKind.HUMAN)])
-        assert [e.id for e in scene.humans] == ["h"]
-
-
-class TestCarryForward:
-    def test_content_identity(self):
-        scene = _scene([_entity("a"), _entity("b")], index=5)
-        out = carry_forward(scene, FrameStamp.at(6))
-        assert out.stamp.index == 6
-        assert out.entities == scene.entities
-
-    def test_empty_scene(self):
-        scene = _scene([], index=5)
-        out = carry_forward(scene, FrameStamp.at(6))
-        assert out.entities == ()
-        assert out.stamp.index == 6
-
-    def test_relevance_preserved(self):
-        human = Entity(
-            id="h",
-            kind=EntityKind.HUMAN,
-            region=PatchRegion(1, 1, 10, 10),
-            relevance=0.9,
-        )
-        out = carry_forward(_scene([human]), FrameStamp.at(6))
-        assert out.entities[0].relevance == 0.9
-
-    def test_geometry_updated_only_from_supplied_regions(self):
-        scene = _scene([_entity("a"), _entity("b")])
-        moved = PatchRegion(100, 100, 30, 40)
-        out = carry_forward(scene, FrameStamp.at(6), regions={"a": moved})
-        assert out.entity("a").region == moved
-        assert out.entity("b").region == scene.entity("b").region
-
-    def test_never_changes_identity_kind_or_relevance(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            n = int(rng.integers(0, 6))
-            entities = []
-            for i in range(n):
-                kind = EntityKind.HUMAN if rng.random() < 0.5 else EntityKind.OBJECT
-                entities.append(
-                    Entity(
-                        id=f"e{i}",
-                        kind=kind,
-                        region=PatchRegion(
-                            float(rng.uniform(0, 100)),
-                            float(rng.uniform(0, 100)),
-                            float(rng.uniform(1, 50)),
-                            float(rng.uniform(1, 50)),
-                        ),
-                        relevance=float(rng.uniform(0, 1)),
-                    )
-                )
-            scene = _scene(entities, index=int(rng.integers(0, 100)))
-            regions = {
-                e.id: PatchRegion(0, 0, 5, 5) for e in entities if rng.random() < 0.5
-            }
-            out = carry_forward(scene, FrameStamp.at(scene.stamp.index + 1), regions)
-            for before, after in zip(scene.entities, out.entities):
-                assert before.id == after.id
-                assert before.kind == after.kind
-                assert before.relevance == after.relevance

@@ -3,7 +3,8 @@ import pytest
 
 from percsched.rewards import RewardBreakdown
 from percsched.scene import DETECTION, POSE, FrameStamp
-from percsched.scheduler import ActivationDecision, brute_force_select, select
+from oracles import brute_force_select
+from percsched.scheduler import ActivationDecision, select
 
 STAMP = FrameStamp.at(0)
 

@@ -6,12 +6,9 @@ from percsched.toolkit import (
     ModuleSpec,
     NoiseConfig,
     OutputKind,
-    ReplayLookupError,
     ready_stamp,
-    replay_output,
     simulate_detection,
     simulate_pose,
-    write_replay_log,
 )
 from percsched.traces import TraceFrame
 
@@ -126,30 +123,6 @@ class TestSimulatePose:
         out = simulate_pose(_frame(index=10), POSE_SPEC, ZERO_NOISE, rng_seed=0)
         assert out.stamp_issued.index == 10
         assert out.stamp_ready.index == 13
-
-
-class TestReplay:
-    def test_round_trip_bit_identical(self, tmp_path):
-        det = simulate_detection(_frame(index=10), DET_SPEC, ZERO_NOISE, rng_seed=0)
-        pose = simulate_pose(_frame(index=10), POSE_SPEC, ZERO_NOISE, rng_seed=0)
-        path = tmp_path / "replay.jsonl"
-        write_replay_log(path, [(DETECTION, det), (POSE, pose)])
-        assert replay_output(path, FrameStamp.at(10, PERIOD), DETECTION) == det
-        assert replay_output(path, FrameStamp.at(10, PERIOD), POSE) == pose
-
-    def test_missing_frame_reports_nearest(self, tmp_path):
-        det = simulate_detection(_frame(index=10), DET_SPEC, ZERO_NOISE, rng_seed=0)
-        path = tmp_path / "replay.jsonl"
-        write_replay_log(path, [(DETECTION, det)])
-        with pytest.raises(ReplayLookupError, match="nearest recorded frame is 10"):
-            replay_output(path, FrameStamp.at(2, PERIOD), DETECTION)
-
-    def test_unlogged_module_rejected(self, tmp_path):
-        det = simulate_detection(_frame(index=10), DET_SPEC, ZERO_NOISE, rng_seed=0)
-        path = tmp_path / "replay.jsonl"
-        write_replay_log(path, [(DETECTION, det)])
-        with pytest.raises(ReplayLookupError, match="no outputs logged"):
-            replay_output(path, FrameStamp.at(10, PERIOD), POSE)
 
 
 class TestModuleSpec:

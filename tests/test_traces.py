@@ -129,6 +129,22 @@ class TestValidation:
         with pytest.raises(TraceError):
             Trace(header=TraceHeader(frame_count=1), frames=frames)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"background_cr": float("nan")},
+            {"background_cr": float("inf")},
+            {"background_cr": 1.5},
+            {"hist_shift_mean": float("inf")},
+            {"hist_shift_mean": -1.0},
+            {"patch_cr": {"obj": float("nan")}},
+            {"patch_cr": {"obj": -0.1}},
+        ],
+    )
+    def test_change_stats_out_of_range_rejected(self, fields):
+        with pytest.raises(ValueError):
+            ChangeStats(**{"background_cr": 0.1, "hist_shift_mean": 2.0, **fields})
+
 
 class TestGenerator:
     def test_unknown_archetype(self):
