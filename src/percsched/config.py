@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
@@ -55,10 +56,16 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if self.lambda_info_per_ms < 0:
-            raise ConfigError("lambda_info_per_ms must be non-negative")
-        if self.cost_yolo_ms <= 0 or self.cost_pose_ms <= 0:
-            raise ConfigError("module costs must be positive")
+        # written so that NaN fails every check
+        if not 0.0 <= self.lambda_info_per_ms < math.inf:
+            raise ConfigError(
+                f"lambda_info_per_ms must be finite and non-negative, got {self.lambda_info_per_ms}"
+            )
+        for name in ("cost_yolo_ms", "cost_pose_ms"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(
+                    f"{name} must be finite and positive, got {getattr(self, name)}"
+                )
         if self.latency_denominator not in LATENCY_DENOMINATORS:
             raise ConfigError(
                 f"latency_denominator must be one of {LATENCY_DENOMINATORS}"
@@ -75,7 +82,7 @@ class RunConfig:
         if self.sigma_base_path:
             try:
                 sigma_base = load_sigma_base(self.sigma_base_path)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read sigma table: {exc}") from exc
         try:
             reward = RewardConfig(

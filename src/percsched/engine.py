@@ -105,10 +105,20 @@ class EngineConfig:
             raise ValueError("busy_policy must be 'drop' or 'queue'")
         if self.overhead_accounting not in ("overlapped", "serial"):
             raise ValueError("overhead_accounting must be 'overlapped' or 'serial'")
-        if self.stationary_q_scale < 0 or self.moving_q_scale <= 0:
-            raise ValueError("q scales must be non-negative (moving strictly positive)")
-        if self.scheduling_overhead_ms < 0:
-            raise ValueError("scheduling_overhead_ms must be non-negative")
+        # written so that NaN fails every range check
+        if not 0.0 <= self.stationary_q_scale < math.inf:
+            raise ValueError(
+                f"stationary_q_scale must be finite and non-negative, got {self.stationary_q_scale}"
+            )
+        if not 0.0 < self.moving_q_scale < math.inf:
+            raise ValueError(
+                f"moving_q_scale must be finite and positive, got {self.moving_q_scale}"
+            )
+        if not 0.0 <= self.scheduling_overhead_ms < math.inf:
+            raise ValueError(
+                "scheduling_overhead_ms must be finite and non-negative, "
+                f"got {self.scheduling_overhead_ms}"
+            )
         if not 0.0 <= self.default_relevance <= 1.0:
             raise ValueError("default_relevance must lie in [0, 1]")
 

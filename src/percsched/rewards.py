@@ -10,10 +10,16 @@ confidence scores.
 
 All entropies are in nats; the cost multiplier converts milliseconds of
 inference into nats through ``lambda_info_per_ms``.
+
+The per-frame kernels work on whole arrays (all keypoints of a human, all
+tracks of a frame) but keep the scalar reference arithmetic bit for bit:
+logarithms of per-keypoint values go through ``math.log`` and sums run in
+keypoint and track order, so run logs do not depend on the vectorization.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
@@ -23,7 +29,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .scene import DETECTION, POSE, ModuleId
-from .tracker import KalmanConfig, NumericalError, TrackState, measurement_covariance, measurement_noise
+from .tracker import MEAS_DIM, KalmanConfig, NumericalError, TrackState
 
 LN_TWO_PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -31,8 +37,10 @@ DEFAULT_KEYPOINT_COUNT = 133
 UNIFORM_SIGMA_BASE = 0.05
 
 
+@functools.lru_cache(maxsize=None)
 def coco_wholebody_sigmas() -> Tuple[float, ...]:
-    """The 133 normalized per-keypoint sigmas shipped with the package."""
+    """The 133 normalized per-keypoint sigmas shipped with the package,
+    read once per process."""
     ref = importlib.resources.files("percsched").joinpath("data/coco_wholebody_sigmas.json")
     payload = json.loads(ref.read_text())
     return tuple(float(s) for s in payload["sigmas"])
@@ -53,8 +61,8 @@ def load_sigma_base(path) -> Tuple[float, ...]:
     except json.JSONDecodeError:
         values = text.split()
     sigmas = tuple(float(v) for v in values)
-    if not sigmas or any(s <= 0 for s in sigmas):
-        raise ValueError(f"sigma table at {path} must hold positive reals")
+    if not sigmas or not all(0.0 < s < math.inf for s in sigmas):
+        raise ValueError(f"sigma table at {path} must hold finite positive reals")
     return sigmas
 
 
@@ -79,11 +87,16 @@ class RewardConfig:
     prior_confidence: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.lambda_info_per_ms < 0:
-            raise ValueError("lambda_info_per_ms must be non-negative")
+        # written so that NaN fails every range check
+        if not 0.0 <= self.lambda_info_per_ms < math.inf:
+            raise ValueError(
+                f"lambda_info_per_ms must be finite and non-negative, got {self.lambda_info_per_ms}"
+            )
         for module, cost in self.cost_ms.items():
-            if cost <= 0:
-                raise ValueError(f"cost for module {module!r} must be positive, got {cost}")
+            if not 0.0 < cost < math.inf:
+                raise ValueError(
+                    f"cost for module {module!r} must be finite and positive, got {cost}"
+                )
         if self.keypoint_count <= 0:
             raise ValueError("keypoint_count must be positive")
         if not 0.0 < self.confidence_floor < 1.0:
@@ -98,8 +111,8 @@ class RewardConfig:
                     f"sigma_base has {len(self.sigma_base)} entries, "
                     f"expected keypoint_count={self.keypoint_count}"
                 )
-            if any(s <= 0 for s in self.sigma_base):
-                raise ValueError("sigma_base entries must be positive")
+            if not all(0.0 < s < math.inf for s in self.sigma_base):
+                raise ValueError("sigma_base entries must be finite and positive")
 
     def resolved_sigma_base(self) -> np.ndarray:
         if self.sigma_base is not None:
@@ -140,21 +153,29 @@ def detection_info_gain(
 
     Each track contributes 0.5 * r * ln(det(projected prior) / det(R)) with
     R the same height-scaled measurement noise an update would use.
-    Zero-relevance tracks contribute nothing.
+    Zero-relevance tracks contribute nothing. The log-determinants of all
+    contributing tracks come from one batched ``slogdet``; the
+    contributions are added in track order.
     """
+    live = [(track, float(relevance)) for track, relevance in tracks if relevance != 0.0]
+    if not live:
+        return 0.0
+    # top-left 4x4 of each state covariance, as measurement_covariance gives
+    projected = np.stack([track.covariance for track, _ in live])[:, :MEAS_DIM, :MEAS_DIM]
+    signs, logdets_p = np.linalg.slogdet(projected)
+    not_pd = signs <= 0
+    if not_pd.any():
+        first = live[int(np.argmax(not_pd))][0]
+        raise NumericalError(
+            f"projected covariance for track {first.entity_id!r} is not positive definite"
+        )
+    # R is diagonal with MEAS_DIM equal variances, as in measurement_noise
+    heights = np.maximum([float(track.mean[3]) for track, _ in live], 1.0)
+    variances = (kalman_cfg.std_weight_measurement * heights) ** 2
+    logdets_r = np.log(np.repeat(variances[:, None], MEAS_DIM, axis=1)).sum(axis=1)
     total = 0.0
-    for track, relevance in tracks:
-        if relevance == 0.0:
-            continue
-        projected = measurement_covariance(track)
-        sign, logdet_p = np.linalg.slogdet(projected)
-        if sign <= 0:
-            raise NumericalError(
-                f"projected covariance for track {track.entity_id!r} is not positive definite"
-            )
-        r = measurement_noise(track.mean[3], kalman_cfg)
-        logdet_r = float(np.sum(np.log(np.diag(r))))
-        total += 0.5 * relevance * (float(logdet_p) - logdet_r)
+    for (_, relevance), logdet_p, logdet_r in zip(live, logdets_p.tolist(), logdets_r.tolist()):
+        total += 0.5 * relevance * (logdet_p - logdet_r)
     return total
 
 
@@ -230,6 +251,18 @@ HumanConfidences = Union[
 ]
 
 
+def _require_valid_keypoints(confs: np.ndarray, bases: np.ndarray) -> None:
+    """Vectorized form of ``keypoint_sigma``'s checks, reporting the first
+    bad keypoint; written so that NaN fails both."""
+    bad_conf = ~((confs > 0.0) & (confs <= 1.0))
+    bad = bad_conf | ~(bases > 0.0)
+    if bad.any():
+        d = int(np.argmax(bad))
+        if bad_conf[d]:
+            raise ValueError(f"confidence must lie in (0, 1], got {float(confs[d])}")
+        raise ValueError(f"base sigma must be positive, got {float(bases[d])}")
+
+
 def post_execution_entropy(humans: Sequence[HumanConfidences], cfg: RewardConfig) -> float:
     """Keypoint uncertainty the pose module is expected to leave behind.
 
@@ -237,6 +270,9 @@ def post_execution_entropy(humans: Sequence[HumanConfidences], cfg: RewardConfig
     scale); confidences must already be extrapolated to the current frame
     and have exactly ``keypoint_count`` values. ``scale`` multiplies the
     base sigmas (object scale, default 1).
+
+    Per human this equals ``keypoint_count * LN_TWO_PI_E`` plus, in keypoint
+    order, ``2 * ln(keypoint_sigma(conf, base * scale))``.
     """
     base = cfg.resolved_sigma_base()
     total = 0.0
@@ -248,10 +284,13 @@ def post_execution_entropy(humans: Sequence[HumanConfidences], cfg: RewardConfig
             raise ValueError(
                 f"expected {cfg.keypoint_count} confidences, got {confs.shape}"
             )
+        bases = base * scale
+        _require_valid_keypoints(confs, bases)
+        log_conf = np.array(list(map(math.log, confs.tolist())))
+        sigmas = np.maximum(-bases * log_conf, cfg.sigma_floor)
         inner = cfg.keypoint_count * LN_TWO_PI_E
-        for d in range(cfg.keypoint_count):
-            sigma = keypoint_sigma(float(confs[d]), float(base[d] * scale), cfg)
-            inner += 2.0 * math.log(sigma)
+        for log_sigma in map(math.log, sigmas.tolist()):
+            inner += 2.0 * log_sigma
         total += relevance * inner
     return total
 
@@ -292,12 +331,14 @@ class KeypointConfidenceHistory:
         prev = self._prev.get(entity_id)
         if prev is None or frame_index < last[0]:
             return np.clip(last[1], cfg.confidence_floor, 1.0)
-        out = np.empty_like(last[1])
-        for d in range(out.shape[0]):
-            out[d] = extrapolate_confidence(
-                float(last[1][d]), float(prev[1][d]), last[0], prev[0], frame_index, cfg
-            )
-        return out
+        (k_last, s_last), (k_prev, s_prev) = last, prev
+        if k_last == k_prev:
+            raise ValueError("the two reference frames must differ")
+        # extrapolate_confidence for every keypoint; fmax/fmin clamp NaN to
+        # the floor exactly as min(1, max(floor, value)) does
+        slope = (s_last - s_prev) / (k_last - k_prev)
+        value = s_last + slope * (frame_index - k_last)
+        return np.fmin(np.fmax(value, cfg.confidence_floor), 1.0)
 
     def forget(self, entity_id: str) -> None:
         self._last.pop(entity_id, None)

@@ -14,6 +14,7 @@ gestures) and ``walking`` (stop-and-go locomotion bursts).
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -102,6 +103,16 @@ class TraceHeader:
     frame_h: int = 480
     seed: int = 0
     archetype: str = "custom"
+
+    def __post_init__(self) -> None:
+        # written so that NaN fails every check
+        if not 0.0 < self.frame_period_ms < math.inf:
+            raise ValueError(
+                f"frame_period_ms must be finite and positive, got {self.frame_period_ms}"
+            )
+        for name in ("keypoint_count", "frame_w", "frame_h"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -208,12 +219,16 @@ def frame_from_dict(rec: dict, header: TraceHeader) -> TraceFrame:
             pixels = FramePixels(rgb=rgb)
     except (KeyError, ValueError, TypeError) as exc:
         raise TraceError(f"frame {rec.get('index', '?')}: malformed record: {exc}") from exc
-    for eid in keypoints:
+    for eid, pts in keypoints.items():
         expected = header.keypoint_count
-        if len(keypoints[eid]) != expected:
+        if len(pts) != expected:
             raise TraceError(
-                f"frame {rec['index']}: entity {eid!r} has {len(keypoints[eid])} "
+                f"frame {rec['index']}: entity {eid!r} has {len(pts)} "
                 f"keypoints, header says {expected}"
+            )
+        if not all(map(math.isfinite, itertools.chain.from_iterable(pts))):
+            raise TraceError(
+                f"frame {rec['index']}: entity {eid!r} has a non-finite keypoint coordinate"
             )
     return TraceFrame(
         stamp=stamp,
@@ -263,15 +278,18 @@ def read_trace(path: Union[str, Path]) -> Trace:
         raise TraceError("first record must be a trace header")
     if head.get("version") != TRACE_VERSION:
         raise TraceError(f"unsupported trace version {head.get('version')}")
-    header = TraceHeader(
-        frame_period_ms=head["frame_period_ms"],
-        keypoint_count=head["keypoint_count"],
-        frame_count=head["frame_count"],
-        frame_w=head.get("frame_w", 640),
-        frame_h=head.get("frame_h", 480),
-        seed=head.get("seed", 0),
-        archetype=head.get("archetype", "custom"),
-    )
+    try:
+        header = TraceHeader(
+            frame_period_ms=head["frame_period_ms"],
+            keypoint_count=head["keypoint_count"],
+            frame_count=head["frame_count"],
+            frame_w=head.get("frame_w", 640),
+            frame_h=head.get("frame_h", 480),
+            seed=head.get("seed", 0),
+            archetype=head.get("archetype", "custom"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceError(f"invalid trace header: {exc}") from exc
     frames = []
     for line in lines[1:]:
         try:

@@ -128,6 +128,52 @@ class TestRun:
         assert rc == EXIT_TRACE
         assert "frame 9" in capsys.readouterr().err
 
+    def test_nan_frame_period_is_trace_error_naming_the_field(self, trace_path, capsys):
+        lines = trace_path.read_text().splitlines()
+        head = json.loads(lines[0])
+        head["frame_period_ms"] = float("nan")
+        lines[0] = json.dumps(head)
+        trace_path.write_text("\n".join(lines) + "\n")
+        rc = main(["run", "--trace", str(trace_path)])
+        assert rc == EXIT_TRACE
+        assert "frame_period_ms" in capsys.readouterr().err
+
+    def test_nan_keypoint_is_trace_error_naming_frame_and_entity(self, trace_path, capsys):
+        frames = [json.loads(line) for line in trace_path.read_text().splitlines()[1:]]
+        index, eid = next(
+            (rec["index"], eid) for rec in frames for eid in sorted(rec.get("keypoints", {}))
+        )
+        self._corrupt_frame(
+            trace_path, index, lambda rec: rec["keypoints"][eid][0].__setitem__(0, float("nan"))
+        )
+        rc = main(["run", "--trace", str(trace_path)])
+        assert rc == EXIT_TRACE
+        err = capsys.readouterr().err
+        assert f"frame {index}" in err and repr(eid) in err
+
+    def test_nan_lambda_in_config_is_config_error(self, trace_path, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps({"trace": str(trace_path), "lambda_info_per_ms": float("nan")})
+        )
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "lambda_info_per_ms" in capsys.readouterr().err
+
+    def test_nan_lambda_flag_is_config_error(self, trace_path, tmp_path, capsys):
+        rc = main(["run", "--trace", str(trace_path), "--lambda", "nan", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "lambda_info_per_ms" in capsys.readouterr().err
+
+    def test_infinite_moving_q_scale_is_config_error(self, trace_path, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps({"trace": str(trace_path), "engine": {"moving_q_scale": float("inf")}})
+        )
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "moving_q_scale" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_three_policy_table(self, trace_path, tmp_path, capsys):
@@ -213,6 +259,21 @@ class TestRunConfig:
     def test_unknown_section_field_rejected(self):
         with pytest.raises(ConfigError, match="kalman"):
             RunConfig.from_dict({"kalman": {"std_weight_position": 0.1, "warp": 9}})
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"lambda_info_per_ms": float("inf")}, "lambda_info_per_ms"),
+            ({"cost_yolo_ms": float("nan")}, "cost_yolo_ms"),
+            ({"cost_pose_ms": float("inf")}, "cost_pose_ms"),
+            ({"engine": {"stationary_q_scale": float("nan")}}, "stationary_q_scale"),
+            ({"engine": {"moving_q_scale": float("nan")}}, "moving_q_scale"),
+            ({"engine": {"scheduling_overhead_ms": float("inf")}}, "scheduling_overhead_ms"),
+        ],
+    )
+    def test_non_finite_number_rejected_by_name(self, data, field):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig.from_dict({"trace": "x", **data})
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ConfigError):

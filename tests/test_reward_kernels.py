@@ -1,0 +1,205 @@
+"""The array-form reward kernels equal their scalar references bit for bit.
+
+Run logs store the rewards' floats, so "close" is not enough: every
+comparison here is ``==``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import (
+    per_track_detection_info_gain,
+    scalar_extrapolated,
+    scalar_post_execution_entropy,
+)
+from percsched import rewards
+from percsched.rewards import (
+    KeypointConfidenceHistory,
+    RewardConfig,
+    detection_info_gain,
+    keypoint_sigma,
+    post_execution_entropy,
+)
+from percsched.scene import DETECTION, POSE
+from percsched.tracker import KalmanConfig, NumericalError, TrackState
+
+KCFG = KalmanConfig()
+
+confidences = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+scales = st.floats(min_value=0.05, max_value=500.0)
+relevances = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _cfg(keypoints, sigma_base=None):
+    return RewardConfig(
+        lambda_info_per_ms=0.3,
+        cost_ms={DETECTION: 15.0, POSE: 80.0},
+        keypoint_count=keypoints,
+        sigma_base=sigma_base,
+    )
+
+
+@st.composite
+def keypoint_setups(draw):
+    """A reward config and 1-3 humans of (confidences, relevance, scale)."""
+    count = draw(st.integers(min_value=1, max_value=133))
+    sigma_base = draw(
+        st.none()
+        | st.lists(
+            st.floats(min_value=1e-3, max_value=2.0), min_size=count, max_size=count
+        ).map(tuple)
+    )
+    vectors = st.lists(confidences, min_size=count, max_size=count)
+    humans = draw(st.lists(st.tuples(vectors, relevances, scales), min_size=1, max_size=3))
+    return _cfg(count, sigma_base), humans
+
+
+class TestPostExecutionEntropy:
+    @given(keypoint_setups())
+    def test_equals_scalar_keypoint_loop(self, setup):
+        cfg, humans = setup
+        assert post_execution_entropy(humans, cfg) == scalar_post_execution_entropy(humans, cfg)
+
+    def test_equals_scalar_on_packaged_table(self):
+        cfg = _cfg(133)
+        rng = np.random.default_rng(3)
+        humans = [(rng.uniform(1e-6, 1.0, 133), 0.8, 95.0), (np.ones(133), 0.5, 12.5)]
+        assert post_execution_entropy(humans, cfg) == scalar_post_execution_entropy(humans, cfg)
+
+    def test_single_keypoint_logs_are_exact(self):
+        # with one keypoint a last-bit difference in ln(conf) reaches the
+        # result about once per thousand dense random confidences
+        cfg = _cfg(1, sigma_base=(1.0,))
+        confs = np.random.default_rng(5).uniform(0.05, 0.95, 5000).tolist()
+        mismatched = [
+            c
+            for c in confs
+            if post_execution_entropy([([c], 1.0)], cfg)
+            != scalar_post_execution_entropy([([c], 1.0, 1.0)], cfg)
+        ]
+        assert mismatched == []
+
+    @pytest.mark.parametrize("bad", [0.0, -0.25, 1.0 + 1e-12, math.nan, math.inf])
+    @given(position=st.integers(min_value=0, max_value=16))
+    def test_bad_confidence_raises_keypoint_sigma_error(self, bad, position):
+        cfg = _cfg(17)
+        confs = [0.5] * 17
+        confs[position] = bad
+        with pytest.raises(ValueError) as scalar:
+            keypoint_sigma(bad, 0.05, cfg)
+        with pytest.raises(ValueError) as array:
+            post_execution_entropy([(confs, 1.0)], cfg)
+        assert str(array.value) == str(scalar.value)
+
+    def test_first_bad_keypoint_is_reported(self):
+        confs = [0.5] * 17
+        confs[3], confs[9] = 2.0, -1.0
+        with pytest.raises(ValueError, match=r"got 2\.0"):
+            post_execution_entropy([(confs, 1.0)], _cfg(17))
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+    def test_non_positive_base_sigma_raises(self, scale):
+        with pytest.raises(ValueError, match="base sigma must be positive"):
+            post_execution_entropy([([0.5] * 17, 1.0, scale)], _cfg(17))
+
+
+class TestExtrapolated:
+    @given(
+        data=st.data(),
+        count=st.integers(min_value=1, max_value=133),
+        k_prev=st.integers(min_value=0, max_value=1000),
+        gap=st.integers(min_value=1, max_value=60),
+        ahead=st.integers(min_value=0, max_value=120),
+    )
+    def test_equals_extrapolate_confidence(self, data, count, k_prev, gap, ahead):
+        cfg = _cfg(count)
+        vectors = st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=count, max_size=count
+        )
+        prev, last = data.draw(vectors), data.draw(vectors)
+        hist = KeypointConfidenceHistory()
+        hist.record("h", k_prev, prev)
+        hist.record("h", k_prev + gap, last)
+        k = k_prev + gap + ahead
+        got = hist.extrapolated("h", k, cfg)
+        assert got.tolist() == scalar_extrapolated((k_prev + gap, last), (k_prev, prev), k, cfg)
+
+    def test_nan_sample_clamps_to_floor_like_the_scalar(self):
+        cfg = _cfg(2)
+        hist = KeypointConfidenceHistory()
+        hist.record("h", 1, [0.5, 0.5])
+        hist.record("h", 2, [math.nan, 0.5])
+        expected = scalar_extrapolated((2, [math.nan, 0.5]), (1, [0.5, 0.5]), 5, cfg)
+        assert hist.extrapolated("h", 5, cfg).tolist() == expected == [cfg.confidence_floor, 0.5]
+
+
+def _track(entity_id, covariance, height):
+    mean = np.array([10.0, 20.0, 30.0, height, 0.0, 0.0, 0.0, 0.0])
+    return TrackState(mean=mean, covariance=covariance, entity_id=entity_id)
+
+
+@st.composite
+def track_sets(draw):
+    """1-8 tracks with random positive-definite covariances."""
+    count = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    out = []
+    for i in range(count):
+        a = rng.normal(size=(8, 8)) * draw(st.floats(min_value=1e-2, max_value=1e2))
+        cov = a @ a.T + np.eye(8) * draw(st.floats(min_value=1e-3, max_value=10.0))
+        height = draw(st.floats(min_value=0.1, max_value=2000.0))
+        relevance = draw(st.sampled_from([0.0, 1.0]) | relevances)
+        out.append((_track(f"t{i}", cov, height), relevance))
+    return out
+
+
+class TestDetectionInfoGain:
+    @given(track_sets())
+    def test_equals_per_track_formula(self, tracks):
+        assert detection_info_gain(tracks, _cfg(17), KCFG) == per_track_detection_info_gain(
+            tracks, KCFG
+        )
+
+    def test_no_tracks_and_zero_relevance_give_zero(self):
+        assert detection_info_gain([], _cfg(17), KCFG) == 0.0
+        assert detection_info_gain([(_track("a", np.eye(8), 40.0), 0.0)], _cfg(17), KCFG) == 0.0
+
+    def test_first_non_pd_track_is_named(self):
+        indefinite = np.diag([-1.0] + [1.0] * 7)
+        good = _track("good", np.eye(8), 40.0)
+        skipped = _track("skipped", indefinite, 40.0)
+        bad = _track("bad", indefinite, 40.0)
+        also_bad = _track("also-bad", np.zeros((8, 8)), 40.0)
+        tracks = [(good, 1.0), (skipped, 0.0), (bad, 0.5), (also_bad, 1.0)]
+        with pytest.raises(NumericalError, match="'bad'"):
+            detection_info_gain(tracks, _cfg(17), KCFG)
+        with pytest.raises(NumericalError, match="'bad'"):
+            per_track_detection_info_gain(tracks, KCFG)
+
+
+class TestSigmaTable:
+    def test_json_read_at_most_once(self, monkeypatch):
+        reads = []
+        real_loads = rewards.json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            reads.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(rewards.json, "loads", counting_loads)
+        rewards.coco_wholebody_sigmas.cache_clear()
+        cfg = _cfg(133)
+        tables = [cfg.resolved_sigma_base() for _ in range(50)]
+        assert len(reads) == 1
+        assert all(np.array_equal(t, tables[0]) for t in tables)
+
+    def test_resolved_table_is_not_shared(self):
+        cfg = _cfg(133)
+        first = cfg.resolved_sigma_base()
+        first[:] = -1.0
+        assert np.all(cfg.resolved_sigma_base() > 0)
+        assert all(s > 0 for s in rewards.coco_wholebody_sigmas())

@@ -337,3 +337,6 @@ class TestSigmaBaseDefaults:
         mismatched = RunConfig(trace="x", sigma_base_path=str(table), keypoint_count=3)
         with pytest.raises(ConfigError):
             mismatched.pipeline(TraceHeader(keypoint_count=3))
+        table.write_text("[0.1, 0.2, NaN, 0.4, 0.5]")
+        with pytest.raises(ConfigError, match="finite positive"):
+            cfg.pipeline(TraceHeader(keypoint_count=5))

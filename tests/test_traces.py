@@ -118,6 +118,27 @@ class TestValidation:
         with pytest.raises(TraceError, match="keypoints"):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frame_period_ms", float("nan")),
+            ("frame_period_ms", float("inf")),
+            ("frame_period_ms", 0.0),
+            ("keypoint_count", 0),
+            ("frame_w", 0),
+            ("frame_h", -48),
+        ],
+    )
+    def test_bad_header_field_rejected_by_name(self, tmp_path, field, value):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, _minimal_trace())
+        lines = path.read_text().splitlines()
+        head = json.loads(lines[0])
+        head[field] = value
+        path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
+        with pytest.raises(TraceError, match=field):
+            read_trace(path)
+
     def test_nonsequential_frames_rejected(self):
         frames = (
             TraceFrame(
