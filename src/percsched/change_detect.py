@@ -8,6 +8,8 @@ combine the background change ratio with a chi-square histogram distance.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -29,19 +31,27 @@ class ChangeDetectConfig:
     normalize_histograms: bool = False
 
     def __post_init__(self) -> None:
+        # written so that NaN fails every check
         coeffs = self.luminance_coeffs
-        if len(coeffs) != 3 or any(c < 0 for c in coeffs):
-            raise ValueError("luminance_coeffs must be three non-negative reals")
-        if abs(sum(coeffs) - 1.0) > 1e-6:
+        if len(coeffs) != 3 or not all(0.0 <= c < math.inf for c in coeffs):
+            raise ValueError(
+                f"luminance_coeffs must be three finite non-negative reals, got {coeffs}"
+            )
+        if not abs(sum(coeffs) - 1.0) <= 1e-6:
             raise ValueError(f"luminance_coeffs must sum to 1, got {sum(coeffs)}")
         if not 0.0 <= self.intensity_threshold <= 255.0:
             raise ValueError("intensity_threshold must lie in [0, 255]")
         if not 0.0 < self.patch_change_threshold < 1.0:
             raise ValueError("patch_change_threshold must lie in (0, 1)")
+        if isinstance(self.histogram_bins, bool) or not isinstance(self.histogram_bins, int):
+            raise ValueError(f"histogram_bins must be an int, got {self.histogram_bins!r}")
         if self.histogram_bins <= 0:
             raise ValueError("histogram_bins must be positive")
-        if self.histogram_threshold < 0:
-            raise ValueError("histogram_threshold must be non-negative")
+        if not 0.0 <= self.histogram_threshold < math.inf:
+            raise ValueError(
+                "histogram_threshold must be finite and non-negative, "
+                f"got {self.histogram_threshold}"
+            )
 
 
 @dataclass(frozen=True)
@@ -120,17 +130,39 @@ def rgb_histograms(
 ) -> np.ndarray:
     """Per-channel histograms of an (h, w, 3) 8-bit image, optionally masked.
 
-    Returns an array of shape (3, bins) with raw counts.
+    Returns an array of shape (3, bins) with raw counts over ``bins`` equal
+    bins on [0, 256), the counts ``np.histogram`` gives. Each channel's
+    selected pixels are counted per byte value with one ``np.bincount``, and
+    the 256 byte counts are summed into bins by a cached 0/1 matrix. The sums
+    are integers far below 2**53, so they are exact.
     """
     img = np.asarray(pixels)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"pixels must have shape (h, w, 3), got {img.shape}")
-    out = np.zeros((3, bins), dtype=float)
-    for c in range(3):
-        channel = img[:, :, c]
-        values = channel[mask] if mask is not None else channel.reshape(-1)
-        out[c], _ = np.histogram(values, bins=bins, range=(0.0, 256.0))
-    return out
+    if img.dtype != np.uint8:
+        raise ValueError(f"pixels must be uint8, got {img.dtype}")
+    if bins < 1:
+        raise ValueError(f"bins must be positive, got {bins}")
+    flat = img.reshape(-1, 3)
+    if mask is not None:
+        if np.shape(mask) != img.shape[:2]:
+            raise ValueError(f"mask must have shape {img.shape[:2]}, got {np.shape(mask)}")
+        flat = flat.take(np.flatnonzero(mask), axis=0)
+    counts = np.stack([np.bincount(flat[:, c], minlength=256) for c in range(3)])
+    return counts.astype(float) @ _byte_bins(bins)
+
+
+@functools.lru_cache(maxsize=16)
+def _byte_bins(bins: int) -> np.ndarray:
+    """(256, bins) 0/1 matrix sending byte ``v`` to the bin ``i`` with
+    ``edges[i] <= v < edges[i + 1]``, on the edges ``np.histogram`` uses for
+    ``range=(0, 256)``. Read-only, since the cache shares it."""
+    edges = np.linspace(0.0, 256.0, bins + 1)
+    index = np.searchsorted(edges, np.arange(256), side="right") - 1
+    table = np.zeros((256, bins))
+    table[np.arange(256), index] = 1.0
+    table.flags.writeable = False
+    return table
 
 
 def chi_square_shift(

@@ -447,12 +447,13 @@ class SimEngine:
     def _change_stats(self, frame: TraceFrame) -> Tuple[float, HistogramShift, Dict[str, float]]:
         ccfg = self.cfg.change
         if frame.pixels is not None:
-            current = frame.pixels.rgb.astype(float)
+            current = frame.pixels.rgb
             if self.prev_pixels is None:
                 self.prev_pixels = current
                 zero = HistogramShift((0.0, 0.0, 0.0), 0.0)
                 return 0.0, zero, {}
-            diff = np.abs(current - self.prev_pixels)
+            # int16 holds every byte difference exactly
+            diff = np.abs(current.astype(np.int16) - self.prev_pixels)
             gray = cd.grayscale_diff(
                 cd.PatchDiff(
                     region=self.background,

@@ -28,8 +28,12 @@ class KeyframeThresholds:
     tau_kp_px: float = 15.0
 
     def __post_init__(self) -> None:
-        if self.tau_box_px < 0 or self.tau_kp_px < 0:
-            raise ValueError("thresholds must be non-negative")
+        # written so that NaN fails every check
+        for name in ("tau_box_px", "tau_kp_px"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {getattr(self, name)}"
+                )
 
 
 @dataclass(frozen=True)

@@ -86,12 +86,18 @@ class NoiseConfig:
     min_confidence: float = 1e-6
 
     def __post_init__(self) -> None:
+        # written so that NaN fails every check
         if not 0.0 <= self.floor_margin < 1.0:
             raise ValueError("floor_margin must lie in [0, 1)")
         for name in ("box_std", "miss_rate", "false_positive_rate", "keypoint_std",
                      "confidence_spread"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {getattr(self, name)}"
+                )
+        for name in ("beta_a", "beta_b"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not 0.0 < self.min_confidence < 1.0:
             raise ValueError("min_confidence must lie in (0, 1)")
 

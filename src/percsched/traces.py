@@ -70,8 +70,12 @@ class FramePixels:
     rgb: np.ndarray  # (h, w, 3) uint8
 
     def __post_init__(self) -> None:
-        if self.rgb.ndim != 3 or self.rgb.shape[2] != 3:
-            raise ValueError(f"raster must have shape (h, w, 3), got {self.rgb.shape}")
+        if not isinstance(self.rgb, np.ndarray) or self.rgb.dtype != np.uint8:
+            raise ValueError("raster must be a uint8 numpy array")
+        if self.rgb.ndim != 3 or self.rgb.shape[2] != 3 or 0 in self.rgb.shape[:2]:
+            raise ValueError(
+                f"raster must have shape (h, w, 3) with h, w >= 1, got {self.rgb.shape}"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,9 +125,20 @@ class Trace:
     frames: Tuple[TraceFrame, ...]
 
     def __post_init__(self) -> None:
+        raster = None  # (index, shape) of the first frame with pixels
         for i, frame in enumerate(self.frames):
             if frame.stamp.index != i:
                 raise TraceError(f"frame {i} carries stamp index {frame.stamp.index}")
+            if frame.pixels is None:
+                continue
+            shape = frame.pixels.rgb.shape
+            if raster is None:
+                raster = (i, shape)
+            elif shape != raster[1]:
+                raise TraceError(
+                    f"frame {i}: raster is {shape[1]}x{shape[0]}, but frame {raster[0]}'s "
+                    f"is {raster[1][1]}x{raster[1][0]}; every raster must have one size"
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ supplied externally by entity identity, never computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -30,11 +31,11 @@ class KalmanConfig:
     max_frames_since_update: int = 90
 
     def __post_init__(self) -> None:
-        for name in ("std_weight_position", "std_weight_velocity", "std_weight_measurement"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_frames_since_update <= 0:
-            raise ValueError("max_frames_since_update must be positive")
+        # written so that NaN fails every check
+        for name in ("std_weight_position", "std_weight_velocity", "std_weight_measurement",
+                     "max_frames_since_update"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

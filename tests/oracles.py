@@ -2,7 +2,7 @@
 
 import math
 from itertools import combinations
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,3 +111,17 @@ def per_track_detection_info_gain(
         logdet_r = float(np.sum(np.log(np.diag(r))))
         total += 0.5 * relevance * (float(logdet_p) - logdet_r)
     return total
+
+
+def numpy_rgb_histograms(
+    pixels: np.ndarray, bins: int, mask: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """:func:`percsched.change_detect.rgb_histograms` as three ``np.histogram``
+    calls on a float copy of the raster, one per channel."""
+    img = np.asarray(pixels).astype(float)
+    out = np.zeros((3, bins), dtype=float)
+    for c in range(3):
+        channel = img[:, :, c]
+        values = channel[mask] if mask is not None else channel.reshape(-1)
+        out[c], _ = np.histogram(values, bins=bins, range=(0.0, 256.0))
+    return out

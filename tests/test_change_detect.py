@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import numpy_rgb_histograms
 from percsched.change_detect import (
     ChangeDetectConfig,
     HistogramShift,
@@ -32,6 +36,21 @@ class TestConfig:
             ChangeDetectConfig(patch_change_threshold=0.0)
         with pytest.raises(ValueError):
             ChangeDetectConfig(intensity_threshold=300.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"histogram_threshold": float("nan")}, "histogram_threshold"),
+            ({"histogram_threshold": float("inf")}, "histogram_threshold"),
+            ({"luminance_coeffs": (float("nan"), 0.5, 0.5)}, "luminance_coeffs"),
+            ({"luminance_coeffs": (float("inf"), 0.0, 0.0)}, "luminance_coeffs"),
+            ({"histogram_bins": 32.0}, "histogram_bins"),
+            ({"histogram_bins": True}, "histogram_bins"),
+        ],
+    )
+    def test_non_finite_or_non_int_rejected_by_name(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ChangeDetectConfig(**kwargs)
 
 
 class TestGrayscaleDiff:
@@ -185,3 +204,43 @@ class TestRgbHistograms:
         mask[:2, :] = True
         masked = rgb_histograms(img, bins=2, mask=mask)
         assert masked[0, 1] == 8 and masked[0, 0] == 0
+
+    def test_every_byte_value_matches_numpy_histogram(self):
+        # each channel holds all 256 byte values, in a different order
+        rng = np.random.default_rng(5)
+        img = np.stack([rng.permutation(256) for _ in range(3)], axis=-1)
+        img = img.astype(np.uint8).reshape(16, 16, 3)
+        masks = (
+            None,
+            rng.random((16, 16)) < 0.5,
+            np.zeros((16, 16), dtype=bool),
+            np.ones((16, 16), dtype=bool),
+        )
+        for bins in range(1, 301):
+            for mask in masks:
+                got = rgb_histograms(img, bins, mask)
+                want = numpy_rgb_histograms(img, bins, mask)
+                assert got.shape == want.shape == (3, bins)
+                assert np.array_equal(got, want), f"bins={bins}"
+
+    @given(
+        img=hnp.arrays(
+            np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24), st.just(3))
+        ),
+        bins=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+        masked=st.booleans(),
+    )
+    def test_random_rasters_match_numpy_histogram(self, img, bins, seed, masked):
+        mask = np.random.default_rng(seed).random(img.shape[:2]) < 0.7 if masked else None
+        want = numpy_rgb_histograms(img, bins, mask)
+        assert np.array_equal(rgb_histograms(img, bins, mask), want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int16, np.uint16, np.int64, bool])
+    def test_non_uint8_rejected(self, dtype):
+        with pytest.raises(ValueError, match="uint8"):
+            rgb_histograms(np.zeros((4, 4, 3), dtype=dtype), bins=8)
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(ValueError, match="mask"):
+            rgb_histograms(np.zeros((4, 4, 3), np.uint8), bins=8, mask=np.ones((4, 5), bool))

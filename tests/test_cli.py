@@ -1,3 +1,4 @@
+import base64
 import json
 
 import pytest
@@ -175,6 +176,53 @@ class TestRun:
         assert "moving_q_scale" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ({"noise": {"box_std": float("nan")}}, "box_std"),
+            ({"noise": {"miss_rate": float("inf")}}, "miss_rate"),
+            ({"keyframes": {"tau_box_px": float("nan")}}, "tau_box_px"),
+            ({"change": {"histogram_threshold": float("nan")}}, "histogram_threshold"),
+            ({"change": {"luminance_coeffs": [float("nan"), 0.5, 0.5]}}, "luminance_coeffs"),
+            ({"kalman": {"std_weight_position": float("nan")}}, "std_weight_position"),
+            ({"change": {"histogram_bins": 32.0}}, "histogram_bins"),
+        ],
+    )
+    def test_bad_section_number_is_config_error_naming_the_field(
+        self, trace_path, tmp_path, capsys, section, field
+    ):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"trace": str(trace_path), **section}))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h, w", [(30, 40), (0, 0)])
+    def test_mismatched_or_empty_raster_is_trace_error_naming_the_frame(
+        self, tmp_path, capsys, h, w
+    ):
+        frames = []
+        for i in range(40):
+            rh, rw = (h, w) if i == 17 else (60, 80)
+            raw = base64.b64encode(bytes([i]) * (rh * rw * 3)).decode("ascii")
+            frames.append(
+                {
+                    "record": "frame", "index": i, "entities": [],
+                    "background": {"x": 0, "y": 0, "w": 640, "h": 480},
+                    "pixels": {"w": rw, "h": rh, "rgb_b64": raw},
+                }
+            )
+        header = {
+            "record": "header", "schema": "percsched-trace", "version": 1,
+            "frame_period_ms": 33.0, "keypoint_count": 17, "frame_count": 40,
+        }
+        path = tmp_path / "pixels.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in [header] + frames) + "\n")
+        rc = main(["run", "--trace", str(path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_TRACE
+        assert "frame 17" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_three_policy_table(self, trace_path, tmp_path, capsys):
         out_dir = tmp_path / "runs"
@@ -269,6 +317,12 @@ class TestRunConfig:
             ({"engine": {"stationary_q_scale": float("nan")}}, "stationary_q_scale"),
             ({"engine": {"moving_q_scale": float("nan")}}, "moving_q_scale"),
             ({"engine": {"scheduling_overhead_ms": float("inf")}}, "scheduling_overhead_ms"),
+            ({"kalman": {"std_weight_velocity": float("inf")}}, "std_weight_velocity"),
+            ({"kalman": {"max_frames_since_update": float("nan")}}, "max_frames_since_update"),
+            ({"noise": {"keypoint_std": float("nan")}}, "keypoint_std"),
+            ({"noise": {"beta_b": float("inf")}}, "beta_b"),
+            ({"keyframes": {"tau_kp_px": float("inf")}}, "tau_kp_px"),
+            ({"change": {"histogram_bins": True}}, "histogram_bins"),
         ],
     )
     def test_non_finite_number_rejected_by_name(self, data, field):

@@ -308,29 +308,34 @@ class TestOfflineRun:
             assert by_id[e.id][2] == cx and by_id[e.id][3] == cy
 
 
+def _level_switch_trace(level):
+    """Eight uniform rasters at grey level 60, switching to ``level`` at frame 4."""
+    from percsched.traces import FramePixels
+
+    frames = [
+        TraceFrame(
+            stamp=FrameStamp.at(i, PERIOD),
+            entities=(obj(),),
+            background=PatchRegion(0, 0, 640, 480),
+            pixels=FramePixels(rgb=np.full((48, 64, 3), 60 if i < 4 else level, np.uint8)),
+        )
+        for i in range(8)
+    ]
+    return Trace(
+        header=TraceHeader(frame_period_ms=PERIOD, keypoint_count=5, frame_count=8),
+        frames=tuple(frames),
+    )
+
+
 class TestPixelTraces:
     def test_pixel_variant_drives_change_detection(self):
-        from percsched.traces import FramePixels
-
-        rng = np.random.default_rng(0)
-        frames = []
-        base = np.full((48, 64, 3), 60, dtype=np.uint8)
-        for i in range(8):
-            rgb = base.copy()
-            if i >= 4:
-                rgb[:, :, :] = 200  # global change from frame 4 on
-            frames.append(
-                TraceFrame(
-                    stamp=FrameStamp.at(i, PERIOD),
-                    entities=(obj(),),
-                    background=PatchRegion(0, 0, 640, 480),
-                    pixels=FramePixels(rgb=rgb),
-                )
-            )
-        trace = Trace(
-            header=TraceHeader(frame_period_ms=PERIOD, keypoint_count=5, frame_count=8),
-            frames=tuple(frames),
-        )
+        trace = _level_switch_trace(200)  # global change from frame 4 on
         log = run(trace, PolicyKind.SCHEDULED, pipeline().pipeline(trace.header))
         assert log.records[4].forced[DETECTION]
         assert not log.records[2].forced[DETECTION]
+
+    def test_slight_darkening_is_below_the_intensity_threshold(self):
+        # |50 - 60| = 10 < 30; a byte difference that wrapped would read 246
+        trace = _level_switch_trace(50)
+        log = run(trace, PolicyKind.SCHEDULED, pipeline().pipeline(trace.header))
+        assert not any(rec.forced[DETECTION] for rec in log.records[1:])

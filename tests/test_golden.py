@@ -19,6 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import numpy_rgb_histograms
+from percsched import change_detect
+from percsched.change_detect import ChangeDetectConfig
 from percsched.config import RunConfig
 from percsched.engine import PolicyKind, SimEngine, run, run_offline
 from percsched.metrics import extract_keyframes
@@ -62,17 +65,25 @@ def make_trace(name: str) -> Trace:
     return generate_trace(name, FRAMES, SEED)
 
 
-def digests(name: str) -> dict:
-    """SHA-256 of each policy's run log over one trace, keyed ``name/policy``."""
-    trace = make_trace(name)
-    cfg = RunConfig(seed=SEED)
+def run_logs(trace: Trace, cfg: RunConfig) -> dict:
+    """Each policy's run log over one trace as JSONL text, keyed by policy."""
     pipe = cfg.pipeline(trace.header)
     gt = extract_keyframes(run_offline(trace, pipe), cfg.keyframes)
-    out = {}
-    for kind in PolicyKind:
-        log = run(trace, kind, pipe, gt.required if kind is PolicyKind.ORACLE else None)
-        out[f"{name}/{kind.value}"] = hashlib.sha256(log.to_jsonl().encode("utf-8")).hexdigest()
-    return out
+    return {
+        kind.value: run(
+            trace, kind, pipe, gt.required if kind is PolicyKind.ORACLE else None
+        ).to_jsonl()
+        for kind in PolicyKind
+    }
+
+
+def digests(name: str) -> dict:
+    """SHA-256 of each policy's run log over one trace, keyed ``name/policy``."""
+    logs = run_logs(make_trace(name), RunConfig(seed=SEED))
+    return {
+        f"{name}/{policy}": hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for policy, text in logs.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +95,28 @@ def golden():
 def test_run_logs_match_golden_digests(golden, name):
     for key, digest in digests(name).items():
         assert digest == golden[key], f"run log {key} changed"
+
+
+@pytest.mark.parametrize("bins", [7, 20, 100])
+def test_pixel_run_logs_equal_numpy_histogram_runs(monkeypatch, bins):
+    """Off the 32-bin golden setting, the byte-count histograms must give the
+    run logs that ``np.histogram`` gives, and equal it on every call."""
+    trace = pixel_trace(FRAMES, SEED)
+    cfg = RunConfig(seed=SEED, change=ChangeDetectConfig(histogram_bins=bins))
+    kernel = change_detect.rgb_histograms
+    calls = []
+
+    def checked(pixels, n_bins, mask=None):
+        got = kernel(pixels, n_bins, mask)
+        assert np.array_equal(got, numpy_rgb_histograms(pixels, n_bins, mask))
+        calls.append(n_bins)
+        return got
+
+    monkeypatch.setattr(change_detect, "rgb_histograms", checked)
+    on_kernel = run_logs(trace, cfg)
+    assert calls and set(calls) == {bins}
+    monkeypatch.setattr(change_detect, "rgb_histograms", numpy_rgb_histograms)
+    assert run_logs(trace, cfg) == on_kernel
 
 
 def test_pixel_trace_moves_tracked_patches():

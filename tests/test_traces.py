@@ -1,9 +1,15 @@
+import base64
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from percsched.scene import Entity, EntityKind, FrameStamp, PatchRegion
+from percsched.scene import Entity, EntityKind, FrameStamp, MotionStatus, PatchRegion
 from percsched.traces import (
     ARCHETYPES,
     ChangeStats,
@@ -81,6 +87,96 @@ class TestRoundTrip:
         assert read_trace(path).frames[0].keypoints["h"] == kps
 
 
+_coord = st.floats(-1e4, 1e4, allow_nan=False)
+_extent = st.floats(1e-3, 1e4, allow_nan=False)
+_share = st.floats(0.0, 1.0)
+_ids = st.text(min_size=1, max_size=6)
+
+
+@st.composite
+def _traces(draw):
+    """A trace with boxes, human keypoints and, per frame, either change
+    statistics or a raster; all rasters of one trace share a size."""
+    keypoint_count = draw(st.integers(1, 4))
+    raster = draw(st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(3)))
+    n = draw(st.integers(1, 4))
+    header = TraceHeader(
+        frame_period_ms=draw(st.floats(1e-3, 1e3)),
+        keypoint_count=keypoint_count,
+        frame_count=n,
+        frame_w=draw(st.integers(1, 4096)),
+        frame_h=draw(st.integers(1, 4096)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+        archetype=draw(st.text(max_size=8)),
+    )
+    frames = []
+    for i in range(n):
+        entities = draw(
+            st.lists(
+                st.builds(
+                    Entity,
+                    id=_ids,
+                    kind=st.sampled_from(EntityKind),
+                    region=st.builds(PatchRegion, _coord, _coord, _extent, _extent),
+                    motion=st.sampled_from(MotionStatus),
+                    relevance=_share,
+                ),
+                max_size=3,
+                unique_by=lambda e: e.id,
+            )
+        )
+        point = st.tuples(_coord, _coord)
+        keypoints = {
+            e.id: tuple(draw(st.lists(point, min_size=keypoint_count, max_size=keypoint_count)))
+            for e in entities
+            if e.kind is EntityKind.HUMAN
+        }
+        extra = {}
+        if draw(st.booleans()):
+            extra["pixels"] = FramePixels(rgb=draw(hnp.arrays(np.uint8, raster)))
+        else:
+            extra["change"] = ChangeStats(
+                background_cr=draw(_share),
+                hist_shift_mean=draw(st.floats(0.0, 1e6)),
+                patch_cr=draw(st.dictionaries(_ids, _share, max_size=3)),
+            )
+        frames.append(
+            TraceFrame(
+                stamp=FrameStamp.at(i, header.frame_period_ms),
+                entities=tuple(entities),
+                background=draw(st.builds(PatchRegion, _coord, _coord, _extent, _extent)),
+                keypoints=keypoints,
+                enters=tuple(draw(st.lists(_ids, max_size=2))),
+                exits=tuple(draw(st.lists(_ids, max_size=2))),
+                **extra,
+            )
+        )
+    return Trace(header=header, frames=tuple(frames))
+
+
+class TestRoundTripProperty:
+    @given(trace=_traces())
+    def test_read_of_write_reproduces_every_field(self, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.jsonl"
+            write_trace(path, trace)
+            back = read_trace(path)
+        assert back.header == trace.header
+        assert len(back.frames) == len(trace.frames)
+        for a, b in zip(trace.frames, back.frames):
+            assert b.stamp == a.stamp
+            assert b.entities == a.entities
+            assert b.background == a.background
+            assert dict(b.keypoints) == dict(a.keypoints)
+            assert (b.enters, b.exits) == (a.enters, a.exits)
+            assert b.change == a.change
+            if a.pixels is None:
+                assert b.pixels is None
+            else:
+                assert b.pixels.rgb.dtype == np.uint8
+                assert np.array_equal(b.pixels.rgb, a.pixels.rgb)
+
+
 class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError, match="not found"):
@@ -137,6 +233,45 @@ class TestValidation:
         head[field] = value
         path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
         with pytest.raises(TraceError, match=field):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "rgb",
+        [
+            np.zeros((4, 4, 3), dtype=np.float64),
+            np.zeros((4, 4, 3), dtype=np.int16),
+            np.zeros((4, 4), dtype=np.uint8),
+            np.zeros((4, 4, 4), dtype=np.uint8),
+            np.zeros((0, 0, 3), dtype=np.uint8),
+            np.zeros((0, 4, 3), dtype=np.uint8),
+        ],
+    )
+    def test_raster_must_be_non_empty_uint8_rgb(self, rgb):
+        with pytest.raises(ValueError, match="raster"):
+            FramePixels(rgb=rgb)
+
+    def test_rasters_must_share_one_size(self):
+        frames = list(_minimal_trace(pixels=True).frames)
+        frames[2] = TraceFrame(
+            stamp=frames[2].stamp,
+            entities=frames[2].entities,
+            background=frames[2].background,
+            pixels=FramePixels(rgb=np.zeros((6, 8, 3), dtype=np.uint8)),
+        )
+        with pytest.raises(TraceError, match="frame 2: raster is 8x6, but frame 0's is 16x12"):
+            Trace(header=TraceHeader(frame_count=3), frames=tuple(frames))
+
+    @pytest.mark.parametrize("h, w", [(6, 8), (0, 0)])
+    def test_mismatched_or_empty_raster_in_file_names_the_frame(self, tmp_path, h, w):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, _minimal_trace(pixels=True))
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        raw = base64.b64encode(bytes(h * w * 3)).decode("ascii")
+        rec["pixels"] = {"w": w, "h": h, "rgb_b64": raw}
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match="frame 1"):
             read_trace(path)
 
     def test_nonsequential_frames_rejected(self):
