@@ -1,8 +1,11 @@
 """Golden run logs: SHA-256 digests of ``RunLog.to_jsonl()`` on a fixed matrix.
 
 Three generated archetype traces plus one pixel-raster trace, each run under
-the parallel, oracle and scheduled policies. A refactor that is meant to keep
-behaviour must leave every digest unchanged.
+the parallel, oracle and scheduled policies, at the default config (keys
+``trace/policy``) and at five config variants that leave the defaults for
+noise, busy queueing, serial overhead, keep-on-miss and Joseph updates with
+early staleness (keys ``variant/trace/policy``). A refactor that is meant to
+keep behaviour must leave every digest unchanged.
 
 The digests live in ``tests/golden/runlog_digests.json``. Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden/runlog_digests.json``
@@ -11,6 +14,7 @@ bytes moved and why.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -23,9 +27,11 @@ from oracles import numpy_rgb_histograms
 from percsched import change_detect
 from percsched.change_detect import ChangeDetectConfig
 from percsched.config import RunConfig
-from percsched.engine import PolicyKind, SimEngine, run, run_offline
+from percsched.engine import EngineConfig, PolicyKind, SimEngine, run, run_offline
 from percsched.metrics import extract_keyframes
 from percsched.scene import EntityKind
+from percsched.toolkit import NoiseConfig
+from percsched.tracker import KalmanConfig
 from percsched.traces import FramePixels, Trace, generate_trace
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "runlog_digests.json"
@@ -33,6 +39,26 @@ FRAMES = 120
 SEED = 11
 TRACES = ("static", "interaction", "walking", "interaction-pixels")
 RASTER_W, RASTER_H = 64, 48
+VARIANTS = {
+    "noise": RunConfig(
+        seed=SEED,
+        noise=NoiseConfig(box_std=2.0, miss_rate=0.1, false_positive_rate=0.05,
+                          keypoint_std=2.0, confidence_spread=0.3),
+    ),
+    "queue": RunConfig(seed=SEED, engine=EngineConfig(busy_policy="queue")),
+    "serial-overhead": RunConfig(
+        seed=SEED,
+        engine=EngineConfig(scheduling_overhead_ms=2.0, overhead_accounting="serial"),
+    ),
+    "keep-on-miss": RunConfig(
+        seed=SEED, engine=EngineConfig(delete_on_miss=False), noise=NoiseConfig(miss_rate=0.2)
+    ),
+    "joseph-stale": RunConfig(
+        seed=SEED,
+        kalman=KalmanConfig(joseph_update=True, max_frames_since_update=5),
+        noise=NoiseConfig(miss_rate=0.3),
+    ),
+}
 
 
 def pixel_trace(frames: int, seed: int) -> Trace:
@@ -59,6 +85,7 @@ def pixel_trace(frames: int, seed: int) -> Trace:
     return Trace(header=trace.header, frames=tuple(out))
 
 
+@functools.lru_cache(maxsize=None)
 def make_trace(name: str) -> Trace:
     if name == "interaction-pixels":
         return pixel_trace(FRAMES, SEED)
@@ -77,12 +104,25 @@ def run_logs(trace: Trace, cfg: RunConfig) -> dict:
     }
 
 
-def digests(name: str) -> dict:
-    """SHA-256 of each policy's run log over one trace, keyed ``name/policy``."""
-    logs = run_logs(make_trace(name), RunConfig(seed=SEED))
+def digests(name: str, variant: str = "") -> dict:
+    """SHA-256 of each policy's run log over one trace, keyed ``name/policy``
+    at the default config and ``variant/name/policy`` at a config variant."""
+    cfg = VARIANTS[variant] if variant else RunConfig(seed=SEED)
+    prefix = f"{variant}/" if variant else ""
+    logs = run_logs(make_trace(name), cfg)
     return {
-        f"{name}/{policy}": hashlib.sha256(text.encode("utf-8")).hexdigest()
+        f"{prefix}{name}/{policy}": hashlib.sha256(text.encode("utf-8")).hexdigest()
         for policy, text in logs.items()
+    }
+
+
+def golden_matrix() -> dict:
+    """Every golden digest: the default config, then each variant."""
+    return {
+        key: d
+        for variant in ("", *VARIANTS)
+        for name in TRACES
+        for key, d in digests(name, variant).items()
     }
 
 
@@ -94,6 +134,13 @@ def golden():
 @pytest.mark.parametrize("name", TRACES)
 def test_run_logs_match_golden_digests(golden, name):
     for key, digest in digests(name).items():
+        assert digest == golden[key], f"run log {key} changed"
+
+
+@pytest.mark.parametrize("name", TRACES)
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_variant_run_logs_match_golden_digests(golden, variant, name):
+    for key, digest in digests(name, variant).items():
         assert digest == golden[key], f"run log {key} changed"
 
 
@@ -134,5 +181,4 @@ def test_pixel_trace_moves_tracked_patches():
 
 
 if __name__ == "__main__":
-    matrix = {key: d for name in TRACES for key, d in digests(name).items()}
-    sys.stdout.write(json.dumps(matrix, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(golden_matrix(), indent=2, sort_keys=True) + "\n")
