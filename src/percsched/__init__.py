@@ -14,7 +14,6 @@ from .config import ConfigError, RunConfig
 from .engine import (
     EngineConfig,
     EngineError,
-    EngineState,
     PipelineConfig,
     PolicyKind,
     RunLog,

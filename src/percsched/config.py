@@ -70,8 +70,12 @@ class RunConfig:
             raise ConfigError(
                 f"latency_denominator must be one of {LATENCY_DENOMINATORS}"
             )
-        if self.keypoint_count is not None and self.keypoint_count <= 0:
-            raise ConfigError("keypoint_count must be positive")
+        for name, low in (("seed", 0), ("keypoint_count", 1)):
+            value = getattr(self, name)
+            if value is None and name == "keypoint_count":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
     # -- assembly ----------------------------------------------------------
 

@@ -3,7 +3,9 @@
 Each frame advances through a fixed order: apply outputs that became ready,
 predict all tracks, run change detection, decide activations (reward-driven
 for Scheduled, readiness-driven for Parallel, ground-truth driven for
-Oracle), honor decisions on idle modules, log, advance. Inference consumes
+Oracle), honor decisions on idle modules, log, advance. Only Scheduled reads
+beliefs, so only Scheduled runs the Kalman filter, change detection and
+motion gating; the baselines keep track membership alone. Inference consumes
 no wall clock; module busy windows live entirely on the virtual clock, so a
 run is a pure function of (trace, policy, configs, seed).
 """
@@ -37,7 +39,6 @@ from .scene import (
     DETECTION,
     POSE,
     EntityKind,
-    FrameStamp,
     ModuleId,
     MotionStatus,
     PatchRegion,
@@ -78,6 +79,13 @@ class PolicyKind(str, Enum):
     PARALLEL = "parallel"
     ORACLE = "oracle"
     SCHEDULED = "scheduled"
+
+    @property
+    def keeps_beliefs(self) -> bool:
+        """Whether decisions read the Kalman tracks, motion and change
+        statistics. Parallel and Oracle decide from module readiness and
+        ground truth, so they keep only which ids are tracked."""
+        return self is PolicyKind.SCHEDULED
 
 
 @dataclass(frozen=True)
@@ -121,17 +129,6 @@ class EngineConfig:
             )
         if not 0.0 <= self.default_relevance <= 1.0:
             raise ValueError("default_relevance must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class EngineState:
-    """Read-only snapshot of the loop state between frames."""
-
-    clock: FrameStamp
-    busy_until: Mapping[ModuleId, float]
-    pending_outputs: int
-    tracks: Mapping[str, TrackState]
-    frames_logged: int
 
 
 @dataclass(frozen=True)
@@ -348,7 +345,11 @@ class SimEngine:
         }
         self.period = trace.header.frame_period_ms
         self.module_ids = sorted(cfg.modules)
+        self.keeps_beliefs = policy.keeps_beliefs
 
+        # id -> frames since its last detection: the tracked set under every
+        # policy; ``tracks`` holds a Kalman belief per member when beliefs are kept
+        self.members: Dict[str, int] = {}
         self.tracks: Dict[str, TrackState] = {}
         self.kinds: Dict[str, EntityKind] = {}
         self.relevance: Dict[str, float] = {}
@@ -361,18 +362,7 @@ class SimEngine:
         self.prev_pixels: Optional[np.ndarray] = None
         self._seq = 0
         self._expected_index = trace.frames[0].stamp.index
-        self._frames_logged = 0
         self._q_applied: Dict[str, float] = {}
-
-    @property
-    def state(self) -> EngineState:
-        return EngineState(
-            clock=FrameStamp.at(self._expected_index, self.period),
-            busy_until=dict(self.busy_until),
-            pending_outputs=len(self.pending),
-            tracks=dict(self.tracks),
-            frames_logged=self._frames_logged,
-        )
 
     # -- helpers ----------------------------------------------------------
 
@@ -392,23 +382,29 @@ class SimEngine:
             if isinstance(out, DetectionOutput):
                 seen = set()
                 for box in out.boxes:
-                    z = np.array([box.x_c, box.y_c, box.w, box.h], dtype=float)
                     seen.add(box.entity_id)
-                    track = self.tracks.get(box.entity_id)
-                    if track is None:
-                        self.tracks[box.entity_id] = init_track(z, self.cfg.kalman, box.entity_id)
-                        self.motion[box.entity_id] = MotionStatus.MOVING
-                        if self._kind_of(box.entity_id) is EntityKind.HUMAN:
-                            humans_changed = True
-                    else:
-                        self.tracks[box.entity_id] = update(track, z, self.cfg.kalman)
+                    is_new = box.entity_id not in self.members
+                    self.members[box.entity_id] = 0
+                    if self.keeps_beliefs:
+                        z = np.array([box.x_c, box.y_c, box.w, box.h], dtype=float)
+                        if is_new:
+                            self.tracks[box.entity_id] = init_track(
+                                z, self.cfg.kalman, box.entity_id
+                            )
+                            self.motion[box.entity_id] = MotionStatus.MOVING
+                        else:
+                            self.tracks[box.entity_id] = update(
+                                self.tracks[box.entity_id], z, self.cfg.kalman
+                            )
+                    if is_new and self._kind_of(box.entity_id) is EntityKind.HUMAN:
+                        humans_changed = True
                 if self.cfg.engine.delete_on_miss:
-                    for tid in list(self.tracks):
+                    for tid in list(self.members):
                         if tid not in seen:
                             self._drop_track(tid)
                             if self._kind_of(tid) is EntityKind.HUMAN:
                                 humans_changed = True
-            else:
+            elif self.keeps_beliefs:
                 for human in out.per_human:
                     if human.entity_id in self.tracks:
                         self.history.record(
@@ -422,6 +418,7 @@ class SimEngine:
         return applied, humans_changed
 
     def _drop_track(self, entity_id: str) -> None:
+        self.members.pop(entity_id, None)
         self.tracks.pop(entity_id, None)
         self.motion.pop(entity_id, None)
         self._q_applied.pop(entity_id, None)
@@ -429,16 +426,18 @@ class SimEngine:
 
     def _predict_tracks(self) -> bool:
         humans_changed = False
-        for tid in list(self.tracks):
-            moving = self.motion.get(tid) is MotionStatus.MOVING
-            q_scale = (
-                self.cfg.engine.moving_q_scale if moving else self.cfg.engine.stationary_q_scale
-            )
-            self.tracks[tid] = predict(
-                self.tracks[tid], self.cfg.kalman, q_scale=q_scale, zero_velocity=not moving
-            )
-            self._q_applied[tid] = q_scale
-            if self.tracks[tid].frames_since_update > self.cfg.kalman.max_frames_since_update:
+        for tid in list(self.members):
+            self.members[tid] += 1
+            if self.keeps_beliefs:
+                moving = self.motion.get(tid) is MotionStatus.MOVING
+                q_scale = (
+                    self.cfg.engine.moving_q_scale if moving else self.cfg.engine.stationary_q_scale
+                )
+                self.tracks[tid] = predict(
+                    self.tracks[tid], self.cfg.kalman, q_scale=q_scale, zero_velocity=not moving
+                )
+                self._q_applied[tid] = q_scale
+            if self.members[tid] > self.cfg.kalman.max_frames_since_update:
                 if self._kind_of(tid) is EntityKind.HUMAN:
                     humans_changed = True
                 self._drop_track(tid)
@@ -609,18 +608,17 @@ class SimEngine:
         applied, humans_changed = self._apply_ready_outputs(k)
         humans_changed |= self._predict_tracks()
 
-        bg_cr, shift, patch_cr = self._change_stats(frame)
-        composition_change = cd.composition_change_trigger(bg_cr, shift, self.cfg.change)
-        g1_yolo = (k == 0) or composition_change
-        self._update_motion(patch_cr)
-        # pose is forced by believed human enter/exit and, optionally, by the
-        # raw composition trigger: an element crossing the background may be
-        # a human the detector has not confirmed yet
-        g1_pose = humans_changed or (
-            self.cfg.engine.force_pose_on_composition and composition_change
-        )
-
-        if self.policy is PolicyKind.SCHEDULED:
+        if self.keeps_beliefs:
+            bg_cr, shift, patch_cr = self._change_stats(frame)
+            composition_change = cd.composition_change_trigger(bg_cr, shift, self.cfg.change)
+            g1_yolo = (k == 0) or composition_change
+            self._update_motion(patch_cr)
+            # pose is forced by believed human enter/exit and, optionally, by
+            # the raw composition trigger: an element crossing the background
+            # may be a human the detector has not confirmed yet
+            g1_pose = humans_changed or (
+                self.cfg.engine.force_pose_on_composition and composition_change
+            )
             rewards = self._scheduled_rewards(k, g1_yolo, g1_pose)
         else:
             rewards = self._baseline_rewards(k)
@@ -644,10 +642,9 @@ class SimEngine:
             dropped=dropped,
             applied=tuple(applied),
             decision_time_ms=self.cfg.engine.scheduling_overhead_ms,
-            tracked=len(self.tracks),
+            tracked=len(self.members),
         )
         self._expected_index += 1
-        self._frames_logged += 1
         return record
 
     def run(self) -> RunLog:

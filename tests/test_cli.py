@@ -197,6 +197,32 @@ class TestRun:
         assert rc == EXIT_CONFIG
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"keypoint_count": 17.5}, "keypoint_count"),
+            ({"keypoint_count": True}, "keypoint_count"),
+            ({"keypoint_count": 0}, "keypoint_count"),
+            ({"seed": float("nan")}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"seed": True}, "seed"),
+        ],
+    )
+    def test_bad_seed_or_keypoint_count_is_config_error_naming_the_field(
+        self, trace_path, tmp_path, capsys, data, field
+    ):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"trace": str(trace_path), **data}))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_config_error(self, trace_path, tmp_path, capsys):
+        rc = main(["run", "--trace", str(trace_path), "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("h, w", [(30, 40), (0, 0)])
     def test_mismatched_or_empty_raster_is_trace_error_naming_the_frame(
         self, tmp_path, capsys, h, w

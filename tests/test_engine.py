@@ -268,17 +268,16 @@ class TestEngineMechanics:
         b = run(trace, PolicyKind.SCHEDULED, cfg).to_jsonl()
         assert a == b
 
-    def test_state_snapshot_tracks_progress(self):
+    def test_stepped_parallel_log_tracks_and_respects_busy_windows(self):
         trace = static_object_trace(frames=8)
         engine = SimEngine(trace, PolicyKind.PARALLEL, pipeline().pipeline(trace.header))
-        assert engine.state.clock.index == 0
-        for frame in trace.frames[:4]:
-            engine.step(frame)
-        snap = engine.state
-        assert snap.clock.index == 4
-        assert snap.frames_logged == 4
-        assert snap.busy_until[POSE] > snap.busy_until[DETECTION]
-        assert "obj-1" in snap.tracks
+        records = [engine.step(frame) for frame in trace.frames[:4]]
+        assert records[3].tracked == 1
+        for module, spec in engine.cfg.modules.items():
+            starts = [r.index * PERIOD for r in records if r.honored[module]]
+            assert starts[0] == 0.0
+            assert all(b - a >= spec.inference_ms for a, b in zip(starts, starts[1:]))
+        assert [r.index for r in records if r.honored[POSE]] == [0, 3]
 
     def test_runlog_round_trip(self):
         trace = generate_trace("static", 90, seed=2)

@@ -25,6 +25,7 @@ import pytest
 
 from oracles import numpy_rgb_histograms
 from percsched import change_detect
+from percsched import engine as engine_module
 from percsched.change_detect import ChangeDetectConfig
 from percsched.config import RunConfig
 from percsched.engine import EngineConfig, PolicyKind, SimEngine, run, run_offline
@@ -92,7 +93,7 @@ def make_trace(name: str) -> Trace:
     return generate_trace(name, FRAMES, SEED)
 
 
-def run_logs(trace: Trace, cfg: RunConfig) -> dict:
+def run_logs(trace: Trace, cfg: RunConfig, kinds=tuple(PolicyKind)) -> dict:
     """Each policy's run log over one trace as JSONL text, keyed by policy."""
     pipe = cfg.pipeline(trace.header)
     gt = extract_keyframes(run_offline(trace, pipe), cfg.keyframes)
@@ -100,16 +101,16 @@ def run_logs(trace: Trace, cfg: RunConfig) -> dict:
         kind.value: run(
             trace, kind, pipe, gt.required if kind is PolicyKind.ORACLE else None
         ).to_jsonl()
-        for kind in PolicyKind
+        for kind in kinds
     }
 
 
-def digests(name: str, variant: str = "") -> dict:
+def digests(name: str, variant: str = "", kinds=tuple(PolicyKind)) -> dict:
     """SHA-256 of each policy's run log over one trace, keyed ``name/policy``
     at the default config and ``variant/name/policy`` at a config variant."""
     cfg = VARIANTS[variant] if variant else RunConfig(seed=SEED)
     prefix = f"{variant}/" if variant else ""
-    logs = run_logs(make_trace(name), cfg)
+    logs = run_logs(make_trace(name), cfg, kinds)
     return {
         f"{prefix}{name}/{policy}": hashlib.sha256(text.encode("utf-8")).hexdigest()
         for policy, text in logs.items()
@@ -176,8 +177,53 @@ def test_pixel_trace_moves_tracked_patches():
             super()._update_motion(patch_cr)
 
     trace = pixel_trace(FRAMES, SEED)
-    Probe(trace, PolicyKind.PARALLEL, RunConfig(seed=SEED).pipeline(trace.header)).run()
+    Probe(trace, PolicyKind.SCHEDULED, RunConfig(seed=SEED).pipeline(trace.header)).run()
     assert max(seen) > 0.0
+
+
+BELIEF_CALLS = (
+    "predict", "update", "init_track", "inflate_process_noise", "measurement_covariance",
+    "cd.grayscale_diff", "cd.rgb_histograms", "cd.chi_square_shift",
+    "cd.composition_change_trigger", "cd.motion_status",
+)
+
+
+def route_belief_calls(monkeypatch, on_call):
+    """Pass every belief-layer call the engine makes through ``on_call(name)``
+    before the real function runs."""
+    for dotted in BELIEF_CALLS:
+        owner, name = engine_module, dotted
+        if dotted.startswith("cd."):
+            owner, name = change_detect, dotted[3:]
+
+        def routed(*args, _dotted=dotted, _real=getattr(owner, name), **kwargs):
+            on_call(_dotted)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, routed)
+
+
+def forbidden(name):
+    raise AssertionError(f"{name} called")
+
+
+@pytest.mark.parametrize("variant", ["", *sorted(VARIANTS)])
+def test_baselines_skip_the_belief_layers(monkeypatch, golden, variant):
+    """Parallel and Oracle keep track membership only: no Kalman filter,
+    change detection or motion gating, and still their golden run logs."""
+    route_belief_calls(monkeypatch, forbidden)
+    for name in TRACES:
+        baselines = digests(name, variant, (PolicyKind.PARALLEL, PolicyKind.ORACLE))
+        for key, digest in baselines.items():
+            assert digest == golden[key], f"run log {key} changed"
+
+
+def test_scheduled_runs_the_belief_layers(monkeypatch):
+    called = set()
+    route_belief_calls(monkeypatch, called.add)
+    trace = make_trace("interaction-pixels")
+    run(trace, PolicyKind.SCHEDULED, RunConfig(seed=SEED).pipeline(trace.header))
+    assert called == set(BELIEF_CALLS)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percsched.tracker import (
     KalmanConfig,
@@ -217,3 +219,38 @@ class TestMotionScaling:
         for i in range(5):
             t = predict(t, CFG)
             assert t.frames_since_update == i + 1
+
+
+# one random filter step: predict (optionally zeroing velocity), update
+# against a measurement offset from the predicted box by box-height units,
+# or top up process noise as the engine does for a track found to be moving
+STEPS = st.one_of(
+    st.tuples(st.just("predict"), st.booleans()),
+    st.tuples(st.just("update"), st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4)),
+    st.tuples(st.just("inflate"), st.floats(0.0, 60.0)),
+)
+
+
+class TestCovarianceProperties:
+    @pytest.mark.parametrize("joseph", [False, True])
+    @pytest.mark.parametrize("q_scale", [0.02, 60.0])
+    @settings(max_examples=10)
+    @given(
+        box=st.tuples(st.floats(0.0, 640.0), st.floats(0.0, 480.0),
+                      st.floats(1.0, 300.0), st.floats(1.0, 300.0)),
+        steps=st.lists(STEPS, min_size=100, max_size=200),
+    )
+    def test_symmetric_and_positive_definite_through_long_runs(self, q_scale, joseph, box, steps):
+        cfg = KalmanConfig(joseph_update=joseph)
+        t = init_track(np.array(box), cfg)
+        for op, arg in steps:
+            if op == "predict":
+                t = predict(t, cfg, q_scale=q_scale, zero_velocity=arg)
+            elif op == "update":
+                height = max(float(t.mean[3]), 1.0)
+                t = update(t, t.mean[:4] + height * np.array(arg), cfg)
+            else:
+                t = inflate_process_noise(t, cfg, arg)
+            assert np.array_equal(t.covariance, t.covariance.T)
+            assert np.all(np.isfinite(t.covariance))
+            assert np.linalg.eigvalsh(t.covariance).min() > 0.0
