@@ -70,12 +70,9 @@ class RunConfig:
             raise ConfigError(
                 f"latency_denominator must be one of {LATENCY_DENOMINATORS}"
             )
-        for name, low in (("seed", 0), ("keypoint_count", 1)):
-            value = getattr(self, name)
-            if value is None and name == "keypoint_count":
-                continue
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        _require_int("seed", self.seed, 0)
+        if self.keypoint_count is not None:
+            _require_int("keypoint_count", self.keypoint_count, 1)
 
     # -- assembly ----------------------------------------------------------
 
@@ -174,6 +171,11 @@ class RunConfig:
                 raise ConfigError(f"unknown override {key!r}")
             current[key] = value
         return RunConfig.from_dict(current)
+
+
+def _require_int(name: str, value: Any, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _section_from_dict(section_cls: type, value: Any, name: str) -> Any:
