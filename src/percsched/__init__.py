@@ -3,8 +3,6 @@
 from .change_detect import (
     ChangeDetectConfig,
     HistogramShift,
-    PatchDiff,
-    change_ratio,
     chi_square_shift,
     composition_change_trigger,
     grayscale_diff,

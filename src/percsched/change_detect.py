@@ -1,9 +1,10 @@
 """Frame-differencing motion detection and histogram shift detection.
 
-All functions are pure and operate on numpy arrays: an absolute RGB patch
-difference is collapsed to grayscale, thresholded into a change ratio, and
-the ratio decides the patch's motion status. Background composition changes
-combine the background change ratio with a chi-square histogram distance.
+All functions are pure and operate on numpy arrays: an absolute RGB
+difference is collapsed to grayscale, the engine thresholds it into a change
+ratio per believed region, and the ratio decides the patch's motion status.
+Background composition changes combine the background change ratio with a
+chi-square histogram distance.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .scene import MotionStatus, PatchRegion
+from .scene import MotionStatus
 
 REC601_LUMA = (0.299, 0.587, 0.114)
 
@@ -55,24 +56,6 @@ class ChangeDetectConfig:
 
 
 @dataclass(frozen=True)
-class PatchDiff:
-    """Absolute RGB difference over one patch, channels-first (3, h, w)."""
-
-    region: PatchRegion
-    abs_rgb_diff: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.abs_rgb_diff.ndim != 3 or self.abs_rgb_diff.shape[0] != 3:
-            raise ValueError(
-                f"abs_rgb_diff must have shape (3, h, w), got {self.abs_rgb_diff.shape}"
-            )
-        if self.abs_rgb_diff.size and (
-            self.abs_rgb_diff.min() < 0 or self.abs_rgb_diff.max() > 255
-        ):
-            raise ValueError("abs_rgb_diff values must lie in [0, 255]")
-
-
-@dataclass(frozen=True)
 class HistogramShift:
     """Chi-square distance per RGB channel and their mean."""
 
@@ -84,38 +67,13 @@ class HistogramShift:
         return cls(per_channel=per_channel, mean=float(np.mean(per_channel)))
 
 
-def grayscale_diff(diff: PatchDiff, cfg: ChangeDetectConfig) -> np.ndarray:
-    """Collapse a channels-first RGB difference to a weighted grayscale map."""
-    arr = np.asarray(diff.abs_rgb_diff, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != 3:
-        raise ValueError(f"expected shape (3, h, w), got {arr.shape}")
+def grayscale_diff(abs_rgb_diff: np.ndarray, cfg: ChangeDetectConfig) -> np.ndarray:
+    """Collapse an (h, w, 3) absolute RGB difference to a weighted grayscale map."""
+    arr = np.asarray(abs_rgb_diff)
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise ValueError(f"expected shape (h, w, 3), got {arr.shape}")
     coeffs = np.asarray(cfg.luminance_coeffs, dtype=float)
-    return np.tensordot(coeffs, arr, axes=(0, 0))
-
-
-def change_ratio(gray_diff: np.ndarray, region: PatchRegion, cfg: ChangeDetectConfig) -> float:
-    """Fraction of patch pixels whose grayscale difference exceeds the threshold.
-
-    ``gray_diff`` may be exactly patch-sized or a larger map that covers the
-    region, in which case the region is sliced out of it.
-    """
-    arr = np.asarray(gray_diff, dtype=float)
-    h = int(round(region.h))
-    w = int(round(region.w))
-    if h <= 0 or w <= 0:
-        raise ValueError("region must have positive pixel area")
-    if arr.shape == (h, w):
-        patch = arr
-    else:
-        y0, x0 = int(round(region.y)), int(round(region.x))
-        if y0 < 0 or x0 < 0 or y0 + h > arr.shape[0] or x0 + w > arr.shape[1]:
-            raise ValueError(
-                f"gray_diff of shape {arr.shape} does not cover region "
-                f"({x0}, {y0}, {w}, {h})"
-            )
-        patch = arr[y0 : y0 + h, x0 : x0 + w]
-    count = int(np.count_nonzero(patch > cfg.intensity_threshold))
-    return count / (w * h)
+    return np.tensordot(coeffs, np.moveaxis(arr, 2, 0).astype(float), axes=(0, 0))
 
 
 def motion_status(cr: float, cfg: ChangeDetectConfig) -> MotionStatus:

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 config error, 3 trace error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -109,11 +110,20 @@ def _run_one(
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
+    if args.frames < 2:
+        raise ConfigError(f"--frames must be at least 2, got {args.frames}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    if args.keypoints < 1:
+        raise ConfigError(f"--keypoints must be at least 1, got {args.keypoints}")
+    period_ms = 1000.0 / args.fps if args.fps > 0 else math.nan
+    if not 0.0 < period_ms < math.inf:  # NaN fails too
+        raise ConfigError(f"--fps must be finite and positive, got {args.fps}")
     trace = generate_trace(
         archetype=args.archetype,
         frames=args.frames,
         seed=args.seed,
-        frame_period_ms=1000.0 / args.fps,
+        frame_period_ms=period_ms,
         keypoint_count=args.keypoints,
     )
     out = Path(args.out)

@@ -358,11 +358,9 @@ class SimEngine:
         self.queued: Dict[ModuleId, bool] = {m: False for m in self.module_ids}
         self.pending: List[Tuple[int, int, ModuleId, Union[DetectionOutput, PoseOutput]]] = []
         self.history = KeypointConfidenceHistory()
-        self.background = trace.frames[0].background
         self.prev_pixels: Optional[np.ndarray] = None
         self._seq = 0
         self._expected_index = trace.frames[0].stamp.index
-        self._q_applied: Dict[str, float] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -421,7 +419,6 @@ class SimEngine:
         self.members.pop(entity_id, None)
         self.tracks.pop(entity_id, None)
         self.motion.pop(entity_id, None)
-        self._q_applied.pop(entity_id, None)
         self.history.forget(entity_id)
 
     def _predict_tracks(self) -> bool:
@@ -436,7 +433,6 @@ class SimEngine:
                 self.tracks[tid] = predict(
                     self.tracks[tid], self.cfg.kalman, q_scale=q_scale, zero_velocity=not moving
                 )
-                self._q_applied[tid] = q_scale
             if self.members[tid] > self.cfg.kalman.max_frames_since_update:
                 if self._kind_of(tid) is EntityKind.HUMAN:
                     humans_changed = True
@@ -453,13 +449,7 @@ class SimEngine:
                 return 0.0, zero, {}
             # int16 holds every byte difference exactly
             diff = np.abs(current.astype(np.int16) - self.prev_pixels)
-            gray = cd.grayscale_diff(
-                cd.PatchDiff(
-                    region=self.background,
-                    abs_rgb_diff=np.moveaxis(diff, 2, 0),
-                ),
-                ccfg,
-            )
+            gray = cd.grayscale_diff(diff, ccfg)
             # believed regions live in frame coordinates; rasters may be smaller
             sy = gray.shape[0] / self.trace.header.frame_h
             sx = gray.shape[1] / self.trace.header.frame_w
@@ -513,7 +503,8 @@ class SimEngine:
             cr = patch_cr.get(tid, 0.0)
             status = cd.motion_status(cr, self.cfg.change)
             if status is MotionStatus.MOVING and self.motion.get(tid) is not MotionStatus.MOVING:
-                extra = self.cfg.engine.moving_q_scale - self._q_applied.get(tid, 0.0)
+                # every track was predicted this frame, at the stationary scale unless moving
+                extra = self.cfg.engine.moving_q_scale - self.cfg.engine.stationary_q_scale
                 self.tracks[tid] = inflate_process_noise(self.tracks[tid], self.cfg.kalman, extra)
             self.motion[tid] = status
 

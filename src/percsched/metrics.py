@@ -134,21 +134,29 @@ def _max_kp_shift(
     return max((_dist(c, r) for c, r in zip(current, reference)), default=0.0)
 
 
+def _required_hits(run: RunLog, gt: GroundTruthKeyframes, flag: str) -> Dict[ModuleId, int]:
+    """Per module, the required frames whose record has ``flag`` (``honored``
+    or ``decided``) true for that module."""
+    out: Dict[ModuleId, int] = {}
+    for module in sorted(run.header.module_costs):
+        required = gt.required.get(module, frozenset())
+        out[module] = sum(
+            1 for rec in run.records if rec.index in required and getattr(rec, flag).get(module)
+        )
+    return out
+
+
+def _share_of_required(
+    hits: Mapping[ModuleId, int], gt: GroundTruthKeyframes
+) -> Dict[ModuleId, Optional[float]]:
+    return {m: hits[m] / gt.count(m) if gt.count(m) else None for m in hits}
+
+
 def activation_recall(
     run: RunLog, gt: GroundTruthKeyframes
 ) -> Dict[ModuleId, Optional[float]]:
     """Fraction of required frames on which the module actually executed."""
-    out: Dict[ModuleId, Optional[float]] = {}
-    for module in sorted(run.header.module_costs):
-        required = gt.required.get(module, frozenset())
-        if not required:
-            out[module] = None
-            continue
-        hits = sum(
-            1 for rec in run.records if rec.index in required and rec.honored.get(module)
-        )
-        out[module] = hits / len(required)
-    return out
+    return _share_of_required(_required_hits(run, gt, "honored"), gt)
 
 
 def keyframe_accuracy(
@@ -156,17 +164,7 @@ def keyframe_accuracy(
 ) -> Dict[ModuleId, Optional[float]]:
     """Fraction of required frames on which the decision was to activate,
     independent of busy drops."""
-    out: Dict[ModuleId, Optional[float]] = {}
-    for module in sorted(run.header.module_costs):
-        required = gt.required.get(module, frozenset())
-        if not required:
-            out[module] = None
-            continue
-        hits = sum(
-            1 for rec in run.records if rec.index in required and rec.decided.get(module)
-        )
-        out[module] = hits / len(required)
-    return out
+    return _share_of_required(_required_hits(run, gt, "decided"), gt)
 
 
 def latency(run: RunLog, denominator: str = "activated") -> Optional[float]:
@@ -200,8 +198,8 @@ def build_report(
     gt: GroundTruthKeyframes,
     denominator: str = "activated",
 ) -> MetricsReport:
-    recall = activation_recall(run, gt)
-    accuracy = keyframe_accuracy(run, gt)
+    recalled = _required_hits(run, gt, "honored")
+    decided_on_required = _required_hits(run, gt, "decided")
     modules = sorted(run.header.module_costs)
     counts = {
         "frames": len(run.records),
@@ -212,22 +210,8 @@ def build_report(
         "decided": {
             m: sum(1 for rec in run.records if rec.decided.get(m)) for m in modules
         },
-        "recalled": {
-            m: sum(
-                1
-                for rec in run.records
-                if rec.index in gt.required.get(m, frozenset()) and rec.honored.get(m)
-            )
-            for m in modules
-        },
-        "decided_on_required": {
-            m: sum(
-                1
-                for rec in run.records
-                if rec.index in gt.required.get(m, frozenset()) and rec.decided.get(m)
-            )
-            for m in modules
-        },
+        "recalled": recalled,
+        "decided_on_required": decided_on_required,
         "activated_frames": sum(
             1 for rec in run.records if any(rec.honored.get(m) for m in modules)
         ),
@@ -235,8 +219,8 @@ def build_report(
     return MetricsReport(
         policy=run.header.policy,
         latency_ms=latency(run, denominator),
-        recall=recall,
-        keyframe_accuracy=accuracy,
+        recall=_share_of_required(recalled, gt),
+        keyframe_accuracy=_share_of_required(decided_on_required, gt),
         counts=counts,
     )
 

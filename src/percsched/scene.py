@@ -33,8 +33,6 @@ ModuleId = str
 DETECTION: ModuleId = "yolo"
 POSE: ModuleId = "pose"
 
-BUILTIN_MODULES: Tuple[ModuleId, ...] = (DETECTION, POSE)
-
 
 @dataclass(frozen=True)
 class FrameStamp:
@@ -59,9 +57,6 @@ class FrameStamp:
             raise ValueError("frame_period_ms must be positive")
         return cls(index=index, time_ms=index * frame_period_ms)
 
-    def next(self, frame_period_ms: float = DEFAULT_FRAME_PERIOD_MS) -> "FrameStamp":
-        return FrameStamp.at(self.index + 1, frame_period_ms)
-
 
 @dataclass(frozen=True)
 class PatchRegion:
@@ -83,10 +78,6 @@ class PatchRegion:
     @property
     def center(self) -> Tuple[float, float]:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
 
     @property
     def scale(self) -> float:

@@ -91,12 +91,6 @@ class TraceFrame:
     change: Optional[ChangeStats] = None
     pixels: Optional[FramePixels] = None
 
-    def entity(self, entity_id: str) -> Optional[Entity]:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        return None
-
 
 @dataclass(frozen=True)
 class TraceHeader:

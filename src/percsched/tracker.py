@@ -45,7 +45,6 @@ class TrackState:
     mean: np.ndarray
     covariance: np.ndarray
     entity_id: str = ""
-    frames_since_update: int = 0
 
     def __post_init__(self) -> None:
         if self.mean.shape != (STATE_DIM,):
@@ -53,24 +52,11 @@ class TrackState:
         if self.covariance.shape != (STATE_DIM, STATE_DIM):
             raise ValueError(f"covariance must be {STATE_DIM}x{STATE_DIM}")
 
-    @property
-    def box(self) -> np.ndarray:
-        """Current (x_c, y_c, w, h) estimate."""
-        return self.mean[:MEAS_DIM].copy()
-
 
 _F = np.eye(STATE_DIM)
 _F[:MEAS_DIM, MEAS_DIM:] = np.eye(MEAS_DIM)
 _H = np.zeros((MEAS_DIM, STATE_DIM))
 _H[:, :MEAS_DIM] = np.eye(MEAS_DIM)
-
-
-def transition_matrix() -> np.ndarray:
-    return _F.copy()
-
-
-def measurement_matrix() -> np.ndarray:
-    return _H.copy()
 
 
 def process_noise(height: float, cfg: KalmanConfig) -> np.ndarray:
@@ -103,7 +89,7 @@ def init_track(measurement: np.ndarray, cfg: KalmanConfig, entity_id: str = "") 
         [2 * cfg.std_weight_position * h] * 4 + [10 * cfg.std_weight_velocity * h] * 4
     )
     covariance = np.diag(std**2)
-    return TrackState(mean=mean, covariance=covariance, entity_id=entity_id, frames_since_update=0)
+    return TrackState(mean=mean, covariance=covariance, entity_id=entity_id)
 
 
 def predict(
@@ -127,12 +113,7 @@ def predict(
     new_cov = _F @ track.covariance @ _F.T + q
     new_cov = _symmetrize(new_cov)
     _require_pd(new_cov)
-    return TrackState(
-        mean=new_mean,
-        covariance=new_cov,
-        entity_id=track.entity_id,
-        frames_since_update=track.frames_since_update + 1,
-    )
+    return TrackState(mean=new_mean, covariance=new_cov, entity_id=track.entity_id)
 
 
 def inflate_process_noise(track: TrackState, cfg: KalmanConfig, extra_scale: float) -> TrackState:
@@ -148,12 +129,7 @@ def inflate_process_noise(track: TrackState, cfg: KalmanConfig, extra_scale: flo
     q = process_noise(track.mean[3], cfg) * extra_scale
     new_cov = _symmetrize(track.covariance + q)
     _require_pd(new_cov)
-    return TrackState(
-        mean=track.mean.copy(),
-        covariance=new_cov,
-        entity_id=track.entity_id,
-        frames_since_update=track.frames_since_update,
-    )
+    return TrackState(mean=track.mean.copy(), covariance=new_cov, entity_id=track.entity_id)
 
 
 def update(track: TrackState, measurement: np.ndarray, cfg: KalmanConfig) -> TrackState:
@@ -177,12 +153,7 @@ def update(track: TrackState, measurement: np.ndarray, cfg: KalmanConfig) -> Tra
         new_cov = (np.eye(STATE_DIM) - k @ _H) @ p
     new_cov = _symmetrize(new_cov)
     _require_pd(new_cov)
-    return TrackState(
-        mean=new_mean,
-        covariance=new_cov,
-        entity_id=track.entity_id,
-        frames_since_update=0,
-    )
+    return TrackState(mean=new_mean, covariance=new_cov, entity_id=track.entity_id)
 
 
 def measurement_covariance(track: TrackState) -> np.ndarray:

@@ -8,22 +8,18 @@ from oracles import numpy_rgb_histograms
 from percsched.change_detect import (
     ChangeDetectConfig,
     HistogramShift,
-    PatchDiff,
-    change_ratio,
     chi_square_shift,
     composition_change_trigger,
     grayscale_diff,
     motion_status,
     rgb_histograms,
 )
-from percsched.scene import MotionStatus, PatchRegion
+from percsched.config import RunConfig
+from percsched.engine import PolicyKind, SimEngine
+from percsched.scene import Entity, EntityKind, FrameStamp, MotionStatus, PatchRegion
+from percsched.traces import FramePixels, Trace, TraceFrame, TraceHeader
 
 CFG = ChangeDetectConfig()
-
-
-def _diff(arr):
-    arr = np.asarray(arr, dtype=float)
-    return PatchDiff(region=PatchRegion(0, 0, arr.shape[2], arr.shape[1]), abs_rgb_diff=arr)
 
 
 class TestConfig:
@@ -55,72 +51,118 @@ class TestConfig:
 
 class TestGrayscaleDiff:
     def test_zero_in_zero_out(self):
-        out = grayscale_diff(_diff(np.zeros((3, 4, 5))), CFG)
+        out = grayscale_diff(np.zeros((4, 5, 3)), CFG)
         assert out.shape == (4, 5)
         assert np.all(out == 0.0)
 
     def test_full_white_pixel_maps_to_255(self):
-        arr = np.zeros((3, 2, 2))
-        arr[:, 1, 1] = 255.0
-        out = grayscale_diff(_diff(arr), CFG)
+        arr = np.zeros((2, 2, 3))
+        arr[1, 1, :] = 255.0
+        out = grayscale_diff(arr, CFG)
         assert out[1, 1] == pytest.approx(255.0)
         assert out[0, 0] == 0.0
 
     def test_red_channel_weight(self):
         # hand evaluation of the luminance dot product: 0.299 * 100
-        arr = np.zeros((3, 1, 1))
+        arr = np.zeros((1, 1, 3))
         arr[0, 0, 0] = 100.0
-        out = grayscale_diff(_diff(arr), CFG)
+        out = grayscale_diff(arr, CFG)
         assert out[0, 0] == pytest.approx(29.9)
 
     def test_linearity_in_diff(self):
         rng = np.random.default_rng(2)
-        arr = rng.uniform(0, 100, size=(3, 6, 7))
-        one = grayscale_diff(_diff(arr), CFG)
-        scaled = grayscale_diff(_diff(2.5 * arr), CFG)
+        arr = rng.uniform(0, 100, size=(6, 7, 3))
+        one = grayscale_diff(arr, CFG)
+        scaled = grayscale_diff(2.5 * arr, CFG)
         np.testing.assert_allclose(scaled, 2.5 * one, rtol=1e-12)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            PatchDiff(region=PatchRegion(0, 0, 5, 4), abs_rgb_diff=np.zeros((4, 5)))
+        for shape in ((4, 5), (3, 4, 5), (4, 5, 4)):
+            with pytest.raises(ValueError, match="h, w, 3"):
+                grayscale_diff(np.zeros(shape), CFG)
+
+
+def region_change_ratio(region, after, frame_w=8, frame_h=8):
+    """``patch_cr`` that the scheduled engine reads for one object whose box,
+    and so its believed region, is ``region`` = (x, y, w, h) in frame
+    coordinates, when an all-zero raster is followed by ``after``."""
+    after = np.asarray(after, dtype=np.uint8)
+    header = TraceHeader(keypoint_count=5, frame_count=2, frame_w=frame_w, frame_h=frame_h)
+    box = Entity(id="obj", kind=EntityKind.OBJECT, region=PatchRegion(*region))
+    frames = tuple(
+        TraceFrame(
+            stamp=FrameStamp.at(i, header.frame_period_ms),
+            entities=(box,),
+            background=PatchRegion(0, 0, frame_w, frame_h),
+            pixels=FramePixels(rgb=rgb),
+        )
+        for i, rgb in enumerate((np.zeros_like(after), after))
+    )
+    seen = []
+
+    class Probe(SimEngine):
+        def _update_motion(self, patch_cr):
+            seen.append(dict(patch_cr))
+            super()._update_motion(patch_cr)
+
+    trace = Trace(header=header, frames=frames)
+    Probe(trace, PolicyKind.SCHEDULED, RunConfig(seed=0).pipeline(header)).run()
+    # frame 0 has no previous raster; frame 1 holds the track from frame 0's detection
+    assert seen[0] == {} and list(seen[1]) == ["obj"]
+    return seen[1]["obj"]
+
+
+def raster(changed=(), h=8, w=8):
+    """(h, w, 3) raster, white at each (row, column) in ``changed``."""
+    rgb = np.zeros((h, w, 3), dtype=np.uint8)
+    for y, x in changed:
+        rgb[y, x] = 255
+    return rgb
 
 
 class TestChangeRatio:
+    """The region change ratio the engine computes: the share of the believed
+    region's pixels, clipped to the raster and scaled to its size, whose
+    grayscale difference exceeds the intensity threshold."""
+
     def test_zero_diff(self):
-        region = PatchRegion(0, 0, 4, 4)
-        assert change_ratio(np.zeros((4, 4)), region, CFG) == 0.0
+        assert region_change_ratio((2, 2, 4, 2), raster()) == 0.0
 
     def test_saturated(self):
-        region = PatchRegion(0, 0, 4, 4)
-        assert change_ratio(np.full((4, 4), 255.0), region, CFG) == 1.0
+        assert region_change_ratio((2, 2, 4, 2), np.full((8, 8, 3), 255)) == 1.0
 
     def test_two_of_four_pixels(self):
-        # direct evaluation: values {10, 200, 0, 250} against threshold 50
-        cfg = ChangeDetectConfig(intensity_threshold=50.0)
-        gray = np.array([[10.0, 200.0], [0.0, 250.0]])
-        assert change_ratio(gray, PatchRegion(0, 0, 2, 2), cfg) == 0.5
+        # region rows 2-3, columns 3-4 reads {255, 0, 20, 255}: 20 is below the
+        # intensity threshold of 30, and three changes outside do not count
+        after = raster([(2, 3), (3, 4), (0, 0), (2, 5), (4, 3)])
+        after[3, 3] = 20
+        assert region_change_ratio((3, 2, 2, 2), after) == 0.5
 
     def test_region_slicing_from_full_frame(self):
-        frame = np.zeros((10, 10))
-        frame[2:4, 3:5] = 255.0
-        region = PatchRegion(3, 2, 2, 2)
-        assert change_ratio(frame, region, CFG) == 1.0
+        after = raster([(2, 3), (2, 4), (3, 3), (3, 4)])
+        assert region_change_ratio((3, 2, 2, 2), after) == 1.0
 
-    def test_region_outside_frame_rejected(self):
-        with pytest.raises(ValueError):
-            change_ratio(np.zeros((4, 4)), PatchRegion(3, 3, 2, 2), CFG)
+    def test_region_partly_off_raster_counts_the_clipped_area(self):
+        # x from -2 to 2 clips to columns 0-1: 4 pixels, not the box's 8
+        after = raster([(0, 0)])
+        assert region_change_ratio((-2, 0, 4, 2), after) == 0.25
 
-    def test_zero_area_region_rejected(self):
-        with pytest.raises(ValueError):
-            PatchRegion(0, 0, 0, 4)
+    def test_region_outside_raster_reads_zero(self):
+        assert region_change_ratio((10, 0, 4, 2), np.full((8, 8, 3), 255)) == 0.0
+
+    def test_region_scaled_to_a_smaller_raster(self):
+        # a 16x16 frame over an 8x8 raster: (4, 4, 8, 4) covers raster rows
+        # 2-3 and columns 2-5, 8 pixels, of which (2, 2) and (3, 5) change
+        after = raster([(2, 2), (3, 5), (1, 2), (4, 4), (5, 5)])
+        assert region_change_ratio((4, 4, 8, 4), after, frame_w=16, frame_h=16) == 0.25
 
     def test_monotone_in_pixel_values(self):
         rng = np.random.default_rng(3)
-        region = PatchRegion(0, 0, 8, 8)
-        gray = rng.uniform(0, 255, size=(8, 8))
-        base = change_ratio(gray, region, CFG)
-        brighter = change_ratio(gray + rng.uniform(0, 50, size=(8, 8)), region, CFG)
-        assert brighter >= base
+        for _ in range(3):
+            after = rng.integers(0, 256, size=(8, 8, 3))
+            brighter = np.minimum(after + rng.integers(0, 50, size=(8, 8, 3)), 255)
+            base = region_change_ratio((1, 1, 6, 6), after)
+            assert region_change_ratio((1, 1, 6, 6), brighter) >= base
 
 
 class TestMotionStatus:

@@ -61,6 +61,27 @@ class TestGenTrace:
         assert rc == EXIT_OK
         assert len(read_trace(out).frames) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--seed", "-1"),
+            ("--fps", "0"),
+            ("--fps", "nan"),
+            ("--fps", "inf"),
+            ("--fps", "-30"),
+            ("--keypoints", "0"),
+            ("--frames", "1"),
+        ],
+    )
+    def test_bad_flag_is_config_error_naming_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad.jsonl"
+        # a repeated flag takes its last value, so "--frames 1" overrides "--frames 30"
+        rc = main(["gen-trace", "--archetype", "static", "--frames", "30", "--out", str(out),
+                   flag, value])
+        assert rc == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_scheduled_run_reports_and_logs(self, trace_path, tmp_path, capsys):

@@ -1,8 +1,12 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from percsched import change_detect, metrics, rewards
+from percsched import engine as engine_module
 from percsched.config import RunConfig
 from percsched.engine import (
     EngineError,
@@ -171,7 +175,7 @@ class TestScheduledPolicy:
             engine.step(frame)
         track = engine.tracks["obj-1"]
         cx, cy = trace.frames[0].entities[0].region.center
-        np.testing.assert_allclose(track.box, [cx, cy, 40.0, 30.0], atol=1e-6)
+        np.testing.assert_allclose(track.mean[:4], [cx, cy, 40.0, 30.0], atol=1e-6)
 
 
 class TestBusyDiscipline:
@@ -338,3 +342,16 @@ class TestPixelTraces:
         trace = _level_switch_trace(50)
         log = run(trace, PolicyKind.SCHEDULED, pipeline().pipeline(trace.header))
         assert not any(rec.forced[DETECTION] for rec in log.records[1:])
+
+
+def test_benchmark_traced_names_exist():
+    """``bench/tracing.py`` wraps each of its targets as ``vars(owner)[attr]``,
+    so every name it lists must stay defined on that owner."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.layer_targets(engine_module, change_detect, rewards, metrics)
+    assert targets
+    for owner, attr, name, _ in targets:
+        assert attr in vars(owner), f"{name}: {owner.__name__} has no {attr!r}"

@@ -193,6 +193,21 @@ class TestRecallAndAccuracy:
         assert keyframe_accuracy(log, gt)[DETECTION] == 1.0
         assert activation_recall(log, gt)[DETECTION] == 0.5
 
+    def test_report_splits_recall_from_accuracy(self):
+        # required 0-7; decided on 0-5 and 9, honored on 0, 2, 4 and 9
+        gt = GroundTruthKeyframes(required={DETECTION: frozenset(range(8)), POSE: frozenset()})
+        log = synthetic_run(
+            "scheduled",
+            decided={DETECTION: {0, 1, 2, 3, 4, 5, 9}},
+            honored={DETECTION: {0, 2, 4, 9}},
+            n=10,
+        )
+        report = build_report(log, gt)
+        assert report.counts["recalled"] == {DETECTION: 3, POSE: 0}
+        assert report.counts["decided_on_required"] == {DETECTION: 6, POSE: 0}
+        assert report.recall == {DETECTION: 3 / 8, POSE: None}
+        assert report.keyframe_accuracy == {DETECTION: 6 / 8, POSE: None}
+
     def test_oracle_recall_perfect_when_keyframes_spaced(self):
         frames = tuple(
             TraceFrame(

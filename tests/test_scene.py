@@ -31,10 +31,6 @@ class TestFrameStamp:
         with pytest.raises(ValueError):
             FrameStamp.at(-1)
 
-    def test_next_advances_one_frame(self):
-        stamp = FrameStamp.at(4, 10.0)
-        assert stamp.next(10.0) == FrameStamp.at(5, 10.0)
-
 
 class TestPatchRegion:
     def test_rejects_empty_extent(self):
@@ -42,6 +38,10 @@ class TestPatchRegion:
             PatchRegion(0, 0, 0, 10)
         with pytest.raises(ValueError):
             PatchRegion(0, 0, 10, -1)
+
+    def test_zero_area_region_rejected(self):
+        with pytest.raises(ValueError):
+            PatchRegion(0, 0, 0, 4)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_geometry(self, bad):

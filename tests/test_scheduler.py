@@ -125,6 +125,18 @@ class TestBruteForce:
                 == select(STAMP, rewards).activations
             )
 
+    def test_agreement_at_many_modules(self):
+        # up to 2**14 activation vectors per map; random_reward_map mixes in
+        # forced flags and exact-zero nets
+        rng = np.random.default_rng(15)
+        for n in range(7, 15):
+            for _ in range(10):
+                rewards = random_reward_map(rng, n)
+                assert (
+                    brute_force_select(STAMP, rewards).activations
+                    == select(STAMP, rewards).activations
+                )
+
     def test_too_many_modules_rejected(self):
         rewards = {f"m{i}": _reward(f"m{i}", 1.0) for i in range(21)}
         with pytest.raises(ValueError):
