@@ -66,15 +66,7 @@ from .toolkit import (
     simulate_detection,
     simulate_pose,
 )
-from .tracker import (
-    KalmanConfig,
-    NumericalError,
-    TrackState,
-    init_track,
-    measurement_covariance,
-    predict,
-    update,
-)
+from .tracker import KalmanConfig, NumericalError, TrackBank
 from .traces import Trace, TraceError, TraceFrame, generate_trace, read_trace, write_trace
 
 __version__ = "0.1.0"

@@ -5,9 +5,13 @@ predict all tracks, run change detection, decide activations (reward-driven
 for Scheduled, readiness-driven for Parallel, ground-truth driven for
 Oracle), honor decisions on idle modules, log, advance. Only Scheduled reads
 beliefs, so only Scheduled runs the Kalman filter, change detection and
-motion gating; the baselines keep track membership alone. Inference consumes
-no wall clock; module busy windows live entirely on the virtual clock, so a
-run is a pure function of (trace, policy, configs, seed).
+motion gating; the baselines keep track membership alone. Scheduled keeps
+its beliefs in one :class:`~percsched.tracker.TrackBank` and advances it
+once per phase: one stacked predict per frame, one batched update and one
+batched start of new tracks per detection output, and one batched noise
+top-up for the tracks found moving. Inference consumes no wall clock;
+module busy windows live entirely on the virtual clock, so a run is a pure
+function of (trace, policy, configs, seed).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,7 +60,7 @@ from .toolkit import (
 )
 from .tracker import (
     KalmanConfig,
-    TrackState,
+    TrackBank,
     inflate_process_noise,
     init_track,
     measurement_covariance,
@@ -311,11 +315,12 @@ def _public_fields(obj: object) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def believed_region(track: TrackState) -> PatchRegion:
-    """The track's predicted box in frame coordinates, at least 1 px each way."""
-    w = max(float(track.mean[2]), 1.0)
-    h = max(float(track.mean[3]), 1.0)
-    return PatchRegion(float(track.mean[0]) - w / 2.0, float(track.mean[1]) - h / 2.0, w, h)
+def believed_region(mean: Sequence[float]) -> PatchRegion:
+    """A track's predicted box, from its bank mean row, in frame
+    coordinates and at least 1 px each way."""
+    w = max(float(mean[2]), 1.0)
+    h = max(float(mean[3]), 1.0)
+    return PatchRegion(float(mean[0]) - w / 2.0, float(mean[1]) - h / 2.0, w, h)
 
 
 # bench/tracing.py wraps ``engine.carry_forward`` by name, so the name stays
@@ -348,9 +353,9 @@ class SimEngine:
         self.keeps_beliefs = policy.keeps_beliefs
 
         # id -> frames since its last detection: the tracked set under every
-        # policy; ``tracks`` holds a Kalman belief per member when beliefs are kept
+        # policy; ``bank`` holds a Kalman belief per member when beliefs are kept
         self.members: Dict[str, int] = {}
-        self.tracks: Dict[str, TrackState] = {}
+        self.bank = TrackBank()
         self.kinds: Dict[str, EntityKind] = {}
         self.relevance: Dict[str, float] = {}
         self.motion: Dict[str, MotionStatus] = {}
@@ -378,33 +383,21 @@ class SimEngine:
         while self.pending and self.pending[0][0] <= k:
             _, _, module, out = heapq.heappop(self.pending)
             if isinstance(out, DetectionOutput):
-                seen = set()
-                for box in out.boxes:
-                    seen.add(box.entity_id)
-                    is_new = box.entity_id not in self.members
-                    self.members[box.entity_id] = 0
-                    if self.keeps_beliefs:
-                        z = np.array([box.x_c, box.y_c, box.w, box.h], dtype=float)
-                        if is_new:
-                            self.tracks[box.entity_id] = init_track(
-                                z, self.cfg.kalman, box.entity_id
-                            )
-                            self.motion[box.entity_id] = MotionStatus.MOVING
-                        else:
-                            self.tracks[box.entity_id] = update(
-                                self.tracks[box.entity_id], z, self.cfg.kalman
-                            )
-                    if is_new and self._kind_of(box.entity_id) is EntityKind.HUMAN:
-                        humans_changed = True
+                ids = [box.entity_id for box in out.boxes]
+                fresh = [tid for tid in ids if tid not in self.members]
+                if self.keeps_beliefs:
+                    self._track_detections(out, ids, fresh)
+                for tid in ids:
+                    self.members[tid] = 0
+                humans_changed |= self._any_human(fresh)
                 if self.cfg.engine.delete_on_miss:
-                    for tid in list(self.members):
-                        if tid not in seen:
-                            self._drop_track(tid)
-                            if self._kind_of(tid) is EntityKind.HUMAN:
-                                humans_changed = True
+                    seen = set(ids)
+                    missed = [tid for tid in self.members if tid not in seen]
+                    humans_changed |= self._any_human(missed)
+                    self._drop_tracks(missed)
             elif self.keeps_beliefs:
                 for human in out.per_human:
-                    if human.entity_id in self.tracks:
+                    if human.entity_id in self.members:
                         self.history.record(
                             human.entity_id,
                             out.stamp_issued.index,
@@ -415,28 +408,59 @@ class SimEngine:
             )
         return applied, humans_changed
 
-    def _drop_track(self, entity_id: str) -> None:
-        self.members.pop(entity_id, None)
-        self.tracks.pop(entity_id, None)
-        self.motion.pop(entity_id, None)
-        self.history.forget(entity_id)
+    def _track_detections(self, out: DetectionOutput, ids: List[str], fresh: List[str]) -> None:
+        """One batched update of the tracked boxes, one batched start of the new."""
+        if len(set(ids)) != len(ids):
+            twice = next(tid for i, tid in enumerate(ids) if tid in ids[:i])
+            raise EngineError(
+                f"detection output issued at frame {out.stamp_issued.index} "
+                f"names entity {twice!r} twice"
+            )
+        z = np.array([[box.x_c, box.y_c, box.w, box.h] for box in out.boxes], dtype=float)
+        is_new = set(fresh)
+        old_rows = [i for i, tid in enumerate(ids) if tid not in is_new]
+        if old_rows:
+            self.bank = update(
+                self.bank, [ids[i] for i in old_rows], z[old_rows], self.cfg.kalman
+            )
+        if fresh:
+            new_rows = [i for i, tid in enumerate(ids) if tid in is_new]
+            self.bank = init_track(self.bank, fresh, z[new_rows], self.cfg.kalman)
+            for tid in fresh:
+                self.motion[tid] = MotionStatus.MOVING
+
+    def _any_human(self, ids: List[str]) -> bool:
+        return any(self._kind_of(tid) is EntityKind.HUMAN for tid in ids)
+
+    def _drop_tracks(self, ids: List[str]) -> None:
+        if not ids:
+            return
+        for tid in ids:
+            self.members.pop(tid, None)
+            self.motion.pop(tid, None)
+            self.history.forget(tid)
+        if self.keeps_beliefs:
+            self.bank = self.bank.without(ids)
 
     def _predict_tracks(self) -> bool:
-        humans_changed = False
-        for tid in list(self.members):
+        stale = []
+        for tid in self.members:
             self.members[tid] += 1
-            if self.keeps_beliefs:
-                moving = self.motion.get(tid) is MotionStatus.MOVING
-                q_scale = (
-                    self.cfg.engine.moving_q_scale if moving else self.cfg.engine.stationary_q_scale
-                )
-                self.tracks[tid] = predict(
-                    self.tracks[tid], self.cfg.kalman, q_scale=q_scale, zero_velocity=not moving
-                )
             if self.members[tid] > self.cfg.kalman.max_frames_since_update:
-                if self._kind_of(tid) is EntityKind.HUMAN:
-                    humans_changed = True
-                self._drop_track(tid)
+                stale.append(tid)
+        if self.keeps_beliefs:
+            ecfg = self.cfg.engine
+            moving = np.array(
+                [self.motion.get(tid) is MotionStatus.MOVING for tid in self.bank.ids], dtype=bool
+            )
+            self.bank = predict(
+                self.bank,
+                self.cfg.kalman,
+                q_scale=np.where(moving, ecfg.moving_q_scale, ecfg.stationary_q_scale),
+                zero_velocity=~moving,
+            )
+        humans_changed = self._any_human(stale)
+        self._drop_tracks(stale)
         return humans_changed
 
     def _change_stats(self, frame: TraceFrame) -> Tuple[float, HistogramShift, Dict[str, float]]:
@@ -455,8 +479,8 @@ class SimEngine:
             sx = gray.shape[1] / self.trace.header.frame_w
             patch_cr: Dict[str, float] = {}
             occupied = np.zeros(gray.shape, dtype=bool)
-            for tid, track in self.tracks.items():
-                region = believed_region(track)
+            for tid, mean in zip(self.bank.ids, self.bank.means.tolist()):
+                region = believed_region(mean)
                 scaled = PatchRegion(
                     region.x * sx, region.y * sy,
                     max(region.w * sx, 1.0), max(region.h * sy, 1.0),
@@ -499,37 +523,38 @@ class SimEngine:
         return slice(y0, y1), slice(x0, x1)
 
     def _update_motion(self, patch_cr: Mapping[str, float]) -> None:
-        for tid in sorted(self.tracks):
-            cr = patch_cr.get(tid, 0.0)
-            status = cd.motion_status(cr, self.cfg.change)
+        flipped = []
+        for tid in self.bank.ids:
+            status = cd.motion_status(patch_cr.get(tid, 0.0), self.cfg.change)
             if status is MotionStatus.MOVING and self.motion.get(tid) is not MotionStatus.MOVING:
-                # every track was predicted this frame, at the stationary scale unless moving
-                extra = self.cfg.engine.moving_q_scale - self.cfg.engine.stationary_q_scale
-                self.tracks[tid] = inflate_process_noise(self.tracks[tid], self.cfg.kalman, extra)
+                flipped.append(tid)
             self.motion[tid] = status
+        if flipped:
+            # every track was predicted this frame, at the stationary scale unless moving
+            extra = self.cfg.engine.moving_q_scale - self.cfg.engine.stationary_q_scale
+            self.bank = inflate_process_noise(self.bank, flipped, self.cfg.kalman, extra)
 
     def _scheduled_rewards(self, k: int, g1_yolo: bool, g1_pose: bool) -> Dict[ModuleId, RewardBreakdown]:
         rcfg = self.cfg.reward
-        pairs = [(self.tracks[tid], self._relevance_of(tid)) for tid in sorted(self.tracks)]
-        gain = detection_info_gain(pairs, rcfg, self.cfg.kalman)
+        bank = self.bank
+        relevance = [self._relevance_of(tid) for tid in bank.ids]
+        gain = detection_info_gain(bank, relevance, rcfg, self.cfg.kalman)
         rewards: Dict[ModuleId, RewardBreakdown] = {
             DETECTION: detection_reward(gain, g1_yolo, rcfg)
         }
+        projected = measurement_covariance(bank)
         humans_pre = []
         humans_post = []
-        for tid in sorted(self.tracks):
+        for row, tid in enumerate(bank.ids):
             if self._kind_of(tid) is not EntityKind.HUMAN:
                 continue
-            track = self.tracks[tid]
-            w = max(float(track.mean[2]), 1.0)
-            h = max(float(track.mean[3]), 1.0)
-            projected = measurement_covariance(track)
-            sigma_w = math.sqrt(max(float(projected[2, 2]), 0.0))
-            sigma_h = math.sqrt(max(float(projected[3, 3]), 0.0))
-            rel = self._relevance_of(tid)
-            humans_pre.append((w, h, sigma_w, sigma_h, rel))
+            w = max(float(bank.means[row, 2]), 1.0)
+            h = max(float(bank.means[row, 3]), 1.0)
+            sigma_w = math.sqrt(max(float(projected[row, 2, 2]), 0.0))
+            sigma_h = math.sqrt(max(float(projected[row, 3, 3]), 0.0))
+            humans_pre.append((w, h, sigma_w, sigma_h, relevance[row]))
             confs = self.history.extrapolated(tid, k, rcfg)
-            humans_post.append((confs, rel, math.sqrt(w * h)))
+            humans_post.append((confs, relevance[row], math.sqrt(w * h)))
         pre = pre_execution_entropy(humans_pre, rcfg)
         post = post_execution_entropy(humans_post, rcfg)
         rewards[POSE] = pose_reward(pre, post, g1_pose, rcfg)

@@ -29,7 +29,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .scene import DETECTION, POSE, ModuleId
-from .tracker import MEAS_DIM, KalmanConfig, NumericalError, TrackState
+from .tracker import MEAS_DIM, KalmanConfig, NumericalError, TrackBank, measurement_variance
 
 LN_TWO_PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -145,37 +145,41 @@ def _breakdown(module: ModuleId, gain: float, forced: bool, cfg: RewardConfig) -
 
 
 def detection_info_gain(
-    tracks: Sequence[Tuple[TrackState, float]],
+    bank: TrackBank,
+    relevance: Sequence[float],
     cfg: RewardConfig,
     kalman_cfg: KalmanConfig,
 ) -> float:
     """Relevance-weighted entropy reduction over all tracked boxes.
 
-    Each track contributes 0.5 * r * ln(det(projected prior) / det(R)) with
-    R the same height-scaled measurement noise an update would use.
-    Zero-relevance tracks contribute nothing. The log-determinants of all
-    contributing tracks come from one batched ``slogdet``; the
-    contributions are added in track order.
+    ``relevance`` holds one weight per bank row. Each track contributes
+    0.5 * r * ln(det(projected prior) / det(R)) with R the same
+    height-scaled measurement noise an update would use. Zero-relevance
+    tracks contribute nothing. The log-determinants of all contributing
+    tracks come from one batched ``slogdet`` on the bank's covariances; the
+    contributions are added in row order.
     """
-    live = [(track, float(relevance)) for track, relevance in tracks if relevance != 0.0]
-    if not live:
+    weights = np.asarray(relevance, dtype=float)
+    if weights.shape != (len(bank),):
+        raise ValueError(f"expected {len(bank)} relevance weights, got {weights.shape}")
+    live = np.flatnonzero(weights != 0.0)
+    if not live.size:
         return 0.0
     # top-left 4x4 of each state covariance, as measurement_covariance gives
-    projected = np.stack([track.covariance for track, _ in live])[:, :MEAS_DIM, :MEAS_DIM]
+    projected = bank.covariances[live, :MEAS_DIM, :MEAS_DIM]
     signs, logdets_p = np.linalg.slogdet(projected)
     not_pd = signs <= 0
     if not_pd.any():
-        first = live[int(np.argmax(not_pd))][0]
-        raise NumericalError(
-            f"projected covariance for track {first.entity_id!r} is not positive definite"
-        )
-    # R is diagonal with MEAS_DIM equal variances, as in measurement_noise
-    heights = np.maximum([float(track.mean[3]) for track, _ in live], 1.0)
-    variances = (kalman_cfg.std_weight_measurement * heights) ** 2
+        first = bank.ids[live[int(np.argmax(not_pd))]]
+        raise NumericalError(f"projected covariance for track {first!r} is not positive definite")
+    # R is diagonal with MEAS_DIM equal variances
+    variances = measurement_variance(bank.means[live, 3], kalman_cfg)
     logdets_r = np.log(np.repeat(variances[:, None], MEAS_DIM, axis=1)).sum(axis=1)
     total = 0.0
-    for (_, relevance), logdet_p, logdet_r in zip(live, logdets_p.tolist(), logdets_r.tolist()):
-        total += 0.5 * relevance * (logdet_p - logdet_r)
+    for weight, logdet_p, logdet_r in zip(
+        weights[live].tolist(), logdets_p.tolist(), logdets_r.tolist()
+    ):
+        total += 0.5 * weight * (logdet_p - logdet_r)
     return total
 
 

@@ -123,6 +123,10 @@ class Trace:
         for i, frame in enumerate(self.frames):
             if frame.stamp.index != i:
                 raise TraceError(f"frame {i} carries stamp index {frame.stamp.index}")
+            ids = [e.id for e in frame.entities]
+            if len(set(ids)) != len(ids):
+                twice = next(eid for j, eid in enumerate(ids) if eid in ids[:j])
+                raise TraceError(f"frame {i}: entity {twice!r} is listed twice")
             if frame.pixels is None:
                 continue
             shape = frame.pixels.rgb.shape
@@ -276,38 +280,43 @@ def read_trace(path: Union[str, Path]) -> Trace:
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
     with path.open("r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+        # (1-based line number, text) of every non-blank line
+        lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise TraceError(f"trace file is empty: {path}")
-    try:
-        head = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"unreadable trace header: {exc}") from exc
-    if head.get("record") != "header" or head.get("schema") != TRACE_SCHEMA:
-        raise TraceError("first record must be a trace header")
-    if head.get("version") != TRACE_VERSION:
-        raise TraceError(f"unsupported trace version {head.get('version')}")
-    try:
-        header = TraceHeader(
-            frame_period_ms=head["frame_period_ms"],
-            keypoint_count=head["keypoint_count"],
-            frame_count=head["frame_count"],
-            frame_w=head.get("frame_w", 640),
-            frame_h=head.get("frame_h", 480),
-            seed=head.get("seed", 0),
-            archetype=head.get("archetype", "custom"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"invalid trace header: {exc}") from exc
+    number, text = lines[0]
     frames = []
-    for line in lines[1:]:
+    try:
         try:
-            rec = json.loads(line)
+            head = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise TraceError(f"unreadable trace record: {exc}") from exc
-        if rec.get("record") != "frame":
-            raise TraceError(f"unexpected record type {rec.get('record')!r}")
-        frames.append(frame_from_dict(rec, header))
+            raise TraceError(f"unreadable trace header: {exc}") from exc
+        if head.get("record") != "header" or head.get("schema") != TRACE_SCHEMA:
+            raise TraceError("first record must be a trace header")
+        if head.get("version") != TRACE_VERSION:
+            raise TraceError(f"unsupported trace version {head.get('version')}")
+        try:
+            header = TraceHeader(
+                frame_period_ms=head["frame_period_ms"],
+                keypoint_count=head["keypoint_count"],
+                frame_count=head["frame_count"],
+                frame_w=head.get("frame_w", 640),
+                frame_h=head.get("frame_h", 480),
+                seed=head.get("seed", 0),
+                archetype=head.get("archetype", "custom"),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError(f"invalid trace header: {exc}") from exc
+        for number, text in lines[1:]:
+            try:
+                rec = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise TraceError(f"unreadable trace record: {exc}") from exc
+            if rec.get("record") != "frame":
+                raise TraceError(f"unexpected record type {rec.get('record')!r}")
+            frames.append(frame_from_dict(rec, header))
+    except TraceError as exc:
+        raise TraceError(f"line {number}: {exc}") from exc
     if header.frame_count and header.frame_count != len(frames):
         raise TraceError(
             f"header promises {header.frame_count} frames, file has {len(frames)}"

@@ -1,6 +1,7 @@
 """Reference implementations that the tests check the library against."""
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -15,13 +16,160 @@ from percsched.rewards import (
 )
 from percsched.scene import FrameStamp, ModuleId
 from percsched.scheduler import ActivationDecision
-from percsched.tracker import (
-    KalmanConfig,
-    NumericalError,
-    TrackState,
-    measurement_covariance,
-    measurement_noise,
-)
+from percsched.tracker import MEAS_DIM, STATE_DIM, KalmanConfig, NumericalError, TrackBank
+
+
+# ---------------------------------------------------------------------------
+# the one-track Kalman filter: the bank must equal it row for row, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrackState:
+    """Filter state for one box. Arrays are owned and never mutated."""
+
+    mean: np.ndarray
+    covariance: np.ndarray
+    entity_id: str = ""
+
+    def __post_init__(self) -> None:
+        if self.mean.shape != (STATE_DIM,):
+            raise ValueError(f"mean must have shape ({STATE_DIM},), got {self.mean.shape}")
+        if self.covariance.shape != (STATE_DIM, STATE_DIM):
+            raise ValueError(f"covariance must be {STATE_DIM}x{STATE_DIM}")
+
+
+_F = np.eye(STATE_DIM)
+_F[:MEAS_DIM, MEAS_DIM:] = np.eye(MEAS_DIM)
+_H = np.zeros((MEAS_DIM, STATE_DIM))
+_H[:, :MEAS_DIM] = np.eye(MEAS_DIM)
+
+
+def bank_of(tracks: Sequence[TrackState]) -> TrackBank:
+    """The bank holding ``tracks``, rows in entity-id order."""
+    ordered = sorted(tracks, key=lambda t: t.entity_id)
+    return TrackBank(
+        tuple(t.entity_id for t in ordered),
+        np.array([t.mean for t in ordered]).reshape(-1, STATE_DIM),
+        np.array([t.covariance for t in ordered]).reshape(-1, STATE_DIM, STATE_DIM),
+    )
+
+
+def bank_and_relevance(
+    pairs: Sequence[Tuple[TrackState, float]]
+) -> Tuple[TrackBank, list]:
+    """The bank of the paired tracks and their relevances in its row order."""
+    bank = bank_of([track for track, _ in pairs])
+    by_id = {track.entity_id: relevance for track, relevance in pairs}
+    return bank, [by_id[tid] for tid in bank.ids]
+
+
+def process_noise(height: float, cfg: KalmanConfig) -> np.ndarray:
+    """Diagonal process noise scaled by the current box height."""
+    h = max(float(height), 1.0)
+    std = np.array(
+        [cfg.std_weight_position * h] * 4 + [cfg.std_weight_velocity * h] * 4
+    )
+    return np.diag(std**2)
+
+
+def measurement_noise(height: float, cfg: KalmanConfig) -> np.ndarray:
+    """Diagonal measurement noise for (x_c, y_c, w, h), height-scaled."""
+    h = max(float(height), 1.0)
+    std = np.full(MEAS_DIM, cfg.std_weight_measurement * h)
+    return np.diag(std**2)
+
+
+def init_track(measurement: np.ndarray, cfg: KalmanConfig, entity_id: str = "") -> TrackState:
+    """Start a track from one (x_c, y_c, w, h) measurement with zero velocity."""
+    z = np.asarray(measurement, dtype=float)
+    if z.shape != (MEAS_DIM,):
+        raise ValueError(f"measurement must have shape ({MEAS_DIM},), got {z.shape}")
+    if z[2] <= 0 or z[3] <= 0:
+        raise ValueError(f"box dims must be positive, got w={z[2]}, h={z[3]}")
+    mean = np.zeros(STATE_DIM)
+    mean[:MEAS_DIM] = z
+    h = z[3]
+    std = np.array(
+        [2 * cfg.std_weight_position * h] * 4 + [10 * cfg.std_weight_velocity * h] * 4
+    )
+    covariance = np.diag(std**2)
+    return TrackState(mean=mean, covariance=covariance, entity_id=entity_id)
+
+
+def predict(
+    track: TrackState,
+    cfg: KalmanConfig,
+    q_scale: float = 1.0,
+    zero_velocity: bool = False,
+) -> TrackState:
+    """One constant-velocity step: advance the mean, inflate the covariance."""
+    mean = track.mean.copy()
+    if zero_velocity:
+        mean[MEAS_DIM:] = 0.0
+    q = process_noise(mean[3], cfg) * q_scale
+    new_mean = _F @ mean
+    new_cov = _F @ track.covariance @ _F.T + q
+    new_cov = _symmetrize(new_cov)
+    _require_pd(new_cov, track.entity_id)
+    return TrackState(mean=new_mean, covariance=new_cov, entity_id=track.entity_id)
+
+
+def inflate_process_noise(track: TrackState, cfg: KalmanConfig, extra_scale: float) -> TrackState:
+    """Add ``extra_scale`` times the height-scaled process noise."""
+    if extra_scale <= 0:
+        return track
+    q = process_noise(track.mean[3], cfg) * extra_scale
+    new_cov = _symmetrize(track.covariance + q)
+    _require_pd(new_cov, track.entity_id)
+    return TrackState(mean=track.mean.copy(), covariance=new_cov, entity_id=track.entity_id)
+
+
+def update(track: TrackState, measurement: np.ndarray, cfg: KalmanConfig) -> TrackState:
+    """Standard Kalman update against an (x_c, y_c, w, h) measurement."""
+    z = np.asarray(measurement, dtype=float)
+    if z.shape != (MEAS_DIM,):
+        raise ValueError(f"measurement must have shape ({MEAS_DIM},), got {z.shape}")
+    r = measurement_noise(track.mean[3], cfg)
+    p = track.covariance
+    s = _H @ p @ _H.T + r
+    try:
+        k = np.linalg.solve(s, (_H @ p)).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("innovation covariance is singular") from exc
+    innovation = z - _H @ track.mean
+    new_mean = track.mean + k @ innovation
+    if cfg.joseph_update:
+        ikh = np.eye(STATE_DIM) - k @ _H
+        new_cov = ikh @ p @ ikh.T + k @ r @ k.T
+    else:
+        new_cov = (np.eye(STATE_DIM) - k @ _H) @ p
+    new_cov = _symmetrize(new_cov)
+    _require_pd(new_cov, track.entity_id)
+    return TrackState(mean=new_mean, covariance=new_cov, entity_id=track.entity_id)
+
+
+def measurement_covariance(track: TrackState) -> np.ndarray:
+    """Project the state covariance into measurement space (top-left 4x4)."""
+    return (_H @ track.covariance @ _H.T).copy()
+
+
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    return (m + m.T) / 2.0
+
+
+def _require_pd(cov: np.ndarray, entity_id: str) -> None:
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"covariance of track {entity_id!r} lost positive definiteness"
+        ) from exc
+
+
+# ---------------------------------------------------------------------------
+# scheduler and reward references
+# ---------------------------------------------------------------------------
 
 
 def brute_force_select(

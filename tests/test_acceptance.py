@@ -40,14 +40,14 @@ from percsched.rewards import (
     keypoint_entropy,
 )
 from percsched.scene import DETECTION, POSE, FrameStamp, MotionStatus
-from oracles import brute_force_select
+from oracles import brute_force_select, measurement_noise
 from percsched.scheduler import select
 from percsched.toolkit import NoiseConfig
 from percsched.tracker import (
     KalmanConfig,
+    TrackBank,
     init_track,
     measurement_covariance,
-    measurement_noise,
     predict,
 )
 from percsched.traces import generate_trace
@@ -228,17 +228,17 @@ def _det4_cofactor(m):
 def test_criterion_6_kalman_gain_monotonicity(note):
     kcfg = KalmanConfig()
     rcfg = RewardConfig(lambda_info_per_ms=0.0, cost_ms={DETECTION: 15.0, POSE: 80.0})
-    track = init_track(np.array([120.0, 90.0, 40.0, 55.0]), kcfg)
+    track = init_track(TrackBank(), ["t"], np.array([[120.0, 90.0, 40.0, 55.0]]), kcfg)
 
-    last_gain = detection_info_gain([(track, 1.0)], rcfg, kcfg)
+    last_gain = detection_info_gain(track, [1.0], rcfg, kcfg)
     worst_rel = 0.0
     strictly_increasing = True
     for _ in range(30):
         track = predict(track, kcfg)  # positive-definite process noise, no updates
-        gain = detection_info_gain([(track, 1.0)], rcfg, kcfg)
+        gain = detection_info_gain(track, [1.0], rcfg, kcfg)
 
-        projected = measurement_covariance(track)
-        noise = measurement_noise(track.mean[3], kcfg)
+        projected = measurement_covariance(track)[0]
+        noise = measurement_noise(track.means[0, 3], kcfg)
         brute = 0.5 * math.log(_det4_cofactor(projected) / _det4_cofactor(noise))
         rel = abs(gain - brute) / max(abs(brute), 1e-300)
         worst_rel = max(worst_rel, rel)

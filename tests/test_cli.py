@@ -150,6 +150,43 @@ class TestRun:
         assert rc == EXIT_TRACE
         assert "frame 9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rec: rec.pop("background"), "malformed record"),
+            (lambda rec: rec["entities"][0].update(w=float("nan")), "malformed record"),
+            (lambda rec: rec["entities"][0].update(kind="ghost"), "'ghost'"),
+        ],
+        ids=["missing-field", "nan-box", "bad-kind"],
+    )
+    def test_bad_record_is_trace_error_naming_its_line(self, trace_path, capsys, edit, message):
+        # line 1 is the header, so frame 2 sits on line 4
+        self._corrupt_frame(trace_path, 2, edit)
+        rc = main(["run", "--trace", str(trace_path)])
+        assert rc == EXIT_TRACE
+        err = capsys.readouterr().err
+        assert "line 4: frame 2" in err and message in err
+
+    def test_unreadable_record_is_trace_error_naming_its_line(self, trace_path, capsys):
+        lines = trace_path.read_text().splitlines()
+        lines[3] = lines[3][:-1]
+        trace_path.write_text("\n".join(lines) + "\n")
+        rc = main(["run", "--trace", str(trace_path)])
+        assert rc == EXIT_TRACE
+        assert "line 4: unreadable trace record" in capsys.readouterr().err
+
+    def test_duplicate_entity_is_trace_error_naming_frame_and_id(
+        self, trace_path, tmp_path, capsys
+    ):
+        frames = [json.loads(line) for line in trace_path.read_text().splitlines()[1:]]
+        eid = frames[5]["entities"][1]["id"]
+        self._corrupt_frame(
+            trace_path, 5, lambda rec: rec["entities"].append(dict(rec["entities"][1]))
+        )
+        rc = main(["compare", "--trace", str(trace_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_TRACE
+        assert f"frame 5: entity {eid!r} is listed twice" in capsys.readouterr().err
+
     def test_nan_frame_period_is_trace_error_naming_the_field(self, trace_path, capsys):
         lines = trace_path.read_text().splitlines()
         head = json.loads(lines[0])

@@ -167,15 +167,28 @@ class TestScheduledPolicy:
         # composition trigger forces pose immediately; tracking confirms later
         assert any(r.forced[POSE] for r in log.records[1:4])
 
+    def test_detection_naming_one_entity_twice_is_an_engine_error(self):
+        # a false positive is called spurious-<frame>, as this entity is
+        trace = Trace(
+            header=TraceHeader(frame_period_ms=PERIOD, keypoint_count=5, frame_count=4),
+            frames=tuple(make_frame(i, [obj(eid="spurious-0")]) for i in range(4)),
+        )
+        cfg = pipeline()
+        cfg = dataclasses.replace(
+            cfg, noise=dataclasses.replace(cfg.noise, false_positive_rate=1.0)
+        )
+        with pytest.raises(EngineError, match="frame 0 names entity 'spurious-0' twice"):
+            run(trace, PolicyKind.SCHEDULED, cfg.pipeline(trace.header))
+
     def test_zero_noise_recovers_ground_truth_boxes(self):
         trace = static_object_trace(frames=6)
         cfg = pipeline().pipeline(trace.header)
         engine = SimEngine(trace, PolicyKind.SCHEDULED, cfg)
         for frame in trace.frames:
             engine.step(frame)
-        track = engine.tracks["obj-1"]
+        assert engine.bank.ids == ("obj-1",)
         cx, cy = trace.frames[0].entities[0].region.center
-        np.testing.assert_allclose(track.mean[:4], [cx, cy, 40.0, 30.0], atol=1e-6)
+        np.testing.assert_allclose(engine.bank.means[0, :4], [cx, cy, 40.0, 30.0], atol=1e-6)
 
 
 class TestBusyDiscipline:

@@ -16,6 +16,7 @@ bytes moved and why.
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from oracles import numpy_rgb_histograms
-from percsched import change_detect
+from percsched import change_detect, metrics, rewards
 from percsched import engine as engine_module
 from percsched.change_detect import ChangeDetectConfig
 from percsched.config import RunConfig
@@ -224,6 +225,35 @@ def test_scheduled_runs_the_belief_layers(monkeypatch):
     trace = make_trace("interaction-pixels")
     run(trace, PolicyKind.SCHEDULED, RunConfig(seed=SEED).pipeline(trace.header))
     assert called == set(BELIEF_CALLS)
+
+
+TRACKER_SPANS = (
+    "tracker.predict", "tracker.update", "tracker.init_track",
+    "tracker.inflate_process_noise", "tracker.measurement_covariance",
+)
+
+
+def test_benchmark_tracer_reaches_the_tracker():
+    """``bench/run.py --trace 1`` wraps the engine's tracker calls by name:
+    a short scheduled run must reach every tracker span, and tracing must
+    leave its run log byte for byte as it was."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    trace = make_trace("interaction-pixels")
+    cfg = RunConfig(seed=SEED).pipeline(trace.header)
+    plain = run(trace, PolicyKind.SCHEDULED, cfg).to_jsonl()
+    tracer = tracing.Tracer()
+    tracer.policy = PolicyKind.SCHEDULED.value
+    tracer.install(tracing.layer_targets(engine_module, change_detect, rewards, metrics))
+    try:
+        traced = run(trace, PolicyKind.SCHEDULED, cfg).to_jsonl()
+    finally:
+        tracer.uninstall()
+    assert {name: tracer.calls[name] for name in TRACKER_SPANS if not tracer.calls[name]} == {}
+    assert traced == plain
 
 
 if __name__ == "__main__":

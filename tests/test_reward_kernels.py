@@ -12,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    TrackState,
+    bank_and_relevance,
     per_track_detection_info_gain,
     scalar_extrapolated,
     scalar_post_execution_entropy,
@@ -25,7 +27,7 @@ from percsched.rewards import (
     post_execution_entropy,
 )
 from percsched.scene import DETECTION, POSE
-from percsched.tracker import KalmanConfig, NumericalError, TrackState
+from percsched.tracker import KalmanConfig, NumericalError
 
 KCFG = KalmanConfig()
 
@@ -160,25 +162,32 @@ def track_sets(draw):
 class TestDetectionInfoGain:
     @given(track_sets())
     def test_equals_per_track_formula(self, tracks):
-        assert detection_info_gain(tracks, _cfg(17), KCFG) == per_track_detection_info_gain(
-            tracks, KCFG
+        bank, relevance = bank_and_relevance(tracks)
+        assert detection_info_gain(bank, relevance, _cfg(17), KCFG) == (
+            per_track_detection_info_gain(tracks, KCFG)
         )
 
     def test_no_tracks_and_zero_relevance_give_zero(self):
-        assert detection_info_gain([], _cfg(17), KCFG) == 0.0
-        assert detection_info_gain([(_track("a", np.eye(8), 40.0), 0.0)], _cfg(17), KCFG) == 0.0
+        assert detection_info_gain(*bank_and_relevance([]), _cfg(17), KCFG) == 0.0
+        zero = bank_and_relevance([(_track("a", np.eye(8), 40.0), 0.0)])
+        assert detection_info_gain(*zero, _cfg(17), KCFG) == 0.0
 
     def test_first_non_pd_track_is_named(self):
         indefinite = np.diag([-1.0] + [1.0] * 7)
-        good = _track("good", np.eye(8), 40.0)
-        skipped = _track("skipped", indefinite, 40.0)
-        bad = _track("bad", indefinite, 40.0)
-        also_bad = _track("also-bad", np.zeros((8, 8)), 40.0)
+        good = _track("a-good", np.eye(8), 40.0)
+        skipped = _track("b-skipped", indefinite, 40.0)
+        bad = _track("c-bad", indefinite, 40.0)
+        also_bad = _track("d-also-bad", np.zeros((8, 8)), 40.0)
         tracks = [(good, 1.0), (skipped, 0.0), (bad, 0.5), (also_bad, 1.0)]
-        with pytest.raises(NumericalError, match="'bad'"):
-            detection_info_gain(tracks, _cfg(17), KCFG)
-        with pytest.raises(NumericalError, match="'bad'"):
+        with pytest.raises(NumericalError, match="'c-bad'"):
+            detection_info_gain(*bank_and_relevance(tracks), _cfg(17), KCFG)
+        with pytest.raises(NumericalError, match="'c-bad'"):
             per_track_detection_info_gain(tracks, KCFG)
+
+    def test_one_weight_per_row(self):
+        bank, _ = bank_and_relevance([(_track("a", np.eye(8), 40.0), 1.0)])
+        with pytest.raises(ValueError, match="relevance"):
+            detection_info_gain(bank, [1.0, 1.0], _cfg(17), KCFG)
 
 
 class TestSigmaTable:

@@ -19,13 +19,8 @@ from percsched.rewards import (
     pre_execution_entropy,
 )
 from percsched.scene import DETECTION, POSE
-from percsched.tracker import (
-    KalmanConfig,
-    TrackState,
-    init_track,
-    measurement_noise,
-    predict,
-)
+from oracles import measurement_noise
+from percsched.tracker import KalmanConfig, TrackBank, init_track, predict
 
 KCFG = KalmanConfig()
 
@@ -39,55 +34,59 @@ def _cfg(lam=0.0, cost_det=15.0, cost_pose=80.0, keypoints=133, **kwargs):
     )
 
 
-def _track_with_projected(projected, h=40.0):
-    cov = np.eye(8)
-    cov[:4, :4] = projected
-    return TrackState(mean=np.array([0, 0, 30, h, 0, 0, 0, 0.0]), covariance=cov)
+def _bank_with_projected(*projected, h=40.0):
+    """One track per projected covariance, each box ``h`` high."""
+    covs = np.array([np.eye(8)] * len(projected))
+    covs[:, :4, :4] = projected
+    means = np.array([[0, 0, 30, h, 0, 0, 0, 0.0]] * len(projected))
+    return TrackBank(tuple(f"t{i}" for i in range(len(projected))), means, covs)
 
 
 class TestDetectionInfoGain:
     def test_projected_equal_to_noise_gives_zero(self):
         r = measurement_noise(40.0, KCFG)
-        t = _track_with_projected(r)
-        assert detection_info_gain([(t, 1.0)], _cfg(), KCFG) == pytest.approx(0.0)
+        t = _bank_with_projected(r)
+        assert detection_info_gain(t, [1.0], _cfg(), KCFG) == pytest.approx(0.0)
 
     def test_scalar_multiple_of_noise(self):
         # det(e^2 R) = e^8 det(R) for a 4x4, so the gain is 0.5 * ln(e^8) = 4
         r = measurement_noise(40.0, KCFG)
-        t = _track_with_projected(np.e**2 * r)
-        assert detection_info_gain([(t, 1.0)], _cfg(), KCFG) == pytest.approx(4.0)
+        t = _bank_with_projected(np.e**2 * r)
+        assert detection_info_gain(t, [1.0], _cfg(), KCFG) == pytest.approx(4.0)
 
     def test_linear_in_relevance(self):
         r = measurement_noise(40.0, KCFG)
-        t = _track_with_projected(np.e**2 * r)
-        half = detection_info_gain([(t, 0.5)], _cfg(), KCFG)
-        full = detection_info_gain([(t, 1.0)], _cfg(), KCFG)
+        t = _bank_with_projected(np.e**2 * r)
+        half = detection_info_gain(t, [0.5], _cfg(), KCFG)
+        full = detection_info_gain(t, [1.0], _cfg(), KCFG)
         assert full == pytest.approx(2 * half)
 
     def test_zero_relevance_contributes_nothing(self):
         r = measurement_noise(40.0, KCFG)
-        t = _track_with_projected(np.e**2 * r)
-        assert detection_info_gain([(t, 0.0)], _cfg(), KCFG) == 0.0
+        t = _bank_with_projected(np.e**2 * r)
+        assert detection_info_gain(t, [0.0], _cfg(), KCFG) == 0.0
 
     def test_empty_list_is_zero(self):
-        assert detection_info_gain([], _cfg(), KCFG) == 0.0
+        assert detection_info_gain(TrackBank(), [], _cfg(), KCFG) == 0.0
 
     def test_additive_over_disjoint_tracks(self):
         r = measurement_noise(40.0, KCFG)
-        a = _track_with_projected(np.e**2 * r)
-        b = _track_with_projected(np.e**4 * r)
-        ga = detection_info_gain([(a, 1.0)], _cfg(), KCFG)
-        gb = detection_info_gain([(b, 0.7)], _cfg(), KCFG)
-        both = detection_info_gain([(a, 1.0), (b, 0.7)], _cfg(), KCFG)
+        a = _bank_with_projected(np.e**2 * r)
+        b = _bank_with_projected(np.e**4 * r)
+        ga = detection_info_gain(a, [1.0], _cfg(), KCFG)
+        gb = detection_info_gain(b, [0.7], _cfg(), KCFG)
+        both = detection_info_gain(
+            _bank_with_projected(np.e**2 * r, np.e**4 * r), [1.0, 0.7], _cfg(), KCFG
+        )
         assert both == pytest.approx(ga + gb)
 
     def test_strictly_increases_with_staleness(self):
         cfg = _cfg()
-        track = init_track(np.array([50.0, 50.0, 30.0, 60.0]), KCFG)
-        last = detection_info_gain([(track, 1.0)], cfg, KCFG)
+        track = init_track(TrackBank(), ["t"], np.array([[50.0, 50.0, 30.0, 60.0]]), KCFG)
+        last = detection_info_gain(track, [1.0], cfg, KCFG)
         for _ in range(30):
             track = predict(track, KCFG)
-            gain = detection_info_gain([(track, 1.0)], cfg, KCFG)
+            gain = detection_info_gain(track, [1.0], cfg, KCFG)
             assert gain > last
             last = gain
 
