@@ -410,12 +410,6 @@ class SimEngine:
 
     def _track_detections(self, out: DetectionOutput, ids: List[str], fresh: List[str]) -> None:
         """One batched update of the tracked boxes, one batched start of the new."""
-        if len(set(ids)) != len(ids):
-            twice = next(tid for i, tid in enumerate(ids) if tid in ids[:i])
-            raise EngineError(
-                f"detection output issued at frame {out.stamp_issued.index} "
-                f"names entity {twice!r} twice"
-            )
         z = np.array([[box.x_c, box.y_c, box.w, box.h] for box in out.boxes], dtype=float)
         is_new = set(fresh)
         old_rows = [i for i, tid in enumerate(ids) if tid not in is_new]

@@ -14,6 +14,10 @@ from typing import Tuple
 
 DEFAULT_FRAME_PERIOD_MS = 1000.0 / 30.0
 
+# the detection simulator names a false positive spurious-<frame>; traces may
+# not use the prefix, so a false positive never shares a track with an entity
+FALSE_POSITIVE_PREFIX = "spurious-"
+
 
 class EntityKind(str, Enum):
     BACKGROUND = "background"

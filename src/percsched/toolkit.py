@@ -15,7 +15,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .scene import DEFAULT_FRAME_PERIOD_MS, EntityKind, FrameStamp, ModuleId
+from .scene import (
+    DEFAULT_FRAME_PERIOD_MS,
+    FALSE_POSITIVE_PREFIX,
+    EntityKind,
+    FrameStamp,
+    ModuleId,
+)
 from .traces import TraceFrame
 
 
@@ -149,7 +155,7 @@ def simulate_detection(
         fy = float(rng.uniform(50, 350))
         boxes.append(
             DetectedBox(
-                entity_id=f"spurious-{frame.stamp.index}",
+                entity_id=f"{FALSE_POSITIVE_PREFIX}{frame.stamp.index}",
                 x_c=fx, y_c=fy, w=float(rng.uniform(20, 60)),
                 h=float(rng.uniform(20, 60)), score=0.4,
             )

@@ -25,6 +25,7 @@ import numpy as np
 
 from .scene import (
     DEFAULT_FRAME_PERIOD_MS,
+    FALSE_POSITIVE_PREFIX,
     Entity,
     EntityKind,
     FrameStamp,
@@ -127,6 +128,12 @@ class Trace:
             if len(set(ids)) != len(ids):
                 twice = next(eid for j, eid in enumerate(ids) if eid in ids[:j])
                 raise TraceError(f"frame {i}: entity {twice!r} is listed twice")
+            for eid in ids:
+                if eid.startswith(FALSE_POSITIVE_PREFIX):
+                    raise TraceError(
+                        f"frame {i}: entity id {eid!r} starts with {FALSE_POSITIVE_PREFIX!r}, "
+                        "which names the detector's false positives"
+                    )
             if frame.pixels is None:
                 continue
             shape = frame.pixels.rgb.shape

@@ -266,12 +266,9 @@ def update(
     z = _measurements(measurements, len(ids))
     if not ids:
         return bank
-    # every track in row order, as a detection of the whole scene gives:
-    # no gather and no scatter
-    whole = tuple(ids) == bank.ids
-    rows = None if whole else bank.rows(ids)
-    mean = bank.means if whole else bank.means[rows]
-    p = bank.covariances if whole else bank.covariances[rows]
+    rows = bank.rows(ids)
+    mean = bank.means[rows]
+    p = bank.covariances[rows]
     r = _MEAS_IDENTITY * measurement_variance(mean[:, 3], cfg)[:, None, None]
     # H selects the box coordinates: H P H^T + R and H P as slices
     s = p[:, :MEAS_DIM, :MEAS_DIM] + r
@@ -291,8 +288,6 @@ def update(
         new_cov = ikh @ p
     new_cov = _symmetrize(new_cov)
     _require_pd(new_cov, ids)
-    if whole:
-        return TrackBank(bank.ids, new_mean, new_cov)
     return bank._with_rows(rows, new_mean, new_cov)
 
 

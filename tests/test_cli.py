@@ -187,6 +187,21 @@ class TestRun:
         assert rc == EXIT_TRACE
         assert f"frame 5: entity {eid!r} is listed twice" in capsys.readouterr().err
 
+    def test_false_positive_prefix_is_trace_error_naming_frame_and_id(
+        self, trace_path, tmp_path, capsys
+    ):
+        # the detector names a false positive spurious-<frame>; an entity
+        # of that name would share its track
+        def rename(rec):
+            rec["entities"][0]["id"] = "spurious-9"
+
+        self._corrupt_frame(trace_path, 5, rename)
+        rc = main(["compare", "--trace", str(trace_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_TRACE
+        assert "frame 5: entity id 'spurious-9' starts with 'spurious-'" in (
+            capsys.readouterr().err
+        )
+
     def test_nan_frame_period_is_trace_error_naming_the_field(self, trace_path, capsys):
         lines = trace_path.read_text().splitlines()
         head = json.loads(lines[0])

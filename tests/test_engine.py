@@ -17,6 +17,7 @@ from percsched.engine import (
     run_offline,
 )
 from percsched.scene import DETECTION, POSE, Entity, EntityKind, FrameStamp, PatchRegion
+from percsched.toolkit import DetectionOutput
 from percsched.traces import ChangeStats, Trace, TraceFrame, TraceHeader, generate_trace
 
 PERIOD = 1000.0 / 30.0
@@ -167,18 +168,25 @@ class TestScheduledPolicy:
         # composition trigger forces pose immediately; tracking confirms later
         assert any(r.forced[POSE] for r in log.records[1:4])
 
-    def test_detection_naming_one_entity_twice_is_an_engine_error(self):
-        # a false positive is called spurious-<frame>, as this entity is
-        trace = Trace(
-            header=TraceHeader(frame_period_ms=PERIOD, keypoint_count=5, frame_count=4),
-            frames=tuple(make_frame(i, [obj(eid="spurious-0")]) for i in range(4)),
-        )
-        cfg = pipeline()
-        cfg = dataclasses.replace(
-            cfg, noise=dataclasses.replace(cfg.noise, false_positive_rate=1.0)
-        )
-        with pytest.raises(EngineError, match="frame 0 names entity 'spurious-0' twice"):
-            run(trace, PolicyKind.SCHEDULED, cfg.pipeline(trace.header))
+    @pytest.mark.parametrize("first_doubled", [0, 1])
+    def test_detection_naming_one_entity_twice_is_rejected(self, first_doubled):
+        # a trace cannot produce such an output, so double the simulator's
+        # boxes: at frame 0 the start of new tracks sees the repeat, later
+        # the update of known ones does
+        trace = static_object_trace(frames=6)
+        engine = SimEngine(trace, PolicyKind.SCHEDULED, pipeline().pipeline(trace.header))
+        simulate = engine._simulate
+
+        def doubled(frame, spec):
+            out = simulate(frame, spec)
+            if frame.stamp.index < first_doubled or not isinstance(out, DetectionOutput):
+                return out
+            return dataclasses.replace(out, boxes=out.boxes + out.boxes)
+
+        engine._simulate = doubled
+        with pytest.raises(ValueError, match="track 'obj-1' is named twice"):
+            for frame in trace.frames:
+                engine.step(frame)
 
     def test_zero_noise_recovers_ground_truth_boxes(self):
         trace = static_object_trace(frames=6)
