@@ -37,9 +37,7 @@ from .rewards import (
     box_uniform_entropy,
     detection_info_gain,
     detection_reward,
-    extrapolate_confidence,
     keypoint_entropy,
-    keypoint_sigma,
     pose_reward,
     post_execution_entropy,
     pre_execution_entropy,

@@ -44,7 +44,6 @@ class RunConfig:
     lambda_info_per_ms: float = DEFAULT_LAMBDA_PER_MS
     cost_yolo_ms: float = 15.0
     cost_pose_ms: float = 80.0
-    keypoint_count: Optional[int] = None  # None: take it from the trace header
     sigma_base_path: Optional[str] = None  # None: packaged table / uniform fallback
     latency_denominator: str = "activated"
     change: ChangeDetectConfig = field(default_factory=ChangeDetectConfig)
@@ -70,15 +69,13 @@ class RunConfig:
             raise ConfigError(
                 f"latency_denominator must be one of {LATENCY_DENOMINATORS}"
             )
-        _require_int("seed", self.seed, 0)
-        if self.keypoint_count is not None:
-            _require_int("keypoint_count", self.keypoint_count, 1)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     # -- assembly ----------------------------------------------------------
 
     def pipeline(self, trace_header: TraceHeader) -> PipelineConfig:
-        """Bind this config to a concrete trace."""
-        keypoints = self.keypoint_count or trace_header.keypoint_count
+        """Bind this config to a concrete trace; its header gives the keypoint count."""
         sigma_base = None
         if self.sigma_base_path:
             try:
@@ -89,7 +86,7 @@ class RunConfig:
             reward = RewardConfig(
                 lambda_info_per_ms=self.lambda_info_per_ms,
                 cost_ms={DETECTION: self.cost_yolo_ms, POSE: self.cost_pose_ms},
-                keypoint_count=keypoints,
+                keypoint_count=trace_header.keypoint_count,
                 sigma_base=sigma_base,
             )
         except ValueError as exc:
@@ -171,11 +168,6 @@ class RunConfig:
                 raise ConfigError(f"unknown override {key!r}")
             current[key] = value
         return RunConfig.from_dict(current)
-
-
-def _require_int(name: str, value: Any, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _section_from_dict(section_cls: type, value: Any, name: str) -> Any:

@@ -216,32 +216,6 @@ def pre_execution_entropy(
     return cfg.keypoint_count * total
 
 
-def extrapolate_confidence(
-    s_last: float,
-    s_prev: float,
-    k_last: int,
-    k_prev: int,
-    k: int,
-    cfg: RewardConfig,
-) -> float:
-    """Linear confidence extrapolation from the last two executions,
-    clamped to [confidence_floor, 1]."""
-    if k_last == k_prev:
-        raise ValueError("the two reference frames must differ")
-    slope = (s_last - s_prev) / (k_last - k_prev)
-    value = s_last + slope * (k - k_last)
-    return min(1.0, max(cfg.confidence_floor, value))
-
-
-def keypoint_sigma(conf: float, base: float, cfg: RewardConfig) -> float:
-    """Map a confidence score to a pixel std via a negative log, floored."""
-    if not 0.0 < conf <= 1.0:
-        raise ValueError(f"confidence must lie in (0, 1], got {conf}")
-    if base <= 0:
-        raise ValueError(f"base sigma must be positive, got {base}")
-    return max(-base * math.log(conf), cfg.sigma_floor)
-
-
 def keypoint_entropy(sigma: float) -> float:
     """Entropy of an isotropic 2D Gaussian keypoint estimate, in nats."""
     if sigma <= 0:
@@ -256,8 +230,8 @@ HumanConfidences = Union[
 
 
 def _require_valid_keypoints(confs: np.ndarray, bases: np.ndarray) -> None:
-    """Vectorized form of ``keypoint_sigma``'s checks, reporting the first
-    bad keypoint; written so that NaN fails both."""
+    """Every confidence must lie in (0, 1] and every base sigma be positive;
+    reports the first bad keypoint, and is written so that NaN fails both."""
     bad_conf = ~((confs > 0.0) & (confs <= 1.0))
     bad = bad_conf | ~(bases > 0.0)
     if bad.any():
@@ -276,7 +250,7 @@ def post_execution_entropy(humans: Sequence[HumanConfidences], cfg: RewardConfig
     base sigmas (object scale, default 1).
 
     Per human this equals ``keypoint_count * LN_TWO_PI_E`` plus, in keypoint
-    order, ``2 * ln(keypoint_sigma(conf, base * scale))``.
+    order, ``2 * ln(max(-base * scale * ln(conf), sigma_floor))``.
     """
     base = cfg.resolved_sigma_base()
     total = 0.0
@@ -338,7 +312,7 @@ class KeypointConfidenceHistory:
         (k_last, s_last), (k_prev, s_prev) = last, prev
         if k_last == k_prev:
             raise ValueError("the two reference frames must differ")
-        # extrapolate_confidence for every keypoint; fmax/fmin clamp NaN to
+        # linear in the frame index per keypoint; fmax/fmin clamp NaN to
         # the floor exactly as min(1, max(floor, value)) does
         slope = (s_last - s_prev) / (k_last - k_prev)
         value = s_last + slope * (frame_index - k_last)

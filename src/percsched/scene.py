@@ -83,11 +83,6 @@ class PatchRegion:
     def center(self) -> Tuple[float, float]:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 
-    @property
-    def scale(self) -> float:
-        """Object scale, the square root of the region area."""
-        return math.sqrt(self.w * self.h)
-
 
 @dataclass(frozen=True)
 class Entity:
@@ -100,7 +95,6 @@ class Entity:
     id: str
     kind: EntityKind
     region: PatchRegion
-    motion: MotionStatus = MotionStatus.STATIONARY
     relevance: float = 1.0
 
     def __post_init__(self) -> None:

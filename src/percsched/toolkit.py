@@ -48,7 +48,6 @@ class DetectedBox:
     y_c: float
     w: float
     h: float
-    score: float
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,7 @@ def simulate_detection(
             w = max(1.0, w + jitter[2])
             h = max(1.0, h + jitter[3])
         boxes.append(
-            DetectedBox(entity_id=e.id, x_c=float(cx), y_c=float(cy),
-                        w=float(w), h=float(h), score=1.0)
+            DetectedBox(entity_id=e.id, x_c=float(cx), y_c=float(cy), w=float(w), h=float(h))
         )
     if noise_cfg.false_positive_rate > 0 and rng.random() < noise_cfg.false_positive_rate:
         fx = float(rng.uniform(50, 500))
@@ -157,7 +155,7 @@ def simulate_detection(
             DetectedBox(
                 entity_id=f"{FALSE_POSITIVE_PREFIX}{frame.stamp.index}",
                 x_c=fx, y_c=fy, w=float(rng.uniform(20, 60)),
-                h=float(rng.uniform(20, 60)), score=0.4,
+                h=float(rng.uniform(20, 60)),
             )
         )
     return DetectionOutput(

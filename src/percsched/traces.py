@@ -1,10 +1,10 @@
 """Ground-truth scene traces: schema, JSONL serialization and generators.
 
 A trace is one header record followed by one record per frame. Frames carry
-true entity geometry, true human keypoints, relevance assignments, scripted
-enter/exit markers, and change-detection inputs in one of two variants:
-precomputed statistics (``change``) or a raw low-resolution raster
-(``pixels``) from which the statistics can be computed.
+true entity geometry, true human keypoints, relevance assignments and
+change-detection inputs in one of two variants: precomputed statistics
+(``change``) or a raw low-resolution raster (``pixels``) from which the
+statistics can be computed.
 
 The generators script three archetypes of human activity: ``static`` (enter,
 sit mostly still, leave), ``interaction`` (seated with frequent hand/object
@@ -29,12 +29,14 @@ from .scene import (
     Entity,
     EntityKind,
     FrameStamp,
-    MotionStatus,
     PatchRegion,
 )
 
 TRACE_SCHEMA = "percsched-trace"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
+# version 1 frames also carry background, enters, exits and a per-entity
+# moving flag, all derivable and unread; the reader ignores them
+READABLE_VERSIONS = (1, TRACE_VERSION)
 
 ARCHETYPES = ("static", "interaction", "walking")
 
@@ -85,10 +87,7 @@ class TraceFrame:
 
     stamp: FrameStamp
     entities: Tuple[Entity, ...]
-    background: PatchRegion
     keypoints: Mapping[str, Tuple[Tuple[float, float], ...]] = field(default_factory=dict)
-    enters: Tuple[str, ...] = ()
-    exits: Tuple[str, ...] = ()
     change: Optional[ChangeStats] = None
     pixels: Optional[FramePixels] = None
 
@@ -109,6 +108,8 @@ class TraceHeader:
             raise ValueError(
                 f"frame_period_ms must be finite and positive, got {self.frame_period_ms}"
             )
+        if isinstance(self.keypoint_count, bool) or not isinstance(self.keypoint_count, int):
+            raise ValueError(f"keypoint_count must be an integer, got {self.keypoint_count!r}")
         for name in ("keypoint_count", "frame_w", "frame_h"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -152,7 +153,7 @@ class Trace:
 
 
 def _entity_to_dict(e: Entity) -> dict:
-    out = {
+    return {
         "id": e.id,
         "kind": e.kind.value,
         "x": e.region.x,
@@ -160,9 +161,7 @@ def _entity_to_dict(e: Entity) -> dict:
         "w": e.region.w,
         "h": e.region.h,
         "relevance": e.relevance,
-        "moving": e.motion is MotionStatus.MOVING,
     }
-    return out
 
 
 def _entity_from_dict(d: dict) -> Entity:
@@ -170,7 +169,6 @@ def _entity_from_dict(d: dict) -> Entity:
         id=d["id"],
         kind=EntityKind(d["kind"]),
         region=PatchRegion(x=d["x"], y=d["y"], w=d["w"], h=d["h"]),
-        motion=MotionStatus.MOVING if d.get("moving") else MotionStatus.STATIONARY,
         relevance=d["relevance"],
     )
 
@@ -180,21 +178,11 @@ def frame_to_dict(frame: TraceFrame) -> dict:
         "record": "frame",
         "index": frame.stamp.index,
         "entities": [_entity_to_dict(e) for e in frame.entities],
-        "background": {
-            "x": frame.background.x,
-            "y": frame.background.y,
-            "w": frame.background.w,
-            "h": frame.background.h,
-        },
     }
     if frame.keypoints:
         rec["keypoints"] = {
             eid: [[x, y] for x, y in pts] for eid, pts in sorted(frame.keypoints.items())
         }
-    if frame.enters:
-        rec["enters"] = list(frame.enters)
-    if frame.exits:
-        rec["exits"] = list(frame.exits)
     if frame.change is not None:
         rec["change"] = {
             "background_cr": frame.change.background_cr,
@@ -214,11 +202,12 @@ def frame_to_dict(frame: TraceFrame) -> dict:
 
 
 def frame_from_dict(rec: dict, header: TraceHeader) -> TraceFrame:
+    index = rec.get("index")
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise TraceError(f"frame index must be an integer, got {index!r}")
     try:
-        stamp = FrameStamp.at(rec["index"], header.frame_period_ms)
+        stamp = FrameStamp.at(index, header.frame_period_ms)
         entities = tuple(_entity_from_dict(d) for d in rec["entities"])
-        bg = rec["background"]
-        background = PatchRegion(x=bg["x"], y=bg["y"], w=bg["w"], h=bg["h"])
         keypoints = {
             eid: tuple((float(x), float(y)) for x, y in pts)
             for eid, pts in rec.get("keypoints", {}).items()
@@ -238,25 +227,22 @@ def frame_from_dict(rec: dict, header: TraceHeader) -> TraceFrame:
             rgb = np.frombuffer(raw, dtype=np.uint8).reshape(p["h"], p["w"], 3)
             pixels = FramePixels(rgb=rgb)
     except (KeyError, ValueError, TypeError) as exc:
-        raise TraceError(f"frame {rec.get('index', '?')}: malformed record: {exc}") from exc
+        raise TraceError(f"frame {index}: malformed record: {exc}") from exc
     for eid, pts in keypoints.items():
         expected = header.keypoint_count
         if len(pts) != expected:
             raise TraceError(
-                f"frame {rec['index']}: entity {eid!r} has {len(pts)} "
+                f"frame {index}: entity {eid!r} has {len(pts)} "
                 f"keypoints, header says {expected}"
             )
         if not all(map(math.isfinite, itertools.chain.from_iterable(pts))):
             raise TraceError(
-                f"frame {rec['index']}: entity {eid!r} has a non-finite keypoint coordinate"
+                f"frame {index}: entity {eid!r} has a non-finite keypoint coordinate"
             )
     return TraceFrame(
         stamp=stamp,
         entities=entities,
-        background=background,
         keypoints=keypoints,
-        enters=tuple(rec.get("enters", ())),
-        exits=tuple(rec.get("exits", ())),
         change=change,
         pixels=pixels,
     )
@@ -300,8 +286,9 @@ def read_trace(path: Union[str, Path]) -> Trace:
             raise TraceError(f"unreadable trace header: {exc}") from exc
         if head.get("record") != "header" or head.get("schema") != TRACE_SCHEMA:
             raise TraceError("first record must be a trace header")
-        if head.get("version") != TRACE_VERSION:
-            raise TraceError(f"unsupported trace version {head.get('version')}")
+        version = head.get("version")
+        if version not in READABLE_VERSIONS or type(version) is not int:
+            raise TraceError(f"unsupported trace version {version!r}")
         try:
             header = TraceHeader(
                 frame_period_ms=head["frame_period_ms"],
@@ -352,7 +339,6 @@ class _SceneScript:
 
     def __init__(self, header: TraceHeader) -> None:
         self.header = header
-        self.background = PatchRegion(0, 0, header.frame_w, header.frame_h)
         self.frames: List[TraceFrame] = []
         self._present: Dict[str, Entity] = {}
         self._prev_regions: Dict[str, PatchRegion] = {}
@@ -374,9 +360,7 @@ class _SceneScript:
     def move(self, entity_id: str, dx: float, dy: float) -> None:
         e = self._present[entity_id]
         region = PatchRegion(e.region.x + dx, e.region.y + dy, e.region.w, e.region.h)
-        self._present[entity_id] = Entity(
-            id=e.id, kind=e.kind, region=region, motion=e.motion, relevance=e.relevance
-        )
+        self._present[entity_id] = Entity(e.id, e.kind, region, e.relevance)
 
     def keypoints_for(
         self, entity_id: str, jitter: Optional[Mapping[int, Tuple[float, float]]] = None
@@ -396,49 +380,36 @@ class _SceneScript:
         background_event: bool = False,
         cr_rng: Optional[np.random.Generator] = None,
     ) -> None:
-        """Finish the frame: derive motion flags and change stats, append."""
+        """Finish the frame: derive its change stats and append it."""
         stamp = FrameStamp.at(index, self.header.frame_period_ms)
         entities = []
         patch_cr: Dict[str, float] = {}
         keypoints: Dict[str, Tuple[Tuple[float, float], ...]] = {}
-        enters: List[str] = []
-        exits: List[str] = []
 
-        prev_ids = set(self._prev_regions)
         for eid in sorted(self._present):
             e = self._present[eid]
             kps = None
             if e.kind is EntityKind.HUMAN:
                 kps = self.keypoints_for(eid, (keypoint_jitter or {}).get(eid))
                 keypoints[eid] = kps
-            moved = False
+            # an entity that has just entered counts as moved
             prev = self._prev_regions.get(eid)
-            if prev is not None:
-                moved = abs(e.region.x - prev.x) > 1e-9 or abs(e.region.y - prev.y) > 1e-9
+            moved = (
+                prev is None
+                or abs(e.region.x - prev.x) > 1e-9
+                or abs(e.region.y - prev.y) > 1e-9
+            )
             prev_kps = self._prev_kps.get(eid)
             if not moved and kps is not None and prev_kps is not None:
                 moved = any(
                     abs(ax - bx) > 1e-9 or abs(ay - by) > 1e-9
                     for (ax, ay), (bx, by) in zip(kps, prev_kps)
                 )
-            if eid not in prev_ids:
-                enters.append(eid)
-                moved = True
             base_cr = 0.0 if cr_rng is None else float(cr_rng.uniform(0.0, 0.015))
             patch_cr[eid] = float(cr_rng.uniform(0.25, 0.6)) if moved and cr_rng is not None else (
                 0.45 if moved else base_cr
             )
-            entities.append(
-                Entity(
-                    id=e.id,
-                    kind=e.kind,
-                    region=e.region,
-                    motion=MotionStatus.MOVING if moved else MotionStatus.STATIONARY,
-                    relevance=e.relevance,
-                )
-            )
-        for eid in sorted(prev_ids - set(self._present)):
-            exits.append(eid)
+            entities.append(e)
 
         if background_event:
             background_cr = 0.2 if cr_rng is None else float(cr_rng.uniform(0.12, 0.3))
@@ -451,10 +422,7 @@ class _SceneScript:
             TraceFrame(
                 stamp=stamp,
                 entities=tuple(entities),
-                background=self.background,
                 keypoints=keypoints,
-                enters=tuple(enters),
-                exits=tuple(exits),
                 change=ChangeStats(
                     background_cr=background_cr,
                     hist_shift_mean=hist_shift,

@@ -7,13 +7,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from percsched.rewards import (
-    LN_TWO_PI_E,
-    RewardBreakdown,
-    RewardConfig,
-    extrapolate_confidence,
-    keypoint_sigma,
-)
+from percsched.rewards import LN_TWO_PI_E, RewardBreakdown, RewardConfig
 from percsched.scene import FrameStamp, ModuleId
 from percsched.scheduler import ActivationDecision
 from percsched.tracker import MEAS_DIM, STATE_DIM, KalmanConfig, NumericalError, TrackBank
@@ -208,6 +202,32 @@ def brute_force_select(
         rewards=dict(rewards),
         decision_time_ms=decision_time_ms,
     )
+
+
+def keypoint_sigma(conf: float, base: float, cfg: RewardConfig) -> float:
+    """Map a confidence score to a pixel std via a negative log, floored."""
+    if not 0.0 < conf <= 1.0:
+        raise ValueError(f"confidence must lie in (0, 1], got {conf}")
+    if base <= 0:
+        raise ValueError(f"base sigma must be positive, got {base}")
+    return max(-base * math.log(conf), cfg.sigma_floor)
+
+
+def extrapolate_confidence(
+    s_last: float,
+    s_prev: float,
+    k_last: int,
+    k_prev: int,
+    k: int,
+    cfg: RewardConfig,
+) -> float:
+    """Linear confidence extrapolation from the last two executions,
+    clamped to [confidence_floor, 1]."""
+    if k_last == k_prev:
+        raise ValueError("the two reference frames must differ")
+    slope = (s_last - s_prev) / (k_last - k_prev)
+    value = s_last + slope * (k - k_last)
+    return min(1.0, max(cfg.confidence_floor, value))
 
 
 def scalar_post_execution_entropy(

@@ -93,7 +93,6 @@ def region_change_ratio(region, after, frame_w=8, frame_h=8):
         TraceFrame(
             stamp=FrameStamp.at(i, header.frame_period_ms),
             entities=(box,),
-            background=PatchRegion(0, 0, frame_w, frame_h),
             pixels=FramePixels(rgb=rgb),
         )
         for i, rgb in enumerate((np.zeros_like(after), after))

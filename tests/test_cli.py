@@ -153,7 +153,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda rec: rec.pop("background"), "malformed record"),
+            (lambda rec: rec.pop("entities"), "malformed record"),
             (lambda rec: rec["entities"][0].update(w=float("nan")), "malformed record"),
             (lambda rec: rec["entities"][0].update(kind="ghost"), "'ghost'"),
         ],
@@ -211,6 +211,28 @@ class TestRun:
         rc = main(["run", "--trace", str(trace_path)])
         assert rc == EXIT_TRACE
         assert "frame_period_ms" in capsys.readouterr().err
+
+    def test_non_integer_keypoint_count_is_trace_error_naming_the_field(self, trace_path, capsys):
+        lines = trace_path.read_text().splitlines()
+        head = json.loads(lines[0])
+        head["keypoint_count"] = 17.0
+        lines[0] = json.dumps(head)
+        trace_path.write_text("\n".join(lines) + "\n")
+        rc = main(["run", "--trace", str(trace_path)])
+        assert rc == EXIT_TRACE
+        err = capsys.readouterr().err
+        assert "line 1:" in err and "keypoint_count must be an integer, got 17.0" in err
+
+    @pytest.mark.parametrize("index", [1.0, True], ids=["float", "bool"])
+    def test_non_integer_frame_index_is_trace_error_naming_its_line(
+        self, trace_path, tmp_path, capsys, index
+    ):
+        # frame 1 sits on line 3; json writes True as true
+        self._corrupt_frame(trace_path, 1, lambda rec: rec.update(index=index))
+        rc = main(["compare", "--trace", str(trace_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_TRACE
+        err = capsys.readouterr().err
+        assert f"line 3: frame index must be an integer, got {index!r}" in err
 
     def test_nan_keypoint_is_trace_error_naming_frame_and_entity(self, trace_path, capsys):
         frames = [json.loads(line) for line in trace_path.read_text().splitlines()[1:]]
@@ -280,6 +302,8 @@ class TestRun:
             ({"seed": 1.5}, "seed"),
             ({"seed": -1}, "seed"),
             ({"seed": True}, "seed"),
+            # the trace header is the one statement of the keypoint count
+            ({"keypoint_count": 17}, "keypoint_count"),
         ],
     )
     def test_bad_seed_or_keypoint_count_is_config_error_naming_the_field(

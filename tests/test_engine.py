@@ -27,7 +27,6 @@ def make_frame(index, entities=(), keypoints=None, change=None, period=PERIOD):
     return TraceFrame(
         stamp=FrameStamp.at(index, period),
         entities=tuple(entities),
-        background=PatchRegion(0, 0, 640, 480),
         keypoints=keypoints or {},
         change=change,
     )
@@ -340,7 +339,6 @@ def _level_switch_trace(level):
         TraceFrame(
             stamp=FrameStamp.at(i, PERIOD),
             entities=(obj(),),
-            background=PatchRegion(0, 0, 640, 480),
             pixels=FramePixels(rgb=np.full((48, 64, 3), 60 if i < 4 else level, np.uint8)),
         )
         for i in range(8)

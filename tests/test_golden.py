@@ -11,6 +11,9 @@ The digests live in ``tests/golden/runlog_digests.json``. Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden/runlog_digests.json``
 only for a change that is meant to alter run logs, and say in CHANGES.md which
 bytes moved and why.
+
+``TRACE_DIGESTS`` pins the four traces as ``write_trace`` writes them, so a
+change to the trace writer or the generators shows here first.
 """
 
 import dataclasses
@@ -34,13 +37,19 @@ from percsched.metrics import extract_keyframes
 from percsched.scene import EntityKind
 from percsched.toolkit import NoiseConfig
 from percsched.tracker import KalmanConfig
-from percsched.traces import FramePixels, Trace, generate_trace
+from percsched.traces import FramePixels, Trace, generate_trace, write_trace
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "runlog_digests.json"
 FRAMES = 120
 SEED = 11
 TRACES = ("static", "interaction", "walking", "interaction-pixels")
 RASTER_W, RASTER_H = 64, 48
+TRACE_DIGESTS = {
+    "static": "f746636bfe5d99fcaeb480759bb85ea6401d3cf4e97680856a1c179981dd5b5e",
+    "interaction": "97b4705f66c0233c7467865f48c5667aa0b6800873997bd662c902effc234eb6",
+    "walking": "e1298008ce815ddc6bf8f75570551d32d96fb6fe0333c2bb8a1ab547b2e7f6fd",
+    "interaction-pixels": "5568e466a4d0d0200dcd1856a94a7d6a26fd63aeb1cf90132d9a5ba7fd4f3b97",
+}
 VARIANTS = {
     "noise": RunConfig(
         seed=SEED,
@@ -131,6 +140,13 @@ def golden_matrix() -> dict:
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", TRACES)
+def test_written_traces_match_golden_digests(tmp_path, name):
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, make_trace(name))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", TRACES)

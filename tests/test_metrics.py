@@ -215,7 +215,6 @@ class TestRecallAndAccuracy:
                 entities=(
                     Entity(id="h", kind=EntityKind.HUMAN, region=PatchRegion(10, 10, 30, 60)),
                 ),
-                background=PatchRegion(0, 0, 640, 480),
                 keypoints={"h": ((10.0, 10.0), (20.0, 20.0), (30.0, 30.0))},
             )
             for i in range(20)
@@ -287,7 +286,6 @@ class TestLatency:
                 TraceFrame(
                     stamp=FrameStamp.at(i, PERIOD),
                     entities=(),
-                    background=PatchRegion(0, 0, 640, 480),
                 )
                 for i in range(30)
             ),

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     TrackState,
     bank_and_relevance,
+    keypoint_sigma,
     per_track_detection_info_gain,
     scalar_extrapolated,
     scalar_post_execution_entropy,
@@ -23,7 +24,6 @@ from percsched.rewards import (
     KeypointConfidenceHistory,
     RewardConfig,
     detection_info_gain,
-    keypoint_sigma,
     post_execution_entropy,
 )
 from percsched.scene import DETECTION, POSE

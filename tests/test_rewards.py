@@ -11,15 +11,13 @@ from percsched.rewards import (
     coco_wholebody_sigmas,
     detection_info_gain,
     detection_reward,
-    extrapolate_confidence,
     keypoint_entropy,
-    keypoint_sigma,
     pose_reward,
     post_execution_entropy,
     pre_execution_entropy,
 )
 from percsched.scene import DETECTION, POSE
-from oracles import measurement_noise
+from oracles import extrapolate_confidence, keypoint_sigma, measurement_noise
 from percsched.tracker import KalmanConfig, TrackBank, init_track, predict
 
 KCFG = KalmanConfig()
@@ -330,12 +328,11 @@ class TestSigmaBaseDefaults:
 
         table = tmp_path / "sigmas.json"
         table.write_text("[0.1, 0.2, 0.3, 0.4, 0.5]")
-        cfg = RunConfig(trace="x", sigma_base_path=str(table), keypoint_count=5)
+        cfg = RunConfig(trace="x", sigma_base_path=str(table))
         pipe = cfg.pipeline(TraceHeader(keypoint_count=5))
         assert pipe.reward.sigma_base == (0.1, 0.2, 0.3, 0.4, 0.5)
-        mismatched = RunConfig(trace="x", sigma_base_path=str(table), keypoint_count=3)
         with pytest.raises(ConfigError):
-            mismatched.pipeline(TraceHeader(keypoint_count=3))
+            cfg.pipeline(TraceHeader(keypoint_count=3))
         table.write_text("[0.1, 0.2, NaN, 0.4, 0.5]")
         with pytest.raises(ConfigError, match="finite positive"):
             cfg.pipeline(TraceHeader(keypoint_count=5))

@@ -49,10 +49,9 @@ class TestPatchRegion:
             with pytest.raises(ValueError, match="finite"):
                 PatchRegion(*args)
 
-    def test_center_and_scale(self):
+    def test_center(self):
         r = PatchRegion(10, 20, 30, 40)
         assert r.center == (25.0, 40.0)
-        assert r.scale == pytest.approx(np.sqrt(1200))
 
 
 class TestEntity:

@@ -31,7 +31,6 @@ def _frame(index=0, with_human=True):
     return TraceFrame(
         stamp=FrameStamp.at(index, PERIOD),
         entities=tuple(entities),
-        background=PatchRegion(0, 0, 640, 480),
         keypoints=keypoints,
     )
 
@@ -81,7 +80,6 @@ class TestSimulateDetection:
         frame = TraceFrame(
             stamp=FrameStamp.at(0, PERIOD),
             entities=(),
-            background=PatchRegion(0, 0, 640, 480),
         )
         out = simulate_detection(frame, DET_SPEC, ZERO_NOISE, rng_seed=0)
         assert out.boxes == ()

@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from percsched.scene import Entity, EntityKind, FrameStamp, MotionStatus, PatchRegion
+from percsched.config import RunConfig
+from percsched.engine import PolicyKind, run
+from percsched.scene import Entity, EntityKind, FrameStamp, PatchRegion
 from percsched.traces import (
     ARCHETYPES,
     ChangeStats,
@@ -41,7 +43,6 @@ def _minimal_trace(pixels=False):
                 entities=(
                     Entity(id="obj", kind=EntityKind.OBJECT, region=PatchRegion(5, 5, 10, 10)),
                 ),
-                background=PatchRegion(0, 0, 640, 480),
                 **extra,
             )
         )
@@ -76,7 +77,6 @@ class TestRoundTrip:
             TraceFrame(
                 stamp=FrameStamp.at(i),
                 entities=(human,),
-                background=PatchRegion(0, 0, 64, 48),
                 keypoints={"h": kps},
             )
             for i in range(2)
@@ -118,7 +118,6 @@ def _traces(draw):
                     id=_ids,
                     kind=st.sampled_from(EntityKind),
                     region=st.builds(PatchRegion, _coord, _coord, _extent, _extent),
-                    motion=st.sampled_from(MotionStatus),
                     relevance=_share,
                 ),
                 max_size=3,
@@ -144,10 +143,7 @@ def _traces(draw):
             TraceFrame(
                 stamp=FrameStamp.at(i, header.frame_period_ms),
                 entities=tuple(entities),
-                background=draw(st.builds(PatchRegion, _coord, _coord, _extent, _extent)),
                 keypoints=keypoints,
-                enters=tuple(draw(st.lists(_ids, max_size=2))),
-                exits=tuple(draw(st.lists(_ids, max_size=2))),
                 **extra,
             )
         )
@@ -166,15 +162,68 @@ class TestRoundTripProperty:
         for a, b in zip(trace.frames, back.frames):
             assert b.stamp == a.stamp
             assert b.entities == a.entities
-            assert b.background == a.background
             assert dict(b.keypoints) == dict(a.keypoints)
-            assert (b.enters, b.exits) == (a.enters, a.exits)
             assert b.change == a.change
             if a.pixels is None:
                 assert b.pixels is None
             else:
                 assert b.pixels.rgb.dtype == np.uint8
                 assert np.array_equal(b.pixels.rgb, a.pixels.rgb)
+
+
+def _as_version_1(v2: Path, v1: Path) -> None:
+    """Rewrite a version 2 trace file in version 1's form: each frame also
+    carries the full-frame background, the ids that entered and exited, and
+    each entity's moving flag."""
+    lines = [json.loads(line) for line in v2.read_text().splitlines()]
+    head = dict(lines[0], version=1)
+    out = [head]
+    prev = {}  # id -> (x, y, keypoints) in the previous frame
+    for rec in lines[1:]:
+        kps = rec.get("keypoints", {})
+        now = {e["id"]: (e["x"], e["y"], kps.get(e["id"])) for e in rec["entities"]}
+        for e in rec["entities"]:
+            e["moving"] = now[e["id"]] != prev.get(e["id"])
+        rec["background"] = {"x": 0, "y": 0, "w": head["frame_w"], "h": head["frame_h"]}
+        rec["enters"] = sorted(set(now) - set(prev))
+        rec["exits"] = sorted(set(prev) - set(now))
+        out.append(rec)
+        prev = now
+    v1.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in out))
+
+
+class TestVersions:
+    def test_writer_emits_version_2_without_derived_keys(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, generate_trace("static", 60, seed=2))
+        head, *frames = [json.loads(line) for line in path.read_text().splitlines()]
+        assert head["version"] == 2
+        for rec in frames:
+            assert not {"background", "enters", "exits"} & set(rec)
+            assert not any("moving" in e for e in rec["entities"])
+
+    def test_version_1_file_reads_as_its_version_2_form(self, tmp_path):
+        v2, v1 = tmp_path / "v2.jsonl", tmp_path / "v1.jsonl"
+        write_trace(v2, generate_trace("static", 120, seed=11))
+        _as_version_1(v2, v1)
+        text = v1.read_text()
+        assert '"version":1' in text and '"enters":["human-0"]' in text
+        assert '"exits":["human-0"]' in text and '"moving":true' in text
+        new, old = read_trace(v2), read_trace(v1)
+        assert old == new
+        pipe = RunConfig(seed=11).pipeline(new.header)
+        logs = [run(t, PolicyKind.SCHEDULED, pipe).to_jsonl() for t in (new, old)]
+        assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("version", [None, 0, 3, True, 2.0, "2"])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, _minimal_trace())
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), version=version))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match=f"line 1: unsupported trace version {version!r}"):
+            read_trace(path)
 
 
 class TestValidation:
@@ -221,6 +270,8 @@ class TestValidation:
             ("frame_period_ms", float("inf")),
             ("frame_period_ms", 0.0),
             ("keypoint_count", 0),
+            ("keypoint_count", 17.0),
+            ("keypoint_count", True),
             ("frame_w", 0),
             ("frame_h", -48),
         ],
@@ -255,7 +306,6 @@ class TestValidation:
         frames[2] = TraceFrame(
             stamp=frames[2].stamp,
             entities=frames[2].entities,
-            background=frames[2].background,
             pixels=FramePixels(rgb=np.zeros((6, 8, 3), dtype=np.uint8)),
         )
         with pytest.raises(TraceError, match="frame 2: raster is 8x6, but frame 0's is 16x12"):
@@ -275,13 +325,7 @@ class TestValidation:
             read_trace(path)
 
     def test_nonsequential_frames_rejected(self):
-        frames = (
-            TraceFrame(
-                stamp=FrameStamp.at(1),
-                entities=(),
-                background=PatchRegion(0, 0, 64, 48),
-            ),
-        )
+        frames = (TraceFrame(stamp=FrameStamp.at(1), entities=()),)
         with pytest.raises(TraceError):
             Trace(header=TraceHeader(frame_count=1), frames=frames)
 
@@ -349,7 +393,8 @@ class TestGenerator:
 
     def test_static_human_enters_and_exits(self):
         trace = generate_trace("static", 300, seed=1)
-        enters = [f.stamp.index for f in trace.frames if "human-0" in f.enters]
-        exits = [f.stamp.index for f in trace.frames if "human-0" in f.exits]
-        assert len(enters) == 1 and len(exits) == 1
-        assert enters[0] < exits[0]
+        present = [any(e.id == "human-0" for e in f.entities) for f in trace.frames]
+        # absent, then present over one unbroken span, then absent again
+        first, last = present.index(True), len(present) - 1 - present[::-1].index(True)
+        assert 0 < first < last < len(present) - 1
+        assert all(present[first:last + 1])
