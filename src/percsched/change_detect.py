@@ -73,7 +73,10 @@ def grayscale_diff(abs_rgb_diff: np.ndarray, cfg: ChangeDetectConfig) -> np.ndar
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected shape (h, w, 3), got {arr.shape}")
     coeffs = np.asarray(cfg.luminance_coeffs, dtype=float)
-    return np.tensordot(coeffs, np.moveaxis(arr, 2, 0).astype(float), axes=(0, 0))
+    # the (1, 3) by (3, h*w) dot that np.tensordot makes inside, so the same
+    # BLAS call and the same bits, without its axis bookkeeping
+    channels = arr.reshape(-1, 3).astype(float).T
+    return np.dot(coeffs[None, :], channels).reshape(arr.shape[:2])
 
 
 def motion_status(cr: float, cfg: ChangeDetectConfig) -> MotionStatus:
@@ -141,22 +144,21 @@ def chi_square_shift(
     if a.ndim == 1:
         a = a[None, :]
         b = b[None, :]
-    if np.any(a < 0) or np.any(b < 0):
+    if (a < 0).any() or (b < 0).any():
         raise ValueError("histograms must be non-negative")
     if cfg.normalize_histograms:
         a = _normalize(a)
         b = _normalize(b)
     diff_sq = (a - b) ** 2
     denom = (a + b) if cfg.chi_square_symmetric else a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(denom > 0, diff_sq / np.where(denom > 0, denom, 1.0), 0.0)
-    distances = terms.sum(axis=1)
-    if distances.shape[0] == 1:
-        channels = (float(distances[0]),) * 3
-        return HistogramShift(per_channel=channels, mean=float(distances[0]))
-    if distances.shape[0] != 3:
-        raise ValueError(f"expected 1 or 3 channels, got {distances.shape[0]}")
-    return HistogramShift.from_channels(tuple(float(d) for d in distances))
+    # empty bins keep the zero they start with
+    terms = np.divide(diff_sq, denom, out=np.zeros_like(diff_sq), where=denom > 0)
+    distances = terms.sum(axis=1).tolist()
+    if len(distances) == 1:
+        return HistogramShift(per_channel=(distances[0],) * 3, mean=distances[0])
+    if len(distances) != 3:
+        raise ValueError(f"expected 1 or 3 channels, got {len(distances)}")
+    return HistogramShift.from_channels(tuple(distances))
 
 
 def composition_change_trigger(
@@ -174,4 +176,4 @@ def composition_change_trigger(
 
 def _normalize(hist: np.ndarray) -> np.ndarray:
     totals = hist.sum(axis=1, keepdims=True)
-    return np.where(totals > 0, hist / np.where(totals > 0, totals, 1.0), hist)
+    return np.divide(hist, totals, out=hist.copy(), where=totals > 0)

@@ -8,11 +8,12 @@ parse is the identity.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union, get_type_hints
 
 from .change_detect import ChangeDetectConfig
 from .engine import EngineConfig, PipelineConfig, default_modules
@@ -130,6 +131,7 @@ class RunConfig:
             "engine": EngineConfig,
             "keyframes": KeyframeThresholds,
         }
+        _check_field_types(cls, data)
         for name, value in data.items():
             if name in sections:
                 kwargs[name] = _section_from_dict(sections[name], value, name)
@@ -179,6 +181,7 @@ def _section_from_dict(section_cls: type, value: Any, name: str) -> Any:
     unknown = sorted(set(value) - known)
     if unknown:
         raise ConfigError(f"unknown fields in section {name!r}: {unknown}")
+    _check_field_types(section_cls, value, f"{name}.")
     payload = dict(value)
     if section_cls is ChangeDetectConfig and "luminance_coeffs" in payload:
         payload["luminance_coeffs"] = tuple(payload["luminance_coeffs"])
@@ -186,3 +189,35 @@ def _section_from_dict(section_cls: type, value: Any, name: str) -> Any:
         return section_cls(**payload)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid section {name!r}: {exc}") from exc
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what a JSON value must be for each declared field type, and how to say it
+_TYPE_CHECKS = {
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a number"),
+    Tuple[float, float, float]: (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v)),
+        "three numbers",
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _check_field_types(cls: type, values: Mapping[str, Any], prefix: str = "") -> None:
+    """Each value of a bool, int, float or three-float field must be a JSON
+    value of that type: a JSON ``"false"`` or ``1`` is not a boolean, and a
+    ``"30"`` or ``2.5`` is not an integer."""
+    types = _field_types(cls)
+    for name, value in values.items():
+        check = _TYPE_CHECKS.get(types.get(name))
+        if check is not None and not check[0](value):
+            raise ConfigError(f"{prefix}{name} must be {check[1]}, got {value!r}")

@@ -45,7 +45,6 @@ from .scene import (
     EntityKind,
     ModuleId,
     MotionStatus,
-    PatchRegion,
 )
 from .scheduler import select
 from .toolkit import (
@@ -315,12 +314,12 @@ def _public_fields(obj: object) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def believed_region(mean: Sequence[float]) -> PatchRegion:
-    """A track's predicted box, from its bank mean row, in frame
-    coordinates and at least 1 px each way."""
-    w = max(float(mean[2]), 1.0)
-    h = max(float(mean[3]), 1.0)
-    return PatchRegion(float(mean[0]) - w / 2.0, float(mean[1]) - h / 2.0, w, h)
+def believed_region(mean: Sequence[float]) -> Tuple[float, float, float, float]:
+    """A track's predicted box ``(x, y, w, h)``, from its bank mean row, in
+    frame coordinates and at least 1 px each way."""
+    w = max(mean[2], 1.0)
+    h = max(mean[3], 1.0)
+    return mean[0] - w / 2.0, mean[1] - h / 2.0, w, h
 
 
 # bench/tracing.py wraps ``engine.carry_forward`` by name, so the name stays
@@ -363,7 +362,8 @@ class SimEngine:
         self.queued: Dict[ModuleId, bool] = {m: False for m in self.module_ids}
         self.pending: List[Tuple[int, int, ModuleId, Union[DetectionOutput, PoseOutput]]] = []
         self.history = KeypointConfidenceHistory()
-        self.prev_pixels: Optional[np.ndarray] = None
+        # the last pixel frame's raster and its whole-raster rgb_histograms
+        self.prev_frame: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._seq = 0
         self._expected_index = trace.frames[0].stamp.index
 
@@ -458,47 +458,8 @@ class SimEngine:
         return humans_changed
 
     def _change_stats(self, frame: TraceFrame) -> Tuple[float, HistogramShift, Dict[str, float]]:
-        ccfg = self.cfg.change
         if frame.pixels is not None:
-            current = frame.pixels.rgb
-            if self.prev_pixels is None:
-                self.prev_pixels = current
-                zero = HistogramShift((0.0, 0.0, 0.0), 0.0)
-                return 0.0, zero, {}
-            # int16 holds every byte difference exactly
-            diff = np.abs(current.astype(np.int16) - self.prev_pixels)
-            gray = cd.grayscale_diff(diff, ccfg)
-            # believed regions live in frame coordinates; rasters may be smaller
-            sy = gray.shape[0] / self.trace.header.frame_h
-            sx = gray.shape[1] / self.trace.header.frame_w
-            patch_cr: Dict[str, float] = {}
-            occupied = np.zeros(gray.shape, dtype=bool)
-            for tid, mean in zip(self.bank.ids, self.bank.means.tolist()):
-                region = believed_region(mean)
-                scaled = PatchRegion(
-                    region.x * sx, region.y * sy,
-                    max(region.w * sx, 1.0), max(region.h * sy, 1.0),
-                )
-                sl = self._clip_region(scaled, gray.shape)
-                if sl is None:
-                    patch_cr[tid] = 0.0
-                    continue
-                ys, xs = sl
-                area = (ys.stop - ys.start) * (xs.stop - xs.start)
-                count = int(np.count_nonzero(gray[ys, xs] > ccfg.intensity_threshold))
-                patch_cr[tid] = count / area
-                occupied[ys, xs] = True
-            bg_mask = ~occupied
-            bg_area = int(np.count_nonzero(bg_mask))
-            if bg_area:
-                bg_cr = int(np.count_nonzero(gray[bg_mask] > ccfg.intensity_threshold)) / bg_area
-            else:
-                bg_cr = 0.0
-            hist_prev = cd.rgb_histograms(self.prev_pixels, ccfg.histogram_bins, bg_mask)
-            hist_curr = cd.rgb_histograms(current, ccfg.histogram_bins, bg_mask)
-            shift = cd.chi_square_shift(hist_prev, hist_curr, ccfg)
-            self.prev_pixels = current
-            return float(bg_cr), shift, patch_cr
+            return self._pixel_change_stats(frame.pixels.rgb)
         if frame.change is not None:
             shift = HistogramShift(
                 (frame.change.hist_shift_mean,) * 3, frame.change.hist_shift_mean
@@ -506,15 +467,62 @@ class SimEngine:
             return frame.change.background_cr, shift, dict(frame.change.patch_cr)
         return 0.0, HistogramShift((0.0, 0.0, 0.0), 0.0), {}
 
-    @staticmethod
-    def _clip_region(region: PatchRegion, shape: Tuple[int, int]) -> Optional[Tuple[slice, slice]]:
-        y0 = max(0, int(round(region.y)))
-        x0 = max(0, int(round(region.x)))
-        y1 = min(shape[0], int(round(region.y + region.h)))
-        x1 = min(shape[1], int(round(region.x + region.w)))
-        if y1 <= y0 or x1 <= x0:
-            return None
-        return slice(y0, y1), slice(x0, x1)
+    def _pixel_change_stats(
+        self, current: np.ndarray
+    ) -> Tuple[float, HistogramShift, Dict[str, float]]:
+        """Change statistics between the last pixel frame and this one.
+
+        Only the tracked patches are counted per frame: the background's
+        histograms are each raster's whole counts, made once, minus the
+        counts of the pixels the patches occupy.
+        """
+        ccfg = self.cfg.change
+        counts = cd.rgb_histograms(current, ccfg.histogram_bins)
+        prev = self.prev_frame
+        self.prev_frame = (current, counts)
+        if prev is None:
+            return 0.0, HistogramShift((0.0, 0.0, 0.0), 0.0), {}
+        prev_pixels, prev_counts = prev
+        # int16 holds every byte difference exactly
+        diff = np.abs(current.astype(np.int16) - prev_pixels)
+        changed = cd.grayscale_diff(diff, ccfg) > ccfg.intensity_threshold
+        rows, cols = changed.shape
+        # believed regions live in frame coordinates; rasters may be smaller
+        sy = rows / self.trace.header.frame_h
+        sx = cols / self.trace.header.frame_w
+        patch_cr: Dict[str, float] = {}
+        occupied = np.zeros(changed.shape, dtype=bool)
+        for tid, mean in zip(self.bank.ids, self.bank.means.tolist()):
+            x, y, w, h = believed_region(mean)
+            x, y = x * sx, y * sy
+            w, h = max(w * sx, 1.0), max(h * sy, 1.0)
+            if not all(map(math.isfinite, (x, y, w, h))):
+                raise ValueError(
+                    f"patch geometry must be finite, got x={x}, y={y}, w={w}, h={h}"
+                )
+            y0 = max(0, int(round(y)))
+            x0 = max(0, int(round(x)))
+            y1 = min(rows, int(round(y + h)))
+            x1 = min(cols, int(round(x + w)))
+            if y1 <= y0 or x1 <= x0:
+                patch_cr[tid] = 0.0
+                continue
+            count = int(np.count_nonzero(changed[y0:y1, x0:x1]))
+            patch_cr[tid] = count / ((y1 - y0) * (x1 - x0))
+            occupied[y0:y1, x0:x1] = True
+        occupied_area = int(np.count_nonzero(occupied))
+        bg_area = rows * cols - occupied_area
+        bg_changed = int(np.count_nonzero(changed))
+        hist_prev, hist_curr = prev_counts, counts
+        if occupied_area:
+            bg_changed -= int(np.count_nonzero(changed[occupied]))
+            # whole-raster minus occupied counts: integers below 2**53, so exact
+            bins = ccfg.histogram_bins
+            hist_prev = prev_counts - cd.rgb_histograms(prev_pixels, bins, occupied)
+            hist_curr = counts - cd.rgb_histograms(current, bins, occupied)
+        bg_cr = bg_changed / bg_area if bg_area else 0.0
+        shift = cd.chi_square_shift(hist_prev, hist_curr, ccfg)
+        return bg_cr, shift, patch_cr
 
     def _update_motion(self, patch_cr: Mapping[str, float]) -> None:
         flipped = []

@@ -3,12 +3,13 @@
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from percsched.change_detect import ChangeDetectConfig, HistogramShift
 from percsched.rewards import LN_TWO_PI_E, RewardBreakdown, RewardConfig
-from percsched.scene import FrameStamp, ModuleId
+from percsched.scene import FrameStamp, ModuleId, PatchRegion
 from percsched.scheduler import ActivationDecision
 from percsched.tracker import MEAS_DIM, STATE_DIM, KalmanConfig, NumericalError, TrackBank
 
@@ -293,3 +294,98 @@ def numpy_rgb_histograms(
         values = channel[mask] if mask is not None else channel.reshape(-1)
         out[c], _ = np.histogram(values, bins=bins, range=(0.0, 256.0))
     return out
+
+
+# ---------------------------------------------------------------------------
+# pixel change statistics: the engine's pixel path must equal them bit for bit
+# ---------------------------------------------------------------------------
+
+
+def reference_pixel_change(
+    prev: np.ndarray,
+    curr: np.ndarray,
+    means: Mapping[str, Sequence[float]],
+    frame_w: float,
+    frame_h: float,
+    cfg: ChangeDetectConfig,
+) -> Tuple[float, HistogramShift, Dict[str, float]]:
+    """``(bg_cr, shift, patch_cr)`` between two rasters, for tracks whose bank
+    mean rows ``means`` maps by id, counted the direct way.
+
+    Each track's predicted box becomes a :class:`PatchRegion` in frame
+    coordinates, is scaled to the raster, rounded and clipped to it. The
+    background is every pixel no clipped box covers: its change ratio is
+    thresholded over those pixels, and its histograms count them in both
+    rasters with ``np.histogram``.
+    """
+    diff = np.abs(curr.astype(np.int16) - prev)
+    coeffs = np.asarray(cfg.luminance_coeffs, dtype=float)
+    gray = np.tensordot(coeffs, np.moveaxis(diff, 2, 0).astype(float), axes=(0, 0))
+    patch_cr: Dict[str, float] = {}
+    occupied = np.zeros(gray.shape, dtype=bool)
+    for tid, box in reference_regions(means, gray.shape, frame_w, frame_h).items():
+        if box is None:
+            patch_cr[tid] = 0.0
+            continue
+        y0, y1, x0, x1 = box
+        area = (y1 - y0) * (x1 - x0)
+        patch_cr[tid] = int(np.count_nonzero(gray[y0:y1, x0:x1] > cfg.intensity_threshold)) / area
+        occupied[y0:y1, x0:x1] = True
+    bg_mask = ~occupied
+    bg_area = int(np.count_nonzero(bg_mask))
+    if bg_area:
+        bg_cr = int(np.count_nonzero(gray[bg_mask] > cfg.intensity_threshold)) / bg_area
+    else:
+        bg_cr = 0.0
+    hist_prev = numpy_rgb_histograms(prev, cfg.histogram_bins, bg_mask)
+    hist_curr = numpy_rgb_histograms(curr, cfg.histogram_bins, bg_mask)
+    return float(bg_cr), reference_chi_square_shift(hist_prev, hist_curr, cfg), patch_cr
+
+
+def reference_regions(
+    means: Mapping[str, Sequence[float]],
+    shape: Tuple[int, int],
+    frame_w: float,
+    frame_h: float,
+) -> Dict[str, Optional[Tuple[int, int, int, int]]]:
+    """Each track's raster box ``(y0, y1, x0, x1)``, or None where the clipped
+    box is empty: its predicted :class:`PatchRegion`, at least 1 px each way,
+    scaled to a raster of ``shape``, again at least 1 px, rounded and clipped."""
+    sy = shape[0] / frame_h
+    sx = shape[1] / frame_w
+    boxes: Dict[str, Optional[Tuple[int, int, int, int]]] = {}
+    for tid, mean in means.items():
+        w = max(float(mean[2]), 1.0)
+        h = max(float(mean[3]), 1.0)
+        region = PatchRegion(float(mean[0]) - w / 2.0, float(mean[1]) - h / 2.0, w, h)
+        scaled = PatchRegion(
+            region.x * sx, region.y * sy,
+            max(region.w * sx, 1.0), max(region.h * sy, 1.0),
+        )
+        y0 = max(0, int(round(scaled.y)))
+        x0 = max(0, int(round(scaled.x)))
+        y1 = min(shape[0], int(round(scaled.y + scaled.h)))
+        x1 = min(shape[1], int(round(scaled.x + scaled.w)))
+        boxes[tid] = None if y1 <= y0 or x1 <= x0 else (y0, y1, x0, x1)
+    return boxes
+
+
+def reference_chi_square_shift(
+    hist_prev: np.ndarray, hist_curr: np.ndarray, cfg: ChangeDetectConfig
+) -> HistogramShift:
+    """Chi-square distance of two (3, bins) histograms, empty bins dropped."""
+    a = np.asarray(hist_prev, dtype=float)
+    b = np.asarray(hist_curr, dtype=float)
+    if cfg.normalize_histograms:
+        a = _normalized(a)
+        b = _normalized(b)
+    diff_sq = (a - b) ** 2
+    denom = (a + b) if cfg.chi_square_symmetric else a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(denom > 0, diff_sq / np.where(denom > 0, denom, 1.0), 0.0)
+    return HistogramShift.from_channels(tuple(float(d) for d in terms.sum(axis=1)))
+
+
+def _normalized(hist: np.ndarray) -> np.ndarray:
+    totals = hist.sum(axis=1, keepdims=True)
+    return np.where(totals > 0, hist / np.where(totals > 0, totals, 1.0), hist)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import numpy_rgb_histograms
+from oracles import numpy_rgb_histograms, reference_pixel_change
 from percsched.change_detect import (
     ChangeDetectConfig,
     HistogramShift,
@@ -17,6 +17,7 @@ from percsched.change_detect import (
 from percsched.config import RunConfig
 from percsched.engine import PolicyKind, SimEngine
 from percsched.scene import Entity, EntityKind, FrameStamp, MotionStatus, PatchRegion
+from percsched.tracker import STATE_DIM, TrackBank
 from percsched.traces import FramePixels, Trace, TraceFrame, TraceHeader
 
 CFG = ChangeDetectConfig()
@@ -162,6 +163,96 @@ class TestChangeRatio:
             brighter = np.minimum(after + rng.integers(0, 50, size=(8, 8, 3)), 255)
             base = region_change_ratio((1, 1, 6, 6), after)
             assert region_change_ratio((1, 1, 6, 6), brighter) >= base
+
+
+@st.composite
+def believed_boxes(draw, frame_w, frame_h):
+    """0-8 bank mean rows, keyed by id: boxes anywhere, off the frame, under
+    a pixel, over the whole frame, and copies of one another (overlaps)."""
+    boxes = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["any", "off", "tiny", "whole", "copy"]))
+        if kind == "copy" and boxes:
+            cx, cy, w, h = boxes[draw(st.integers(0, len(boxes) - 1))]
+            dx, dy = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+            boxes.append((cx + dx, cy + dy, w, h))
+            continue
+        if kind == "off":
+            w, h = draw(st.floats(0.5, 40.0)), draw(st.floats(0.5, 40.0))
+            cx = draw(st.sampled_from([-w, frame_w + w]))
+            cy = draw(st.floats(-frame_h, 2.0 * frame_h))
+        elif kind == "tiny":
+            w, h = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+            cx, cy = draw(st.floats(0.0, frame_w)), draw(st.floats(0.0, frame_h))
+        elif kind == "whole":
+            w = frame_w * draw(st.floats(1.0, 3.0))
+            h = frame_h * draw(st.floats(1.0, 3.0))
+            cx, cy = frame_w / 2.0, frame_h / 2.0
+        else:
+            w = draw(st.floats(-2.0, 1.5 * frame_w))
+            h = draw(st.floats(-2.0, 1.5 * frame_h))
+            cx = draw(st.floats(-0.5 * frame_w, 1.5 * frame_w))
+            cy = draw(st.floats(-0.5 * frame_h, 1.5 * frame_h))
+        boxes.append((cx, cy, w, h))
+    return {f"t{i}": [*box, 0.0, 0.0, 0.0, 0.0] for i, box in enumerate(boxes)}
+
+
+@st.composite
+def pixel_change_cases(draw):
+    h, w = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    frame_w, frame_h = draw(st.integers(1, 200)), draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prev = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    moved = rng.random((h, w, 1)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    curr = np.where(moved, rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8), prev)
+    means = draw(believed_boxes(frame_w, frame_h))
+    cfg = ChangeDetectConfig(
+        intensity_threshold=draw(st.sampled_from([0.0, 30.0, 200.0])),
+        histogram_bins=draw(st.sampled_from([1, 7, 32, 256, 300])),
+        chi_square_symmetric=draw(st.booleans()),
+        normalize_histograms=draw(st.booleans()),
+    )
+    return prev, curr, means, frame_w, frame_h, cfg
+
+
+def engine_pixel_change(prev, curr, means, frame_w, frame_h, cfg):
+    """The scheduled engine's ``(bg_cr, shift, patch_cr)`` for ``curr`` after
+    ``prev`` with the bank holding ``means``."""
+    header = TraceHeader(keypoint_count=5, frame_count=1, frame_w=frame_w, frame_h=frame_h)
+    frames = [
+        TraceFrame(stamp=FrameStamp.at(i, header.frame_period_ms), entities=(),
+                   pixels=FramePixels(rgb=rgb))
+        for i, rgb in enumerate((prev, curr))
+    ]
+    pipe = RunConfig(seed=0, change=cfg).pipeline(header)
+    engine = SimEngine(Trace(header=header, frames=tuple(frames[:1])), PolicyKind.SCHEDULED, pipe)
+    engine.bank = TrackBank(
+        tuple(means),
+        np.array(list(means.values()), dtype=float).reshape(-1, STATE_DIM),
+        np.broadcast_to(np.eye(STATE_DIM), (len(means), STATE_DIM, STATE_DIM)),
+    )
+    engine._change_stats(frames[0])
+    got = engine._change_stats(frames[1])
+    assert engine.prev_frame[0] is curr
+    return got
+
+
+class TestPixelChangeOracle:
+    """Counting the background as whole-raster minus occupied counts must give
+    the bits that counting it directly gives."""
+
+    @given(case=pixel_change_cases())
+    def test_engine_equals_direct_count(self, case):
+        bg_cr, shift, patch_cr = engine_pixel_change(*case)
+        want_bg, want_shift, want_patch = reference_pixel_change(*case)
+        assert (bg_cr, shift, patch_cr) == (want_bg, want_shift, want_patch)
+        assert type(bg_cr) is float and all(type(v) is float for v in patch_cr.values())
+
+    def test_non_finite_belief_is_rejected_as_patch_geometry(self):
+        rgb = np.zeros((4, 4, 3), dtype=np.uint8)
+        means = {"t0": [float("nan"), 1.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]}
+        with pytest.raises(ValueError, match="patch geometry must be finite"):
+            engine_pixel_change(rgb, rgb, means, 8, 8, CFG)
 
 
 class TestMotionStatus:

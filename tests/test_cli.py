@@ -295,6 +295,31 @@ class TestRun:
     @pytest.mark.parametrize(
         "data, field",
         [
+            # a JSON string is not a boolean: "false" used to turn normalization on
+            ({"change": {"normalize_histograms": "false"}}, "change.normalize_histograms"),
+            ({"engine": {"force_pose_on_composition": "no"}}, "engine.force_pose_on_composition"),
+            ({"kalman": {"joseph_update": 1}}, "kalman.joseph_update"),
+            # a boolean is not a rate: true used to drop every detection
+            ({"noise": {"miss_rate": True}}, "noise.miss_rate"),
+            ({"kalman": {"max_frames_since_update": 2.5}}, "kalman.max_frames_since_update"),
+            ({"kalman": {"max_frames_since_update": True}}, "kalman.max_frames_since_update"),
+            ({"change": {"intensity_threshold": "30"}}, "change.intensity_threshold"),
+            ({"change": {"luminance_coeffs": [True, False, False]}}, "change.luminance_coeffs"),
+            ({"cost_pose_ms": "80"}, "cost_pose_ms"),
+        ],
+    )
+    def test_mistyped_field_is_config_error_naming_it(
+        self, trace_path, tmp_path, capsys, data, field
+    ):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"trace": str(trace_path), **data}))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
             ({"keypoint_count": 17.5}, "keypoint_count"),
             ({"keypoint_count": True}, "keypoint_count"),
             ({"keypoint_count": 0}, "keypoint_count"),

@@ -27,17 +27,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import numpy_rgb_histograms
+from oracles import numpy_rgb_histograms, reference_pixel_change, reference_regions
 from percsched import change_detect, metrics, rewards
 from percsched import engine as engine_module
-from percsched.change_detect import ChangeDetectConfig
+from percsched.change_detect import ChangeDetectConfig, HistogramShift
 from percsched.config import RunConfig
 from percsched.engine import EngineConfig, PolicyKind, SimEngine, run, run_offline
 from percsched.metrics import extract_keyframes
 from percsched.scene import EntityKind
 from percsched.toolkit import NoiseConfig
 from percsched.tracker import KalmanConfig
-from percsched.traces import FramePixels, Trace, generate_trace, write_trace
+from percsched.traces import ChangeStats, FramePixels, Trace, generate_trace, write_trace
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "runlog_digests.json"
 FRAMES = 120
@@ -182,6 +182,112 @@ def test_pixel_run_logs_equal_numpy_histogram_runs(monkeypatch, bins):
     assert calls and set(calls) == {bins}
     monkeypatch.setattr(change_detect, "rgb_histograms", numpy_rgb_histograms)
     assert run_logs(trace, cfg) == on_kernel
+
+
+class DirectCountEngine(SimEngine):
+    """The engine with each pixel frame's statistics counted the direct way,
+    by :func:`oracles.reference_pixel_change`."""
+
+    last_raster = None
+
+    def _change_stats(self, frame):
+        if frame.pixels is None:
+            return super()._change_stats(frame)
+        prev, self.last_raster = self.last_raster, frame.pixels.rgb
+        if prev is None:
+            return 0.0, HistogramShift((0.0, 0.0, 0.0), 0.0), {}
+        header = self.trace.header
+        return reference_pixel_change(
+            prev, frame.pixels.rgb, dict(zip(self.bank.ids, self.bank.means.tolist())),
+            header.frame_w, header.frame_h, self.cfg.change,
+        )
+
+
+def mixed_pixel_trace() -> Trace:
+    """The pixel trace with frames 3, 5, 10 and 12 carrying change statistics
+    and no raster: the pixel path must compare frame 4 with frame 2, 6 with
+    4, 11 with 9 and 13 with 11. A human moves from frame 9 on, so a raster
+    lost across frame 10 shows in the run log."""
+    trace = pixel_trace(FRAMES, SEED)
+    frames = list(trace.frames)
+    for i in (3, 5, 10, 12):
+        change = ChangeStats(0.3, 12.0) if i == 3 else ChangeStats(0.0, 0.0)
+        frames[i] = dataclasses.replace(frames[i], change=change, pixels=None)
+    return Trace(header=trace.header, frames=tuple(frames))
+
+
+DIRECT_COUNT_CASES = {
+    "asymmetric": (False, ChangeDetectConfig(chi_square_symmetric=False)),
+    "normalized": (False, ChangeDetectConfig(normalize_histograms=True)),
+    "bins-1": (False, ChangeDetectConfig(histogram_bins=1)),
+    "bins-300": (False, ChangeDetectConfig(histogram_bins=300)),
+    "mixed": (True, ChangeDetectConfig()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECT_COUNT_CASES))
+def test_pixel_run_logs_equal_direct_count_runs(monkeypatch, case):
+    """Off the golden setting, and across frames without a raster, the
+    scheduled run log must be byte for byte the one that counting every
+    background pixel gives, and every histogram the one ``np.histogram`` gives."""
+    mixed, change = DIRECT_COUNT_CASES[case]
+    trace = mixed_pixel_trace() if mixed else pixel_trace(FRAMES, SEED)
+    pipe = RunConfig(seed=SEED, change=change).pipeline(trace.header)
+    kernel = change_detect.rgb_histograms
+    calls = []
+
+    def checked(pixels, n_bins, mask=None):
+        got = kernel(pixels, n_bins, mask)
+        assert np.array_equal(got, numpy_rgb_histograms(pixels, n_bins, mask))
+        calls.append(n_bins)
+        return got
+
+    monkeypatch.setattr(change_detect, "rgb_histograms", checked)
+    fast = SimEngine(trace, PolicyKind.SCHEDULED, pipe).run().to_jsonl()
+    assert calls and set(calls) == {change.histogram_bins}
+    assert fast == DirectCountEngine(trace, PolicyKind.SCHEDULED, pipe).run().to_jsonl()
+
+
+def test_pixel_frames_count_only_the_tracked_patches(monkeypatch):
+    """Each pixel frame counts its whole raster once; every other histogram
+    call selects only pixels the tracked patches occupy, at most two per
+    frame, so the background is never counted pixel by pixel again."""
+    trace = make_trace("interaction-pixels")
+    per_frame = {}
+    occupied = {}
+
+    class Probe(SimEngine):
+        def _change_stats(self, frame):
+            k = frame.stamp.index
+            per_frame[k] = []
+            mask = np.zeros(frame.pixels.rgb.shape[:2], dtype=bool)
+            means = dict(zip(self.bank.ids, self.bank.means.tolist()))
+            header = self.trace.header
+            boxes = reference_regions(means, mask.shape, header.frame_w, header.frame_h)
+            for box in boxes.values():
+                if box is not None:
+                    mask[box[0]:box[1], box[2]:box[3]] = True
+            occupied[k] = mask
+            return super()._change_stats(frame)
+
+    kernel = change_detect.rgb_histograms
+
+    def counted(pixels, n_bins, mask=None):
+        per_frame[max(per_frame)].append(mask)
+        return kernel(pixels, n_bins, mask)
+
+    monkeypatch.setattr(change_detect, "rgb_histograms", counted)
+    Probe(trace, PolicyKind.SCHEDULED, RunConfig(seed=SEED).pipeline(trace.header)).run()
+    assert sorted(per_frame) == list(range(FRAMES))
+    masked_frames = 0
+    for k, masks in per_frame.items():
+        assert sum(mask is None for mask in masks) == 1, f"frame {k}"
+        selective = [mask for mask in masks if mask is not None]
+        assert len(selective) <= (2 if k else 0), f"frame {k}"
+        for mask in selective:
+            assert not np.any(mask & ~occupied[k]), f"frame {k} counts background pixels"
+        masked_frames += bool(selective)
+    assert masked_frames > FRAMES // 2
 
 
 def test_pixel_trace_moves_tracked_patches():
