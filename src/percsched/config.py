@@ -8,7 +8,6 @@ parse is the identity.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -207,16 +206,11 @@ _TYPE_CHECKS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _field_types(cls: type) -> Dict[str, Any]:
-    return get_type_hints(cls)
-
-
 def _check_field_types(cls: type, values: Mapping[str, Any], prefix: str = "") -> None:
     """Each value of a bool, int, float or three-float field must be a JSON
     value of that type: a JSON ``"false"`` or ``1`` is not a boolean, and a
     ``"30"`` or ``2.5`` is not an integer."""
-    types = _field_types(cls)
+    types = get_type_hints(cls)
     for name, value in values.items():
         check = _TYPE_CHECKS.get(types.get(name))
         if check is not None and not check[0](value):

@@ -510,17 +510,13 @@ class SimEngine:
             count = int(np.count_nonzero(changed[y0:y1, x0:x1]))
             patch_cr[tid] = count / ((y1 - y0) * (x1 - x0))
             occupied[y0:y1, x0:x1] = True
-        occupied_area = int(np.count_nonzero(occupied))
-        bg_area = rows * cols - occupied_area
-        bg_changed = int(np.count_nonzero(changed))
-        hist_prev, hist_curr = prev_counts, counts
-        if occupied_area:
-            bg_changed -= int(np.count_nonzero(changed[occupied]))
-            # whole-raster minus occupied counts: integers below 2**53, so exact
-            bins = ccfg.histogram_bins
-            hist_prev = prev_counts - cd.rgb_histograms(prev_pixels, bins, occupied)
-            hist_curr = counts - cd.rgb_histograms(current, bins, occupied)
+        bg_area = rows * cols - int(np.count_nonzero(occupied))
+        bg_changed = int(np.count_nonzero(changed)) - int(np.count_nonzero(changed[occupied]))
         bg_cr = bg_changed / bg_area if bg_area else 0.0
+        # whole-raster minus occupied counts: integers below 2**53, so exact
+        bins = ccfg.histogram_bins
+        hist_prev = prev_counts - cd.rgb_histograms(prev_pixels, bins, occupied)
+        hist_curr = counts - cd.rgb_histograms(current, bins, occupied)
         shift = cd.chi_square_shift(hist_prev, hist_curr, ccfg)
         return bg_cr, shift, patch_cr
 
