@@ -10,49 +10,32 @@ chi-square histogram distance.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Annotated, Optional, Tuple
 
 import numpy as np
 
 from .scene import MotionStatus
+from .schema import NonNegative, OpenShare, PositiveCount, check_fields
 
 REC601_LUMA = (0.299, 0.587, 0.114)
 
 
 @dataclass(frozen=True)
 class ChangeDetectConfig:
-    luminance_coeffs: Tuple[float, float, float] = REC601_LUMA
-    intensity_threshold: float = 30.0
-    patch_change_threshold: float = 0.05
-    histogram_bins: int = 32
-    histogram_threshold: float = 10.0
+    luminance_coeffs: Tuple[NonNegative, NonNegative, NonNegative] = REC601_LUMA
+    intensity_threshold: Annotated[float, "[0, 255]"] = 30.0
+    patch_change_threshold: OpenShare = 0.05
+    histogram_bins: PositiveCount = 32
+    histogram_threshold: NonNegative = 10.0
     chi_square_symmetric: bool = True
     normalize_histograms: bool = False
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every check
+        check_fields(self)
         coeffs = self.luminance_coeffs
-        if len(coeffs) != 3 or not all(0.0 <= c < math.inf for c in coeffs):
-            raise ValueError(
-                f"luminance_coeffs must be three finite non-negative reals, got {coeffs}"
-            )
         if not abs(sum(coeffs) - 1.0) <= 1e-6:
             raise ValueError(f"luminance_coeffs must sum to 1, got {sum(coeffs)}")
-        if not 0.0 <= self.intensity_threshold <= 255.0:
-            raise ValueError("intensity_threshold must lie in [0, 255]")
-        if not 0.0 < self.patch_change_threshold < 1.0:
-            raise ValueError("patch_change_threshold must lie in (0, 1)")
-        if isinstance(self.histogram_bins, bool) or not isinstance(self.histogram_bins, int):
-            raise ValueError(f"histogram_bins must be an int, got {self.histogram_bins!r}")
-        if self.histogram_bins <= 0:
-            raise ValueError("histogram_bins must be positive")
-        if not 0.0 <= self.histogram_threshold < math.inf:
-            raise ValueError(
-                "histogram_threshold must be finite and non-negative, "
-                f"got {self.histogram_threshold}"
-            )
 
 
 @dataclass(frozen=True)

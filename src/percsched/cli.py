@@ -23,7 +23,8 @@ from .metrics import (
     format_report,
     report_to_dict,
 )
-from .traces import ARCHETYPES, Trace, TraceError, generate_trace, read_trace, write_trace
+from .traces import ARCHETYPES, MAX_FRAME_PERIOD_MS, Trace, TraceError, generate_trace
+from .traces import read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,8 +118,9 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
     if args.keypoints < 1:
         raise ConfigError(f"--keypoints must be at least 1, got {args.keypoints}")
     period_ms = 1000.0 / args.fps if args.fps > 0 else math.nan
-    if not 0.0 < period_ms < math.inf:  # NaN fails too
-        raise ConfigError(f"--fps must be finite and positive, got {args.fps}")
+    if not 0.0 < period_ms <= MAX_FRAME_PERIOD_MS:  # NaN fails too
+        lowest = 1000.0 / MAX_FRAME_PERIOD_MS
+        raise ConfigError(f"--fps must be finite and at least {lowest:g}, got {args.fps}")
     trace = generate_trace(
         archetype=args.archetype,
         frames=args.frames,

@@ -9,21 +9,22 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union, get_type_hints
+from typing import Any, Dict, Literal, Mapping, Optional, Union, get_args
 
 from .change_detect import ChangeDetectConfig
 from .engine import EngineConfig, PipelineConfig, default_modules
-from .metrics import LATENCY_DENOMINATORS, KeyframeThresholds
+from .metrics import KeyframeThresholds, LatencyDenominator
 from .rewards import RewardConfig, load_sigma_base
 from .scene import DETECTION, POSE
+from .schema import Count, NonNegative, Positive, check_fields
 from .toolkit import NoiseConfig
 from .tracker import KalmanConfig
 from .traces import TraceHeader
 
-POLICIES = ("parallel", "oracle", "scheduled")
+Policy = Literal["parallel", "oracle", "scheduled"]
+POLICIES = get_args(Policy)
 
 # Artifact-chosen default trade-off rate; tune per deployment.
 DEFAULT_LAMBDA_PER_MS = 0.3
@@ -38,14 +39,14 @@ class RunConfig:
     """Everything a run needs, minus the trace contents themselves."""
 
     trace: str = ""
-    policy: str = "scheduled"
-    seed: int = 0
+    policy: Policy = "scheduled"
+    seed: Count = 0
     out_dir: str = "runs"
-    lambda_info_per_ms: float = DEFAULT_LAMBDA_PER_MS
-    cost_yolo_ms: float = 15.0
-    cost_pose_ms: float = 80.0
+    lambda_info_per_ms: NonNegative = DEFAULT_LAMBDA_PER_MS
+    cost_yolo_ms: Positive = 15.0
+    cost_pose_ms: Positive = 80.0
     sigma_base_path: Optional[str] = None  # None: packaged table / uniform fallback
-    latency_denominator: str = "activated"
+    latency_denominator: LatencyDenominator = "activated"
     change: ChangeDetectConfig = field(default_factory=ChangeDetectConfig)
     kalman: KalmanConfig = field(default_factory=KalmanConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
@@ -53,24 +54,7 @@ class RunConfig:
     keyframes: KeyframeThresholds = field(default_factory=KeyframeThresholds)
 
     def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        # written so that NaN fails every check
-        if not 0.0 <= self.lambda_info_per_ms < math.inf:
-            raise ConfigError(
-                f"lambda_info_per_ms must be finite and non-negative, got {self.lambda_info_per_ms}"
-            )
-        for name in ("cost_yolo_ms", "cost_pose_ms"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(
-                    f"{name} must be finite and positive, got {getattr(self, name)}"
-                )
-        if self.latency_denominator not in LATENCY_DENOMINATORS:
-            raise ConfigError(
-                f"latency_denominator must be one of {LATENCY_DENOMINATORS}"
-            )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_fields(self, ConfigError)
 
     # -- assembly ----------------------------------------------------------
 
@@ -104,42 +88,22 @@ class RunConfig:
     # -- (de)serialization ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if dataclasses.is_dataclass(value):
-                section = dataclasses.asdict(value)
-                if isinstance(value, ChangeDetectConfig):
-                    section["luminance_coeffs"] = list(section["luminance_coeffs"])
-                out[f.name] = section
-            else:
-                out[f.name] = value
+        out = dataclasses.asdict(self)
+        out["change"]["luminance_coeffs"] = list(out["change"]["luminance_coeffs"])
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - set(known))
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config fields: {unknown}")
-        kwargs: Dict[str, Any] = {}
-        sections = {
-            "change": ChangeDetectConfig,
-            "kalman": KalmanConfig,
-            "noise": NoiseConfig,
-            "engine": EngineConfig,
-            "keyframes": KeyframeThresholds,
-        }
-        _check_field_types(cls, data)
-        for name, value in data.items():
-            if name in sections:
-                kwargs[name] = _section_from_dict(sections[name], value, name)
-            else:
-                kwargs[name] = value
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        # each section is a field whose default its class builds
+        sections = {f.name: f.default_factory for f in dataclasses.fields(cls)
+                    if f.default_factory is not dataclasses.MISSING}
+        return cls(**{
+            name: _section_from_dict(sections[name], value, name) if name in sections else value
+            for name, value in data.items()
+        })
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "RunConfig":
@@ -180,38 +144,7 @@ def _section_from_dict(section_cls: type, value: Any, name: str) -> Any:
     unknown = sorted(set(value) - known)
     if unknown:
         raise ConfigError(f"unknown fields in section {name!r}: {unknown}")
-    _check_field_types(section_cls, value, f"{name}.")
-    payload = dict(value)
-    if section_cls is ChangeDetectConfig and "luminance_coeffs" in payload:
-        payload["luminance_coeffs"] = tuple(payload["luminance_coeffs"])
     try:
-        return section_cls(**payload)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid section {name!r}: {exc}") from exc
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# what a JSON value must be for each declared field type, and how to say it
-_TYPE_CHECKS = {
-    bool: (lambda v: isinstance(v, bool), "a boolean"),
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (_is_number, "a number"),
-    Tuple[float, float, float]: (
-        lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v)),
-        "three numbers",
-    ),
-}
-
-
-def _check_field_types(cls: type, values: Mapping[str, Any], prefix: str = "") -> None:
-    """Each value of a bool, int, float or three-float field must be a JSON
-    value of that type: a JSON ``"false"`` or ``1`` is not a boolean, and a
-    ``"30"`` or ``2.5`` is not an integer."""
-    types = get_type_hints(cls)
-    for name, value in values.items():
-        check = _TYPE_CHECKS.get(types.get(name))
-        if check is not None and not check[0](value):
-            raise ConfigError(f"{prefix}{name} must be {check[1]}, got {value!r}")
+        return section_cls(**value)
+    except ValueError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Literal, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .scene import (
     MotionStatus,
 )
 from .scheduler import select
+from .schema import NonNegative, Positive, Share, check_fields
 from .toolkit import (
     DetectionOutput,
     ModuleSpec,
@@ -102,36 +103,16 @@ class EngineConfig:
     re-issues them at the next idle frame.
     """
 
-    busy_policy: str = "drop"
-    stationary_q_scale: float = 0.02
-    moving_q_scale: float = 60.0
-    scheduling_overhead_ms: float = 0.0
-    overhead_accounting: str = "overlapped"
+    busy_policy: Literal["drop", "queue"] = "drop"
+    stationary_q_scale: NonNegative = 0.02
+    moving_q_scale: Positive = 60.0
+    scheduling_overhead_ms: NonNegative = 0.0
+    overhead_accounting: Literal["overlapped", "serial"] = "overlapped"
     delete_on_miss: bool = True
-    default_relevance: float = 0.5
+    default_relevance: Share = 0.5
     force_pose_on_composition: bool = True
 
-    def __post_init__(self) -> None:
-        if self.busy_policy not in ("drop", "queue"):
-            raise ValueError("busy_policy must be 'drop' or 'queue'")
-        if self.overhead_accounting not in ("overlapped", "serial"):
-            raise ValueError("overhead_accounting must be 'overlapped' or 'serial'")
-        # written so that NaN fails every range check
-        if not 0.0 <= self.stationary_q_scale < math.inf:
-            raise ValueError(
-                f"stationary_q_scale must be finite and non-negative, got {self.stationary_q_scale}"
-            )
-        if not 0.0 < self.moving_q_scale < math.inf:
-            raise ValueError(
-                f"moving_q_scale must be finite and positive, got {self.moving_q_scale}"
-            )
-        if not 0.0 <= self.scheduling_overhead_ms < math.inf:
-            raise ValueError(
-                "scheduling_overhead_ms must be finite and non-negative, "
-                f"got {self.scheduling_overhead_ms}"
-            )
-        if not 0.0 <= self.default_relevance <= 1.0:
-            raise ValueError("default_relevance must lie in [0, 1]")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -14,26 +14,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Literal, Mapping, Optional, Sequence, Tuple, get_args
 
 from .engine import OFFLINE_POLICY, RunLog
 from .scene import DETECTION, POSE, ModuleId
+from .schema import NonNegative, check_fields
 
-LATENCY_DENOMINATORS = ("activated", "total")
+LatencyDenominator = Literal["activated", "total"]
+LATENCY_DENOMINATORS = get_args(LatencyDenominator)
 
 
 @dataclass(frozen=True)
 class KeyframeThresholds:
-    tau_box_px: float = 10.0
-    tau_kp_px: float = 15.0
+    tau_box_px: NonNegative = 10.0
+    tau_kp_px: NonNegative = 15.0
 
-    def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        for name in ("tau_box_px", "tau_kp_px"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and non-negative, got {getattr(self, name)}"
-                )
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,12 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Annotated, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .scene import DETECTION, POSE, ModuleId
+from .schema import NonNegative, OpenShare, Positive, PositiveCount, check_fields
 from .tracker import MEAS_DIM, KalmanConfig, NumericalError, TrackBank, measurement_variance
 
 LN_TWO_PI_E = math.log(2.0 * math.pi * math.e)
@@ -76,43 +77,23 @@ class RewardConfig:
     when ``keypoint_count`` is 133 and a uniform 0.05 table otherwise.
     """
 
-    lambda_info_per_ms: float
-    cost_ms: Mapping[ModuleId, float] = field(
+    lambda_info_per_ms: NonNegative
+    cost_ms: Mapping[ModuleId, Positive] = field(
         default_factory=lambda: {DETECTION: 15.0, POSE: 80.0}
     )
-    keypoint_count: int = DEFAULT_KEYPOINT_COUNT
-    sigma_base: Optional[Tuple[float, ...]] = None
-    confidence_floor: float = 1e-6
-    sigma_floor: float = 1e-3
-    prior_confidence: float = 0.5
+    keypoint_count: PositiveCount = DEFAULT_KEYPOINT_COUNT
+    sigma_base: Optional[Tuple[Positive, ...]] = None
+    confidence_floor: OpenShare = 1e-6
+    sigma_floor: Positive = 1e-3
+    prior_confidence: Annotated[float, "(0, 1]"] = 0.5
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every range check
-        if not 0.0 <= self.lambda_info_per_ms < math.inf:
+        check_fields(self)
+        if self.sigma_base is not None and len(self.sigma_base) != self.keypoint_count:
             raise ValueError(
-                f"lambda_info_per_ms must be finite and non-negative, got {self.lambda_info_per_ms}"
+                f"sigma_base has {len(self.sigma_base)} entries, "
+                f"expected keypoint_count={self.keypoint_count}"
             )
-        for module, cost in self.cost_ms.items():
-            if not 0.0 < cost < math.inf:
-                raise ValueError(
-                    f"cost for module {module!r} must be finite and positive, got {cost}"
-                )
-        if self.keypoint_count <= 0:
-            raise ValueError("keypoint_count must be positive")
-        if not 0.0 < self.confidence_floor < 1.0:
-            raise ValueError("confidence_floor must lie in (0, 1)")
-        if self.sigma_floor <= 0:
-            raise ValueError("sigma_floor must be positive")
-        if not 0.0 < self.prior_confidence <= 1.0:
-            raise ValueError("prior_confidence must lie in (0, 1]")
-        if self.sigma_base is not None:
-            if len(self.sigma_base) != self.keypoint_count:
-                raise ValueError(
-                    f"sigma_base has {len(self.sigma_base)} entries, "
-                    f"expected keypoint_count={self.keypoint_count}"
-                )
-            if not all(0.0 < s < math.inf for s in self.sigma_base):
-                raise ValueError("sigma_base entries must be finite and positive")
 
     def resolved_sigma_base(self) -> np.ndarray:
         if self.sigma_base is not None:

@@ -7,12 +7,19 @@ constructed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from typing import Annotated, Tuple
+
+from .schema import Share, check_fields
 
 DEFAULT_FRAME_PERIOD_MS = 1000.0 / 30.0
+
+# the largest coordinate magnitude and box side a trace may give, in pixels;
+# far beyond any camera, and far below where box areas and entropies overflow
+MAX_PIXELS = 1e6
+Coordinate = Annotated[float, f"[{-MAX_PIXELS:g}, {MAX_PIXELS:g}]"]
+Extent = Annotated[float, f"(0, {MAX_PIXELS:g}]"]
 
 # the detection simulator names a false positive spurious-<frame>; traces may
 # not use the prefix, so a false positive never shares a track with an entity
@@ -66,18 +73,12 @@ class FrameStamp:
 class PatchRegion:
     """Axis-aligned pixel rectangle: top-left corner plus extent."""
 
-    x: float
-    y: float
-    w: float
-    h: float
+    x: Coordinate
+    y: Coordinate
+    w: Extent
+    h: Extent
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
-            raise ValueError(
-                f"patch geometry must be finite, got x={self.x}, y={self.y}, w={self.w}, h={self.h}"
-            )
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"patch extent must be positive, got w={self.w}, h={self.h}")
+    __post_init__ = check_fields
 
     @property
     def center(self) -> Tuple[float, float]:
@@ -95,9 +96,7 @@ class Entity:
     id: str
     kind: EntityKind
     region: PatchRegion
-    relevance: float = 1.0
+    relevance: Share = 1.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.relevance <= 1.0:
-            raise ValueError(f"relevance must lie in [0, 1], got {self.relevance}")
+    __post_init__ = check_fields
 

@@ -11,7 +11,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import Annotated, List, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .scene import (
     FrameStamp,
     ModuleId,
 )
+from .schema import NonNegative, OpenShare, Positive, check_fields
 from .traces import TraceFrame
 
 
@@ -33,12 +34,10 @@ class OutputKind(str, Enum):
 @dataclass(frozen=True)
 class ModuleSpec:
     id: ModuleId
-    inference_ms: float
+    inference_ms: Positive
     output_kind: OutputKind
 
-    def __post_init__(self) -> None:
-        if self.inference_ms <= 0:
-            raise ValueError("inference_ms must be positive")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -80,31 +79,17 @@ class NoiseConfig:
     level, giving a skewed confidence profile.
     """
 
-    box_std: float = 0.0
-    miss_rate: float = 0.0
-    false_positive_rate: float = 0.0
-    keypoint_std: float = 0.0
-    floor_margin: float = 0.95
-    confidence_spread: float = 0.0
-    beta_a: float = 2.0
-    beta_b: float = 5.0
-    min_confidence: float = 1e-6
+    box_std: NonNegative = 0.0
+    miss_rate: NonNegative = 0.0
+    false_positive_rate: NonNegative = 0.0
+    keypoint_std: NonNegative = 0.0
+    floor_margin: Annotated[float, "[0, 1)"] = 0.95
+    confidence_spread: NonNegative = 0.0
+    beta_a: Positive = 2.0
+    beta_b: Positive = 5.0
+    min_confidence: OpenShare = 1e-6
 
-    def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        if not 0.0 <= self.floor_margin < 1.0:
-            raise ValueError("floor_margin must lie in [0, 1)")
-        for name in ("box_std", "miss_rate", "false_positive_rate", "keypoint_std",
-                     "confidence_spread"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and non-negative, got {getattr(self, name)}"
-                )
-        for name in ("beta_a", "beta_b"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if not 0.0 < self.min_confidence < 1.0:
-            raise ValueError("min_confidence must lie in (0, 1)")
+    __post_init__ = check_fields
 
 
 def ready_stamp(

@@ -14,23 +14,24 @@ gestures) and ``walking`` (stop-and-go locomotion bursts).
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Annotated, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .scene import (
     DEFAULT_FRAME_PERIOD_MS,
     FALSE_POSITIVE_PREFIX,
+    Coordinate,
     Entity,
     EntityKind,
     FrameStamp,
     PatchRegion,
 )
+from .schema import Count, NonNegative, PositiveCount, Share, check_fields
 
 TRACE_SCHEMA = "percsched-trace"
 TRACE_VERSION = 2
@@ -39,6 +40,13 @@ TRACE_VERSION = 2
 READABLE_VERSIONS = (1, TRACE_VERSION)
 
 ARCHETYPES = ("static", "interaction", "walking")
+
+# the longest frame period a trace may give; virtual time, index times
+# period, must stay far below where float milliseconds overflow
+MAX_FRAME_PERIOD_MS = 1e6
+FramePeriod = Annotated[float, f"(0, {MAX_FRAME_PERIOD_MS:g}]"]
+
+Point = Tuple[Coordinate, Coordinate]
 
 
 class TraceError(RuntimeError):
@@ -49,21 +57,11 @@ class TraceError(RuntimeError):
 class ChangeStats:
     """Precomputed change-detection inputs for one frame transition."""
 
-    background_cr: float
-    hist_shift_mean: float
-    patch_cr: Mapping[str, float] = field(default_factory=dict)
+    background_cr: Share
+    hist_shift_mean: NonNegative
+    patch_cr: Mapping[str, Share] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        if not 0.0 <= self.background_cr <= 1.0:
-            raise ValueError(f"background_cr must lie in [0, 1], got {self.background_cr}")
-        for eid, cr in self.patch_cr.items():
-            if not 0.0 <= cr <= 1.0:
-                raise ValueError(f"patch_cr[{eid!r}] must lie in [0, 1], got {cr}")
-        if not 0.0 <= self.hist_shift_mean < math.inf:
-            raise ValueError(
-                f"hist_shift_mean must be finite and non-negative, got {self.hist_shift_mean}"
-            )
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -85,34 +83,28 @@ class FramePixels:
 class TraceFrame:
     """One ground-truth scene record."""
 
+    # builtin generics, which typing does not cache: its cache of subscripts
+    # would keep every imported copy of these classes, and their modules, alive
     stamp: FrameStamp
-    entities: Tuple[Entity, ...]
-    keypoints: Mapping[str, Tuple[Tuple[float, float], ...]] = field(default_factory=dict)
-    change: Optional[ChangeStats] = None
-    pixels: Optional[FramePixels] = None
+    entities: tuple[Entity, ...]
+    keypoints: Mapping[str, Tuple[Point, ...]] = field(default_factory=dict)
+    change: ChangeStats | None = None
+    pixels: FramePixels | None = None
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class TraceHeader:
-    frame_period_ms: float = DEFAULT_FRAME_PERIOD_MS
-    keypoint_count: int = 17
-    frame_count: int = 0
-    frame_w: int = 640
-    frame_h: int = 480
-    seed: int = 0
+    frame_period_ms: FramePeriod = DEFAULT_FRAME_PERIOD_MS
+    keypoint_count: PositiveCount = 17
+    frame_count: Count = 0
+    frame_w: PositiveCount = 640
+    frame_h: PositiveCount = 480
+    seed: Count = 0
     archetype: str = "custom"
 
-    def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        if not 0.0 < self.frame_period_ms < math.inf:
-            raise ValueError(
-                f"frame_period_ms must be finite and positive, got {self.frame_period_ms}"
-            )
-        if isinstance(self.keypoint_count, bool) or not isinstance(self.keypoint_count, int):
-            raise ValueError(f"keypoint_count must be an integer, got {self.keypoint_count!r}")
-        for name in ("keypoint_count", "frame_w", "frame_h"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -153,15 +145,7 @@ class Trace:
 
 
 def _entity_to_dict(e: Entity) -> dict:
-    return {
-        "id": e.id,
-        "kind": e.kind.value,
-        "x": e.region.x,
-        "y": e.region.y,
-        "w": e.region.w,
-        "h": e.region.h,
-        "relevance": e.relevance,
-    }
+    return {"id": e.id, "kind": e.kind.value, **asdict(e.region), "relevance": e.relevance}
 
 
 def _entity_from_dict(d: dict) -> Entity:
@@ -184,11 +168,8 @@ def frame_to_dict(frame: TraceFrame) -> dict:
             eid: [[x, y] for x, y in pts] for eid, pts in sorted(frame.keypoints.items())
         }
     if frame.change is not None:
-        rec["change"] = {
-            "background_cr": frame.change.background_cr,
-            "hist_shift_mean": frame.change.hist_shift_mean,
-            "patch_cr": {k: v for k, v in sorted(frame.change.patch_cr.items())},
-        }
+        patch_cr = dict(sorted(frame.change.patch_cr.items()))
+        rec["change"] = dict(asdict(frame.change), patch_cr=patch_cr)
     if frame.pixels is not None:
         h, w, _ = frame.pixels.rgb.shape
         rec["pixels"] = {
@@ -206,46 +187,32 @@ def frame_from_dict(rec: dict, header: TraceHeader) -> TraceFrame:
     if isinstance(index, bool) or not isinstance(index, int):
         raise TraceError(f"frame index must be an integer, got {index!r}")
     try:
-        stamp = FrameStamp.at(index, header.frame_period_ms)
-        entities = tuple(_entity_from_dict(d) for d in rec["entities"])
-        keypoints = {
-            eid: tuple((float(x), float(y)) for x, y in pts)
-            for eid, pts in rec.get("keypoints", {}).items()
-        }
         change = None
         if "change" in rec:
             c = rec["change"]
-            change = ChangeStats(
-                background_cr=c["background_cr"],
-                hist_shift_mean=c["hist_shift_mean"],
-                patch_cr=dict(c.get("patch_cr", {})),
-            )
+            change = ChangeStats(c["background_cr"], c["hist_shift_mean"], c.get("patch_cr", {}))
         pixels = None
         if "pixels" in rec:
             p = rec["pixels"]
             raw = base64.b64decode(p["rgb_b64"])
             rgb = np.frombuffer(raw, dtype=np.uint8).reshape(p["h"], p["w"], 3)
             pixels = FramePixels(rgb=rgb)
-    except (KeyError, ValueError, TypeError) as exc:
+        frame = TraceFrame(
+            stamp=FrameStamp.at(index, header.frame_period_ms),
+            entities=tuple(map(_entity_from_dict, rec["entities"])),
+            keypoints=rec.get("keypoints", {}),
+            change=change,
+            pixels=pixels,
+        )
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise TraceError(f"frame {index}: malformed record: {exc}") from exc
-    for eid, pts in keypoints.items():
-        expected = header.keypoint_count
-        if len(pts) != expected:
+    for eid, pts in frame.keypoints.items():
+        if len(pts) != header.keypoint_count:
             raise TraceError(
                 f"frame {index}: entity {eid!r} has {len(pts)} "
-                f"keypoints, header says {expected}"
+                f"keypoints, header says {header.keypoint_count}"
             )
-        if not all(map(math.isfinite, itertools.chain.from_iterable(pts))):
-            raise TraceError(
-                f"frame {index}: entity {eid!r} has a non-finite keypoint coordinate"
-            )
-    return TraceFrame(
-        stamp=stamp,
-        entities=entities,
-        keypoints=keypoints,
-        change=change,
-        pixels=pixels,
-    )
+    return frame
 
 
 def write_trace(path: Union[str, Path], trace: Trace) -> None:
@@ -254,13 +221,8 @@ def write_trace(path: Union[str, Path], trace: Trace) -> None:
         "record": "header",
         "schema": TRACE_SCHEMA,
         "version": TRACE_VERSION,
-        "frame_period_ms": trace.header.frame_period_ms,
-        "keypoint_count": trace.header.keypoint_count,
+        **asdict(trace.header),
         "frame_count": len(trace.frames),
-        "frame_w": trace.header.frame_w,
-        "frame_h": trace.header.frame_h,
-        "seed": trace.header.seed,
-        "archetype": trace.header.archetype,
     }
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
@@ -284,20 +246,19 @@ def read_trace(path: Union[str, Path]) -> Trace:
             head = json.loads(text)
         except json.JSONDecodeError as exc:
             raise TraceError(f"unreadable trace header: {exc}") from exc
-        if head.get("record") != "header" or head.get("schema") != TRACE_SCHEMA:
+        if not (
+            isinstance(head, dict)
+            and head.get("record") == "header"
+            and head.get("schema") == TRACE_SCHEMA
+        ):
             raise TraceError("first record must be a trace header")
         version = head.get("version")
         if version not in READABLE_VERSIONS or type(version) is not int:
             raise TraceError(f"unsupported trace version {version!r}")
         try:
             header = TraceHeader(
-                frame_period_ms=head["frame_period_ms"],
-                keypoint_count=head["keypoint_count"],
-                frame_count=head["frame_count"],
-                frame_w=head.get("frame_w", 640),
-                frame_h=head.get("frame_h", 480),
-                seed=head.get("seed", 0),
-                archetype=head.get("archetype", "custom"),
+                **{k: head[k] for k in ("frame_period_ms", "keypoint_count", "frame_count")},
+                **{k: head[k] for k in ("frame_w", "frame_h", "seed", "archetype") if k in head},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceError(f"invalid trace header: {exc}") from exc
@@ -306,6 +267,8 @@ def read_trace(path: Union[str, Path]) -> Trace:
                 rec = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"unreadable trace record: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise TraceError("a record must be a JSON object")
             if rec.get("record") != "frame":
                 raise TraceError(f"unexpected record type {rec.get('record')!r}")
             frames.append(frame_from_dict(rec, header))
@@ -313,7 +276,7 @@ def read_trace(path: Union[str, Path]) -> Trace:
         raise TraceError(f"line {number}: {exc}") from exc
     if header.frame_count and header.frame_count != len(frames):
         raise TraceError(
-            f"header promises {header.frame_count} frames, file has {len(frames)}"
+            f"header frame_count promises {header.frame_count} frames, file has {len(frames)}"
         )
     return Trace(header=header, frames=tuple(frames))
 

@@ -19,11 +19,12 @@ covariance update) go through the same LAPACK and BLAS calls per matrix.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
+
+from .schema import Positive, PositiveCount, check_fields
 
 STATE_DIM = 8
 MEAS_DIM = 4
@@ -44,18 +45,13 @@ class NumericalError(RuntimeError):
 class KalmanConfig:
     """Noise weights, all expressed as std factors per box height."""
 
-    std_weight_position: float = 1.0 / 20.0
-    std_weight_velocity: float = 1.0 / 160.0
-    std_weight_measurement: float = 1.0 / 20.0
+    std_weight_position: Positive = 1.0 / 20.0
+    std_weight_velocity: Positive = 1.0 / 160.0
+    std_weight_measurement: Positive = 1.0 / 20.0
     joseph_update: bool = False
-    max_frames_since_update: int = 90
+    max_frames_since_update: PositiveCount = 90
 
-    def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        for name in ("std_weight_position", "std_weight_velocity", "std_weight_measurement",
-                     "max_frames_since_update"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True, eq=False)

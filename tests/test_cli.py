@@ -69,6 +69,8 @@ class TestGenTrace:
             ("--fps", "nan"),
             ("--fps", "inf"),
             ("--fps", "-30"),
+            # a frame period above 1e6 ms
+            ("--fps", "0.0001"),
             ("--keypoints", "0"),
             ("--frames", "1"),
         ],
@@ -156,8 +158,17 @@ class TestRun:
             (lambda rec: rec.pop("entities"), "malformed record"),
             (lambda rec: rec["entities"][0].update(w=float("nan")), "malformed record"),
             (lambda rec: rec["entities"][0].update(kind="ghost"), "'ghost'"),
+            # each of these used to end in exit 4
+            (lambda rec: rec["entities"][0].update(id=7), "id must be a string"),
+            (lambda rec: rec["entities"][0].update(id=None), "id must be a string"),
+            (lambda rec: rec["entities"][0].update(id=[]), "id must be a string"),
+            (lambda rec: rec.update(keypoints="x"), "keypoints must be an object"),
+            (lambda rec: rec.update(keypoints=[]), "keypoints must be an object"),
+            (lambda rec: rec["entities"][0].update(w=1e308), "w must be a finite number"),
+            (lambda rec: rec["entities"][0].update(h=1e308), "h must be a finite number"),
         ],
-        ids=["missing-field", "nan-box", "bad-kind"],
+        ids=["missing-field", "nan-box", "bad-kind", "int-id", "null-id", "list-id",
+             "str-keypoints", "list-keypoints", "huge-box-w", "huge-box-h"],
     )
     def test_bad_record_is_trace_error_naming_its_line(self, trace_path, capsys, edit, message):
         # line 1 is the header, so frame 2 sits on line 4
@@ -211,6 +222,13 @@ class TestRun:
         rc = main(["run", "--trace", str(trace_path)])
         assert rc == EXIT_TRACE
         assert "frame_period_ms" in capsys.readouterr().err
+
+    def test_huge_frame_period_is_trace_error_naming_the_field(self, trace_path, tmp_path, capsys):
+        # 1e308 is finite, but virtual time overflowed on it and the run exited 4
+        self._corrupt_frame(trace_path, -1, lambda head: head.update(frame_period_ms=1e308))
+        rc = main(["compare", "--trace", str(trace_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_TRACE
+        assert "line 1: invalid trace header: frame_period_ms must be" in capsys.readouterr().err
 
     def test_non_integer_keypoint_count_is_trace_error_naming_the_field(self, trace_path, capsys):
         lines = trace_path.read_text().splitlines()
@@ -306,6 +324,10 @@ class TestRun:
             ({"change": {"intensity_threshold": "30"}}, "change.intensity_threshold"),
             ({"change": {"luminance_coeffs": [True, False, False]}}, "change.luminance_coeffs"),
             ({"cost_pose_ms": "80"}, "cost_pose_ms"),
+            # a path that is not a string used to end in exit 4
+            ({"trace": 7}, "trace must be a string"),
+            ({"out_dir": 7}, "out_dir must be a string"),
+            ({"sigma_base_path": 7}, "sigma_base_path must be a string"),
         ],
     )
     def test_mistyped_field_is_config_error_naming_it(

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -274,6 +275,17 @@ class TestValidation:
             ("keypoint_count", True),
             ("frame_w", 0),
             ("frame_h", -48),
+            # JSON true is not a number
+            ("frame_period_ms", True),
+            ("frame_w", True),
+            ("frame_h", True),
+            ("frame_period_ms", 1e308),
+            ("frame_count", None),
+            ("seed", "7"),
+            ("seed", None),
+            ("seed", 1.5),
+            ("archetype", 7),
+            ("archetype", []),
         ],
     )
     def test_bad_header_field_rejected_by_name(self, tmp_path, field, value):
@@ -284,6 +296,58 @@ class TestValidation:
         head[field] = value
         path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
         with pytest.raises(TraceError, match=field):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            # JSON true is not a number
+            (("entities", 0, "x"), True, "x"),
+            (("entities", 0, "y"), True, "y"),
+            (("entities", 0, "w"), True, "w"),
+            (("entities", 0, "h"), True, "h"),
+            (("entities", 0, "relevance"), True, "relevance"),
+            (("keypoints", "human-0", 0, 1), True, "keypoints['human-0'][0][1]"),
+            (("change", "background_cr"), True, "background_cr"),
+            (("change", "hist_shift_mean"), True, "hist_shift_mean"),
+            (("change", "patch_cr", "cup"), True, "patch_cr['cup']"),
+            (("change", "patch_cr"), [], "patch_cr"),
+        ],
+    )
+    def test_bad_frame_field_rejected_by_name(self, tmp_path, path, value, named):
+        # frame 3 of this trace, on line 5, is the first with a human
+        trace = tmp_path / "t.jsonl"
+        write_trace(trace, generate_trace("interaction", 12, seed=3))
+        lines = trace.read_text().splitlines()
+        rec = json.loads(lines[4])
+        parent = rec
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        lines[4] = json.dumps(rec)
+        trace.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            TraceError, match=re.escape(f"line 5: frame 3: malformed record: {named} must be")
+        ):
+            read_trace(trace)
+
+    @pytest.mark.parametrize(
+        "line, text, message",
+        [
+            (1, "[]", "line 1: first record must be a trace header"),
+            (2, "[]", "line 2: a record must be a JSON object"),
+            (2, '{"record":"frame","index":1' + "0" * 400 + ',"entities":[]}',
+             "line 2: frame 1" + "0" * 400 + ": malformed record"),
+        ],
+        ids=["list-header", "list-frame", "huge-index"],
+    )
+    def test_malformed_line_is_trace_error_naming_it(self, tmp_path, line, text, message):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, _minimal_trace())
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match=re.escape(message)):
             read_trace(path)
 
     @pytest.mark.parametrize(
