@@ -11,7 +11,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Literal, Mapping, Optional, Union, get_args
+from typing import Any, Dict, Literal, Mapping, Optional, Union, get_args, get_type_hints
 
 from .change_detect import ChangeDetectConfig
 from .engine import EngineConfig, PipelineConfig, default_modules
@@ -97,11 +97,10 @@ class RunConfig:
         unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config fields: {unknown}")
-        # each section is a field whose default its class builds
-        sections = {f.name: f.default_factory for f in dataclasses.fields(cls)
-                    if f.default_factory is not dataclasses.MISSING}
+        hints = get_type_hints(cls)  # a section's hint is its module's dataclass
         return cls(**{
-            name: _section_from_dict(sections[name], value, name) if name in sections else value
+            name: _section_from_dict(hints[name], value, name)
+            if dataclasses.is_dataclass(hints[name]) else value
             for name, value in data.items()
         })
 

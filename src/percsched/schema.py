@@ -2,8 +2,9 @@
 config or trace file sets. A dataclass declares each field in its type hint
 (``bool``, ``str``, ``Optional``, ``Literal``, a tuple, a ``Mapping``, a
 class; an ``int`` or ``float`` always with its interval as ``Annotated``
-text such as ``"(0, 1]"``) and sets ``__post_init__ = check_fields`` or
-calls it. Values built on every frame keep their own cheap checks instead.
+text such as ``"(0, 1]"``; a list of points marked ``POINTS``) and sets
+``__post_init__ = check_fields`` or calls it. Values built on every frame
+keep their own cheap checks instead.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def _fast(hint: Any) -> Tuple[Any, Any, Any]:
 
 def _parser(hint: Any) -> Parser:
     origin, args = get_origin(hint), get_args(hint)
-    if origin is Annotated:
-        return _number(*args)
+    if origin is Annotated:  # a number and its interval, or a list of points
+        return _points(args[0]) if args[1] == POINTS else _number(*args)
     if origin in (Union, types.UnionType):  # Optional[X] or X | None
         parse = _parser(next(a for a in args if a is not type(None)))
         return lambda v: v if v is None else parse(v)
@@ -119,59 +120,62 @@ def _number(base: type, interval: str) -> Parser:
     return number
 
 
+def _item(parse: Parser, key: Any, x: Any) -> Any:
+    """``parse(x)``, with ``[key]`` put in front of the path of a mismatch."""
+    try:
+        return parse(x)
+    except _Mismatch as bad:
+        bad.where = f"[{key!r}]{bad.where}"
+        raise
+
+
 def _tuple(args: Tuple[Any, ...]) -> Parser:
     variadic = args[-1] is Ellipsis
     parsers = [_parser(a) for a in (args[:1] if variadic else args)]
-    # a tuple of one class, such as a frame's entities, passes on one C-level test
-    same = {args[0]} if variadic and isinstance(args[0], type) else None
-    # a list of points, Tuple[Tuple[C, C], ...] with C one bounded float, is
-    # checked in one comprehension, about as fast as casting it
-    pair = get_args(args[0]) if variadic else ()
-    bounds = _bounds(get_args(pair[0])[1]) if len(pair) == 2 and pair[0] == pair[1] and (
-        get_origin(pair[0]) is Annotated and get_args(pair[0])[0] is float) else None
 
     def parse(v: Any) -> Tuple[Any, ...]:
-        if same and type(v) is tuple and set(map(type, v)) <= same:
-            return v
         if not isinstance(v, (list, tuple)) or not (variadic or len(v) == len(args)):
             raise _Mismatch("a list" if variadic else f"a list of {len(args)}", v)
-        if bounds is not None:
-            lo, hi = bounds
-            try:
-                pts = [(x, y) for x, y in v if type(x) is float and type(y) is float
-                       and lo <= x <= hi and lo <= y <= hi]
-            except (TypeError, ValueError):  # an item that is not a pair
-                pts = []
-            if len(pts) == len(v):
-                return tuple(pts)
-        out = []
-        for i, (p, x) in enumerate(zip(parsers * len(v) if variadic else parsers, v)):
-            try:
-                out.append(p(x))
-            except _Mismatch as bad:
-                bad.where = f"[{i}]{bad.where}"
-                raise
-        return tuple(out)
+        pairs = zip(parsers * len(v) if variadic else parsers, v)
+        return tuple(_item(p, i, x) for i, (p, x) in enumerate(pairs))
 
     return parse
 
 
 def _mapping(value: Any) -> Parser:
     parse = _parser(value)
-    exact, least, most = _fast(value)
 
     def mapping(v: Any) -> dict:
-        if type(v) is not dict and not isinstance(v, Mapping):
+        if not isinstance(v, Mapping):
             raise _Mismatch("an object", v)
-        if least is not None and all(type(x) is exact and least <= x <= most for x in v.values()):
-            return dict(v)  # numbers that pass on one test each, such as change ratios
-        out = {}
-        for k, x in v.items():
-            try:
-                out[k] = parse(x)
-            except _Mismatch as bad:
-                bad.where = f"[{k!r}]{bad.where}"
-                raise
-        return out
+        return {k: _item(parse, k, x) for k, x in v.items()}
 
     return mapping
+
+
+# marks a list of [x, y] points: Annotated[Tuple[Tuple[C, C], ...], POINTS]
+# with C a bounded float. It is text: typing caches every hint it builds, and
+# a parser in one would keep each imported copy of this module alive
+POINTS = "points"
+
+
+def _points(hint: Any) -> Parser:
+    """Read a list of points as a tuple of float pairs, a JSON 5 as the 5.0 it
+    stands for. Keypoint lists are long: pairs of floats in range pass in one
+    comprehension; the general parser reads the rest or names the bad item."""
+    pair, _ = get_args(hint)  # Tuple[Tuple[C, C], ...]
+    general = _tuple((pair, ...))
+    least, most = _fast(get_args(pair)[0])[1:]
+
+    def parse(v: Any) -> Tuple[Tuple[float, float], ...]:
+        if isinstance(v, (list, tuple)):
+            try:
+                pts = [(x, y) for x, y in v if type(x) is float and type(y) is float
+                       and least <= x <= most and least <= y <= most]
+            except (TypeError, ValueError):  # an item that is not a pair
+                pts = []
+            if len(pts) == len(v):
+                return tuple(pts)
+        return tuple((float(x), float(y)) for x, y in general(v))
+
+    return parse

@@ -31,7 +31,7 @@ from .scene import (
     FrameStamp,
     PatchRegion,
 )
-from .schema import Count, NonNegative, PositiveCount, Share, check_fields
+from .schema import POINTS, Count, NonNegative, PositiveCount, Share, check_fields
 
 TRACE_SCHEMA = "percsched-trace"
 TRACE_VERSION = 2
@@ -46,7 +46,7 @@ ARCHETYPES = ("static", "interaction", "walking")
 MAX_FRAME_PERIOD_MS = 1e6
 FramePeriod = Annotated[float, f"(0, {MAX_FRAME_PERIOD_MS:g}]"]
 
-Point = Tuple[Coordinate, Coordinate]
+Points = Annotated[Tuple[Tuple[Coordinate, Coordinate], ...], POINTS]
 
 
 class TraceError(RuntimeError):
@@ -87,7 +87,7 @@ class TraceFrame:
     # would keep every imported copy of these classes, and their modules, alive
     stamp: FrameStamp
     entities: tuple[Entity, ...]
-    keypoints: Mapping[str, Tuple[Point, ...]] = field(default_factory=dict)
+    keypoints: Mapping[str, Points] = field(default_factory=dict)
     change: ChangeStats | None = None
     pixels: FramePixels | None = None
 

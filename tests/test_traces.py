@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from percsched.config import RunConfig
-from percsched.engine import PolicyKind, run
+from percsched.engine import PolicyKind, run, run_offline
 from percsched.scene import Entity, EntityKind, FrameStamp, PatchRegion
 from percsched.traces import (
     ARCHETYPES,
@@ -86,6 +86,25 @@ class TestRoundTrip:
         path = tmp_path / "t.jsonl"
         write_trace(path, trace)
         assert read_trace(path).frames[0].keypoints["h"] == kps
+
+    def test_integer_keypoints_read_as_floats(self, tmp_path):
+        # frame 3 of this trace, on line 5, is the first with a human
+        path = tmp_path / "t.jsonl"
+        write_trace(path, generate_trace("interaction", 12, seed=3))
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[4])
+        rec["keypoints"]["human-0"][0] = [5, 7]
+        lines[4] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        trace = read_trace(path)
+        log = run_offline(trace, RunConfig().pipeline(trace.header))
+        rows = [json.loads(line) for line in log.to_jsonl().splitlines()]
+        point = rows[1 + 3]["observations"]["keypoints"]["human-0"][0]
+        assert point == [5.0, 7.0] and all(type(c) is float for c in point)
+        again = tmp_path / "again.jsonl"
+        write_trace(again, trace)
+        point = json.loads(again.read_text().splitlines()[4])["keypoints"]["human-0"][0]
+        assert point == [5.0, 7.0] and all(type(c) is float for c in point)
 
 
 _coord = st.floats(-1e4, 1e4, allow_nan=False)
