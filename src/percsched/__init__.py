@@ -16,7 +16,6 @@ from .engine import (
     PolicyKind,
     RunLog,
     SimEngine,
-    default_modules,
     run,
     run_offline,
 )
@@ -57,9 +56,7 @@ from .toolkit import (
     DetectedBox,
     DetectionOutput,
     HumanPose,
-    ModuleSpec,
     NoiseConfig,
-    OutputKind,
     PoseOutput,
     simulate_detection,
     simulate_pose,

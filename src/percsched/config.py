@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Dict, Literal, Mapping, Optional, Union, get_args, get_type_hints
 
 from .change_detect import ChangeDetectConfig
-from .engine import EngineConfig, PipelineConfig, default_modules
+from .engine import EngineConfig, PipelineConfig
 from .metrics import KeyframeThresholds, LatencyDenominator
 from .rewards import RewardConfig, load_sigma_base
 from .scene import DETECTION, POSE
@@ -76,7 +76,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return PipelineConfig(
-            modules=default_modules(self.cost_yolo_ms, self.cost_pose_ms),
             change=self.change,
             kalman=self.kalman,
             reward=reward,

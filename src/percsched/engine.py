@@ -16,11 +16,13 @@ function of (trace, policy, configs, seed).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import json
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping as AnyMapping
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Literal, Mapping, Optional, Sequence, Tuple, Union
@@ -50,9 +52,7 @@ from .scheduler import select
 from .schema import NonNegative, Positive, Share, check_fields
 from .toolkit import (
     DetectionOutput,
-    ModuleSpec,
     NoiseConfig,
-    OutputKind,
     PoseOutput,
     ready_stamp,
     simulate_detection,
@@ -117,29 +117,18 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one run needs besides the trace and the policy."""
+    """Everything one run needs besides the trace and the policy.
 
-    modules: Mapping[ModuleId, ModuleSpec]
+    The modules are the keys of ``reward.cost_ms``, and their inference
+    times its values.
+    """
+
     change: ChangeDetectConfig
     kalman: KalmanConfig
     reward: RewardConfig
     noise: NoiseConfig
     engine: EngineConfig
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        for module in self.reward.cost_ms:
-            if module not in self.modules:
-                raise ValueError(f"cost listed for unknown module {module!r}")
-
-
-def default_modules(
-    cost_yolo_ms: float = 15.0, cost_pose_ms: float = 80.0
-) -> Dict[ModuleId, ModuleSpec]:
-    return {
-        DETECTION: ModuleSpec(DETECTION, cost_yolo_ms, OutputKind.DETECTIONS),
-        POSE: ModuleSpec(POSE, cost_pose_ms, OutputKind.KEYPOINTS),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +138,10 @@ def default_modules(
 
 @dataclass(frozen=True)
 class FrameRecord:
-    """Everything the metrics need about one frame of one run."""
+    """Everything the metrics need about one frame of one run.
+
+    The fields, in order, are the keys of a frame line of the run log.
+    """
 
     index: int
     decided: Mapping[ModuleId, bool]
@@ -159,14 +151,17 @@ class FrameRecord:
     net: Mapping[ModuleId, float]
     honored: Mapping[ModuleId, bool]
     dropped: Mapping[ModuleId, bool]
-    applied: Tuple[dict, ...]
+    applied: Sequence[dict]
     decision_time_ms: float
     tracked: int
+    # offline runs only: the ground-truth boxes and keypoints of the frame
     observations: Optional[dict] = None
 
 
 @dataclass(frozen=True)
 class RunLogHeader:
+    """The fields, in order, are the keys of the header line after its tags."""
+
     policy: str
     seed: int
     frame_period_ms: float
@@ -176,43 +171,38 @@ class RunLogHeader:
     config_digest: str = ""
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+# ``fields()`` builds a new tuple per call, and a log asks once per record
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _line(tags: dict, record: object) -> str:
+    """One run-log line: ``tags``, then the record's fields in declaration
+    order. Mappings are written with sorted keys; a ``None`` field is left
+    out and reads back as its default."""
+    row = dict(tags)
+    for name in _field_names(type(record)):
+        value = getattr(record, name)
+        if isinstance(value, AnyMapping):
+            row[name] = {k: value[k] for k in sorted(value)}
+        elif value is not None:
+            row[name] = value
+    return _encode(row)
+
+
 @dataclass(frozen=True)
 class RunLog:
     header: RunLogHeader
     records: Tuple[FrameRecord, ...]
 
     def to_jsonl(self) -> str:
-        head = {
-            "record": "header",
-            "schema": RUNLOG_SCHEMA,
-            "version": RUNLOG_VERSION,
-            "policy": self.header.policy,
-            "seed": self.header.seed,
-            "frame_period_ms": self.header.frame_period_ms,
-            "frame_count": self.header.frame_count,
-            "module_costs": {m: c for m, c in sorted(self.header.module_costs.items())},
-            "keypoint_count": self.header.keypoint_count,
-            "config_digest": self.header.config_digest,
-        }
-        lines = [json.dumps(head, separators=(",", ":"))]
-        for rec in self.records:
-            row = {
-                "record": "frame",
-                "index": rec.index,
-                "decided": _sorted_map(rec.decided),
-                "forced": _sorted_map(rec.forced),
-                "info_gain": _sorted_map(rec.info_gain),
-                "cost_penalty": _sorted_map(rec.cost_penalty),
-                "net": _sorted_map(rec.net),
-                "honored": _sorted_map(rec.honored),
-                "dropped": _sorted_map(rec.dropped),
-                "applied": list(rec.applied),
-                "decision_time_ms": rec.decision_time_ms,
-                "tracked": rec.tracked,
-            }
-            if rec.observations is not None:
-                row["observations"] = rec.observations
-            lines.append(json.dumps(row, separators=(",", ":")))
+        tags = {"record": "header", "schema": RUNLOG_SCHEMA, "version": RUNLOG_VERSION}
+        lines = [_line(tags, self.header)]
+        lines.extend(_line({"record": "frame"}, rec) for rec in self.records)
         return "\n".join(lines) + "\n"
 
     def write(self, path: Union[str, Path]) -> None:
@@ -224,53 +214,27 @@ class RunLog:
         if not lines:
             raise EngineError("run log is empty")
         head = json.loads(lines[0])
-        if head.get("schema") != RUNLOG_SCHEMA or head.get("record") != "header":
+        if head.pop("schema", None) != RUNLOG_SCHEMA or head.pop("record", None) != "header":
             raise EngineError("first record must be a run-log header")
-        if head.get("version") != RUNLOG_VERSION:
-            raise EngineError(f"unsupported run-log version {head.get('version')}")
-        header = RunLogHeader(
-            policy=head["policy"],
-            seed=head["seed"],
-            frame_period_ms=head["frame_period_ms"],
-            frame_count=head["frame_count"],
-            module_costs=dict(head["module_costs"]),
-            keypoint_count=head["keypoint_count"],
-            config_digest=head.get("config_digest", ""),
-        )
+        version = head.pop("version", None)
+        if version != RUNLOG_VERSION:
+            raise EngineError(f"unsupported run-log version {version}")
         records = []
         for line in lines[1:]:
             row = json.loads(line)
-            records.append(
-                FrameRecord(
-                    index=row["index"],
-                    decided=row["decided"],
-                    forced=row["forced"],
-                    info_gain=row["info_gain"],
-                    cost_penalty=row["cost_penalty"],
-                    net=row["net"],
-                    honored=row["honored"],
-                    dropped=row["dropped"],
-                    applied=tuple(row["applied"]),
-                    decision_time_ms=row["decision_time_ms"],
-                    tracked=row["tracked"],
-                    observations=row.get("observations"),
-                )
-            )
-        return cls(header=header, records=tuple(records))
+            del row["record"]
+            records.append(FrameRecord(**row))
+        return cls(header=RunLogHeader(**head), records=tuple(records))
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "RunLog":
         return cls.from_jsonl(Path(path).read_text(encoding="utf-8"))
 
 
-def _sorted_map(m: Mapping[str, object]) -> dict:
-    return {k: m[k] for k in sorted(m)}
-
-
 def config_digest(cfg: PipelineConfig) -> str:
     """Stable digest of the run configuration for log headers."""
     payload = {
-        "modules": {m: s.inference_ms for m, s in sorted(cfg.modules.items())},
+        "modules": dict(cfg.reward.cost_ms),
         "change": _public_fields(cfg.change),
         "kalman": _public_fields(cfg.kalman),
         "reward": {
@@ -329,7 +293,7 @@ class SimEngine:
             m: frozenset(v) for m, v in (oracle_keyframes or {}).items()
         }
         self.period = trace.header.frame_period_ms
-        self.module_ids = sorted(cfg.modules)
+        self.module_ids = sorted(cfg.reward.cost_ms)
         self.keeps_beliefs = policy.keeps_beliefs
 
         # id -> frames since its last detection: the tracked set under every
@@ -557,7 +521,7 @@ class SimEngine:
         honored: Dict[ModuleId, bool] = {}
         dropped: Dict[ModuleId, bool] = {}
         for m in self.module_ids:
-            spec = self.cfg.modules[m]
+            cost = self.cfg.reward.cost_ms[m]
             want = decided[m] or (ecfg.busy_policy == "queue" and self.queued[m])
             idle = self.busy_until[m] <= now + 1e-9
             if want and idle:
@@ -567,14 +531,11 @@ class SimEngine:
                 start = now
                 if ecfg.overhead_accounting == "serial":
                     start += ecfg.scheduling_overhead_ms
-                self.busy_until[m] = start + spec.inference_ms
-                output = self._simulate(frame, spec)
-                if ecfg.overhead_accounting == "serial" and ecfg.scheduling_overhead_ms > 0:
-                    output = replace(
-                        output,
-                        stamp_ready=ready_stamp(start, spec.inference_ms, self.period),
-                    )
-                heapq.heappush(self.pending, (output.stamp_ready.index, self._seq, m, output))
+                self.busy_until[m] = start + cost
+                ready = ready_stamp(start, cost, self.period)
+                simulate = simulate_detection if m == DETECTION else simulate_pose
+                output = simulate(frame, ready, self.cfg.noise, self.cfg.seed)
+                heapq.heappush(self.pending, (ready.index, self._seq, m, output))
                 self._seq += 1
             else:
                 honored[m] = False
@@ -582,11 +543,6 @@ class SimEngine:
                 if dropped[m] and ecfg.busy_policy == "queue":
                     self.queued[m] = True
         return honored, dropped
-
-    def _simulate(self, frame: TraceFrame, spec: ModuleSpec) -> Union[DetectionOutput, PoseOutput]:
-        if spec.output_kind is OutputKind.DETECTIONS:
-            return simulate_detection(frame, spec, self.cfg.noise, self.cfg.seed, self.period)
-        return simulate_pose(frame, spec, self.cfg.noise, self.cfg.seed, self.period)
 
     # -- main loop ---------------------------------------------------------
 
@@ -635,7 +591,7 @@ class SimEngine:
             net={m: float(rewards[m].net) for m in self.module_ids},
             honored=honored,
             dropped=dropped,
-            applied=tuple(applied),
+            applied=applied,
             decision_time_ms=self.cfg.engine.scheduling_overhead_ms,
             tracked=len(self.members),
         )
@@ -643,17 +599,23 @@ class SimEngine:
         return record
 
     def run(self) -> RunLog:
-        records = [self.step(frame) for frame in self.trace.frames]
-        header = RunLogHeader(
-            policy=self.policy.value,
-            seed=self.cfg.seed,
-            frame_period_ms=self.period,
-            frame_count=len(records),
-            module_costs={m: self.cfg.modules[m].inference_ms for m in self.module_ids},
-            keypoint_count=self.trace.header.keypoint_count,
-            config_digest=config_digest(self.cfg),
-        )
-        return RunLog(header=header, records=tuple(records))
+        records = tuple(self.step(frame) for frame in self.trace.frames)
+        return RunLog(_header(self.trace, self.cfg, self.policy.value, records), records)
+
+
+def _header(
+    trace: Trace, cfg: PipelineConfig, policy: str, records: Sequence[FrameRecord]
+) -> RunLogHeader:
+    costs = cfg.reward.cost_ms
+    return RunLogHeader(
+        policy=policy,
+        seed=cfg.seed,
+        frame_period_ms=trace.header.frame_period_ms,
+        frame_count=len(records),
+        module_costs={m: costs[m] for m in sorted(costs)},
+        keypoint_count=trace.header.keypoint_count,
+        config_digest=config_digest(cfg),
+    )
 
 
 def run(
@@ -672,7 +634,7 @@ def run_offline(trace: Trace, cfg: PipelineConfig) -> RunLog:
     Outputs are the ground truth itself; the per-frame observations feed
     ground-truth keyframe extraction.
     """
-    module_ids = sorted(cfg.modules)
+    module_ids = sorted(cfg.reward.cost_ms)
     records = []
     for frame in trace.frames:
         boxes = []
@@ -683,7 +645,7 @@ def run_offline(trace: Trace, cfg: PipelineConfig) -> RunLog:
             cx, cy = e.region.center
             boxes.append([e.id, e.kind.value, cx, cy, e.region.w, e.region.h, e.relevance])
             if e.kind is EntityKind.HUMAN and e.id in frame.keypoints:
-                keypoints[e.id] = [[x, y] for x, y in frame.keypoints[e.id]]
+                keypoints[e.id] = frame.keypoints[e.id]
         flags = {m: True for m in module_ids}
         zeros = {m: 0.0 for m in module_ids}
         records.append(
@@ -702,13 +664,4 @@ def run_offline(trace: Trace, cfg: PipelineConfig) -> RunLog:
                 observations={"boxes": boxes, "keypoints": keypoints},
             )
         )
-    header = RunLogHeader(
-        policy=OFFLINE_POLICY,
-        seed=cfg.seed,
-        frame_period_ms=trace.header.frame_period_ms,
-        frame_count=len(records),
-        module_costs={m: cfg.modules[m].inference_ms for m in module_ids},
-        keypoint_count=trace.header.keypoint_count,
-        config_digest=config_digest(cfg),
-    )
-    return RunLog(header=header, records=tuple(records))
+    return RunLog(_header(trace, cfg, OFFLINE_POLICY, records), tuple(records))

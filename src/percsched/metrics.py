@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Mapping, Optional, Sequence, Tuple, get_args
+from typing import Dict, Literal, Mapping, Optional, Sequence, Tuple, get_args
 
 from .engine import OFFLINE_POLICY, RunLog
 from .scene import DETECTION, POSE, ModuleId
@@ -65,7 +65,7 @@ def extract_keyframes(
     pose_required: set = set()
     ref_centers: Dict[str, Tuple[float, float]] = {}
     ref_ids: Optional[frozenset] = None
-    ref_kps: Dict[str, List[Tuple[float, float]]] = {}
+    ref_kps: Mapping[str, Sequence[Tuple[float, float]]] = {}
     ref_humans: Optional[frozenset] = None
 
     for rec in offline_run.records:
@@ -74,15 +74,10 @@ def extract_keyframes(
             raise ValueError(f"offline record {rec.index} lacks observations")
         boxes = obs["boxes"]
         ids = frozenset(b[0] for b in boxes)
-        relevant_centers = {
-            b[0]: (float(b[2]), float(b[3])) for b in boxes if float(b[6]) > 0.0
-        }
+        relevant_centers = {b[0]: (b[2], b[3]) for b in boxes if b[6] > 0.0}
         humans = frozenset(b[0] for b in boxes if b[1] == "human")
-        human_relevance = {b[0]: float(b[6]) for b in boxes if b[1] == "human"}
-        kps = {
-            eid: [(float(x), float(y)) for x, y in pts]
-            for eid, pts in obs.get("keypoints", {}).items()
-        }
+        human_relevance = {b[0]: b[6] for b in boxes if b[1] == "human"}
+        kps = obs.get("keypoints", {})
 
         if ref_ids is None:
             det_needed = True
@@ -95,7 +90,7 @@ def extract_keyframes(
         if det_needed:
             det_required.add(rec.index)
             ref_ids = ids
-            ref_centers = dict(relevant_centers)
+            ref_centers = relevant_centers
 
         if ref_humans is None:
             pose_needed = bool(humans)
@@ -109,7 +104,7 @@ def extract_keyframes(
         if pose_needed:
             pose_required.add(rec.index)
             ref_humans = humans
-            ref_kps = {eid: list(points) for eid, points in kps.items()}
+            ref_kps = kps
         elif ref_humans is None:
             ref_humans = humans
 

@@ -50,18 +50,29 @@ def coco_wholebody_sigmas() -> Tuple[float, ...]:
 def load_sigma_base(path) -> Tuple[float, ...]:
     """Read a per-keypoint sigma table from a data file.
 
-    Accepts a JSON array, a JSON object with a ``sigmas`` key, or plain
-    whitespace-separated floats.
+    Accepts a JSON array of numbers, a JSON object whose ``sigmas`` key holds
+    one, or plain whitespace-separated floats.
     """
     from pathlib import Path
 
     text = Path(path).read_text(encoding="utf-8").strip()
     try:
         payload = json.loads(text)
-        values = payload["sigmas"] if isinstance(payload, dict) else payload
     except json.JSONDecodeError:
         values = text.split()
-    sigmas = tuple(float(v) for v in values)
+    else:
+        values = payload.get("sigmas") if isinstance(payload, dict) else payload
+        if not isinstance(values, list):
+            raise ValueError(
+                f"sigma table at {path} must be a JSON list or an object with a 'sigmas' list"
+            )
+        # bool is an int subclass, but true is not a sigma
+        if not all(type(v) in (int, float) for v in values):
+            raise ValueError(f"sigma table at {path} must hold numbers only")
+    try:
+        sigmas = tuple(float(v) for v in values)
+    except OverflowError:  # a JSON integer beyond the float range
+        sigmas = ()
     if not sigmas or not all(0.0 < s < math.inf for s in sigmas):
         raise ValueError(f"sigma table at {path} must hold finite positive reals")
     return sigmas
@@ -70,6 +81,9 @@ def load_sigma_base(path) -> Tuple[float, ...]:
 @dataclass(frozen=True)
 class RewardConfig:
     """Knobs shared by both reward models.
+
+    ``cost_ms`` is the one table of module inference times: the engine runs
+    the modules it lists, for that long each.
 
     ``sigma_base`` holds normalized per-keypoint base sigmas; they are
     multiplied by the object scale sqrt(w*h) where the pose entropy is
@@ -89,6 +103,11 @@ class RewardConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if set(self.cost_ms) != {DETECTION, POSE}:
+            raise ValueError(
+                f"cost_ms must list exactly the modules {DETECTION!r} and {POSE!r}, "
+                f"got {sorted(self.cost_ms)}"
+            )
         if self.sigma_base is not None and len(self.sigma_base) != self.keypoint_count:
             raise ValueError(
                 f"sigma_base has {len(self.sigma_base)} entries, "

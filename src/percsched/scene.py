@@ -37,8 +37,8 @@ class MotionStatus(str, Enum):
     STATIONARY = "stationary"
 
 
-# Module identifiers form an open set keyed by short strings; the two
-# built-in perception modules ship with fixed ids.
+# Module identifiers are short strings; the engine runs exactly two modules,
+# detection and pose, under these ids.
 ModuleId = str
 
 DETECTION: ModuleId = "yolo"

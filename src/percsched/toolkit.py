@@ -1,8 +1,9 @@
-"""The schedulable module pool: specs, output types and simulated modules.
+"""Simulated module backends and their output types.
 
 Simulated modules read ground truth from the trace and perturb it with
 configurable, seed-deterministic noise. An output becomes visible at the
-first frame boundary at or after issue time plus inference time.
+first frame boundary at or after issue time plus inference time
+(:func:`ready_stamp`); the engine computes that frame and hands it over.
 """
 
 from __future__ import annotations
@@ -10,34 +11,21 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from enum import Enum
 from typing import Annotated, List, Tuple
 
 import numpy as np
 
 from .scene import (
     DEFAULT_FRAME_PERIOD_MS,
+    DETECTION,
     FALSE_POSITIVE_PREFIX,
+    POSE,
     EntityKind,
     FrameStamp,
     ModuleId,
 )
 from .schema import NonNegative, OpenShare, Positive, check_fields
 from .traces import TraceFrame
-
-
-class OutputKind(str, Enum):
-    DETECTIONS = "detections"
-    KEYPOINTS = "keypoints"
-
-
-@dataclass(frozen=True)
-class ModuleSpec:
-    id: ModuleId
-    inference_ms: Positive
-    output_kind: OutputKind
-
-    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -109,14 +97,11 @@ def _rng_for(seed: int, frame_index: int, module: ModuleId) -> np.random.Generat
 
 
 def simulate_detection(
-    frame: TraceFrame,
-    spec: ModuleSpec,
-    noise_cfg: NoiseConfig,
-    rng_seed: int,
-    frame_period_ms: float = DEFAULT_FRAME_PERIOD_MS,
+    frame: TraceFrame, ready: FrameStamp, noise_cfg: NoiseConfig, rng_seed: int
 ) -> DetectionOutput:
-    """Detector stand-in: ground-truth boxes plus Gaussian perturbation."""
-    rng = _rng_for(rng_seed, frame.stamp.index, spec.id)
+    """Detector stand-in: ground-truth boxes plus Gaussian perturbation,
+    visible from frame ``ready``."""
+    rng = _rng_for(rng_seed, frame.stamp.index, DETECTION)
     boxes: List[DetectedBox] = []
     for e in frame.entities:
         if e.kind is EntityKind.BACKGROUND:
@@ -145,20 +130,17 @@ def simulate_detection(
         )
     return DetectionOutput(
         stamp_issued=frame.stamp,
-        stamp_ready=ready_stamp(frame.stamp.time_ms, spec.inference_ms, frame_period_ms),
+        stamp_ready=ready,
         boxes=tuple(boxes),
     )
 
 
 def simulate_pose(
-    frame: TraceFrame,
-    spec: ModuleSpec,
-    noise_cfg: NoiseConfig,
-    rng_seed: int,
-    frame_period_ms: float = DEFAULT_FRAME_PERIOD_MS,
+    frame: TraceFrame, ready: FrameStamp, noise_cfg: NoiseConfig, rng_seed: int
 ) -> PoseOutput:
-    """Pose stand-in: ground-truth keypoints with noise and Beta confidences."""
-    rng = _rng_for(rng_seed, frame.stamp.index, spec.id)
+    """Pose stand-in: ground-truth keypoints with noise and Beta confidences,
+    visible from frame ``ready``."""
+    rng = _rng_for(rng_seed, frame.stamp.index, POSE)
     per_human: List[HumanPose] = []
     for e in frame.entities:
         if e.kind is not EntityKind.HUMAN:
@@ -181,7 +163,7 @@ def simulate_pose(
         per_human.append(HumanPose(entity_id=e.id, keypoints=tuple(pts)))
     return PoseOutput(
         stamp_issued=frame.stamp,
-        stamp_ready=ready_stamp(frame.stamp.time_ms, spec.inference_ms, frame_period_ms),
+        stamp_ready=ready,
         per_human=tuple(per_human),
     )
 

@@ -340,6 +340,34 @@ class TestRun:
         assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "table",
+        [
+            {"foo": [1]},
+            5,
+            [None],
+            {"sigmas": 5},
+            # a boolean is not a sigma: true used to read as 1.0
+            [True] + [0.05] * 16,
+            [10**400] + [0.05] * 16,
+        ],
+        ids=[
+            "no-sigmas-key", "number", "null-entry", "sigmas-not-a-list", "bool-entry",
+            "int-beyond-float",
+        ],
+    )
+    def test_malformed_sigma_table_is_config_error_naming_it(self, tmp_path, capsys, table):
+        trace = tmp_path / "trace.jsonl"
+        args = ["--frames", "40", "--seed", "3", "--keypoints", "17", "--out", str(trace)]
+        assert main(["gen-trace", "--archetype", "interaction", *args]) == EXIT_OK
+        sigmas = tmp_path / "sigmas.json"
+        sigmas.write_text(json.dumps(table))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"trace": str(trace), "sigma_base_path": str(sigmas)}))
+        rc = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert f"sigma table at {sigmas}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "data, field",
         [
             ({"keypoint_count": 17.5}, "keypoint_count"),

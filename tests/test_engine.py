@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from percsched.engine import (
     run_offline,
 )
 from percsched.scene import DETECTION, POSE, Entity, EntityKind, FrameStamp, PatchRegion
-from percsched.toolkit import DetectionOutput
 from percsched.traces import ChangeStats, Trace, TraceFrame, TraceHeader, generate_trace
 
 PERIOD = 1000.0 / 30.0
@@ -168,21 +168,21 @@ class TestScheduledPolicy:
         assert any(r.forced[POSE] for r in log.records[1:4])
 
     @pytest.mark.parametrize("first_doubled", [0, 1])
-    def test_detection_naming_one_entity_twice_is_rejected(self, first_doubled):
+    def test_detection_naming_one_entity_twice_is_rejected(self, first_doubled, monkeypatch):
         # a trace cannot produce such an output, so double the simulator's
         # boxes: at frame 0 the start of new tracks sees the repeat, later
         # the update of known ones does
         trace = static_object_trace(frames=6)
         engine = SimEngine(trace, PolicyKind.SCHEDULED, pipeline().pipeline(trace.header))
-        simulate = engine._simulate
+        simulate = engine_module.simulate_detection
 
-        def doubled(frame, spec):
-            out = simulate(frame, spec)
-            if frame.stamp.index < first_doubled or not isinstance(out, DetectionOutput):
+        def doubled(frame, ready, noise_cfg, rng_seed):
+            out = simulate(frame, ready, noise_cfg, rng_seed)
+            if frame.stamp.index < first_doubled:
                 return out
             return dataclasses.replace(out, boxes=out.boxes + out.boxes)
 
-        engine._simulate = doubled
+        monkeypatch.setattr(engine_module, "simulate_detection", doubled)
         with pytest.raises(ValueError, match="track 'obj-1' is named twice"):
             for frame in trace.frames:
                 engine.step(frame)
@@ -226,6 +226,15 @@ class TestBusyDiscipline:
         # everything honored is applied except outputs still in flight at the end
         in_flight = len(honored) - len(applications)
         assert 0 <= in_flight <= 2
+
+    def test_ready_time_respects_inference(self):
+        # 80 ms of pose issued at frame 10 ends 2.4 frames later, so its
+        # output is applied at the next boundary, frame 13
+        trace = static_object_trace(frames=16)
+        kf = {POSE: frozenset({10}), DETECTION: frozenset()}
+        log = run(trace, PolicyKind.ORACLE, pipeline().pipeline(trace.header), kf)
+        applied = [(r.index, e) for r in log.records for e in r.applied]
+        assert applied == [(13, {"module": POSE, "issued": 10, "ready": 13})]
 
     def test_queue_mode_honors_at_busy_end(self):
         trace = static_object_trace()
@@ -297,10 +306,12 @@ class TestEngineMechanics:
         engine = SimEngine(trace, PolicyKind.PARALLEL, pipeline().pipeline(trace.header))
         records = [engine.step(frame) for frame in trace.frames[:4]]
         assert records[3].tracked == 1
-        for module, spec in engine.cfg.modules.items():
+        costs = run(trace, PolicyKind.PARALLEL, engine.cfg).header.module_costs
+        assert sorted(costs) == [POSE, DETECTION]
+        for module, cost in costs.items():
             starts = [r.index * PERIOD for r in records if r.honored[module]]
             assert starts[0] == 0.0
-            assert all(b - a >= spec.inference_ms for a, b in zip(starts, starts[1:]))
+            assert all(b - a >= cost for a, b in zip(starts, starts[1:]))
         assert [r.index for r in records if r.honored[POSE]] == [0, 3]
 
     def test_runlog_round_trip(self):
@@ -309,6 +320,35 @@ class TestEngineMechanics:
         back = RunLog.from_jsonl(log.to_jsonl())
         assert back.to_jsonl() == log.to_jsonl()
         assert back.header.policy == "scheduled"
+
+
+    def test_runlog_key_order(self):
+        trace = generate_trace("interaction", 10, seed=1)
+        cfg = pipeline().pipeline(trace.header)
+        head, frame = run(trace, PolicyKind.SCHEDULED, cfg).to_jsonl().splitlines()[:2]
+        offline = run_offline(trace, cfg).to_jsonl().splitlines()[1]
+        head = json.loads(head)
+        assert list(head) == [
+            "record", "schema", "version", "policy", "seed", "frame_period_ms",
+            "frame_count", "module_costs", "keypoint_count", "config_digest",
+        ]
+        assert list(head["module_costs"]) == [POSE, DETECTION]
+        frame_keys = [
+            "record", "index", "decided", "forced", "info_gain", "cost_penalty", "net",
+            "honored", "dropped", "applied", "decision_time_ms", "tracked",
+        ]
+        assert list(json.loads(frame)) == frame_keys
+        assert list(json.loads(offline)) == frame_keys + ["observations"]
+
+    def test_header_without_config_digest_reads_as_empty(self):
+        trace = static_object_trace(frames=3)
+        text = run(trace, PolicyKind.PARALLEL, pipeline().pipeline(trace.header)).to_jsonl()
+        head, frames = text.split("\n", 1)
+        head = json.loads(head)
+        assert head.pop("config_digest")
+        log = RunLog.from_jsonl(json.dumps(head) + "\n" + frames)
+        assert log.header.config_digest == ""
+        assert [r.index for r in log.records] == [0, 1, 2]
 
 
 class TestOfflineRun:
@@ -363,14 +403,36 @@ class TestPixelTraces:
         assert not any(rec.forced[DETECTION] for rec in log.records[1:])
 
 
-def test_benchmark_traced_names_exist():
-    """``bench/tracing.py`` wraps each of its targets as ``vars(owner)[attr]``,
-    so every name it lists must stay defined on that owner."""
+def _bench_tracing():
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_traced_names_exist():
+    """``bench/tracing.py`` wraps each of its targets as ``vars(owner)[attr]``,
+    so every name it lists must stay defined on that owner."""
+    tracing = _bench_tracing()
     targets = tracing.layer_targets(engine_module, change_detect, rewards, metrics)
     assert targets
     for owner, attr, name, _ in targets:
         assert attr in vars(owner), f"{name}: {owner.__name__} has no {attr!r}"
+
+
+def test_benchmark_tracer_counts_every_simulator_call():
+    """The engine looks the simulators up at call time, so the benchmark's
+    wrappers see one call per honored activation."""
+    tracing = _bench_tracing()
+    trace = generate_trace("interaction", 40, seed=3)
+    cfg = pipeline().pipeline(trace.header)
+    tracer = tracing.Tracer()
+    tracer.install(tracing.layer_targets(engine_module, change_detect, rewards, metrics))
+    try:
+        log = run(trace, PolicyKind.SCHEDULED, cfg)
+    finally:
+        tracer.uninstall()
+    for module, name in ((DETECTION, "detection"), (POSE, "pose")):
+        honored = sum(r.honored[module] for r in log.records)
+        assert honored and tracer.calls[f"toolkit.simulate_{name}"] == honored

@@ -294,6 +294,24 @@ class TestConfidenceHistory:
             hist.record("h", 3, [0.8])
 
 
+class TestRewardConfig:
+    """``cost_ms`` is the engine's one table of module inference times."""
+
+    def test_positive_inference_time(self):
+        for cost in (0.0, -15.0):
+            with pytest.raises(ValueError, match="cost_ms"):
+                _cfg(cost_det=cost)
+
+    @pytest.mark.parametrize(
+        "costs",
+        [{DETECTION: 15.0}, {DETECTION: 15.0, POSE: 80.0, "depth": 40.0}, {}],
+        ids=["missing", "unknown", "empty"],
+    )
+    def test_modules_are_exactly_detection_and_pose(self, costs):
+        with pytest.raises(ValueError, match="exactly the modules 'yolo' and 'pose'"):
+            RewardConfig(lambda_info_per_ms=0.3, cost_ms=costs)
+
+
 class TestSigmaBaseDefaults:
     def test_packaged_table_has_133_entries(self):
         table = coco_wholebody_sigmas()

@@ -1,20 +1,12 @@
 import numpy as np
 import pytest
 
-from percsched.scene import DETECTION, POSE, Entity, EntityKind, FrameStamp, PatchRegion
-from percsched.toolkit import (
-    ModuleSpec,
-    NoiseConfig,
-    OutputKind,
-    ready_stamp,
-    simulate_detection,
-    simulate_pose,
-)
+from percsched.scene import Entity, EntityKind, FrameStamp, PatchRegion
+from percsched.toolkit import NoiseConfig, ready_stamp, simulate_detection, simulate_pose
 from percsched.traces import TraceFrame
 
 PERIOD = 1000.0 / 30.0
-DET_SPEC = ModuleSpec(DETECTION, 15.0, OutputKind.DETECTIONS)
-POSE_SPEC = ModuleSpec(POSE, 80.0, OutputKind.KEYPOINTS)
+READY = FrameStamp.at(1, PERIOD)
 ZERO_NOISE = NoiseConfig()
 
 
@@ -55,25 +47,25 @@ class TestReadyStamp:
 class TestSimulateDetection:
     def test_zero_noise_matches_ground_truth(self):
         frame = _frame()
-        out = simulate_detection(frame, DET_SPEC, ZERO_NOISE, rng_seed=0)
+        out = simulate_detection(frame, READY, ZERO_NOISE, rng_seed=0)
         assert [b.entity_id for b in out.boxes] == ["obj-1", "hum-1"]
         box = out.boxes[0]
         assert (box.x_c, box.y_c, box.w, box.h) == (30.0, 25.0, 40.0, 30.0)
         assert out.stamp_issued.index == 0
-        assert out.stamp_ready.index == 1
+        assert out.stamp_ready == READY
 
     def test_same_seed_identical(self):
         frame = _frame()
         noisy = NoiseConfig(box_std=2.0)
-        a = simulate_detection(frame, DET_SPEC, noisy, rng_seed=42)
-        b = simulate_detection(frame, DET_SPEC, noisy, rng_seed=42)
+        a = simulate_detection(frame, READY, noisy, rng_seed=42)
+        b = simulate_detection(frame, READY, noisy, rng_seed=42)
         assert a == b
 
     def test_different_seeds_differ(self):
         frame = _frame()
         noisy = NoiseConfig(box_std=2.0)
-        a = simulate_detection(frame, DET_SPEC, noisy, rng_seed=1)
-        b = simulate_detection(frame, DET_SPEC, noisy, rng_seed=2)
+        a = simulate_detection(frame, READY, noisy, rng_seed=1)
+        b = simulate_detection(frame, READY, noisy, rng_seed=2)
         assert a != b
 
     def test_empty_frame(self):
@@ -81,18 +73,18 @@ class TestSimulateDetection:
             stamp=FrameStamp.at(0, PERIOD),
             entities=(),
         )
-        out = simulate_detection(frame, DET_SPEC, ZERO_NOISE, rng_seed=0)
+        out = simulate_detection(frame, READY, ZERO_NOISE, rng_seed=0)
         assert out.boxes == ()
 
     def test_miss_rate_one_drops_everything(self):
-        out = simulate_detection(_frame(), DET_SPEC, NoiseConfig(miss_rate=1.0), rng_seed=0)
+        out = simulate_detection(_frame(), READY, NoiseConfig(miss_rate=1.0), rng_seed=0)
         assert out.boxes == ()
 
 
 class TestSimulatePose:
     def test_zero_noise_keypoints_and_confidence(self):
         frame = _frame()
-        out = simulate_pose(frame, POSE_SPEC, ZERO_NOISE, rng_seed=0)
+        out = simulate_pose(frame, READY, ZERO_NOISE, rng_seed=0)
         assert len(out.per_human) == 1
         human = out.per_human[0]
         assert human.entity_id == "hum-1"
@@ -101,29 +93,18 @@ class TestSimulatePose:
             assert c == pytest.approx(1.0 - ZERO_NOISE.floor_margin)
 
     def test_no_humans_no_entries(self):
-        out = simulate_pose(_frame(with_human=False), POSE_SPEC, ZERO_NOISE, rng_seed=0)
+        out = simulate_pose(_frame(with_human=False), READY, ZERO_NOISE, rng_seed=0)
         assert out.per_human == ()
 
     def test_same_seed_identical_confidences(self):
         noisy = NoiseConfig(confidence_spread=0.3, keypoint_std=1.0)
-        a = simulate_pose(_frame(), POSE_SPEC, noisy, rng_seed=9)
-        b = simulate_pose(_frame(), POSE_SPEC, noisy, rng_seed=9)
+        a = simulate_pose(_frame(), READY, noisy, rng_seed=9)
+        b = simulate_pose(_frame(), READY, noisy, rng_seed=9)
         assert a == b
 
     def test_confidences_stay_in_unit_interval(self):
         noisy = NoiseConfig(confidence_spread=5.0)
-        out = simulate_pose(_frame(), POSE_SPEC, noisy, rng_seed=3)
+        out = simulate_pose(_frame(), READY, noisy, rng_seed=3)
         for human in out.per_human:
             for _, _, c in human.keypoints:
                 assert 0.0 < c <= 1.0
-
-    def test_ready_time_respects_inference(self):
-        out = simulate_pose(_frame(index=10), POSE_SPEC, ZERO_NOISE, rng_seed=0)
-        assert out.stamp_issued.index == 10
-        assert out.stamp_ready.index == 13
-
-
-class TestModuleSpec:
-    def test_positive_inference_time(self):
-        with pytest.raises(ValueError):
-            ModuleSpec(DETECTION, 0.0, OutputKind.DETECTIONS)
