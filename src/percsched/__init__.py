@@ -2,7 +2,6 @@
 
 from .change_detect import (
     ChangeDetectConfig,
-    HistogramShift,
     chi_square_shift,
     composition_change_trigger,
     grayscale_diff,
@@ -46,12 +45,11 @@ from .scene import (
     POSE,
     Entity,
     EntityKind,
-    FrameStamp,
     ModuleId,
     MotionStatus,
     PatchRegion,
 )
-from .scheduler import ActivationDecision, select
+from .scheduler import select
 from .toolkit import (
     DetectedBox,
     DetectionOutput,

@@ -38,18 +38,6 @@ class ChangeDetectConfig:
             raise ValueError(f"luminance_coeffs must sum to 1, got {sum(coeffs)}")
 
 
-@dataclass(frozen=True)
-class HistogramShift:
-    """Chi-square distance per RGB channel and their mean."""
-
-    per_channel: Tuple[float, float, float]
-    mean: float
-
-    @classmethod
-    def from_channels(cls, per_channel: Tuple[float, float, float]) -> "HistogramShift":
-        return cls(per_channel=per_channel, mean=float(np.mean(per_channel)))
-
-
 def grayscale_diff(abs_rgb_diff: np.ndarray, cfg: ChangeDetectConfig) -> np.ndarray:
     """Collapse an (h, w, 3) absolute RGB difference to a weighted grayscale map."""
     arr = np.asarray(abs_rgb_diff)
@@ -113,8 +101,9 @@ def chi_square_shift(
     hist_prev: np.ndarray,
     hist_curr: np.ndarray,
     cfg: Optional[ChangeDetectConfig] = None,
-) -> HistogramShift:
-    """Chi-square distance between per-channel histograms.
+) -> float:
+    """Mean over the channels of the chi-square distance between
+    per-channel histograms, one channel or three.
 
     Uses the symmetric form (a-b)^2 / (a+b) with empty-bin terms dropped;
     the asymmetric (a-b)^2 / a variant is available through the config.
@@ -136,25 +125,20 @@ def chi_square_shift(
     denom = (a + b) if cfg.chi_square_symmetric else a
     # empty bins keep the zero they start with
     terms = np.divide(diff_sq, denom, out=np.zeros_like(diff_sq), where=denom > 0)
-    distances = terms.sum(axis=1).tolist()
-    if len(distances) == 1:
-        return HistogramShift(per_channel=(distances[0],) * 3, mean=distances[0])
-    if len(distances) != 3:
+    distances = terms.sum(axis=1)
+    if len(distances) not in (1, 3):
         raise ValueError(f"expected 1 or 3 channels, got {len(distances)}")
-    return HistogramShift.from_channels(tuple(distances))
+    return float(np.mean(distances))
 
 
 def composition_change_trigger(
     background_cr: float,
-    shift: HistogramShift,
+    shift: float,
     cfg: ChangeDetectConfig,
 ) -> bool:
-    """True when both the background change ratio and the histogram shift
-    exceed their thresholds, signalling elements entering or leaving."""
-    return (
-        background_cr > cfg.patch_change_threshold
-        and shift.mean > cfg.histogram_threshold
-    )
+    """True when both the background change ratio and the mean histogram
+    shift exceed their thresholds, signalling elements entering or leaving."""
+    return background_cr > cfg.patch_change_threshold and shift > cfg.histogram_threshold
 
 
 def _normalize(hist: np.ndarray) -> np.ndarray:

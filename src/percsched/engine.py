@@ -30,7 +30,7 @@ from typing import Dict, List, Literal, Mapping, Optional, Sequence, Tuple, Unio
 import numpy as np
 
 from . import change_detect as cd
-from .change_detect import ChangeDetectConfig, HistogramShift
+from .change_detect import ChangeDetectConfig
 from .rewards import (
     KeypointConfidenceHistory,
     RewardBreakdown,
@@ -54,7 +54,7 @@ from .toolkit import (
     DetectionOutput,
     NoiseConfig,
     PoseOutput,
-    ready_stamp,
+    ready_frame,
     simulate_detection,
     simulate_pose,
 )
@@ -310,7 +310,7 @@ class SimEngine:
         # the last pixel frame's raster and its whole-raster rgb_histograms
         self.prev_frame: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._seq = 0
-        self._expected_index = trace.frames[0].stamp.index
+        self._expected_index = trace.frames[0].index
 
     # -- helpers ----------------------------------------------------------
 
@@ -344,13 +344,9 @@ class SimEngine:
                 for human in out.per_human:
                     if human.entity_id in self.members:
                         self.history.record(
-                            human.entity_id,
-                            out.stamp_issued.index,
-                            [c for _, _, c in human.keypoints],
+                            human.entity_id, out.issued, [c for _, _, c in human.keypoints]
                         )
-            applied.append(
-                {"module": module, "issued": out.stamp_issued.index, "ready": out.stamp_ready.index}
-            )
+            applied.append({"module": module, "issued": out.issued, "ready": out.ready})
         return applied, humans_changed
 
     def _track_detections(self, out: DetectionOutput, ids: List[str], fresh: List[str]) -> None:
@@ -402,19 +398,17 @@ class SimEngine:
         self._drop_tracks(stale)
         return humans_changed
 
-    def _change_stats(self, frame: TraceFrame) -> Tuple[float, HistogramShift, Dict[str, float]]:
+    def _change_stats(self, frame: TraceFrame) -> Tuple[float, float, Dict[str, float]]:
+        """The background change ratio, the mean histogram shift and the
+        change ratio per tracked patch."""
         if frame.pixels is not None:
             return self._pixel_change_stats(frame.pixels.rgb)
         if frame.change is not None:
-            shift = HistogramShift(
-                (frame.change.hist_shift_mean,) * 3, frame.change.hist_shift_mean
-            )
-            return frame.change.background_cr, shift, dict(frame.change.patch_cr)
-        return 0.0, HistogramShift((0.0, 0.0, 0.0), 0.0), {}
+            change = frame.change
+            return change.background_cr, change.hist_shift_mean, dict(change.patch_cr)
+        return 0.0, 0.0, {}
 
-    def _pixel_change_stats(
-        self, current: np.ndarray
-    ) -> Tuple[float, HistogramShift, Dict[str, float]]:
+    def _pixel_change_stats(self, current: np.ndarray) -> Tuple[float, float, Dict[str, float]]:
         """Change statistics between the last pixel frame and this one.
 
         Only the tracked patches are counted per frame: the background's
@@ -426,7 +420,7 @@ class SimEngine:
         prev = self.prev_frame
         self.prev_frame = (current, counts)
         if prev is None:
-            return 0.0, HistogramShift((0.0, 0.0, 0.0), 0.0), {}
+            return 0.0, 0.0, {}
         prev_pixels, prev_counts = prev
         # int16 holds every byte difference exactly
         diff = np.abs(current.astype(np.int16) - prev_pixels)
@@ -511,13 +505,13 @@ class SimEngine:
             else:
                 forced = k in self.oracle_keyframes.get(m, frozenset())
             rewards[m] = RewardBreakdown(
-                module=m, info_gain_nats=0.0, cost_penalty_nats=0.0, net=0.0, forced=forced
+                info_gain_nats=0.0, cost_penalty_nats=0.0, net=0.0, forced=forced
             )
         return rewards
 
     def _honor(self, frame: TraceFrame, decided: Mapping[ModuleId, bool]) -> Tuple[Dict, Dict]:
         ecfg = self.cfg.engine
-        now = frame.stamp.time_ms
+        now = frame.index * self.period
         honored: Dict[ModuleId, bool] = {}
         dropped: Dict[ModuleId, bool] = {}
         for m in self.module_ids:
@@ -532,10 +526,10 @@ class SimEngine:
                 if ecfg.overhead_accounting == "serial":
                     start += ecfg.scheduling_overhead_ms
                 self.busy_until[m] = start + cost
-                ready = ready_stamp(start, cost, self.period)
+                ready = ready_frame(start, cost, self.period)
                 simulate = simulate_detection if m == DETECTION else simulate_pose
                 output = simulate(frame, ready, self.cfg.noise, self.cfg.seed)
-                heapq.heappush(self.pending, (ready.index, self._seq, m, output))
+                heapq.heappush(self.pending, (ready, self._seq, m, output))
                 self._seq += 1
             else:
                 honored[m] = False
@@ -547,11 +541,9 @@ class SimEngine:
     # -- main loop ---------------------------------------------------------
 
     def step(self, frame: TraceFrame) -> FrameRecord:
-        if frame.stamp.index != self._expected_index:
-            raise EngineError(
-                f"expected frame {self._expected_index}, got {frame.stamp.index}"
-            )
-        k = frame.stamp.index
+        k = frame.index
+        if k != self._expected_index:
+            raise EngineError(f"expected frame {self._expected_index}, got {k}")
         for e in frame.entities:
             self.kinds[e.id] = e.kind
             self.relevance[e.id] = e.relevance
@@ -573,18 +565,12 @@ class SimEngine:
             rewards = self._scheduled_rewards(k, g1_yolo, g1_pose)
         else:
             rewards = self._baseline_rewards(k)
-        decision = select(
-            frame.stamp,
-            rewards,
-            decision_time_ms=self.cfg.engine.scheduling_overhead_ms,
-            modules=self.module_ids,
-        )
-
-        honored, dropped = self._honor(frame, decision.activations)
+        decided = select(rewards)
+        honored, dropped = self._honor(frame, decided)
 
         record = FrameRecord(
             index=k,
-            decided={m: bool(decision.activations[m]) for m in self.module_ids},
+            decided={m: bool(decided[m]) for m in self.module_ids},
             forced={m: bool(rewards[m].forced) for m in self.module_ids},
             info_gain={m: float(rewards[m].info_gain_nats) for m in self.module_ids},
             cost_penalty={m: float(rewards[m].cost_penalty_nats) for m in self.module_ids},
@@ -650,7 +636,7 @@ def run_offline(trace: Trace, cfg: PipelineConfig) -> RunLog:
         zeros = {m: 0.0 for m in module_ids}
         records.append(
             FrameRecord(
-                index=frame.stamp.index,
+                index=frame.index,
                 decided=flags,
                 forced=dict(flags),
                 info_gain=dict(zeros),

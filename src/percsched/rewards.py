@@ -23,7 +23,7 @@ import functools
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -92,9 +92,7 @@ class RewardConfig:
     """
 
     lambda_info_per_ms: NonNegative
-    cost_ms: Mapping[ModuleId, Positive] = field(
-        default_factory=lambda: {DETECTION: 15.0, POSE: 80.0}
-    )
+    cost_ms: Mapping[ModuleId, Positive]
     keypoint_count: PositiveCount = DEFAULT_KEYPOINT_COUNT
     sigma_base: Optional[Tuple[Positive, ...]] = None
     confidence_floor: OpenShare = 1e-6
@@ -126,7 +124,6 @@ class RewardConfig:
 class RewardBreakdown:
     """Net reward for one module at one frame."""
 
-    module: ModuleId
     info_gain_nats: float
     cost_penalty_nats: float
     net: float
@@ -136,7 +133,6 @@ class RewardBreakdown:
 def _breakdown(module: ModuleId, gain: float, forced: bool, cfg: RewardConfig) -> RewardBreakdown:
     penalty = cfg.lambda_info_per_ms * cfg.cost_ms[module]
     return RewardBreakdown(
-        module=module,
         info_gain_nats=gain,
         cost_penalty_nats=penalty,
         net=gain - penalty,

@@ -1,8 +1,7 @@
 """Shared scene-domain types used across the scheduling pipeline.
 
-Everything here is an immutable value object: frame stamps, patch regions
-and entities. Instances can be shared freely across threads once
-constructed.
+Everything here is an immutable value object: patch regions and entities.
+Instances can be shared freely across threads once constructed.
 """
 
 from __future__ import annotations
@@ -43,30 +42,6 @@ ModuleId = str
 
 DETECTION: ModuleId = "yolo"
 POSE: ModuleId = "pose"
-
-
-@dataclass(frozen=True)
-class FrameStamp:
-    """Frame counter plus its position on the virtual clock.
-
-    ``time_ms`` is always ``index * frame_period_ms`` for the period the
-    stamp was built with; use :meth:`at` so the two never drift apart.
-    """
-
-    index: int
-    time_ms: float
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"frame index must be non-negative, got {self.index}")
-        if self.time_ms < 0:
-            raise ValueError(f"frame time must be non-negative, got {self.time_ms}")
-
-    @classmethod
-    def at(cls, index: int, frame_period_ms: float = DEFAULT_FRAME_PERIOD_MS) -> "FrameStamp":
-        if frame_period_ms <= 0:
-            raise ValueError("frame_period_ms must be positive")
-        return cls(index=index, time_ms=index * frame_period_ms)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@ config or trace file sets. A dataclass declares each field in its type hint
 (``bool``, ``str``, ``Optional``, ``Literal``, a tuple, a ``Mapping``, a
 class; an ``int`` or ``float`` always with its interval as ``Annotated``
 text such as ``"(0, 1]"``; a list of points marked ``POINTS``) and sets
-``__post_init__ = check_fields`` or calls it. Values built on every frame
-keep their own cheap checks instead.
+``__post_init__ = check_fields`` or calls it.
 """
 
 from __future__ import annotations

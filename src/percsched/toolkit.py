@@ -3,7 +3,8 @@
 Simulated modules read ground truth from the trace and perturb it with
 configurable, seed-deterministic noise. An output becomes visible at the
 first frame boundary at or after issue time plus inference time
-(:func:`ready_stamp`); the engine computes that frame and hands it over.
+(:func:`ready_frame`); the engine computes that frame's index and hands it
+over. Outputs carry the frame indices they were issued and become ready at.
 """
 
 from __future__ import annotations
@@ -15,15 +16,7 @@ from typing import Annotated, List, Tuple
 
 import numpy as np
 
-from .scene import (
-    DEFAULT_FRAME_PERIOD_MS,
-    DETECTION,
-    FALSE_POSITIVE_PREFIX,
-    POSE,
-    EntityKind,
-    FrameStamp,
-    ModuleId,
-)
+from .scene import DETECTION, FALSE_POSITIVE_PREFIX, POSE, EntityKind, ModuleId
 from .schema import NonNegative, OpenShare, Positive, check_fields
 from .traces import TraceFrame
 
@@ -39,8 +32,8 @@ class DetectedBox:
 
 @dataclass(frozen=True)
 class DetectionOutput:
-    stamp_issued: FrameStamp
-    stamp_ready: FrameStamp
+    issued: int
+    ready: int
     boxes: Tuple[DetectedBox, ...]
 
 
@@ -52,8 +45,8 @@ class HumanPose:
 
 @dataclass(frozen=True)
 class PoseOutput:
-    stamp_issued: FrameStamp
-    stamp_ready: FrameStamp
+    issued: int
+    ready: int
     per_human: Tuple[HumanPose, ...]
 
 
@@ -80,15 +73,11 @@ class NoiseConfig:
     __post_init__ = check_fields
 
 
-def ready_stamp(
-    issue_time_ms: float,
-    inference_ms: float,
-    frame_period_ms: float = DEFAULT_FRAME_PERIOD_MS,
-) -> FrameStamp:
-    """First frame boundary at or after completion of the inference."""
+def ready_frame(issue_time_ms: float, inference_ms: float, frame_period_ms: float) -> int:
+    """Index of the first frame boundary at or after completion of the
+    inference."""
     done = issue_time_ms + inference_ms
-    index = int(math.ceil(done / frame_period_ms - 1e-9))
-    return FrameStamp.at(index, frame_period_ms)
+    return int(math.ceil(done / frame_period_ms - 1e-9))
 
 
 def _rng_for(seed: int, frame_index: int, module: ModuleId) -> np.random.Generator:
@@ -97,11 +86,11 @@ def _rng_for(seed: int, frame_index: int, module: ModuleId) -> np.random.Generat
 
 
 def simulate_detection(
-    frame: TraceFrame, ready: FrameStamp, noise_cfg: NoiseConfig, rng_seed: int
+    frame: TraceFrame, ready: int, noise_cfg: NoiseConfig, rng_seed: int
 ) -> DetectionOutput:
     """Detector stand-in: ground-truth boxes plus Gaussian perturbation,
     visible from frame ``ready``."""
-    rng = _rng_for(rng_seed, frame.stamp.index, DETECTION)
+    rng = _rng_for(rng_seed, frame.index, DETECTION)
     boxes: List[DetectedBox] = []
     for e in frame.entities:
         if e.kind is EntityKind.BACKGROUND:
@@ -123,24 +112,20 @@ def simulate_detection(
         fy = float(rng.uniform(50, 350))
         boxes.append(
             DetectedBox(
-                entity_id=f"{FALSE_POSITIVE_PREFIX}{frame.stamp.index}",
+                entity_id=f"{FALSE_POSITIVE_PREFIX}{frame.index}",
                 x_c=fx, y_c=fy, w=float(rng.uniform(20, 60)),
                 h=float(rng.uniform(20, 60)),
             )
         )
-    return DetectionOutput(
-        stamp_issued=frame.stamp,
-        stamp_ready=ready,
-        boxes=tuple(boxes),
-    )
+    return DetectionOutput(issued=frame.index, ready=ready, boxes=tuple(boxes))
 
 
 def simulate_pose(
-    frame: TraceFrame, ready: FrameStamp, noise_cfg: NoiseConfig, rng_seed: int
+    frame: TraceFrame, ready: int, noise_cfg: NoiseConfig, rng_seed: int
 ) -> PoseOutput:
     """Pose stand-in: ground-truth keypoints with noise and Beta confidences,
     visible from frame ``ready``."""
-    rng = _rng_for(rng_seed, frame.stamp.index, POSE)
+    rng = _rng_for(rng_seed, frame.index, POSE)
     per_human: List[HumanPose] = []
     for e in frame.entities:
         if e.kind is not EntityKind.HUMAN:
@@ -161,9 +146,5 @@ def simulate_pose(
             conf = min(1.0, max(noise_cfg.min_confidence, conf))
             pts.append((float(x), float(y), float(conf)))
         per_human.append(HumanPose(entity_id=e.id, keypoints=tuple(pts)))
-    return PoseOutput(
-        stamp_issued=frame.stamp,
-        stamp_ready=ready,
-        per_human=tuple(per_human),
-    )
+    return PoseOutput(issued=frame.index, ready=ready, per_human=tuple(per_human))
 

@@ -28,7 +28,6 @@ from .scene import (
     Coordinate,
     Entity,
     EntityKind,
-    FrameStamp,
     PatchRegion,
 )
 from .schema import POINTS, Count, NonNegative, PositiveCount, Share, check_fields
@@ -85,7 +84,7 @@ class TraceFrame:
 
     # builtin generics, which typing does not cache: its cache of subscripts
     # would keep every imported copy of these classes, and their modules, alive
-    stamp: FrameStamp
+    index: Count
     entities: tuple[Entity, ...]
     keypoints: Mapping[str, Points] = field(default_factory=dict)
     change: ChangeStats | None = None
@@ -115,8 +114,8 @@ class Trace:
     def __post_init__(self) -> None:
         raster = None  # (index, shape) of the first frame with pixels
         for i, frame in enumerate(self.frames):
-            if frame.stamp.index != i:
-                raise TraceError(f"frame {i} carries stamp index {frame.stamp.index}")
+            if frame.index != i:
+                raise TraceError(f"frame {i} carries index {frame.index}")
             ids = [e.id for e in frame.entities]
             if len(set(ids)) != len(ids):
                 twice = next(eid for j, eid in enumerate(ids) if eid in ids[:j])
@@ -160,7 +159,7 @@ def _entity_from_dict(d: dict) -> Entity:
 def frame_to_dict(frame: TraceFrame) -> dict:
     rec: dict = {
         "record": "frame",
-        "index": frame.stamp.index,
+        "index": frame.index,
         "entities": [_entity_to_dict(e) for e in frame.entities],
     }
     if frame.keypoints:
@@ -198,7 +197,7 @@ def frame_from_dict(rec: dict, header: TraceHeader) -> TraceFrame:
             rgb = np.frombuffer(raw, dtype=np.uint8).reshape(p["h"], p["w"], 3)
             pixels = FramePixels(rgb=rgb)
         frame = TraceFrame(
-            stamp=FrameStamp.at(index, header.frame_period_ms),
+            index=index,
             entities=tuple(map(_entity_from_dict, rec["entities"])),
             keypoints=rec.get("keypoints", {}),
             change=change,
@@ -274,6 +273,8 @@ def read_trace(path: Union[str, Path]) -> Trace:
             frames.append(frame_from_dict(rec, header))
     except TraceError as exc:
         raise TraceError(f"line {number}: {exc}") from exc
+    if not frames:
+        raise TraceError(f"trace has no frame records: {path}")
     if header.frame_count and header.frame_count != len(frames):
         raise TraceError(
             f"header frame_count promises {header.frame_count} frames, file has {len(frames)}"
@@ -344,7 +345,6 @@ class _SceneScript:
         cr_rng: Optional[np.random.Generator] = None,
     ) -> None:
         """Finish the frame: derive its change stats and append it."""
-        stamp = FrameStamp.at(index, self.header.frame_period_ms)
         entities = []
         patch_cr: Dict[str, float] = {}
         keypoints: Dict[str, Tuple[Tuple[float, float], ...]] = {}
@@ -383,7 +383,7 @@ class _SceneScript:
 
         self.frames.append(
             TraceFrame(
-                stamp=stamp,
+                index=index,
                 entities=tuple(entities),
                 keypoints=keypoints,
                 change=ChangeStats(

@@ -7,10 +7,9 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from percsched.change_detect import ChangeDetectConfig, HistogramShift
+from percsched.change_detect import ChangeDetectConfig
 from percsched.rewards import LN_TWO_PI_E, RewardBreakdown, RewardConfig
-from percsched.scene import FrameStamp, ModuleId, PatchRegion
-from percsched.scheduler import ActivationDecision
+from percsched.scene import ModuleId, PatchRegion
 from percsched.tracker import MEAS_DIM, STATE_DIM, KalmanConfig, NumericalError, TrackBank
 
 
@@ -167,11 +166,7 @@ def _require_pd(cov: np.ndarray, entity_id: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def brute_force_select(
-    stamp: FrameStamp,
-    rewards: Mapping[ModuleId, RewardBreakdown],
-    decision_time_ms: float = 0.0,
-) -> ActivationDecision:
+def brute_force_select(rewards: Mapping[ModuleId, RewardBreakdown]) -> Dict[ModuleId, bool]:
     """Exhaustive argmax over all feasible activation vectors.
 
     Feasible vectors keep every forced module on. Ties in cumulative reward
@@ -196,13 +191,7 @@ def brute_force_select(
             ):
                 best_total = total
                 best_set = active
-    activations = {m: m in best_set for m in names}
-    return ActivationDecision(
-        stamp=stamp,
-        activations=activations,
-        rewards=dict(rewards),
-        decision_time_ms=decision_time_ms,
-    )
+    return {m: m in best_set for m in names}
 
 
 def keypoint_sigma(conf: float, base: float, cfg: RewardConfig) -> float:
@@ -308,7 +297,7 @@ def reference_pixel_change(
     frame_w: float,
     frame_h: float,
     cfg: ChangeDetectConfig,
-) -> Tuple[float, HistogramShift, Dict[str, float]]:
+) -> Tuple[float, float, Dict[str, float]]:
     """``(bg_cr, shift, patch_cr)`` between two rasters, for tracks whose bank
     mean rows ``means`` maps by id, counted the direct way.
 
@@ -372,8 +361,9 @@ def reference_regions(
 
 def reference_chi_square_shift(
     hist_prev: np.ndarray, hist_curr: np.ndarray, cfg: ChangeDetectConfig
-) -> HistogramShift:
-    """Chi-square distance of two (3, bins) histograms, empty bins dropped."""
+) -> float:
+    """Mean over the channels of the chi-square distance of two (3, bins)
+    histograms, empty bins dropped."""
     a = np.asarray(hist_prev, dtype=float)
     b = np.asarray(hist_curr, dtype=float)
     if cfg.normalize_histograms:
@@ -383,7 +373,7 @@ def reference_chi_square_shift(
     denom = (a + b) if cfg.chi_square_symmetric else a
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(denom > 0, diff_sq / np.where(denom > 0, denom, 1.0), 0.0)
-    return HistogramShift.from_channels(tuple(float(d) for d in terms.sum(axis=1)))
+    return float(np.mean([float(d) for d in terms.sum(axis=1)]))
 
 
 def _normalized(hist: np.ndarray) -> np.ndarray:

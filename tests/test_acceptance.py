@@ -39,7 +39,7 @@ from percsched.rewards import (
     detection_info_gain,
     keypoint_entropy,
 )
-from percsched.scene import DETECTION, POSE, FrameStamp, MotionStatus
+from percsched.scene import DETECTION, POSE, MotionStatus
 from oracles import brute_force_select, measurement_noise
 from percsched.scheduler import select
 from percsched.toolkit import NoiseConfig
@@ -158,7 +158,6 @@ def test_criterion_3_keyframe_accuracy(note):
 
 def test_criterion_4_selector_oracle_equivalence(note):
     rng = np.random.default_rng(2024)
-    stamp = FrameStamp.at(0)
     mismatches = 0
     for _ in range(10_000):
         n = int(rng.integers(1, 7))
@@ -172,13 +171,12 @@ def test_criterion_4_selector_oracle_equivalence(note):
             else:
                 net = round(float(rng.uniform(-10, 10)), 3)
             rewards[f"m{i}"] = RewardBreakdown(
-                module=f"m{i}",
                 info_gain_nats=net,
                 cost_penalty_nats=0.0,
                 net=net,
                 forced=bool(rng.random() < 0.2),
             )
-        if select(stamp, rewards).activations != brute_force_select(stamp, rewards).activations:
+        if select(rewards) != brute_force_select(rewards):
             mismatches += 1
     note(
         f"criterion 4 selector oracle equivalence: {'PASS' if mismatches == 0 else 'FAIL'} "
@@ -330,7 +328,7 @@ def test_criterion_9_change_detection_properties(note):
         b = rng.integers(0, 100, size=(3, 16)).astype(float)
         if chi_square_shift(a, b) != chi_square_shift(b, a):
             sym_fail += 1
-        if chi_square_shift(a, a).mean != 0.0:
+        if chi_square_shift(a, a) != 0.0:
             self_fail += 1
 
     cfg = ChangeDetectConfig()

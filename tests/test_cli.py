@@ -252,6 +252,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"line 3: frame index must be an integer, got {index!r}" in err
 
+    def test_negative_frame_index_is_trace_error_naming_the_field(
+        self, trace_path, tmp_path, capsys
+    ):
+        self._corrupt_frame(trace_path, 1, lambda rec: rec.update(index=-1))
+        rc = main(["compare", "--trace", str(trace_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_TRACE
+        err = capsys.readouterr().err
+        assert "line 3:" in err and "index must be an integer in [0, inf), got -1" in err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_header_only_trace_is_trace_error_naming_the_file(
+        self, trace_path, tmp_path, capsys, command
+    ):
+        # a frame_count of 0 promises no count, so only the missing frames are wrong
+        header = json.loads(trace_path.read_text().splitlines()[0])
+        header["frame_count"] = 0
+        trace_path.write_text(json.dumps(header) + "\n")
+        args = [command, "--trace", str(trace_path)]
+        if command == "compare":
+            args += ["--out", str(tmp_path / "o")]
+        assert main(args) == EXIT_TRACE
+        assert f"trace has no frame records: {trace_path}" in capsys.readouterr().err
+
     def test_nan_keypoint_is_trace_error_naming_frame_and_entity(self, trace_path, capsys):
         frames = [json.loads(line) for line in trace_path.read_text().splitlines()[1:]]
         index, eid = next(

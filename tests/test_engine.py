@@ -1,6 +1,8 @@
 import dataclasses
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +19,15 @@ from percsched.engine import (
     run,
     run_offline,
 )
-from percsched.scene import DETECTION, POSE, Entity, EntityKind, FrameStamp, PatchRegion
+from percsched.scene import DETECTION, POSE, Entity, EntityKind, PatchRegion
 from percsched.traces import ChangeStats, Trace, TraceFrame, TraceHeader, generate_trace
 
 PERIOD = 1000.0 / 30.0
 
 
-def make_frame(index, entities=(), keypoints=None, change=None, period=PERIOD):
+def make_frame(index, entities=(), keypoints=None, change=None):
     return TraceFrame(
-        stamp=FrameStamp.at(index, period),
+        index=index,
         entities=tuple(entities),
         keypoints=keypoints or {},
         change=change,
@@ -178,7 +180,7 @@ class TestScheduledPolicy:
 
         def doubled(frame, ready, noise_cfg, rng_seed):
             out = simulate(frame, ready, noise_cfg, rng_seed)
-            if frame.stamp.index < first_doubled:
+            if frame.index < first_doubled:
                 return out
             return dataclasses.replace(out, boxes=out.boxes + out.boxes)
 
@@ -235,6 +237,21 @@ class TestBusyDiscipline:
         log = run(trace, PolicyKind.ORACLE, pipeline().pipeline(trace.header), kf)
         applied = [(r.index, e) for r in log.records for e in r.applied]
         assert applied == [(13, {"module": POSE, "issued": 10, "ready": 13})]
+
+    @pytest.mark.parametrize("period, yolo_ready, pose_ready", [(40.0, 11, 12), (PERIOD, 11, 13)])
+    def test_ready_frame_follows_the_header_period(self, period, yolo_ready, pose_ready):
+        # virtual time is frame index times the header's period: 15 ms of yolo
+        # and 80 ms of pose issued at frame 10 end within 1 and 2 frames of
+        # 40 ms, and within 1 and 3 frames of 33.3 ms
+        header = TraceHeader(frame_period_ms=period, keypoint_count=5, frame_count=16)
+        trace = Trace(header=header, frames=tuple(make_frame(i, [obj()]) for i in range(16)))
+        kf = {POSE: frozenset({10}), DETECTION: frozenset({10})}
+        log = run(trace, PolicyKind.ORACLE, pipeline().pipeline(header), kf)
+        applied = [(r.index, e) for r in log.records for e in r.applied]
+        assert applied == [
+            (yolo_ready, {"module": DETECTION, "issued": 10, "ready": yolo_ready}),
+            (pose_ready, {"module": POSE, "issued": 10, "ready": pose_ready}),
+        ]
 
     def test_queue_mode_honors_at_busy_end(self):
         trace = static_object_trace()
@@ -377,7 +394,7 @@ def _level_switch_trace(level):
 
     frames = [
         TraceFrame(
-            stamp=FrameStamp.at(i, PERIOD),
+            index=i,
             entities=(obj(),),
             pixels=FramePixels(rgb=np.full((48, 64, 3), 60 if i < 4 else level, np.uint8)),
         )
@@ -436,3 +453,29 @@ def test_benchmark_tracer_counts_every_simulator_call():
     for module, name in ((DETECTION, "detection"), (POSE, "pose")):
         honored = sum(r.honored[module] for r in log.records)
         assert honored and tracer.calls[f"toolkit.simulate_{name}"] == honored
+
+
+def test_benchmark_runs_traced_at_small_size():
+    """One small traced benchmark run: it exits 0 with every output check
+    passing, and the call counts that match the engine's structure reconcile."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "bench" / "run.py"), "--workload", "interaction-pixels",
+         "--seed", "3", "--seconds", "0.1", "--frames", "12", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    verdicts = {
+        line.split()[1].rsplit(".calls", 1)[0]: line.rsplit(": ", 1)[1]
+        for line in lines if line.startswith("reconcile ")
+    }
+    for name in (
+        "engine.runlog_to_jsonl", "engine.runlog_from_jsonl", "scheduler.select",
+        "rewards.detection_info_gain", "rewards.pre_execution_entropy",
+        "rewards.post_execution_entropy", "rewards.sigma_table_loads",
+        "toolkit.simulate_detection", "toolkit.simulate_pose",
+    ):
+        assert verdicts.get(name) == "ok", f"{name}: {verdicts.get(name)}"

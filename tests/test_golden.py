@@ -30,7 +30,7 @@ import pytest
 from oracles import numpy_rgb_histograms, reference_pixel_change, reference_regions
 from percsched import change_detect, metrics, rewards
 from percsched import engine as engine_module
-from percsched.change_detect import ChangeDetectConfig, HistogramShift
+from percsched.change_detect import ChangeDetectConfig
 from percsched.config import RunConfig
 from percsched.engine import EngineConfig, PolicyKind, SimEngine, run, run_offline
 from percsched.metrics import extract_keyframes
@@ -195,7 +195,7 @@ class DirectCountEngine(SimEngine):
             return super()._change_stats(frame)
         prev, self.last_raster = self.last_raster, frame.pixels.rgb
         if prev is None:
-            return 0.0, HistogramShift((0.0, 0.0, 0.0), 0.0), {}
+            return 0.0, 0.0, {}
         header = self.trace.header
         return reference_pixel_change(
             prev, frame.pixels.rgb, dict(zip(self.bank.ids, self.bank.means.tolist())),
@@ -259,7 +259,7 @@ def test_pixel_frames_count_only_the_tracked_patches(monkeypatch):
 
     class Probe(SimEngine):
         def _change_stats(self, frame):
-            k = frame.stamp.index
+            k = frame.index
             per_frame[k] = []
             mask = np.zeros(frame.pixels.rgb.shape[:2], dtype=bool)
             means = dict(zip(self.bank.ids, self.bank.means.tolist()))

@@ -21,7 +21,7 @@ from percsched.metrics import (
     keyframe_accuracy,
     latency,
 )
-from percsched.scene import DETECTION, POSE, Entity, EntityKind, FrameStamp, PatchRegion
+from percsched.scene import DETECTION, POSE, Entity, EntityKind, PatchRegion
 from percsched.traces import Trace, TraceFrame, TraceHeader, generate_trace
 
 PERIOD = 1000.0 / 30.0
@@ -211,7 +211,7 @@ class TestRecallAndAccuracy:
     def test_oracle_recall_perfect_when_keyframes_spaced(self):
         frames = tuple(
             TraceFrame(
-                stamp=FrameStamp.at(i, PERIOD),
+                index=i,
                 entities=(
                     Entity(id="h", kind=EntityKind.HUMAN, region=PatchRegion(10, 10, 30, 60)),
                 ),
@@ -284,7 +284,7 @@ class TestLatency:
             header=TraceHeader(frame_period_ms=PERIOD, keypoint_count=3, frame_count=30),
             frames=tuple(
                 TraceFrame(
-                    stamp=FrameStamp.at(i, PERIOD),
+                    index=i,
                     entities=(),
                 )
                 for i in range(30)

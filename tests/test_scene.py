@@ -5,9 +5,10 @@ from percsched.scene import (
     DEFAULT_FRAME_PERIOD_MS,
     Entity,
     EntityKind,
-    FrameStamp,
     PatchRegion,
 )
+from percsched.toolkit import ready_frame
+from percsched.traces import TraceFrame, TraceHeader
 
 
 def _entity(eid, kind=EntityKind.OBJECT, x=10, y=10, w=30, h=40, relevance=1.0):
@@ -15,21 +16,24 @@ def _entity(eid, kind=EntityKind.OBJECT, x=10, y=10, w=30, h=40, relevance=1.0):
 
 
 class TestFrameStamp:
+    """A frame is stamped by its index alone; its virtual time is the index
+    times the trace header's frame period."""
+
     def test_affine_in_index(self):
+        # an output issued at frame k's time with no inference is ready at k
         rng = np.random.default_rng(0)
         for _ in range(200):
             index = int(rng.integers(0, 10_000))
             period = float(rng.uniform(1.0, 100.0))
-            stamp = FrameStamp.at(index, period)
-            assert stamp.time_ms == index * period
+            assert ready_frame(index * period, 0.0, period) == index
 
     def test_default_period_is_30fps(self):
-        assert FrameStamp.at(3).time_ms == pytest.approx(100.0)
+        assert 3 * TraceHeader().frame_period_ms == pytest.approx(100.0)
         assert DEFAULT_FRAME_PERIOD_MS == pytest.approx(1000.0 / 30.0)
 
     def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            FrameStamp.at(-1)
+        with pytest.raises(ValueError, match="index"):
+            TraceFrame(index=-1, entities=())
 
 
 class TestPatchRegion:

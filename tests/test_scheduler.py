@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from percsched.rewards import RewardBreakdown
-from percsched.scene import DETECTION, POSE, FrameStamp
+from percsched.scene import DETECTION, POSE
 from oracles import brute_force_select
-from percsched.scheduler import ActivationDecision, select
-
-STAMP = FrameStamp.at(0)
+from percsched.scheduler import select
 
 
-def _reward(module, net, forced=False):
-    return RewardBreakdown(
-        module=module, info_gain_nats=net, cost_penalty_nats=0.0, net=net, forced=forced
-    )
+def _reward(net, forced=False):
+    return RewardBreakdown(info_gain_nats=net, cost_penalty_nats=0.0, net=net, forced=forced)
 
 
 def random_reward_map(rng, n):
@@ -24,68 +20,47 @@ def random_reward_map(rng, n):
             net = 0.0
         else:
             net = round(float(rng.uniform(-10, 10)), 3)
-        rewards[f"m{i}"] = _reward(f"m{i}", net, forced=bool(rng.random() < 0.2))
+        rewards[f"m{i}"] = _reward(net, forced=bool(rng.random() < 0.2))
     return rewards
 
 
 class TestSelect:
     def test_sign_rule(self):
-        decision = select(
-            STAMP, {DETECTION: _reward(DETECTION, 5.0), POSE: _reward(POSE, -2.0)}
-        )
-        assert decision.activations == {DETECTION: True, POSE: False}
+        decision = select({DETECTION: _reward(5.0), POSE: _reward(-2.0)})
+        assert decision == {DETECTION: True, POSE: False}
 
     def test_forced_overrides_negative_net(self):
-        decision = select(
-            STAMP,
-            {DETECTION: _reward(DETECTION, -1.0, forced=True), POSE: _reward(POSE, -3.0)},
-        )
-        assert decision.activations == {DETECTION: True, POSE: False}
+        decision = select({DETECTION: _reward(-1.0, forced=True), POSE: _reward(-3.0)})
+        assert decision == {DETECTION: True, POSE: False}
 
     def test_exact_zero_is_inactive(self):
-        decision = select(
-            STAMP, {DETECTION: _reward(DETECTION, 0.0), POSE: _reward(POSE, 0.0)}
-        )
-        assert decision.activations == {DETECTION: False, POSE: False}
-
-    def test_missing_module_entry_rejected(self):
-        with pytest.raises(KeyError):
-            select(STAMP, {DETECTION: _reward(DETECTION, 1.0)}, modules=[DETECTION, POSE])
+        decision = select({DETECTION: _reward(0.0), POSE: _reward(0.0)})
+        assert decision == {DETECTION: False, POSE: False}
 
     def test_positive_shift_never_deactivates(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             rewards = random_reward_map(rng, int(rng.integers(1, 6)))
-            base = select(STAMP, rewards)
+            base = select(rewards)
             shift = float(rng.uniform(0.001, 5.0))
-            shifted = {
-                m: _reward(m, r.net + shift, r.forced) for m, r in rewards.items()
-            }
-            after = select(STAMP, shifted)
+            shifted = {m: _reward(r.net + shift, r.forced) for m, r in rewards.items()}
+            after = select(shifted)
             for m in rewards:
-                if base.activations[m]:
-                    assert after.activations[m]
+                if base[m]:
+                    assert after[m]
 
     def test_forcing_one_module_leaves_others_alone(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
             rewards = random_reward_map(rng, int(rng.integers(2, 6)))
-            base = select(STAMP, rewards)
+            base = select(rewards)
             victim = sorted(rewards)[int(rng.integers(0, len(rewards)))]
             forced = dict(rewards)
-            forced[victim] = _reward(victim, rewards[victim].net, forced=True)
-            after = select(STAMP, forced)
+            forced[victim] = _reward(rewards[victim].net, forced=True)
+            after = select(forced)
             for m in rewards:
                 if m != victim:
-                    assert after.activations[m] == base.activations[m]
-
-    def test_decision_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            ActivationDecision(
-                stamp=STAMP,
-                activations={DETECTION: False},
-                rewards={DETECTION: _reward(DETECTION, -1.0, forced=True)},
-            )
+                    assert after[m] == base[m]
 
 
 class TestBruteForce:
@@ -93,37 +68,28 @@ class TestBruteForce:
         rng = np.random.default_rng(13)
         for _ in range(500):
             rewards = random_reward_map(rng, 2)
-            assert (
-                brute_force_select(STAMP, rewards).activations
-                == select(STAMP, rewards).activations
-            )
+            assert brute_force_select(rewards) == select(rewards)
 
     def test_single_positive_module_on(self):
-        decision = brute_force_select(STAMP, {DETECTION: _reward(DETECTION, 0.5)})
-        assert decision.activations == {DETECTION: True}
+        decision = brute_force_select({DETECTION: _reward(0.5)})
+        assert decision == {DETECTION: True}
 
     def test_tie_breaks_to_fewest_activations(self):
-        rewards = {DETECTION: _reward(DETECTION, 0.0), POSE: _reward(POSE, 0.0)}
-        decision = brute_force_select(STAMP, rewards)
-        assert decision.activations == {DETECTION: False, POSE: False}
+        rewards = {DETECTION: _reward(0.0), POSE: _reward(0.0)}
+        decision = brute_force_select(rewards)
+        assert decision == {DETECTION: False, POSE: False}
 
     def test_forced_constraint_respected(self):
-        rewards = {
-            DETECTION: _reward(DETECTION, -5.0, forced=True),
-            POSE: _reward(POSE, 1.0),
-        }
-        decision = brute_force_select(STAMP, rewards)
-        assert decision.activations == {DETECTION: True, POSE: True}
+        rewards = {DETECTION: _reward(-5.0, forced=True), POSE: _reward(1.0)}
+        decision = brute_force_select(rewards)
+        assert decision == {DETECTION: True, POSE: True}
 
     def test_agreement_across_module_counts(self):
         rng = np.random.default_rng(14)
         for _ in range(500):
             n = int(rng.integers(1, 7))
             rewards = random_reward_map(rng, n)
-            assert (
-                brute_force_select(STAMP, rewards).activations
-                == select(STAMP, rewards).activations
-            )
+            assert brute_force_select(rewards) == select(rewards)
 
     def test_agreement_at_many_modules(self):
         # up to 2**14 activation vectors per map; random_reward_map mixes in
@@ -132,12 +98,9 @@ class TestBruteForce:
         for n in range(7, 15):
             for _ in range(10):
                 rewards = random_reward_map(rng, n)
-                assert (
-                    brute_force_select(STAMP, rewards).activations
-                    == select(STAMP, rewards).activations
-                )
+                assert brute_force_select(rewards) == select(rewards)
 
     def test_too_many_modules_rejected(self):
-        rewards = {f"m{i}": _reward(f"m{i}", 1.0) for i in range(21)}
+        rewards = {f"m{i}": _reward(1.0) for i in range(21)}
         with pytest.raises(ValueError):
-            brute_force_select(STAMP, rewards)
+            brute_force_select(rewards)

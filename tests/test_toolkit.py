@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from percsched.scene import Entity, EntityKind, FrameStamp, PatchRegion
-from percsched.toolkit import NoiseConfig, ready_stamp, simulate_detection, simulate_pose
+from percsched.scene import Entity, EntityKind, PatchRegion
+from percsched.toolkit import NoiseConfig, ready_frame, simulate_detection, simulate_pose
 from percsched.traces import TraceFrame
 
 PERIOD = 1000.0 / 30.0
-READY = FrameStamp.at(1, PERIOD)
+READY = 1
 ZERO_NOISE = NoiseConfig()
 
 
@@ -21,27 +21,29 @@ def _frame(index=0, with_human=True):
         )
         keypoints["hum-1"] = tuple((100.0 + d, 50.0 + 2 * d) for d in range(17))
     return TraceFrame(
-        stamp=FrameStamp.at(index, PERIOD),
+        index=index,
         entities=tuple(entities),
         keypoints=keypoints,
     )
 
 
 class TestReadyStamp:
+    """An output's ready stamp is the index of the frame it becomes visible at."""
+
     def test_next_boundary(self):
-        assert ready_stamp(0.0, 15.0, PERIOD).index == 1
-        assert ready_stamp(0.0, 80.0, PERIOD).index == 3
+        assert ready_frame(0.0, 15.0, PERIOD) == 1
+        assert ready_frame(0.0, 80.0, PERIOD) == 3
 
     def test_exact_boundary_lands_on_it(self):
-        assert ready_stamp(0.0, 2 * PERIOD, PERIOD).index == 2
+        assert ready_frame(0.0, 2 * PERIOD, PERIOD) == 2
 
     def test_spec_invariant(self):
         rng = np.random.default_rng(15)
         for _ in range(200):
             t = float(rng.integers(0, 100)) * PERIOD
             c = float(rng.uniform(0.1, 300.0))
-            ready = ready_stamp(t, c, PERIOD)
-            assert ready.time_ms >= t + c - PERIOD - 1e-9
+            ready = ready_frame(t, c, PERIOD)
+            assert ready * PERIOD >= t + c - PERIOD - 1e-9
 
 
 class TestSimulateDetection:
@@ -51,8 +53,8 @@ class TestSimulateDetection:
         assert [b.entity_id for b in out.boxes] == ["obj-1", "hum-1"]
         box = out.boxes[0]
         assert (box.x_c, box.y_c, box.w, box.h) == (30.0, 25.0, 40.0, 30.0)
-        assert out.stamp_issued.index == 0
-        assert out.stamp_ready == READY
+        assert out.issued == 0
+        assert out.ready == READY
 
     def test_same_seed_identical(self):
         frame = _frame()
@@ -70,7 +72,7 @@ class TestSimulateDetection:
 
     def test_empty_frame(self):
         frame = TraceFrame(
-            stamp=FrameStamp.at(0, PERIOD),
+            index=0,
             entities=(),
         )
         out = simulate_detection(frame, READY, ZERO_NOISE, rng_seed=0)

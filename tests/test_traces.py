@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from percsched.config import RunConfig
 from percsched.engine import PolicyKind, run, run_offline
-from percsched.scene import Entity, EntityKind, FrameStamp, PatchRegion
+from percsched.scene import Entity, EntityKind, PatchRegion
 from percsched.traces import (
     ARCHETYPES,
     ChangeStats,
@@ -40,7 +40,7 @@ def _minimal_trace(pixels=False):
             )
         frames.append(
             TraceFrame(
-                stamp=FrameStamp.at(i),
+                index=i,
                 entities=(
                     Entity(id="obj", kind=EntityKind.OBJECT, region=PatchRegion(5, 5, 10, 10)),
                 ),
@@ -58,7 +58,7 @@ class TestRoundTrip:
         back = read_trace(path)
         assert back.header.frame_count == 3
         for a, b in zip(trace.frames, back.frames):
-            assert a.stamp == b.stamp
+            assert a.index == b.index
             assert a.entities == b.entities
             assert a.change.background_cr == b.change.background_cr
             assert dict(a.change.patch_cr) == dict(b.change.patch_cr)
@@ -76,7 +76,7 @@ class TestRoundTrip:
         kps = tuple((float(d), float(2 * d)) for d in range(17))
         frames = tuple(
             TraceFrame(
-                stamp=FrameStamp.at(i),
+                index=i,
                 entities=(human,),
                 keypoints={"h": kps},
             )
@@ -161,7 +161,7 @@ def _traces(draw):
             )
         frames.append(
             TraceFrame(
-                stamp=FrameStamp.at(i, header.frame_period_ms),
+                index=i,
                 entities=tuple(entities),
                 keypoints=keypoints,
                 **extra,
@@ -180,7 +180,7 @@ class TestRoundTripProperty:
         assert back.header == trace.header
         assert len(back.frames) == len(trace.frames)
         for a, b in zip(trace.frames, back.frames):
-            assert b.stamp == a.stamp
+            assert b.index == a.index
             assert b.entities == a.entities
             assert dict(b.keypoints) == dict(a.keypoints)
             assert b.change == a.change
@@ -387,7 +387,7 @@ class TestValidation:
     def test_rasters_must_share_one_size(self):
         frames = list(_minimal_trace(pixels=True).frames)
         frames[2] = TraceFrame(
-            stamp=frames[2].stamp,
+            index=frames[2].index,
             entities=frames[2].entities,
             pixels=FramePixels(rgb=np.zeros((6, 8, 3), dtype=np.uint8)),
         )
@@ -408,7 +408,7 @@ class TestValidation:
             read_trace(path)
 
     def test_nonsequential_frames_rejected(self):
-        frames = (TraceFrame(stamp=FrameStamp.at(1), entities=()),)
+        frames = (TraceFrame(index=1, entities=()),)
         with pytest.raises(TraceError):
             Trace(header=TraceHeader(frame_count=1), frames=frames)
 
