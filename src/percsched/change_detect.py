@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Annotated, Optional, Tuple
+from typing import Annotated, Optional
 
 import numpy as np
 
@@ -23,31 +23,23 @@ REC601_LUMA = (0.299, 0.587, 0.114)
 
 @dataclass(frozen=True)
 class ChangeDetectConfig:
-    luminance_coeffs: Tuple[NonNegative, NonNegative, NonNegative] = REC601_LUMA
     intensity_threshold: Annotated[float, "[0, 255]"] = 30.0
     patch_change_threshold: OpenShare = 0.05
     histogram_bins: PositiveCount = 32
     histogram_threshold: NonNegative = 10.0
-    chi_square_symmetric: bool = True
-    normalize_histograms: bool = False
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-        coeffs = self.luminance_coeffs
-        if not abs(sum(coeffs) - 1.0) <= 1e-6:
-            raise ValueError(f"luminance_coeffs must sum to 1, got {sum(coeffs)}")
+    __post_init__ = check_fields
 
 
-def grayscale_diff(abs_rgb_diff: np.ndarray, cfg: ChangeDetectConfig) -> np.ndarray:
-    """Collapse an (h, w, 3) absolute RGB difference to a weighted grayscale map."""
+def grayscale_diff(abs_rgb_diff: np.ndarray) -> np.ndarray:
+    """Collapse an (h, w, 3) absolute RGB difference to a Rec.601 luma map."""
     arr = np.asarray(abs_rgb_diff)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected shape (h, w, 3), got {arr.shape}")
-    coeffs = np.asarray(cfg.luminance_coeffs, dtype=float)
     # the (1, 3) by (3, h*w) dot that np.tensordot makes inside, so the same
     # BLAS call and the same bits, without its axis bookkeeping
     channels = arr.reshape(-1, 3).astype(float).T
-    return np.dot(coeffs[None, :], channels).reshape(arr.shape[:2])
+    return np.dot(np.array([REC601_LUMA]), channels).reshape(arr.shape[:2])
 
 
 def motion_status(cr: float, cfg: ChangeDetectConfig) -> MotionStatus:
@@ -97,18 +89,10 @@ def _byte_bins(bins: int) -> np.ndarray:
     return table
 
 
-def chi_square_shift(
-    hist_prev: np.ndarray,
-    hist_curr: np.ndarray,
-    cfg: Optional[ChangeDetectConfig] = None,
-) -> float:
-    """Mean over the channels of the chi-square distance between
-    per-channel histograms, one channel or three.
-
-    Uses the symmetric form (a-b)^2 / (a+b) with empty-bin terms dropped;
-    the asymmetric (a-b)^2 / a variant is available through the config.
-    """
-    cfg = cfg or ChangeDetectConfig()
+def chi_square_shift(hist_prev: np.ndarray, hist_curr: np.ndarray) -> float:
+    """Mean over the channels of the symmetric chi-square distance
+    (a-b)^2 / (a+b) between per-channel histograms, one channel or three,
+    with empty-bin terms dropped."""
     a = np.asarray(hist_prev, dtype=float)
     b = np.asarray(hist_curr, dtype=float)
     if a.shape != b.shape:
@@ -118,11 +102,8 @@ def chi_square_shift(
         b = b[None, :]
     if (a < 0).any() or (b < 0).any():
         raise ValueError("histograms must be non-negative")
-    if cfg.normalize_histograms:
-        a = _normalize(a)
-        b = _normalize(b)
     diff_sq = (a - b) ** 2
-    denom = (a + b) if cfg.chi_square_symmetric else a
+    denom = a + b
     # empty bins keep the zero they start with
     terms = np.divide(diff_sq, denom, out=np.zeros_like(diff_sq), where=denom > 0)
     distances = terms.sum(axis=1)
@@ -139,8 +120,3 @@ def composition_change_trigger(
     """True when both the background change ratio and the mean histogram
     shift exceed their thresholds, signalling elements entering or leaving."""
     return background_cr > cfg.patch_change_threshold and shift > cfg.histogram_threshold
-
-
-def _normalize(hist: np.ndarray) -> np.ndarray:
-    totals = hist.sum(axis=1, keepdims=True)
-    return np.divide(hist, totals, out=hist.copy(), where=totals > 0)

@@ -14,9 +14,10 @@ from typing import List, Optional
 import json
 
 from .config import POLICIES, ConfigError, RunConfig
-from .engine import PolicyKind, RunLog, run, run_offline
+from .engine import PipelineConfig, PolicyKind, RunLog, run, run_offline
 from .metrics import (
     GroundTruthKeyframes,
+    KeyframeThresholds,
     build_report,
     extract_keyframes,
     format_comparison,
@@ -96,16 +97,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _ground_truth(trace: Trace, cfg: RunConfig) -> GroundTruthKeyframes:
-    offline = run_offline(trace, cfg.pipeline(trace.header))
-    return extract_keyframes(offline, cfg.keyframes)
+def _ground_truth(
+    trace: Trace, pipeline: PipelineConfig, thresholds: KeyframeThresholds
+) -> GroundTruthKeyframes:
+    return extract_keyframes(run_offline(trace, pipeline), thresholds)
 
 
 def _run_one(
-    trace: Trace, policy: str, cfg: RunConfig, gt: GroundTruthKeyframes
+    trace: Trace, policy: str, pipeline: PipelineConfig, gt: GroundTruthKeyframes
 ) -> RunLog:
     kind = PolicyKind(policy)
-    pipeline = cfg.pipeline(trace.header)
     oracle_kf = gt.required if kind is PolicyKind.ORACLE else None
     return run(trace, kind, pipeline, oracle_keyframes=oracle_kf)
 
@@ -138,8 +139,9 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     trace = read_trace(cfg.trace)
-    gt = _ground_truth(trace, cfg)
-    log = _run_one(trace, cfg.policy, cfg, gt)
+    pipeline = cfg.pipeline(trace.header)
+    gt = _ground_truth(trace, pipeline, cfg.keyframes)
+    log = _run_one(trace, cfg.policy, pipeline, gt)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / f"{cfg.policy}-seed{cfg.seed}.runlog.jsonl"
@@ -158,12 +160,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(args.policies) < 2:
         raise ConfigError("compare needs at least two policies")
     trace = read_trace(cfg.trace)
-    gt = _ground_truth(trace, cfg)
+    pipeline = cfg.pipeline(trace.header)
+    gt = _ground_truth(trace, pipeline, cfg.keyframes)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     for policy in args.policies:
-        log = _run_one(trace, policy, cfg, gt)
+        log = _run_one(trace, policy, pipeline, gt)
         log_path = out_dir / f"{policy}-seed{cfg.seed}.runlog.jsonl"
         log.write(log_path)
         reports.append(build_report(RunLog.read(log_path), gt, cfg.latency_denominator))

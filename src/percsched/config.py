@@ -87,9 +87,7 @@ class RunConfig:
     # -- (de)serialization ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        out = dataclasses.asdict(self)
-        out["change"]["luminance_coeffs"] = list(out["change"]["luminance_coeffs"])
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":

@@ -22,7 +22,7 @@ import heapq
 import json
 import math
 from collections.abc import Mapping as AnyMapping
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Literal, Mapping, Optional, Sequence, Tuple, Union
@@ -233,25 +233,8 @@ class RunLog:
 
 def config_digest(cfg: PipelineConfig) -> str:
     """Stable digest of the run configuration for log headers."""
-    payload = {
-        "modules": dict(cfg.reward.cost_ms),
-        "change": _public_fields(cfg.change),
-        "kalman": _public_fields(cfg.kalman),
-        "reward": {
-            **_public_fields(cfg.reward),
-            "cost_ms": {m: c for m, c in sorted(cfg.reward.cost_ms.items())},
-            "sigma_base": list(cfg.reward.sigma_base) if cfg.reward.sigma_base else None,
-        },
-        "noise": _public_fields(cfg.noise),
-        "engine": _public_fields(cfg.engine),
-        "seed": cfg.seed,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    blob = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-def _public_fields(obj: object) -> dict:
-    return {k: v for k, v in vars(obj).items() if not k.startswith("_")}
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +326,7 @@ class SimEngine:
             elif self.keeps_beliefs:
                 for human in out.per_human:
                     if human.entity_id in self.members:
-                        self.history.record(
-                            human.entity_id, out.issued, [c for _, _, c in human.keypoints]
-                        )
+                        self.history.record(human.entity_id, out.issued, human.confidences)
             applied.append({"module": module, "issued": out.issued, "ready": out.ready})
         return applied, humans_changed
 
@@ -424,7 +405,7 @@ class SimEngine:
         prev_pixels, prev_counts = prev
         # int16 holds every byte difference exactly
         diff = np.abs(current.astype(np.int16) - prev_pixels)
-        changed = cd.grayscale_diff(diff, ccfg) > ccfg.intensity_threshold
+        changed = cd.grayscale_diff(diff) > ccfg.intensity_threshold
         rows, cols = changed.shape
         # believed regions live in frame coordinates; rasters may be smaller
         sy = rows / self.trace.header.frame_h
@@ -456,7 +437,7 @@ class SimEngine:
         bins = ccfg.histogram_bins
         hist_prev = prev_counts - cd.rgb_histograms(prev_pixels, bins, occupied)
         hist_curr = counts - cd.rgb_histograms(current, bins, occupied)
-        shift = cd.chi_square_shift(hist_prev, hist_curr, ccfg)
+        shift = cd.chi_square_shift(hist_prev, hist_curr)
         return bg_cr, shift, patch_cr
 
     def _update_motion(self, patch_cr: Mapping[str, float]) -> None:

@@ -24,18 +24,24 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass
-from typing import Annotated, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .scene import DETECTION, POSE, ModuleId
-from .schema import NonNegative, OpenShare, Positive, PositiveCount, check_fields
+from .schema import NonNegative, Positive, PositiveCount, check_fields
 from .tracker import MEAS_DIM, KalmanConfig, NumericalError, TrackBank, measurement_variance
 
 LN_TWO_PI_E = math.log(2.0 * math.pi * math.e)
 
 DEFAULT_KEYPOINT_COUNT = 133
 UNIFORM_SIGMA_BASE = 0.05
+# extrapolated confidences are clamped to [CONFIDENCE_FLOOR, 1]; a human
+# never seen by the pose module has PRIOR_CONFIDENCE on every keypoint
+CONFIDENCE_FLOOR = 1e-6
+PRIOR_CONFIDENCE = 0.5
+# no keypoint sigma falls below this, however confident the keypoint
+SIGMA_FLOOR = 1e-3
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,9 +101,6 @@ class RewardConfig:
     cost_ms: Mapping[ModuleId, Positive]
     keypoint_count: PositiveCount = DEFAULT_KEYPOINT_COUNT
     sigma_base: Optional[Tuple[Positive, ...]] = None
-    confidence_floor: OpenShare = 1e-6
-    sigma_floor: Positive = 1e-3
-    prior_confidence: Annotated[float, "(0, 1]"] = 0.5
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -246,7 +249,7 @@ def post_execution_entropy(humans: Sequence[HumanConfidences], cfg: RewardConfig
     base sigmas (object scale, default 1).
 
     Per human this equals ``keypoint_count * LN_TWO_PI_E`` plus, in keypoint
-    order, ``2 * ln(max(-base * scale * ln(conf), sigma_floor))``.
+    order, ``2 * ln(max(-base * scale * ln(conf), SIGMA_FLOOR))``.
     """
     base = cfg.resolved_sigma_base()
     total = 0.0
@@ -261,7 +264,7 @@ def post_execution_entropy(humans: Sequence[HumanConfidences], cfg: RewardConfig
         bases = base * scale
         _require_valid_keypoints(confs, bases)
         log_conf = np.array(list(map(math.log, confs.tolist())))
-        sigmas = np.maximum(-bases * log_conf, cfg.sigma_floor)
+        sigmas = np.maximum(-bases * log_conf, SIGMA_FLOOR)
         inner = cfg.keypoint_count * LN_TWO_PI_E
         for log_sigma in map(math.log, sigmas.tolist()):
             inner += 2.0 * log_sigma
@@ -279,7 +282,7 @@ class KeypointConfidenceHistory:
     """Rolling record of the last two pose executions per human.
 
     With two samples confidences are linearly extrapolated per keypoint;
-    with one the last value is held; with none a configurable prior applies.
+    with one the last value is held; with none the prior applies.
     """
 
     def __init__(self) -> None:
@@ -301,10 +304,10 @@ class KeypointConfidenceHistory:
     def extrapolated(self, entity_id: str, frame_index: int, cfg: RewardConfig) -> np.ndarray:
         last = self._last.get(entity_id)
         if last is None:
-            return np.full(cfg.keypoint_count, cfg.prior_confidence)
+            return np.full(cfg.keypoint_count, PRIOR_CONFIDENCE)
         prev = self._prev.get(entity_id)
         if prev is None or frame_index < last[0]:
-            return np.clip(last[1], cfg.confidence_floor, 1.0)
+            return np.clip(last[1], CONFIDENCE_FLOOR, 1.0)
         (k_last, s_last), (k_prev, s_prev) = last, prev
         if k_last == k_prev:
             raise ValueError("the two reference frames must differ")
@@ -312,7 +315,7 @@ class KeypointConfidenceHistory:
         # the floor exactly as min(1, max(floor, value)) does
         slope = (s_last - s_prev) / (k_last - k_prev)
         value = s_last + slope * (frame_index - k_last)
-        return np.fmin(np.fmax(value, cfg.confidence_floor), 1.0)
+        return np.fmin(np.fmax(value, CONFIDENCE_FLOOR), 1.0)
 
     def forget(self, entity_id: str) -> None:
         self._last.pop(entity_id, None)

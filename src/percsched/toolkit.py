@@ -17,7 +17,7 @@ from typing import Annotated, List, Tuple
 import numpy as np
 
 from .scene import DETECTION, FALSE_POSITIVE_PREFIX, POSE, EntityKind, ModuleId
-from .schema import NonNegative, OpenShare, Positive, check_fields
+from .schema import NonNegative, OpenShare, Positive, Share, check_fields
 from .traces import TraceFrame
 
 
@@ -40,7 +40,7 @@ class DetectionOutput:
 @dataclass(frozen=True)
 class HumanPose:
     entity_id: str
-    keypoints: Tuple[Tuple[float, float, float], ...]  # (x, y, confidence)
+    confidences: Tuple[float, ...]  # one per keypoint
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,8 @@ class NoiseConfig:
     """
 
     box_std: NonNegative = 0.0
-    miss_rate: NonNegative = 0.0
-    false_positive_rate: NonNegative = 0.0
-    keypoint_std: NonNegative = 0.0
+    miss_rate: Share = 0.0
+    false_positive_rate: Share = 0.0
     floor_margin: Annotated[float, "[0, 1)"] = 0.95
     confidence_spread: NonNegative = 0.0
     beta_a: Positive = 2.0
@@ -123,7 +122,7 @@ def simulate_detection(
 def simulate_pose(
     frame: TraceFrame, ready: int, noise_cfg: NoiseConfig, rng_seed: int
 ) -> PoseOutput:
-    """Pose stand-in: ground-truth keypoints with noise and Beta confidences,
+    """Pose stand-in: a Beta-skewed confidence per ground-truth keypoint,
     visible from frame ``ready``."""
     rng = _rng_for(rng_seed, frame.index, POSE)
     per_human: List[HumanPose] = []
@@ -133,18 +132,12 @@ def simulate_pose(
         true_pts = frame.keypoints.get(e.id)
         if true_pts is None:
             continue
-        pts: List[Tuple[float, float, float]] = []
-        for x, y in true_pts:
-            if noise_cfg.keypoint_std > 0:
-                dx, dy = rng.normal(0.0, noise_cfg.keypoint_std, size=2)
-                x, y = x + dx, y + dy
-            conf = 1.0 - noise_cfg.floor_margin
-            if noise_cfg.confidence_spread > 0:
-                conf -= noise_cfg.confidence_spread * float(
-                    rng.beta(noise_cfg.beta_a, noise_cfg.beta_b)
-                )
-            conf = min(1.0, max(noise_cfg.min_confidence, conf))
-            pts.append((float(x), float(y), float(conf)))
-        per_human.append(HumanPose(entity_id=e.id, keypoints=tuple(pts)))
+        conf = np.full(len(true_pts), 1.0 - noise_cfg.floor_margin)
+        if noise_cfg.confidence_spread > 0:
+            # one array of draws gives the bits of one scalar draw per keypoint
+            conf -= noise_cfg.confidence_spread * rng.beta(
+                noise_cfg.beta_a, noise_cfg.beta_b, size=len(true_pts)
+            )
+        conf = np.minimum(1.0, np.maximum(noise_cfg.min_confidence, conf))
+        per_human.append(HumanPose(entity_id=e.id, confidences=tuple(conf.tolist())))
     return PoseOutput(issued=frame.index, ready=ready, per_human=tuple(per_human))
-

@@ -340,11 +340,11 @@ class _SceneScript:
     def commit(
         self,
         index: int,
+        cr_rng: np.random.Generator,
         keypoint_jitter: Optional[Mapping[str, Mapping[int, Tuple[float, float]]]] = None,
         background_event: bool = False,
-        cr_rng: Optional[np.random.Generator] = None,
     ) -> None:
-        """Finish the frame: derive its change stats and append it."""
+        """Finish the frame: draw its change stats from ``cr_rng`` and append it."""
         entities = []
         patch_cr: Dict[str, float] = {}
         keypoints: Dict[str, Tuple[Tuple[float, float], ...]] = {}
@@ -368,18 +368,16 @@ class _SceneScript:
                     abs(ax - bx) > 1e-9 or abs(ay - by) > 1e-9
                     for (ax, ay), (bx, by) in zip(kps, prev_kps)
                 )
-            base_cr = 0.0 if cr_rng is None else float(cr_rng.uniform(0.0, 0.015))
-            patch_cr[eid] = float(cr_rng.uniform(0.25, 0.6)) if moved and cr_rng is not None else (
-                0.45 if moved else base_cr
-            )
+            base_cr = float(cr_rng.uniform(0.0, 0.015))
+            patch_cr[eid] = float(cr_rng.uniform(0.25, 0.6)) if moved else base_cr
             entities.append(e)
 
         if background_event:
-            background_cr = 0.2 if cr_rng is None else float(cr_rng.uniform(0.12, 0.3))
-            hist_shift = 25.0 if cr_rng is None else float(cr_rng.uniform(18.0, 40.0))
+            background_cr = float(cr_rng.uniform(0.12, 0.3))
+            hist_shift = float(cr_rng.uniform(18.0, 40.0))
         else:
-            background_cr = 0.0 if cr_rng is None else float(cr_rng.uniform(0.0, 0.01))
-            hist_shift = 0.0 if cr_rng is None else float(cr_rng.uniform(0.0, 1.5))
+            background_cr = float(cr_rng.uniform(0.0, 0.01))
+            hist_shift = float(cr_rng.uniform(0.0, 1.5))
 
         self.frames.append(
             TraceFrame(
@@ -422,13 +420,13 @@ def _walk_human(
     frames_range: range,
     step: Tuple[float, float],
     index_offset: int = 0,
-    background_event: bool = True,
 ) -> int:
-    """Advance the scripted human linearly over ``frames_range``."""
+    """Advance the scripted human linearly over ``frames_range``, each frame
+    a background event."""
     k = index_offset
     for _ in frames_range:
         script.move(human_id, step[0], step[1])
-        script.commit(k, background_event=background_event, cr_rng=rng)
+        script.commit(k, background_event=True, cr_rng=rng)
         k += 1
     return k
 

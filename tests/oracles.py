@@ -7,8 +7,14 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from percsched.change_detect import ChangeDetectConfig
-from percsched.rewards import LN_TWO_PI_E, RewardBreakdown, RewardConfig
+from percsched.change_detect import REC601_LUMA, ChangeDetectConfig
+from percsched.rewards import (
+    CONFIDENCE_FLOOR,
+    LN_TWO_PI_E,
+    SIGMA_FLOOR,
+    RewardBreakdown,
+    RewardConfig,
+)
 from percsched.scene import ModuleId, PatchRegion
 from percsched.tracker import MEAS_DIM, STATE_DIM, KalmanConfig, NumericalError, TrackBank
 
@@ -194,13 +200,13 @@ def brute_force_select(rewards: Mapping[ModuleId, RewardBreakdown]) -> Dict[Modu
     return {m: m in best_set for m in names}
 
 
-def keypoint_sigma(conf: float, base: float, cfg: RewardConfig) -> float:
+def keypoint_sigma(conf: float, base: float) -> float:
     """Map a confidence score to a pixel std via a negative log, floored."""
     if not 0.0 < conf <= 1.0:
         raise ValueError(f"confidence must lie in (0, 1], got {conf}")
     if base <= 0:
         raise ValueError(f"base sigma must be positive, got {base}")
-    return max(-base * math.log(conf), cfg.sigma_floor)
+    return max(-base * math.log(conf), SIGMA_FLOOR)
 
 
 def extrapolate_confidence(
@@ -209,15 +215,14 @@ def extrapolate_confidence(
     k_last: int,
     k_prev: int,
     k: int,
-    cfg: RewardConfig,
 ) -> float:
     """Linear confidence extrapolation from the last two executions,
-    clamped to [confidence_floor, 1]."""
+    clamped to [CONFIDENCE_FLOOR, 1]."""
     if k_last == k_prev:
         raise ValueError("the two reference frames must differ")
     slope = (s_last - s_prev) / (k_last - k_prev)
     value = s_last + slope * (k - k_last)
-    return min(1.0, max(cfg.confidence_floor, value))
+    return min(1.0, max(CONFIDENCE_FLOOR, value))
 
 
 def scalar_post_execution_entropy(
@@ -230,7 +235,7 @@ def scalar_post_execution_entropy(
     for confs, relevance, scale in humans:
         inner = cfg.keypoint_count * LN_TWO_PI_E
         for d, conf in enumerate(confs):
-            sigma = keypoint_sigma(float(conf), float(base[d] * scale), cfg)
+            sigma = keypoint_sigma(float(conf), float(base[d] * scale))
             inner += 2.0 * math.log(sigma)
         total += relevance * inner
     return total
@@ -240,13 +245,12 @@ def scalar_extrapolated(
     last: Tuple[int, Sequence[float]],
     prev: Tuple[int, Sequence[float]],
     frame_index: int,
-    cfg: RewardConfig,
 ) -> list:
     """Two-sample confidence extrapolation, one ``extrapolate_confidence``
     call per keypoint."""
     (k_last, s_last), (k_prev, s_prev) = last, prev
     return [
-        extrapolate_confidence(float(a), float(b), k_last, k_prev, frame_index, cfg)
+        extrapolate_confidence(float(a), float(b), k_last, k_prev, frame_index)
         for a, b in zip(s_last, s_prev)
     ]
 
@@ -308,7 +312,7 @@ def reference_pixel_change(
     rasters with ``np.histogram``.
     """
     diff = np.abs(curr.astype(np.int16) - prev)
-    coeffs = np.asarray(cfg.luminance_coeffs, dtype=float)
+    coeffs = np.asarray(REC601_LUMA, dtype=float)
     gray = np.tensordot(coeffs, np.moveaxis(diff, 2, 0).astype(float), axes=(0, 0))
     patch_cr: Dict[str, float] = {}
     occupied = np.zeros(gray.shape, dtype=bool)
@@ -328,7 +332,7 @@ def reference_pixel_change(
         bg_cr = 0.0
     hist_prev = numpy_rgb_histograms(prev, cfg.histogram_bins, bg_mask)
     hist_curr = numpy_rgb_histograms(curr, cfg.histogram_bins, bg_mask)
-    return float(bg_cr), reference_chi_square_shift(hist_prev, hist_curr, cfg), patch_cr
+    return float(bg_cr), reference_chi_square_shift(hist_prev, hist_curr), patch_cr
 
 
 def reference_regions(
@@ -359,23 +363,13 @@ def reference_regions(
     return boxes
 
 
-def reference_chi_square_shift(
-    hist_prev: np.ndarray, hist_curr: np.ndarray, cfg: ChangeDetectConfig
-) -> float:
-    """Mean over the channels of the chi-square distance of two (3, bins)
-    histograms, empty bins dropped."""
+def reference_chi_square_shift(hist_prev: np.ndarray, hist_curr: np.ndarray) -> float:
+    """Mean over the channels of the symmetric chi-square distance of two
+    (3, bins) histograms, empty bins dropped."""
     a = np.asarray(hist_prev, dtype=float)
     b = np.asarray(hist_curr, dtype=float)
-    if cfg.normalize_histograms:
-        a = _normalized(a)
-        b = _normalized(b)
     diff_sq = (a - b) ** 2
-    denom = (a + b) if cfg.chi_square_symmetric else a
+    denom = a + b
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(denom > 0, diff_sq / np.where(denom > 0, denom, 1.0), 0.0)
     return float(np.mean([float(d) for d in terms.sum(axis=1)]))
-
-
-def _normalized(hist: np.ndarray) -> np.ndarray:
-    totals = hist.sum(axis=1, keepdims=True)
-    return np.where(totals > 0, hist / np.where(totals > 0, totals, 1.0), hist)

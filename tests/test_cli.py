@@ -319,9 +319,12 @@ class TestRun:
             ({"noise": {"miss_rate": float("inf")}}, "miss_rate"),
             ({"keyframes": {"tau_box_px": float("nan")}}, "tau_box_px"),
             ({"change": {"histogram_threshold": float("nan")}}, "histogram_threshold"),
-            ({"change": {"luminance_coeffs": [float("nan"), 0.5, 0.5]}}, "luminance_coeffs"),
+            ({"change": {"patch_change_threshold": float("nan")}}, "patch_change_threshold"),
             ({"kalman": {"std_weight_position": float("nan")}}, "std_weight_position"),
             ({"change": {"histogram_bins": 32.0}}, "histogram_bins"),
+            # a rate above 1 used to run as if it were 1
+            ({"noise": {"miss_rate": 1.5}}, "noise.miss_rate"),
+            ({"noise": {"false_positive_rate": 7}}, "noise.false_positive_rate"),
         ],
     )
     def test_bad_section_number_is_config_error_naming_the_field(
@@ -336,8 +339,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "data, field",
         [
-            # a JSON string is not a boolean: "false" used to turn normalization on
-            ({"change": {"normalize_histograms": "false"}}, "change.normalize_histograms"),
+            # a JSON string is not a boolean: "false" would be truthy
+            ({"engine": {"delete_on_miss": "false"}}, "engine.delete_on_miss"),
             ({"engine": {"force_pose_on_composition": "no"}}, "engine.force_pose_on_composition"),
             ({"kalman": {"joseph_update": 1}}, "kalman.joseph_update"),
             # a boolean is not a rate: true used to drop every detection
@@ -345,7 +348,7 @@ class TestRun:
             ({"kalman": {"max_frames_since_update": 2.5}}, "kalman.max_frames_since_update"),
             ({"kalman": {"max_frames_since_update": True}}, "kalman.max_frames_since_update"),
             ({"change": {"intensity_threshold": "30"}}, "change.intensity_threshold"),
-            ({"change": {"luminance_coeffs": [True, False, False]}}, "change.luminance_coeffs"),
+            ({"noise": {"beta_a": "2"}}, "noise.beta_a"),
             ({"cost_pose_ms": "80"}, "cost_pose_ms"),
             # a path that is not a string used to end in exit 4
             ({"trace": 7}, "trace must be a string"),
@@ -361,6 +364,55 @@ class TestRun:
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, field, old_default",
+        [
+            ("change", "luminance_coeffs", [0.299, 0.587, 0.114]),
+            ("change", "chi_square_symmetric", True),
+            ("change", "normalize_histograms", False),
+            ("noise", "keypoint_std", 0.0),
+        ],
+    )
+    def test_removed_field_is_config_error_naming_it(
+        self, trace_path, tmp_path, capsys, section, field, old_default
+    ):
+        """These knobs are gone; a config that still sets one, even to its
+        old default, is rejected rather than silently ignored."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps({"trace": str(trace_path), section: {field: old_default}})
+        )
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert section in err and field in err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_sigma_table_is_read_once_per_command(
+        self, trace_path, tmp_path, monkeypatch, command
+    ):
+        """Ground truth and every policy run share one pipeline, so one
+        command reads its sigma table once."""
+        from percsched import config
+
+        load = config.load_sigma_base
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(config, "load_sigma_base", counted)
+        sigmas = tmp_path / "sigmas.json"
+        sigmas.write_text(json.dumps([0.05] * read_trace(trace_path).header.keypoint_count))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps({"trace": str(trace_path), "sigma_base_path": str(sigmas)})
+        )
+        rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        assert reads == [str(sigmas)]
 
     @pytest.mark.parametrize(
         "table",
@@ -540,7 +592,7 @@ class TestRunConfig:
             ({"engine": {"scheduling_overhead_ms": float("inf")}}, "scheduling_overhead_ms"),
             ({"kalman": {"std_weight_velocity": float("inf")}}, "std_weight_velocity"),
             ({"kalman": {"max_frames_since_update": float("nan")}}, "max_frames_since_update"),
-            ({"noise": {"keypoint_std": float("nan")}}, "keypoint_std"),
+            ({"noise": {"confidence_spread": float("nan")}}, "confidence_spread"),
             ({"noise": {"beta_b": float("inf")}}, "beta_b"),
             ({"keyframes": {"tau_kp_px": float("inf")}}, "tau_kp_px"),
             ({"change": {"histogram_bins": True}}, "histogram_bins"),

@@ -54,7 +54,7 @@ VARIANTS = {
     "noise": RunConfig(
         seed=SEED,
         noise=NoiseConfig(box_std=2.0, miss_rate=0.1, false_positive_rate=0.05,
-                          keypoint_std=2.0, confidence_spread=0.3),
+                          confidence_spread=0.3),
     ),
     "queue": RunConfig(seed=SEED, engine=EngineConfig(busy_policy="queue")),
     "serial-overhead": RunConfig(
@@ -217,8 +217,6 @@ def mixed_pixel_trace() -> Trace:
 
 
 DIRECT_COUNT_CASES = {
-    "asymmetric": (False, ChangeDetectConfig(chi_square_symmetric=False)),
-    "normalized": (False, ChangeDetectConfig(normalize_histograms=True)),
     "bins-1": (False, ChangeDetectConfig(histogram_bins=1)),
     "bins-300": (False, ChangeDetectConfig(histogram_bins=300)),
     "mixed": (True, ChangeDetectConfig()),

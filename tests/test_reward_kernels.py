@@ -21,6 +21,7 @@ from oracles import (
 )
 from percsched import rewards
 from percsched.rewards import (
+    CONFIDENCE_FLOOR,
     KeypointConfidenceHistory,
     RewardConfig,
     detection_info_gain,
@@ -92,7 +93,7 @@ class TestPostExecutionEntropy:
         confs = [0.5] * 17
         confs[position] = bad
         with pytest.raises(ValueError) as scalar:
-            keypoint_sigma(bad, 0.05, cfg)
+            keypoint_sigma(bad, 0.05)
         with pytest.raises(ValueError) as array:
             post_execution_entropy([(confs, 1.0)], cfg)
         assert str(array.value) == str(scalar.value)
@@ -128,15 +129,15 @@ class TestExtrapolated:
         hist.record("h", k_prev + gap, last)
         k = k_prev + gap + ahead
         got = hist.extrapolated("h", k, cfg)
-        assert got.tolist() == scalar_extrapolated((k_prev + gap, last), (k_prev, prev), k, cfg)
+        assert got.tolist() == scalar_extrapolated((k_prev + gap, last), (k_prev, prev), k)
 
     def test_nan_sample_clamps_to_floor_like_the_scalar(self):
         cfg = _cfg(2)
         hist = KeypointConfidenceHistory()
         hist.record("h", 1, [0.5, 0.5])
         hist.record("h", 2, [math.nan, 0.5])
-        expected = scalar_extrapolated((2, [math.nan, 0.5]), (1, [0.5, 0.5]), 5, cfg)
-        assert hist.extrapolated("h", 5, cfg).tolist() == expected == [cfg.confidence_floor, 0.5]
+        expected = scalar_extrapolated((2, [math.nan, 0.5]), (1, [0.5, 0.5]), 5)
+        assert hist.extrapolated("h", 5, cfg).tolist() == expected == [CONFIDENCE_FLOOR, 0.5]
 
 
 def _track(entity_id, covariance, height):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from percsched.rewards import (
+    CONFIDENCE_FLOOR,
     LN_TWO_PI_E,
+    SIGMA_FLOOR,
     KeypointConfidenceHistory,
     RewardConfig,
     box_uniform_entropy,
@@ -146,35 +148,33 @@ class TestPreExecutionEntropy:
 class TestExtrapolateConfidence:
     def test_linear_slope(self):
         # slope (0.8-0.9)/(10-5) = -0.02 per frame, five frames ahead
-        out = extrapolate_confidence(0.8, 0.9, 10, 5, 15, _cfg())
+        out = extrapolate_confidence(0.8, 0.9, 10, 5, 15)
         assert out == pytest.approx(0.7)
 
     def test_zero_distance(self):
-        assert extrapolate_confidence(0.8, 0.9, 10, 5, 10, _cfg()) == pytest.approx(0.8)
+        assert extrapolate_confidence(0.8, 0.9, 10, 5, 10) == pytest.approx(0.8)
 
     def test_floor_clamp(self):
-        cfg = _cfg()
-        out = extrapolate_confidence(0.1, 0.9, 10, 9, 30, cfg)
-        assert out == cfg.confidence_floor
+        out = extrapolate_confidence(0.1, 0.9, 10, 9, 30)
+        assert out == CONFIDENCE_FLOOR
 
     def test_upper_clamp(self):
-        assert extrapolate_confidence(0.9, 0.1, 10, 9, 30, _cfg()) == 1.0
+        assert extrapolate_confidence(0.9, 0.1, 10, 9, 30) == 1.0
 
     def test_equal_frames_rejected(self):
         with pytest.raises(ValueError):
-            extrapolate_confidence(0.8, 0.9, 10, 10, 15, _cfg())
+            extrapolate_confidence(0.8, 0.9, 10, 10, 15)
 
 
 class TestKeypointSigma:
     def test_inverse_e(self):
-        assert keypoint_sigma(1 / math.e, 3.0, _cfg()) == pytest.approx(3.0)
+        assert keypoint_sigma(1 / math.e, 3.0) == pytest.approx(3.0)
 
     def test_full_confidence_hits_floor(self):
-        cfg = _cfg()
-        assert keypoint_sigma(1.0, 3.0, cfg) == cfg.sigma_floor
+        assert keypoint_sigma(1.0, 3.0) == SIGMA_FLOOR
 
     def test_numeric(self):
-        assert keypoint_sigma(0.5, 2.0, _cfg()) == pytest.approx(2 * math.log(2))
+        assert keypoint_sigma(0.5, 2.0) == pytest.approx(2 * math.log(2))
 
 
 class TestKeypointEntropy:
@@ -194,9 +194,8 @@ class TestKeypointEntropy:
             )
 
     def test_monotone_nonincreasing_in_confidence(self):
-        cfg = _cfg()
         values = [
-            keypoint_entropy(keypoint_sigma(c, 2.0, cfg))
+            keypoint_entropy(keypoint_sigma(c, 2.0))
             for c in np.linspace(0.01, 1.0, 200)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from percsched.scene import Entity, EntityKind, PatchRegion
-from percsched.toolkit import NoiseConfig, ready_frame, simulate_detection, simulate_pose
+from percsched.scene import POSE, Entity, EntityKind, PatchRegion
+from percsched.toolkit import (
+    NoiseConfig,
+    _rng_for,
+    ready_frame,
+    simulate_detection,
+    simulate_pose,
+)
 from percsched.traces import TraceFrame
 
 PERIOD = 1000.0 / 30.0
@@ -90,8 +96,8 @@ class TestSimulatePose:
         assert len(out.per_human) == 1
         human = out.per_human[0]
         assert human.entity_id == "hum-1"
-        for d, (x, y, c) in enumerate(human.keypoints):
-            assert (x, y) == (100.0 + d, 50.0 + 2 * d)
+        assert len(human.confidences) == len(frame.keypoints["hum-1"])
+        for c in human.confidences:
             assert c == pytest.approx(1.0 - ZERO_NOISE.floor_margin)
 
     def test_no_humans_no_entries(self):
@@ -99,7 +105,7 @@ class TestSimulatePose:
         assert out.per_human == ()
 
     def test_same_seed_identical_confidences(self):
-        noisy = NoiseConfig(confidence_spread=0.3, keypoint_std=1.0)
+        noisy = NoiseConfig(confidence_spread=0.3)
         a = simulate_pose(_frame(), READY, noisy, rng_seed=9)
         b = simulate_pose(_frame(), READY, noisy, rng_seed=9)
         assert a == b
@@ -108,5 +114,21 @@ class TestSimulatePose:
         noisy = NoiseConfig(confidence_spread=5.0)
         out = simulate_pose(_frame(), READY, noisy, rng_seed=3)
         for human in out.per_human:
-            for _, _, c in human.keypoints:
+            for c in human.confidences:
                 assert 0.0 < c <= 1.0
+
+    @pytest.mark.parametrize("a, b", [(2.0, 5.0), (0.5, 0.5), (1.0, 1.0)])
+    def test_confidences_equal_one_scalar_draw_per_keypoint(self, a, b):
+        """Run logs hold rewards computed from these confidences, so the
+        array of Beta draws must give the bits of one draw per keypoint."""
+        # 0.5 - 0.6 * draw spans [-0.1, 0.5], so large draws clip at min_confidence
+        noisy = NoiseConfig(floor_margin=0.5, confidence_spread=0.6, beta_a=a, beta_b=b)
+        frame = _frame(index=4)
+        rng = _rng_for(9, frame.index, POSE)
+        expected = []
+        for _ in frame.keypoints["hum-1"]:
+            conf = 1.0 - noisy.floor_margin
+            conf -= noisy.confidence_spread * float(rng.beta(a, b))
+            expected.append(min(1.0, max(noisy.min_confidence, conf)))
+        (human,) = simulate_pose(frame, READY, noisy, rng_seed=9).per_human
+        assert list(human.confidences) == expected
