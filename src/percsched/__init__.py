@@ -51,7 +51,6 @@ from .scene import (
 )
 from .scheduler import select
 from .toolkit import (
-    DetectedBox,
     DetectionOutput,
     HumanPose,
     NoiseConfig,

@@ -180,6 +180,10 @@ def _field_names(cls: type) -> Tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+# field types that are never mappings, decided without the ABC check
+_PLAIN = frozenset({bool, int, float, str, list, tuple, type(None)})
+
+
 def _line(tags: dict, record: object) -> str:
     """One run-log line: ``tags``, then the record's fields in declaration
     order. Mappings are written with sorted keys; a ``None`` field is left
@@ -187,7 +191,8 @@ def _line(tags: dict, record: object) -> str:
     row = dict(tags)
     for name in _field_names(type(record)):
         value = getattr(record, name)
-        if isinstance(value, AnyMapping):
+        kind = type(value)
+        if kind is dict or (kind not in _PLAIN and isinstance(value, AnyMapping)):
             row[name] = {k: value[k] for k in sorted(value)}
         elif value is not None:
             row[name] = value
@@ -223,6 +228,8 @@ class RunLog:
         for line in lines[1:]:
             row = json.loads(line)
             del row["record"]
+            # a tuple, so the many frames that apply nothing share one ``()``
+            row["applied"] = tuple(row["applied"])
             records.append(FrameRecord(**row))
         return cls(header=RunLogHeader(**head), records=tuple(records))
 
@@ -311,10 +318,10 @@ class SimEngine:
         while self.pending and self.pending[0][0] <= k:
             _, _, module, out = heapq.heappop(self.pending)
             if isinstance(out, DetectionOutput):
-                ids = [box.entity_id for box in out.boxes]
+                ids = out.ids
                 fresh = [tid for tid in ids if tid not in self.members]
                 if self.keeps_beliefs:
-                    self._track_detections(out, ids, fresh)
+                    self._track_detections(out, fresh)
                 for tid in ids:
                     self.members[tid] = 0
                 humans_changed |= self._any_human(fresh)
@@ -330,9 +337,9 @@ class SimEngine:
             applied.append({"module": module, "issued": out.issued, "ready": out.ready})
         return applied, humans_changed
 
-    def _track_detections(self, out: DetectionOutput, ids: List[str], fresh: List[str]) -> None:
+    def _track_detections(self, out: DetectionOutput, fresh: List[str]) -> None:
         """One batched update of the tracked boxes, one batched start of the new."""
-        z = np.array([[box.x_c, box.y_c, box.w, box.h] for box in out.boxes], dtype=float)
+        ids, z = out.ids, out.boxes
         is_new = set(fresh)
         old_rows = [i for i, tid in enumerate(ids) if tid not in is_new]
         if old_rows:

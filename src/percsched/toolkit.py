@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Annotated, List, Tuple
+from typing import Annotated, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,19 +22,14 @@ from .traces import TraceFrame
 
 
 @dataclass(frozen=True)
-class DetectedBox:
-    entity_id: str
-    x_c: float
-    y_c: float
-    w: float
-    h: float
-
-
-@dataclass(frozen=True)
 class DetectionOutput:
+    """One detector output: ``boxes`` row i is the ``(x_c, y_c, w, h)`` of
+    entity ``ids[i]``."""
+
     issued: int
     ready: int
-    boxes: Tuple[DetectedBox, ...]
+    ids: Tuple[str, ...]
+    boxes: np.ndarray  # (len(ids), 4)
 
 
 @dataclass(frozen=True)
@@ -84,39 +79,48 @@ def _rng_for(seed: int, frame_index: int, module: ModuleId) -> np.random.Generat
     return np.random.default_rng([seed, frame_index, zlib.crc32(module.encode("utf-8"))])
 
 
+def _lazy_rng(seed: int, frame_index: int, module: ModuleId) -> Callable[[], np.random.Generator]:
+    """``_rng_for``'s generator, built at the first call: an output whose
+    noise knobs are all zero makes no draw and builds none."""
+    rng: Optional[np.random.Generator] = None
+
+    def get() -> np.random.Generator:
+        nonlocal rng
+        if rng is None:
+            rng = _rng_for(seed, frame_index, module)
+        return rng
+
+    return get
+
+
 def simulate_detection(
     frame: TraceFrame, ready: int, noise_cfg: NoiseConfig, rng_seed: int
 ) -> DetectionOutput:
     """Detector stand-in: ground-truth boxes plus Gaussian perturbation,
     visible from frame ``ready``."""
-    rng = _rng_for(rng_seed, frame.index, DETECTION)
-    boxes: List[DetectedBox] = []
+    rng = _lazy_rng(rng_seed, frame.index, DETECTION)
+    ids: List[str] = []
+    rows: List[Tuple[float, float, float, float]] = []
     for e in frame.entities:
         if e.kind is EntityKind.BACKGROUND:
             continue
-        if noise_cfg.miss_rate > 0 and rng.random() < noise_cfg.miss_rate:
+        if noise_cfg.miss_rate > 0 and rng().random() < noise_cfg.miss_rate:
             continue
         cx, cy = e.region.center
         w, h = e.region.w, e.region.h
         if noise_cfg.box_std > 0:
-            jitter = rng.normal(0.0, noise_cfg.box_std, size=4)
+            jitter = rng().normal(0.0, noise_cfg.box_std, size=4)
             cx, cy = cx + jitter[0], cy + jitter[1]
             w = max(1.0, w + jitter[2])
             h = max(1.0, h + jitter[3])
-        boxes.append(
-            DetectedBox(entity_id=e.id, x_c=float(cx), y_c=float(cy), w=float(w), h=float(h))
-        )
-    if noise_cfg.false_positive_rate > 0 and rng.random() < noise_cfg.false_positive_rate:
-        fx = float(rng.uniform(50, 500))
-        fy = float(rng.uniform(50, 350))
-        boxes.append(
-            DetectedBox(
-                entity_id=f"{FALSE_POSITIVE_PREFIX}{frame.index}",
-                x_c=fx, y_c=fy, w=float(rng.uniform(20, 60)),
-                h=float(rng.uniform(20, 60)),
-            )
-        )
-    return DetectionOutput(issued=frame.index, ready=ready, boxes=tuple(boxes))
+        ids.append(e.id)
+        rows.append((cx, cy, w, h))
+    if noise_cfg.false_positive_rate > 0 and rng().random() < noise_cfg.false_positive_rate:
+        draw = rng().uniform
+        ids.append(f"{FALSE_POSITIVE_PREFIX}{frame.index}")
+        rows.append((draw(50, 500), draw(50, 350), draw(20, 60), draw(20, 60)))
+    boxes = np.array(rows, dtype=float).reshape(len(rows), 4)
+    return DetectionOutput(issued=frame.index, ready=ready, ids=tuple(ids), boxes=boxes)
 
 
 def simulate_pose(
@@ -124,7 +128,7 @@ def simulate_pose(
 ) -> PoseOutput:
     """Pose stand-in: a Beta-skewed confidence per ground-truth keypoint,
     visible from frame ``ready``."""
-    rng = _rng_for(rng_seed, frame.index, POSE)
+    rng = _lazy_rng(rng_seed, frame.index, POSE)
     per_human: List[HumanPose] = []
     for e in frame.entities:
         if e.kind is not EntityKind.HUMAN:
@@ -135,7 +139,7 @@ def simulate_pose(
         conf = np.full(len(true_pts), 1.0 - noise_cfg.floor_margin)
         if noise_cfg.confidence_spread > 0:
             # one array of draws gives the bits of one scalar draw per keypoint
-            conf -= noise_cfg.confidence_spread * rng.beta(
+            conf -= noise_cfg.confidence_spread * rng().beta(
                 noise_cfg.beta_a, noise_cfg.beta_b, size=len(true_pts)
             )
         conf = np.minimum(1.0, np.maximum(noise_cfg.min_confidence, conf))

@@ -1,9 +1,10 @@
 """Reference implementations that the tests check the library against."""
 
 import math
+import zlib
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -15,8 +16,17 @@ from percsched.rewards import (
     RewardBreakdown,
     RewardConfig,
 )
-from percsched.scene import ModuleId, PatchRegion
+from percsched.scene import (
+    DETECTION,
+    FALSE_POSITIVE_PREFIX,
+    POSE,
+    EntityKind,
+    ModuleId,
+    PatchRegion,
+)
+from percsched.toolkit import NoiseConfig
 from percsched.tracker import MEAS_DIM, STATE_DIM, KalmanConfig, NumericalError, TrackBank
+from percsched.traces import TraceFrame
 
 
 # ---------------------------------------------------------------------------
@@ -373,3 +383,60 @@ def reference_chi_square_shift(hist_prev: np.ndarray, hist_curr: np.ndarray) -> 
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(denom > 0, diff_sq / np.where(denom > 0, denom, 1.0), 0.0)
     return float(np.mean([float(d) for d in terms.sum(axis=1)]))
+
+
+# ---------------------------------------------------------------------------
+# the simulated modules: a generator built on every call, a record per box
+# ---------------------------------------------------------------------------
+
+
+def _module_rng(seed: int, frame_index: int, module: ModuleId) -> np.random.Generator:
+    return np.random.default_rng([seed, frame_index, zlib.crc32(module.encode("utf-8"))])
+
+
+def simulate_detection(
+    frame: TraceFrame, noise_cfg: NoiseConfig, rng_seed: int
+) -> List[Tuple[str, float, float, float, float]]:
+    """``(entity_id, x_c, y_c, w, h)`` per detected box."""
+    rng = _module_rng(rng_seed, frame.index, DETECTION)
+    boxes = []
+    for e in frame.entities:
+        if e.kind is EntityKind.BACKGROUND:
+            continue
+        if noise_cfg.miss_rate > 0 and rng.random() < noise_cfg.miss_rate:
+            continue
+        cx, cy = e.region.center
+        w, h = e.region.w, e.region.h
+        if noise_cfg.box_std > 0:
+            jitter = rng.normal(0.0, noise_cfg.box_std, size=4)
+            cx, cy = cx + jitter[0], cy + jitter[1]
+            w = max(1.0, w + jitter[2])
+            h = max(1.0, h + jitter[3])
+        boxes.append((e.id, float(cx), float(cy), float(w), float(h)))
+    if noise_cfg.false_positive_rate > 0 and rng.random() < noise_cfg.false_positive_rate:
+        fx = float(rng.uniform(50, 500))
+        fy = float(rng.uniform(50, 350))
+        fw = float(rng.uniform(20, 60))
+        fh = float(rng.uniform(20, 60))
+        boxes.append((f"{FALSE_POSITIVE_PREFIX}{frame.index}", fx, fy, fw, fh))
+    return boxes
+
+
+def simulate_pose(
+    frame: TraceFrame, noise_cfg: NoiseConfig, rng_seed: int
+) -> List[Tuple[str, Tuple[float, ...]]]:
+    """``(entity_id, confidences)`` per human with keypoints."""
+    rng = _module_rng(rng_seed, frame.index, POSE)
+    per_human = []
+    for e in frame.entities:
+        if e.kind is not EntityKind.HUMAN or e.id not in frame.keypoints:
+            continue
+        count = len(frame.keypoints[e.id])
+        conf = np.full(count, 1.0 - noise_cfg.floor_margin)
+        if noise_cfg.confidence_spread > 0:
+            conf -= noise_cfg.confidence_spread * rng.beta(
+                noise_cfg.beta_a, noise_cfg.beta_b, size=count
+            )
+        conf = np.minimum(1.0, np.maximum(noise_cfg.min_confidence, conf))
+        per_human.append((e.id, tuple(conf.tolist())))
+    return per_human

@@ -182,7 +182,9 @@ class TestScheduledPolicy:
             out = simulate(frame, ready, noise_cfg, rng_seed)
             if frame.index < first_doubled:
                 return out
-            return dataclasses.replace(out, boxes=out.boxes + out.boxes)
+            return dataclasses.replace(
+                out, ids=out.ids * 2, boxes=np.concatenate([out.boxes, out.boxes])
+            )
 
         monkeypatch.setattr(engine_module, "simulate_detection", doubled)
         with pytest.raises(ValueError, match="track 'obj-1' is named twice"):
@@ -337,6 +339,9 @@ class TestEngineMechanics:
         back = RunLog.from_jsonl(log.to_jsonl())
         assert back.to_jsonl() == log.to_jsonl()
         assert back.header.policy == "scheduled"
+        # read back as tuples, so every frame that applies nothing shares ()
+        assert all(type(r.applied) is tuple for r in back.records)
+        assert any(r.applied == () for r in back.records)
 
 
     def test_runlog_key_order(self):
@@ -440,19 +445,21 @@ def test_benchmark_traced_names_exist():
 
 def test_benchmark_tracer_counts_every_simulator_call():
     """The engine looks the simulators up at call time, so the benchmark's
-    wrappers see one call per honored activation."""
+    wrappers see one call per honored activation under every policy."""
     tracing = _bench_tracing()
     trace = generate_trace("interaction", 40, seed=3)
     cfg = pipeline().pipeline(trace.header)
-    tracer = tracing.Tracer()
-    tracer.install(tracing.layer_targets(engine_module, change_detect, rewards, metrics))
-    try:
-        log = run(trace, PolicyKind.SCHEDULED, cfg)
-    finally:
-        tracer.uninstall()
-    for module, name in ((DETECTION, "detection"), (POSE, "pose")):
-        honored = sum(r.honored[module] for r in log.records)
-        assert honored and tracer.calls[f"toolkit.simulate_{name}"] == honored
+    gt = metrics.extract_keyframes(run_offline(trace, cfg))
+    for policy in PolicyKind:
+        tracer = tracing.Tracer()
+        tracer.install(tracing.layer_targets(engine_module, change_detect, rewards, metrics))
+        try:
+            log = run(trace, policy, cfg, gt.required if policy is PolicyKind.ORACLE else None)
+        finally:
+            tracer.uninstall()
+        for module, name in ((DETECTION, "detection"), (POSE, "pose")):
+            honored = sum(r.honored[module] for r in log.records)
+            assert honored and tracer.calls[f"toolkit.simulate_{name}"] == honored, policy
 
 
 def test_benchmark_runs_traced_at_small_size():

@@ -1,7 +1,17 @@
+import dataclasses
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from percsched.scene import POSE, Entity, EntityKind, PatchRegion
+import oracles
+from percsched import toolkit
+from percsched.cli import main
+from percsched.engine import RunLog
+from percsched.scene import DETECTION, POSE, Entity, EntityKind, PatchRegion
 from percsched.toolkit import (
     NoiseConfig,
     _rng_for,
@@ -9,7 +19,11 @@ from percsched.toolkit import (
     simulate_detection,
     simulate_pose,
 )
-from percsched.traces import TraceFrame
+from percsched.traces import TraceFrame, write_trace
+from test_golden import FRAMES as GOLDEN_FRAMES
+from test_golden import SEED as GOLDEN_SEED
+from test_golden import VARIANTS as GOLDEN_VARIANTS
+from test_golden import make_trace
 
 PERIOD = 1000.0 / 30.0
 READY = 1
@@ -52,29 +66,33 @@ class TestReadyStamp:
             assert ready * PERIOD >= t + c - PERIOD - 1e-9
 
 
+def _detections(out):
+    """A detection output as plain values, for exact comparison."""
+    return out.issued, out.ready, out.ids, out.boxes.tolist()
+
+
 class TestSimulateDetection:
     def test_zero_noise_matches_ground_truth(self):
         frame = _frame()
         out = simulate_detection(frame, READY, ZERO_NOISE, rng_seed=0)
-        assert [b.entity_id for b in out.boxes] == ["obj-1", "hum-1"]
-        box = out.boxes[0]
-        assert (box.x_c, box.y_c, box.w, box.h) == (30.0, 25.0, 40.0, 30.0)
-        assert out.issued == 0
-        assert out.ready == READY
+        assert _detections(out) == (
+            0, READY, ("obj-1", "hum-1"),
+            [[30.0, 25.0, 40.0, 30.0], [130.0, 110.0, 60.0, 120.0]],
+        )
 
     def test_same_seed_identical(self):
         frame = _frame()
         noisy = NoiseConfig(box_std=2.0)
         a = simulate_detection(frame, READY, noisy, rng_seed=42)
         b = simulate_detection(frame, READY, noisy, rng_seed=42)
-        assert a == b
+        assert _detections(a) == _detections(b)
 
     def test_different_seeds_differ(self):
         frame = _frame()
         noisy = NoiseConfig(box_std=2.0)
         a = simulate_detection(frame, READY, noisy, rng_seed=1)
         b = simulate_detection(frame, READY, noisy, rng_seed=2)
-        assert a != b
+        assert _detections(a) != _detections(b)
 
     def test_empty_frame(self):
         frame = TraceFrame(
@@ -82,11 +100,11 @@ class TestSimulateDetection:
             entities=(),
         )
         out = simulate_detection(frame, READY, ZERO_NOISE, rng_seed=0)
-        assert out.boxes == ()
+        assert out.ids == () and out.boxes.shape == (0, 4)
 
     def test_miss_rate_one_drops_everything(self):
         out = simulate_detection(_frame(), READY, NoiseConfig(miss_rate=1.0), rng_seed=0)
-        assert out.boxes == ()
+        assert out.ids == () and out.boxes.shape == (0, 4)
 
 
 class TestSimulatePose:
@@ -132,3 +150,79 @@ class TestSimulatePose:
             expected.append(min(1.0, max(noisy.min_confidence, conf)))
         (human,) = simulate_pose(frame, READY, noisy, rng_seed=9).per_human
         assert list(human.confidences) == expected
+
+
+DRAW_KNOBS = {
+    "box_std": st.floats(0.01, 50.0),
+    "miss_rate": st.floats(0.01, 1.0),
+    "false_positive_rate": st.floats(0.01, 1.0),
+    "confidence_spread": st.floats(0.01, 5.0),
+}
+# no knob, each knob alone, every knob together
+KNOB_SETS = ((), *((name,) for name in DRAW_KNOBS), tuple(DRAW_KNOBS))
+
+
+@given(
+    knobs=st.sampled_from(KNOB_SETS),
+    values=st.fixed_dictionaries(DRAW_KNOBS),
+    name=st.sampled_from(("static", "interaction", "walking")),
+    index=st.integers(0, GOLDEN_FRAMES - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulators_equal_the_oracle(knobs, values, name, index, seed):
+    """Building the generator at the first draw keeps every draw: ids, boxes
+    and confidences equal those of simulators that build it on every call."""
+    noise = NoiseConfig(**{knob: values[knob] for knob in knobs})
+    frame = make_trace(name).frames[index]
+    detected = simulate_detection(frame, READY, noise, seed)
+    assert [(tid, *row) for tid, row in zip(detected.ids, detected.boxes.tolist())] == (
+        oracles.simulate_detection(frame, noise, seed)
+    )
+    posed = simulate_pose(frame, READY, noise, seed)
+    assert [(h.entity_id, h.confidences) for h in posed.per_human] == (
+        oracles.simulate_pose(frame, noise, seed)
+    )
+
+
+@pytest.mark.parametrize("name", ["static", "interaction", "walking"])
+def test_generators_are_built_only_to_draw(tmp_path, monkeypatch, name):
+    """A zero-noise compare builds no generator. The golden noise variant
+    builds one per honored activation that draws: every yolo activation draws
+    for its false positive, and a pose activation draws when its frame holds
+    a human with keypoints."""
+    built = Counter()
+
+    def counting(seed, frame_index, module):
+        built[module] += 1
+        return _rng_for(seed, frame_index, module)
+
+    monkeypatch.setattr(toolkit, "_rng_for", counting)
+    trace = make_trace(name)
+    trace_path = tmp_path / "trace.jsonl"
+    write_trace(trace_path, trace)
+    config_path = tmp_path / "config.json"
+
+    def compare(out, **config):
+        config_path.write_text(json.dumps({"seed": GOLDEN_SEED, **config}))
+        built.clear()
+        assert main(["compare", "--config", str(config_path), "--trace", str(trace_path),
+                     "--out", str(out)]) == 0
+        logs = sorted(out.glob("*.runlog.jsonl"))
+        assert len(logs) == 3
+        return [RunLog.read(path) for path in logs]
+
+    compare(tmp_path / "exact")
+    assert sum(built.values()) == 0
+
+    logs = compare(tmp_path / "noise", noise=dataclasses.asdict(GOLDEN_VARIANTS["noise"].noise))
+    posed = {
+        frame.index for frame in trace.frames
+        if any(e.kind is EntityKind.HUMAN and e.id in frame.keypoints for e in frame.entities)
+    }
+    draws = Counter()
+    for log in logs:
+        for record in log.records:
+            draws[DETECTION] += record.honored[DETECTION]
+            draws[POSE] += record.honored[POSE] and record.index in posed
+    assert draws[DETECTION] and draws[POSE]
+    assert built == draws
