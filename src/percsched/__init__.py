@@ -22,10 +22,8 @@ from .metrics import (
     GroundTruthKeyframes,
     KeyframeThresholds,
     MetricsReport,
-    activation_recall,
     build_report,
     extract_keyframes,
-    keyframe_accuracy,
     latency,
 )
 from .rewards import (
@@ -52,7 +50,6 @@ from .scene import (
 from .scheduler import select
 from .toolkit import (
     DetectionOutput,
-    HumanPose,
     NoiseConfig,
     PoseOutput,
     simulate_detection,

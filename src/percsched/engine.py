@@ -331,9 +331,9 @@ class SimEngine:
                     humans_changed |= self._any_human(missed)
                     self._drop_tracks(missed)
             elif self.keeps_beliefs:
-                for human in out.per_human:
-                    if human.entity_id in self.members:
-                        self.history.record(human.entity_id, out.issued, human.confidences)
+                for tid, confs in zip(out.ids, out.confidences):
+                    if tid in self.members:
+                        self.history.record(tid, out.issued, confs)
             applied.append({"module": module, "issued": out.issued, "ready": out.ready})
         return applied, humans_changed
 

@@ -44,6 +44,10 @@ class GroundTruthKeyframes:
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """Per module, ``recall`` is the share of required frames on which it
+    executed, and ``keyframe_accuracy`` the share on which the decision was
+    to activate it, independent of busy drops."""
+
     policy: str
     latency_ms: Optional[float]
     recall: Mapping[ModuleId, Optional[float]]
@@ -141,21 +145,6 @@ def _share_of_required(
     hits: Mapping[ModuleId, int], gt: GroundTruthKeyframes
 ) -> Dict[ModuleId, Optional[float]]:
     return {m: hits[m] / gt.count(m) if gt.count(m) else None for m in hits}
-
-
-def activation_recall(
-    run: RunLog, gt: GroundTruthKeyframes
-) -> Dict[ModuleId, Optional[float]]:
-    """Fraction of required frames on which the module actually executed."""
-    return _share_of_required(_required_hits(run, gt, "honored"), gt)
-
-
-def keyframe_accuracy(
-    run: RunLog, gt: GroundTruthKeyframes
-) -> Dict[ModuleId, Optional[float]]:
-    """Fraction of required frames on which the decision was to activate,
-    independent of busy drops."""
-    return _share_of_required(_required_hits(run, gt, "decided"), gt)
 
 
 def latency(run: RunLog, denominator: str = "activated") -> Optional[float]:

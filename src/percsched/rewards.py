@@ -24,7 +24,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,11 +207,7 @@ def pre_execution_entropy(
     """
     total = 0.0
     for w, h, sigma_w, sigma_h, relevance in humans:
-        ww = w + sigma_w
-        hh = h + sigma_h
-        if ww <= 0 or hh <= 0:
-            raise ValueError("widened box dims must be positive")
-        total += relevance * math.log(ww * hh)
+        total += relevance * box_uniform_entropy(w + sigma_w, h + sigma_h)
     return cfg.keypoint_count * total
 
 
@@ -220,12 +216,6 @@ def keypoint_entropy(sigma: float) -> float:
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     return LN_TWO_PI_E + 2.0 * math.log(sigma)
-
-
-HumanConfidences = Union[
-    Tuple[Sequence[float], float],
-    Tuple[Sequence[float], float, float],
-]
 
 
 def _require_valid_keypoints(confs: np.ndarray, bases: np.ndarray) -> None:
@@ -240,35 +230,34 @@ def _require_valid_keypoints(confs: np.ndarray, bases: np.ndarray) -> None:
         raise ValueError(f"base sigma must be positive, got {float(bases[d])}")
 
 
-def post_execution_entropy(humans: Sequence[HumanConfidences], cfg: RewardConfig) -> float:
+def post_execution_entropy(
+    humans: Sequence[Tuple[Sequence[float], float, float]], cfg: RewardConfig
+) -> float:
     """Keypoint uncertainty the pose module is expected to leave behind.
 
-    Each entry is (confidences, relevance) or (confidences, relevance,
-    scale); confidences must already be extrapolated to the current frame
-    and have exactly ``keypoint_count`` values. ``scale`` multiplies the
-    base sigmas (object scale, default 1).
+    Each entry is (confidences, relevance, scale); confidences must already
+    be extrapolated to the current frame and have exactly ``keypoint_count``
+    values. ``scale`` (the object scale) multiplies the base sigmas.
 
     Per human this equals ``keypoint_count * LN_TWO_PI_E`` plus, in keypoint
     order, ``2 * ln(max(-base * scale * ln(conf), SIGMA_FLOOR))``.
     """
     base = cfg.resolved_sigma_base()
     total = 0.0
-    for entry in humans:
-        confs = np.asarray(entry[0], dtype=float)
-        relevance = float(entry[1])
-        scale = float(entry[2]) if len(entry) > 2 else 1.0
+    for confidences, relevance, scale in humans:
+        confs = np.asarray(confidences, dtype=float)
         if confs.shape != (cfg.keypoint_count,):
             raise ValueError(
                 f"expected {cfg.keypoint_count} confidences, got {confs.shape}"
             )
-        bases = base * scale
+        bases = base * float(scale)
         _require_valid_keypoints(confs, bases)
         log_conf = np.array(list(map(math.log, confs.tolist())))
         sigmas = np.maximum(-bases * log_conf, SIGMA_FLOOR)
         inner = cfg.keypoint_count * LN_TWO_PI_E
         for log_sigma in map(math.log, sigmas.tolist()):
             inner += 2.0 * log_sigma
-        total += relevance * inner
+        total += float(relevance) * inner
     return total
 
 
@@ -282,7 +271,8 @@ class KeypointConfidenceHistory:
     """Rolling record of the last two pose executions per human.
 
     With two samples confidences are linearly extrapolated per keypoint;
-    with one the last value is held; with none the prior applies.
+    with one the last value is held; with none the prior applies. A human's
+    samples must come from strictly increasing frames.
     """
 
     def __init__(self) -> None:
@@ -290,16 +280,12 @@ class KeypointConfidenceHistory:
         self._prev: Dict[str, Tuple[int, np.ndarray]] = {}
 
     def record(self, entity_id: str, frame_index: int, confidences: Sequence[float]) -> None:
-        confs = np.asarray(confidences, dtype=float)
         current = self._last.get(entity_id)
         if current is not None:
-            if frame_index == current[0]:
-                self._last[entity_id] = (frame_index, confs)
-                return
-            if frame_index < current[0]:
-                raise ValueError("confidence samples must arrive in frame order")
+            if frame_index <= current[0]:
+                raise ValueError(f"sample of frame {frame_index} does not follow frame {current[0]}")
             self._prev[entity_id] = current
-        self._last[entity_id] = (frame_index, confs)
+        self._last[entity_id] = (frame_index, np.asarray(confidences, dtype=float))
 
     def extrapolated(self, entity_id: str, frame_index: int, cfg: RewardConfig) -> np.ndarray:
         last = self._last.get(entity_id)
@@ -309,8 +295,6 @@ class KeypointConfidenceHistory:
         if prev is None or frame_index < last[0]:
             return np.clip(last[1], CONFIDENCE_FLOOR, 1.0)
         (k_last, s_last), (k_prev, s_prev) = last, prev
-        if k_last == k_prev:
-            raise ValueError("the two reference frames must differ")
         # linear in the frame index per keypoint; fmax/fmin clamp NaN to
         # the floor exactly as min(1, max(floor, value)) does
         slope = (s_last - s_prev) / (k_last - k_prev)

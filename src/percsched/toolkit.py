@@ -33,16 +33,14 @@ class DetectionOutput:
 
 
 @dataclass(frozen=True)
-class HumanPose:
-    entity_id: str
-    confidences: Tuple[float, ...]  # one per keypoint
-
-
-@dataclass(frozen=True)
 class PoseOutput:
+    """One pose output: ``confidences`` row i holds one confidence per
+    keypoint of human ``ids[i]``."""
+
     issued: int
     ready: int
-    per_human: Tuple[HumanPose, ...]
+    ids: Tuple[str, ...]
+    confidences: np.ndarray  # (len(ids), keypoint count)
 
 
 @dataclass(frozen=True)
@@ -127,21 +125,20 @@ def simulate_pose(
     frame: TraceFrame, ready: int, noise_cfg: NoiseConfig, rng_seed: int
 ) -> PoseOutput:
     """Pose stand-in: a Beta-skewed confidence per ground-truth keypoint,
-    visible from frame ``ready``."""
-    rng = _lazy_rng(rng_seed, frame.index, POSE)
-    per_human: List[HumanPose] = []
-    for e in frame.entities:
-        if e.kind is not EntityKind.HUMAN:
-            continue
-        true_pts = frame.keypoints.get(e.id)
-        if true_pts is None:
-            continue
-        conf = np.full(len(true_pts), 1.0 - noise_cfg.floor_margin)
-        if noise_cfg.confidence_spread > 0:
-            # one array of draws gives the bits of one scalar draw per keypoint
-            conf -= noise_cfg.confidence_spread * rng().beta(
-                noise_cfg.beta_a, noise_cfg.beta_b, size=len(true_pts)
-            )
-        conf = np.minimum(1.0, np.maximum(noise_cfg.min_confidence, conf))
-        per_human.append(HumanPose(entity_id=e.id, confidences=tuple(conf.tolist())))
-    return PoseOutput(issued=frame.index, ready=ready, per_human=tuple(per_human))
+    visible from frame ``ready``. Every human of a frame must have the same
+    number of keypoints."""
+    ids = tuple(
+        e.id for e in frame.entities if e.kind is EntityKind.HUMAN and e.id in frame.keypoints
+    )
+    counts = sorted({len(frame.keypoints[tid]) for tid in ids})
+    if len(counts) > 1:
+        raise ValueError(f"frame {frame.index}: humans have different keypoint counts {counts}")
+    shape = (len(ids), counts[0] if counts else 0)
+    conf = np.full(shape, 1.0 - noise_cfg.floor_margin)
+    if noise_cfg.confidence_spread > 0 and ids:
+        # one (humans, keypoints) array of draws gives the bits of one
+        # scalar draw per keypoint, human by human
+        rng = _rng_for(rng_seed, frame.index, POSE)
+        conf -= noise_cfg.confidence_spread * rng.beta(noise_cfg.beta_a, noise_cfg.beta_b, shape)
+    conf = np.minimum(1.0, np.maximum(noise_cfg.min_confidence, conf))
+    return PoseOutput(issued=frame.index, ready=ready, ids=ids, confidences=conf)

@@ -183,8 +183,6 @@ def frame_to_dict(frame: TraceFrame) -> dict:
 
 def frame_from_dict(rec: dict, header: TraceHeader) -> TraceFrame:
     index = rec.get("index")
-    if isinstance(index, bool) or not isinstance(index, int):
-        raise TraceError(f"frame index must be an integer, got {index!r}")
     try:
         change = None
         if "change" in rec:

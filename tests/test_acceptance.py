@@ -24,12 +24,7 @@ import pytest
 
 from percsched.config import RunConfig
 from percsched.engine import PolicyKind, RunLog, run, run_offline
-from percsched.metrics import (
-    activation_recall,
-    extract_keyframes,
-    keyframe_accuracy,
-    latency,
-)
+from percsched.metrics import build_report, extract_keyframes, latency
 from percsched.change_detect import ChangeDetectConfig, chi_square_shift, motion_status
 from percsched.rewards import (
     LN_TWO_PI_E,
@@ -126,8 +121,8 @@ def test_criterion_2_pose_recall_improvement(note):
     results = []
     for seed in range(1, 6):
         trace, pipe, gt = _prepare("walking", 900, seed=seed)
-        parallel = activation_recall(_run_policy(trace, pipe, gt, PolicyKind.PARALLEL), gt)
-        scheduled = activation_recall(_run_policy(trace, pipe, gt, PolicyKind.SCHEDULED), gt)
+        parallel = build_report(_run_policy(trace, pipe, gt, PolicyKind.PARALLEL), gt).recall
+        scheduled = build_report(_run_policy(trace, pipe, gt, PolicyKind.SCHEDULED), gt).recall
         results.append((seed, parallel[POSE], scheduled[POSE]))
     elapsed = time.monotonic() - start
 
@@ -146,7 +141,7 @@ def test_criterion_3_keyframe_accuracy(note):
         trace, pipe, gt = _prepare(archetype, 600, seed=11)
         assert pipe.noise == NoiseConfig(), "criterion requires zero-noise modules"
         log = _run_policy(trace, pipe, gt, PolicyKind.SCHEDULED)
-        accuracy = keyframe_accuracy(log, gt)
+        accuracy = build_report(log, gt).keyframe_accuracy
         for module in (DETECTION, POSE):
             assert accuracy[module] is not None
             worst = min(worst, accuracy[module])
@@ -263,8 +258,8 @@ def test_criterion_7_recall_bounded_by_accuracy(note):
     violations = 0
     checked = 0
     for log, gt in _EMITTED_RUNS:
-        recall = activation_recall(log, gt)
-        accuracy = keyframe_accuracy(log, gt)
+        report = build_report(log, gt)
+        recall, accuracy = report.recall, report.keyframe_accuracy
         for module in (DETECTION, POSE):
             if recall[module] is None:
                 continue

@@ -250,7 +250,7 @@ class TestRun:
         rc = main(["compare", "--trace", str(trace_path), "--out", str(tmp_path / "o")])
         assert rc == EXIT_TRACE
         err = capsys.readouterr().err
-        assert f"line 3: frame index must be an integer, got {index!r}" in err
+        assert "line 3:" in err and f"index must be an integer, got {index!r}" in err
 
     def test_negative_frame_index_is_trace_error_naming_the_field(
         self, trace_path, tmp_path, capsys

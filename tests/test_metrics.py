@@ -13,12 +13,10 @@ from percsched.engine import (
 from percsched.metrics import (
     GroundTruthKeyframes,
     KeyframeThresholds,
-    activation_recall,
     build_report,
     extract_keyframes,
     format_comparison,
     format_report,
-    keyframe_accuracy,
     latency,
 )
 from percsched.scene import DETECTION, POSE, Entity, EntityKind, PatchRegion
@@ -177,7 +175,7 @@ class TestRecallAndAccuracy:
             honored={DETECTION: set(range(8))},
             n=12,
         )
-        recall = activation_recall(log, gt)
+        recall = build_report(log, gt).recall
         assert recall[DETECTION] == pytest.approx(0.8)
         assert recall[POSE] is None
 
@@ -190,8 +188,9 @@ class TestRecallAndAccuracy:
             honored={DETECTION: {0, 2, 4, 6, 8}},
             n=10,
         )
-        assert keyframe_accuracy(log, gt)[DETECTION] == 1.0
-        assert activation_recall(log, gt)[DETECTION] == 0.5
+        report = build_report(log, gt)
+        assert report.keyframe_accuracy[DETECTION] == 1.0
+        assert report.recall[DETECTION] == 0.5
 
     def test_report_splits_recall_from_accuracy(self):
         # required 0-7; decided on 0-5 and 9, honored on 0, 2, 4 and 9
@@ -229,7 +228,7 @@ class TestRecallAndAccuracy:
         )
         cfg = RunConfig(trace="unused").pipeline(trace.header)
         log = run(trace, PolicyKind.ORACLE, cfg, gt.required)
-        recall = activation_recall(log, gt)
+        recall = build_report(log, gt).recall
         assert recall[DETECTION] == 1.0
         assert recall[POSE] == 1.0
 
@@ -240,8 +239,8 @@ class TestRecallAndAccuracy:
         gt = extract_keyframes(run_offline(trace, pipe), cfg.keyframes)
         for policy in (PolicyKind.PARALLEL, PolicyKind.SCHEDULED):
             log = run(trace, policy, pipe)
-            recall = activation_recall(log, gt)
-            accuracy = keyframe_accuracy(log, gt)
+            report = build_report(log, gt)
+            recall, accuracy = report.recall, report.keyframe_accuracy
             for m in MODULES:
                 if recall[m] is not None:
                     assert recall[m] <= accuracy[m] + 1e-12
@@ -255,7 +254,7 @@ class TestRecallAndAccuracy:
         cfg = RunConfig(trace="unused")
         pipe = cfg.pipeline(trace.header)
         gt = extract_keyframes(run_offline(trace, pipe), cfg.keyframes)
-        recall = activation_recall(run(trace, PolicyKind.PARALLEL, pipe), gt)
+        recall = build_report(run(trace, PolicyKind.PARALLEL, pipe), gt).recall
         assert recall[DETECTION] == 1.0
 
     def test_parallel_pose_recall_stays_low_on_static_scenes(self):
@@ -263,7 +262,7 @@ class TestRecallAndAccuracy:
         cfg = RunConfig(trace="unused")
         pipe = cfg.pipeline(trace.header)
         gt = extract_keyframes(run_offline(trace, pipe), cfg.keyframes)
-        recall = activation_recall(run(trace, PolicyKind.PARALLEL, pipe), gt)
+        recall = build_report(run(trace, PolicyKind.PARALLEL, pipe), gt).recall
         assert recall[POSE] is not None and recall[POSE] < 0.5
 
     def test_idempotent_recomputation(self):

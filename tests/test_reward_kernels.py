@@ -81,7 +81,7 @@ class TestPostExecutionEntropy:
         mismatched = [
             c
             for c in confs
-            if post_execution_entropy([([c], 1.0)], cfg)
+            if post_execution_entropy([([c], 1.0, 1.0)], cfg)
             != scalar_post_execution_entropy([([c], 1.0, 1.0)], cfg)
         ]
         assert mismatched == []
@@ -95,14 +95,14 @@ class TestPostExecutionEntropy:
         with pytest.raises(ValueError) as scalar:
             keypoint_sigma(bad, 0.05)
         with pytest.raises(ValueError) as array:
-            post_execution_entropy([(confs, 1.0)], cfg)
+            post_execution_entropy([(confs, 1.0, 1.0)], cfg)
         assert str(array.value) == str(scalar.value)
 
     def test_first_bad_keypoint_is_reported(self):
         confs = [0.5] * 17
         confs[3], confs[9] = 2.0, -1.0
         with pytest.raises(ValueError, match=r"got 2\.0"):
-            post_execution_entropy([(confs, 1.0)], _cfg(17))
+            post_execution_entropy([(confs, 1.0, 1.0)], _cfg(17))
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
     def test_non_positive_base_sigma_raises(self, scale):

@@ -206,37 +206,37 @@ class TestPostExecutionEntropy:
         # base 1 and confidence 1/e give sigma exactly 1 for every keypoint
         cfg = _cfg(sigma_base=tuple([1.0] * 133))
         confs = [1 / math.e] * 133
-        val = post_execution_entropy([(confs, 1.0)], cfg)
+        val = post_execution_entropy([(confs, 1.0, 1.0)], cfg)
         assert val == pytest.approx(133 * LN_TWO_PI_E)
         assert val == pytest.approx(377.4, abs=0.1)
 
     def test_zero_relevance(self):
         cfg = _cfg(sigma_base=tuple([1.0] * 133))
-        assert post_execution_entropy([([0.5] * 133, 0.0)], cfg) == 0.0
+        assert post_execution_entropy([([0.5] * 133, 0.0, 1.0)], cfg) == 0.0
 
     def test_two_identical_humans_double(self):
         cfg = _cfg(sigma_base=tuple([1.0] * 133))
         confs = [0.4] * 133
-        one = post_execution_entropy([(confs, 1.0)], cfg)
-        two = post_execution_entropy([(confs, 1.0), (confs, 1.0)], cfg)
+        one = post_execution_entropy([(confs, 1.0, 1.0)], cfg)
+        two = post_execution_entropy([(confs, 1.0, 1.0), (confs, 1.0, 1.0)], cfg)
         assert two == pytest.approx(2 * one)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            post_execution_entropy([([0.5] * 10, 1.0)], _cfg())
+            post_execution_entropy([([0.5] * 10, 1.0, 1.0)], _cfg())
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)
         cfg = _cfg(keypoints=17)
         confs = rng.uniform(0.05, 0.95, size=17)
-        base = post_execution_entropy([(list(confs), 1.0)], cfg)
-        shuffled = post_execution_entropy([(list(rng.permutation(confs)), 1.0)], cfg)
+        base = post_execution_entropy([(list(confs), 1.0, 1.0)], cfg)
+        shuffled = post_execution_entropy([(list(rng.permutation(confs)), 1.0, 1.0)], cfg)
         assert shuffled == pytest.approx(base)
 
     def test_scale_applies_to_base_sigmas(self):
         cfg = _cfg(keypoints=2, sigma_base=(1.0, 1.0))
         confs = [1 / math.e] * 2
-        unscaled = post_execution_entropy([(confs, 1.0)], cfg)
+        unscaled = post_execution_entropy([(confs, 1.0, 1.0)], cfg)
         scaled = post_execution_entropy([(confs, 1.0, 2.0)], cfg)
         assert scaled - unscaled == pytest.approx(2 * 2 * math.log(2))
 
@@ -287,10 +287,15 @@ class TestConfidenceHistory:
         np.testing.assert_array_equal(hist.extrapolated("h", 6, cfg), [0.5])
 
     def test_out_of_order_rejected(self):
+        cfg = _cfg(keypoints=1)
         hist = KeypointConfidenceHistory()
         hist.record("h", 5, [0.9])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample of frame 3 does not follow frame 5"):
             hist.record("h", 3, [0.8])
+        # a second sample of the same frame is rejected too, and the first stays
+        with pytest.raises(ValueError, match="sample of frame 5 does not follow frame 5"):
+            hist.record("h", 5, [0.8])
+        np.testing.assert_array_equal(hist.extrapolated("h", 6, cfg), [0.9])
 
 
 class TestRewardConfig:

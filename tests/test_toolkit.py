@@ -107,33 +107,33 @@ class TestSimulateDetection:
         assert out.ids == () and out.boxes.shape == (0, 4)
 
 
+def _poses(out):
+    """A pose output as plain values, for exact comparison."""
+    return out.issued, out.ready, out.ids, out.confidences.tolist()
+
+
 class TestSimulatePose:
     def test_zero_noise_keypoints_and_confidence(self):
         frame = _frame()
         out = simulate_pose(frame, READY, ZERO_NOISE, rng_seed=0)
-        assert len(out.per_human) == 1
-        human = out.per_human[0]
-        assert human.entity_id == "hum-1"
-        assert len(human.confidences) == len(frame.keypoints["hum-1"])
-        for c in human.confidences:
-            assert c == pytest.approx(1.0 - ZERO_NOISE.floor_margin)
+        level = 1.0 - ZERO_NOISE.floor_margin
+        assert _poses(out) == (0, READY, ("hum-1",), [[level] * len(frame.keypoints["hum-1"])])
 
     def test_no_humans_no_entries(self):
         out = simulate_pose(_frame(with_human=False), READY, ZERO_NOISE, rng_seed=0)
-        assert out.per_human == ()
+        assert out.ids == () and out.confidences.shape == (0, 0)
 
     def test_same_seed_identical_confidences(self):
         noisy = NoiseConfig(confidence_spread=0.3)
         a = simulate_pose(_frame(), READY, noisy, rng_seed=9)
         b = simulate_pose(_frame(), READY, noisy, rng_seed=9)
-        assert a == b
+        assert _poses(a) == _poses(b)
 
     def test_confidences_stay_in_unit_interval(self):
         noisy = NoiseConfig(confidence_spread=5.0)
         out = simulate_pose(_frame(), READY, noisy, rng_seed=3)
-        for human in out.per_human:
-            for c in human.confidences:
-                assert 0.0 < c <= 1.0
+        assert out.confidences.shape == (1, 17)
+        assert ((out.confidences > 0.0) & (out.confidences <= 1.0)).all()
 
     @pytest.mark.parametrize("a, b", [(2.0, 5.0), (0.5, 0.5), (1.0, 1.0)])
     def test_confidences_equal_one_scalar_draw_per_keypoint(self, a, b):
@@ -148,8 +148,20 @@ class TestSimulatePose:
             conf = 1.0 - noisy.floor_margin
             conf -= noisy.confidence_spread * float(rng.beta(a, b))
             expected.append(min(1.0, max(noisy.min_confidence, conf)))
-        (human,) = simulate_pose(frame, READY, noisy, rng_seed=9).per_human
-        assert list(human.confidences) == expected
+        out = simulate_pose(frame, READY, noisy, rng_seed=9)
+        assert out.ids == ("hum-1",) and out.confidences.tolist() == [expected]
+
+    def test_ragged_keypoint_counts_raise_naming_the_frame(self):
+        frame = _frame(index=6)
+        frame = dataclasses.replace(
+            frame,
+            entities=frame.entities + (
+                Entity(id="hum-2", kind=EntityKind.HUMAN, region=PatchRegion(300, 50, 60, 120)),
+            ),
+            keypoints={**frame.keypoints, "hum-2": ((300.0, 50.0),) * 5},
+        )
+        with pytest.raises(ValueError, match=r"^frame 6: humans have different keypoint counts"):
+            simulate_pose(frame, READY, ZERO_NOISE, rng_seed=0)
 
 
 DRAW_KNOBS = {
@@ -179,7 +191,46 @@ def test_simulators_equal_the_oracle(knobs, values, name, index, seed):
         oracles.simulate_detection(frame, noise, seed)
     )
     posed = simulate_pose(frame, READY, noise, seed)
-    assert [(h.entity_id, h.confidences) for h in posed.per_human] == (
+    assert list(zip(posed.ids, map(tuple, posed.confidences.tolist()))) == (
+        oracles.simulate_pose(frame, noise, seed)
+    )
+
+
+@st.composite
+def crowded_frames(draw):
+    """An in-memory frame of 2-4 humans, some objects and a background, all
+    humans with the same keypoint count."""
+    count = draw(st.integers(1, 133))
+    humans = draw(st.integers(2, 4))
+    kinds = [EntityKind.HUMAN] * humans + draw(
+        st.lists(st.sampled_from((EntityKind.OBJECT, EntityKind.BACKGROUND)), max_size=3)
+    )
+    kinds = draw(st.permutations(kinds))
+    entities = tuple(
+        Entity(id=f"e-{i}", kind=kind, region=PatchRegion(10 * i, 20, 30, 60))
+        for i, kind in enumerate(kinds)
+    )
+    keypoints = {
+        e.id: tuple((float(e.region.x + d), 40.0) for d in range(count))
+        for e in entities if e.kind is EntityKind.HUMAN
+    }
+    return TraceFrame(index=draw(st.integers(0, 10_000)), entities=entities, keypoints=keypoints)
+
+
+@given(
+    knobs=st.sampled_from(KNOB_SETS),
+    values=st.fixed_dictionaries(DRAW_KNOBS),
+    beta=st.sampled_from(((2.0, 5.0), (0.5, 0.5), (1.0, 1.0))),
+    frame=crowded_frames(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pose_rows_equal_the_oracle_on_several_humans(knobs, values, beta, frame, seed):
+    """One (humans, keypoints) draw gives each human's row the bits of that
+    human's own draws: every row equals the oracle's tuple for it."""
+    noise = NoiseConfig(beta_a=beta[0], beta_b=beta[1], **{k: values[k] for k in knobs})
+    posed = simulate_pose(frame, READY, noise, seed)
+    assert len(posed.ids) >= 2
+    assert list(zip(posed.ids, map(tuple, posed.confidences.tolist()))) == (
         oracles.simulate_pose(frame, noise, seed)
     )
 
