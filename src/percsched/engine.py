@@ -171,7 +171,9 @@ class RunLogHeader:
     config_digest: str = ""
 
 
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+# an offline record's keypoint arrays are written as the nested lists of
+# their points; any other object the encoder cannot write is a TypeError
+_encode = json.JSONEncoder(separators=(",", ":"), default=np.ndarray.tolist).encode
 
 
 # ``fields()`` builds a new tuple per call, and a log asks once per record

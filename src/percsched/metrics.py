@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Literal, Mapping, Optional, Sequence, Tuple, get_args
 
+import numpy as np
+
 from .engine import OFFLINE_POLICY, RunLog
 from .scene import DETECTION, POSE, ModuleId
 from .schema import NonNegative, check_fields
@@ -124,9 +126,13 @@ def _dist(a: Tuple[float, float], b: Tuple[float, float]) -> float:
 def _max_kp_shift(
     current: Sequence[Tuple[float, float]], reference: Sequence[Tuple[float, float]]
 ) -> float:
+    """The farthest any keypoint moved. The points are (K, 2) arrays in
+    memory or nested lists read back from a log; numpy's float64 differences
+    are the ones Python would take, and ``math.hypot`` measures each."""
     if len(current) != len(reference):
         return math.inf
-    return max((_dist(c, r) for c, r in zip(current, reference)), default=0.0)
+    dx, dy = np.subtract(current, reference).reshape(-1, 2).T.tolist()
+    return max(map(math.hypot, dx, dy), default=0.0)
 
 
 def _required_hits(run: RunLog, gt: GroundTruthKeyframes, flag: str) -> Dict[ModuleId, int]:

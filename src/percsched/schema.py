@@ -2,8 +2,8 @@
 config or trace file sets. A dataclass declares each field in its type hint
 (``bool``, ``str``, ``Optional``, ``Literal``, a tuple, a ``Mapping``, a
 class; an ``int`` or ``float`` always with its interval as ``Annotated``
-text such as ``"(0, 1]"``; a list of points marked ``POINTS``) and sets
-``__post_init__ = check_fields`` or calls it.
+text such as ``"(0, 1]"``; a list of points marked ``POINTS``, read as one
+(n, 2) float array) and sets ``__post_init__ = check_fields`` or calls it.
 """
 
 from __future__ import annotations
@@ -11,10 +11,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import reprlib
+import struct
 import types
 from collections.abc import Mapping
-from typing import Annotated, Any, Callable, Dict, Literal, Tuple, Union
+from typing import Annotated, Any, Callable, Dict, List, Literal, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
 
 NonNegative = Annotated[float, "[0, inf)"]
 Positive = Annotated[float, "(0, inf)"]
@@ -158,23 +161,37 @@ def _mapping(value: Any) -> Parser:
 POINTS = "points"
 
 
+def _packed(flat: List[float]) -> np.ndarray:
+    """The read-only, C-contiguous (n, 2) float64 array over the packed bytes
+    of the coordinates ``flat``, x and y in turn."""
+    return np.ndarray((len(flat) // 2, 2), np.float64, struct.pack(f"{len(flat)}d", *flat))
+
+
 def _points(hint: Any) -> Parser:
-    """Read a list of points as a tuple of float pairs, a JSON 5 as the 5.0 it
-    stands for. Keypoint lists are long: pairs of floats in range pass in one
-    comprehension; the general parser reads the rest or names the bad item."""
+    """Read a list of points as one read-only, C-contiguous float64 array of
+    shape (n, 2), a JSON 5 as the 5.0 it stands for; a valid one passes
+    through, and any other array is read as its list. Keypoint lists are long:
+    pairs of floats in range are flattened in one comprehension and packed
+    into one array; the general parser reads the rest or names the bad item."""
     pair, _ = get_args(hint)  # Tuple[Tuple[C, C], ...]
     general = _tuple((pair, ...))
     least, most = _fast(get_args(pair)[0])[1:]
 
-    def parse(v: Any) -> Tuple[Tuple[float, float], ...]:
+    def parse(v: Any) -> np.ndarray:
+        if isinstance(v, np.ndarray):
+            if (v.dtype == np.float64 and v.ndim == 2 and v.shape[1] == 2
+                    and v.flags.c_contiguous and not v.flags.writeable
+                    and (not v.size or least <= v.min() and v.max() <= most)):
+                return v
+            v = v.tolist()
         if isinstance(v, (list, tuple)):
             try:
-                pts = [(x, y) for x, y in v if type(x) is float and type(y) is float
-                       and least <= x <= most and least <= y <= most]
+                flat = [c for x, y in v if type(x) is float and type(y) is float
+                        and least <= x <= most and least <= y <= most for c in (x, y)]
             except (TypeError, ValueError):  # an item that is not a pair
-                pts = []
-            if len(pts) == len(v):
-                return tuple(pts)
-        return tuple((float(x), float(y)) for x, y in general(v))
+                flat = []
+            if len(flat) == 2 * len(v):
+                return _packed(flat)
+        return _packed([float(c) for xy in general(v) for c in xy])
 
     return parse

@@ -86,6 +86,7 @@ class TraceFrame:
     # would keep every imported copy of these classes, and their modules, alive
     index: Count
     entities: tuple[Entity, ...]
+    # per human, one read-only (K, 2) float64 array of [x, y] rows
     keypoints: Mapping[str, Points] = field(default_factory=dict)
     change: ChangeStats | None = None
     pixels: FramePixels | None = None
@@ -164,7 +165,7 @@ def frame_to_dict(frame: TraceFrame) -> dict:
     }
     if frame.keypoints:
         rec["keypoints"] = {
-            eid: [[x, y] for x, y in pts] for eid, pts in sorted(frame.keypoints.items())
+            eid: pts.tolist() for eid, pts in sorted(frame.keypoints.items())
         }
     if frame.change is not None:
         patch_cr = dict(sorted(frame.change.patch_cr.items()))
@@ -202,7 +203,10 @@ def frame_from_dict(rec: dict, header: TraceHeader) -> TraceFrame:
             pixels=pixels,
         )
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise TraceError(f"frame {index}: malformed record: {exc}") from exc
+        # the reader's line number names the record; an index that is not
+        # an integer (a bool, a float, null) would name no frame
+        prefix = f"frame {index}: " if type(index) is int else ""
+        raise TraceError(f"{prefix}malformed record: {exc}") from exc
     for eid, pts in frame.keypoints.items():
         if len(pts) != header.keypoint_count:
             raise TraceError(

@@ -1,4 +1,5 @@
-"""Reference implementations that the tests check the library against."""
+"""Reference implementations that the tests check the library against, and
+the one trace comparison they share."""
 
 import math
 import zlib
@@ -26,7 +27,7 @@ from percsched.scene import (
 )
 from percsched.toolkit import NoiseConfig
 from percsched.tracker import MEAS_DIM, STATE_DIM, KalmanConfig, NumericalError, TrackBank
-from percsched.traces import TraceFrame
+from percsched.traces import Trace, TraceFrame
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +441,27 @@ def simulate_pose(
         conf = np.minimum(1.0, np.maximum(noise_cfg.min_confidence, conf))
         per_human.append((e.id, tuple(conf.tolist())))
     return per_human
+
+
+def assert_traces_equal(a: Trace, b: Trace) -> None:
+    """Fail unless two traces hold the same header, entities, keypoints,
+    change statistics and rasters. Keypoints must be read-only float64 arrays
+    of shape (K, 2), K from the header, with the same bits; a dataclass
+    ``==`` cannot compare arrays."""
+    assert a.header == b.header
+    assert len(a.frames) == len(b.frames)
+    shape = (a.header.keypoint_count, 2)
+    for fa, fb in zip(a.frames, b.frames):
+        assert fa.index == fb.index
+        assert fa.entities == fb.entities
+        assert sorted(fa.keypoints) == sorted(fb.keypoints)
+        for eid, pts in fa.keypoints.items():
+            for p in (pts, fb.keypoints[eid]):
+                assert p.dtype == np.float64 and p.shape == shape, (eid, p.dtype, p.shape)
+                assert p.flags.c_contiguous and not p.flags.writeable
+            assert pts.tobytes() == fb.keypoints[eid].tobytes(), (fa.index, eid)
+        assert fa.change == fb.change
+        assert (fa.pixels is None) == (fb.pixels is None)
+        if fa.pixels is not None:
+            assert fa.pixels.rgb.dtype == fb.pixels.rgb.dtype == np.uint8
+            assert np.array_equal(fa.pixels.rgb, fb.pixels.rgb)

@@ -32,9 +32,9 @@ from percsched import change_detect, metrics, rewards
 from percsched import engine as engine_module
 from percsched.change_detect import ChangeDetectConfig
 from percsched.config import RunConfig
-from percsched.engine import EngineConfig, PolicyKind, SimEngine, run, run_offline
+from percsched.engine import EngineConfig, PolicyKind, RunLog, SimEngine, run, run_offline
 from percsched.metrics import extract_keyframes
-from percsched.scene import EntityKind
+from percsched.scene import POSE, EntityKind
 from percsched.toolkit import NoiseConfig
 from percsched.tracker import KalmanConfig
 from percsched.traces import ChangeStats, FramePixels, Trace, generate_trace, write_trace
@@ -49,6 +49,11 @@ TRACE_DIGESTS = {
     "interaction": "97b4705f66c0233c7467865f48c5667aa0b6800873997bd662c902effc234eb6",
     "walking": "e1298008ce815ddc6bf8f75570551d32d96fb6fe0333c2bb8a1ab547b2e7f6fd",
     "interaction-pixels": "5568e466a4d0d0200dcd1856a94a7d6a26fd63aeb1cf90132d9a5ba7fd4f3b97",
+}
+# the offline run logs of two traces with keypoints, at the default config
+OFFLINE_DIGESTS = {
+    "interaction": "d52343c21abc6736269becacac9ffef6a2e660bdb5b7903e654c20be34943679",
+    "walking": "3331575f93ba58fd529276eabc4114551a8d190eb6662efd33dd9e572f1e744b",
 }
 VARIANTS = {
     "noise": RunConfig(
@@ -160,6 +165,29 @@ def test_run_logs_match_golden_digests(golden, name):
 def test_variant_run_logs_match_golden_digests(golden, variant, name):
     for key, digest in digests(name, variant).items():
         assert digest == golden[key], f"run log {key} changed"
+
+
+@pytest.mark.parametrize("name", sorted(OFFLINE_DIGESTS))
+def test_offline_log_gives_one_keyframe_set_in_memory_and_read_back(name):
+    """An offline log holds each human's keypoints as the trace's read-only
+    (K, 2) array in memory and as nested lists once read back; its bytes are
+    pinned, and both forms give the same ground-truth keyframes."""
+    cfg = RunConfig(seed=SEED)
+    trace = make_trace(name)
+    log = run_offline(trace, cfg.pipeline(trace.header))
+    text = log.to_jsonl()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == OFFLINE_DIGESTS[name]
+    back = RunLog.from_jsonl(text)
+    held = [rec.observations["keypoints"] for rec in log.records]
+    read = [rec.observations["keypoints"] for rec in back.records]
+    assert any(held)
+    for frame, kps, listed in zip(trace.frames, held, read):
+        for eid, pts in kps.items():
+            assert pts is frame.keypoints[eid] and not pts.flags.writeable
+            assert type(listed[eid]) is list and listed[eid] == pts.tolist()
+    gt = extract_keyframes(log, cfg.keyframes)
+    assert gt.required[POSE]
+    assert extract_keyframes(back, cfg.keyframes) == gt
 
 
 @pytest.mark.parametrize("bins", [7, 20, 100])

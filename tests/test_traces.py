@@ -1,7 +1,9 @@
 import base64
+import dataclasses
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import assert_traces_equal
 from percsched.config import RunConfig
 from percsched.engine import PolicyKind, run, run_offline
 from percsched.scene import Entity, EntityKind, PatchRegion
@@ -85,7 +88,9 @@ class TestRoundTrip:
         trace = Trace(header=TraceHeader(frame_count=2), frames=frames)
         path = tmp_path / "t.jsonl"
         write_trace(path, trace)
-        assert read_trace(path).frames[0].keypoints["h"] == kps
+        back = read_trace(path)
+        assert_traces_equal(back, trace)
+        assert back.frames[0].keypoints["h"].tolist() == [list(p) for p in kps]
 
     def test_integer_keypoints_read_as_floats(self, tmp_path):
         # frame 3 of this trace, on line 5, is the first with a human
@@ -177,18 +182,7 @@ class TestRoundTripProperty:
             path = Path(tmp) / "t.jsonl"
             write_trace(path, trace)
             back = read_trace(path)
-        assert back.header == trace.header
-        assert len(back.frames) == len(trace.frames)
-        for a, b in zip(trace.frames, back.frames):
-            assert b.index == a.index
-            assert b.entities == a.entities
-            assert dict(b.keypoints) == dict(a.keypoints)
-            assert b.change == a.change
-            if a.pixels is None:
-                assert b.pixels is None
-            else:
-                assert b.pixels.rgb.dtype == np.uint8
-                assert np.array_equal(b.pixels.rgb, a.pixels.rgb)
+        assert_traces_equal(back, trace)
 
 
 def _as_version_1(v2: Path, v1: Path) -> None:
@@ -223,17 +217,27 @@ class TestVersions:
             assert not any("moving" in e for e in rec["entities"])
 
     def test_version_1_file_reads_as_its_version_2_form(self, tmp_path):
-        v2, v1 = tmp_path / "v2.jsonl", tmp_path / "v1.jsonl"
-        write_trace(v2, generate_trace("static", 120, seed=11))
-        _as_version_1(v2, v1)
-        text = v1.read_text()
-        assert '"version":1' in text and '"enters":["human-0"]' in text
-        assert '"exits":["human-0"]' in text and '"moving":true' in text
-        new, old = read_trace(v2), read_trace(v1)
-        assert old == new
-        pipe = RunConfig(seed=11).pipeline(new.header)
-        logs = [run(t, PolicyKind.SCHEDULED, pipe).to_jsonl() for t in (new, old)]
-        assert logs[0] == logs[1]
+        changes = generate_trace("static", 120, seed=11)
+        # the same scene with a raster per frame in place of its change stats
+        rasters = Trace(header=changes.header, frames=tuple(
+            dataclasses.replace(
+                f, change=None, pixels=FramePixels(rgb=np.full((12, 16, 3), f.index, np.uint8))
+            )
+            for f in changes.frames
+        ))
+        for trace in (changes, rasters):
+            v2, v1 = tmp_path / "v2.jsonl", tmp_path / "v1.jsonl"
+            write_trace(v2, trace)
+            _as_version_1(v2, v1)
+            text = v1.read_text()
+            assert '"version":1' in text and '"enters":["human-0"]' in text
+            assert '"exits":["human-0"]' in text and '"moving":true' in text
+            new, old = read_trace(v2), read_trace(v1)
+            assert_traces_equal(old, new)
+            assert_traces_equal(new, trace)
+            pipe = RunConfig(seed=11).pipeline(new.header)
+            logs = [run(t, PolicyKind.SCHEDULED, pipe).to_jsonl() for t in (new, old)]
+            assert logs[0] == logs[1]
 
     @pytest.mark.parametrize("version", [None, 0, 3, True, 2.0, "2"])
     def test_unknown_version_rejected(self, tmp_path, version):
@@ -331,6 +335,17 @@ class TestValidation:
             (("change", "hist_shift_mean"), True, "hist_shift_mean"),
             (("change", "patch_cr", "cup"), True, "patch_cr['cup']"),
             (("change", "patch_cr"), [], "patch_cr"),
+            (("keypoints", "human-0", 0, 0), "1.5", "keypoints['human-0'][0][0]"),
+            (("keypoints", "human-0", 0, 1), None, "keypoints['human-0'][0][1]"),
+            (("keypoints", "human-0", 1), [1.0, 2.0, 3.0], "keypoints['human-0'][1]"),
+            (("keypoints", "human-0", 1), "ab", "keypoints['human-0'][1]"),
+            (("keypoints", "human-0", 2), 5.0, "keypoints['human-0'][2]"),
+            (("keypoints", "human-0"), "ab", "keypoints['human-0']"),
+            (("keypoints", "human-0", 3, 0), float("nan"), "keypoints['human-0'][3][0]"),
+            (("keypoints", "human-0", 3, 1), float("-inf"), "keypoints['human-0'][3][1]"),
+            (("keypoints", "human-0", 4, 0), 1e7, "keypoints['human-0'][4][0]"),
+            pytest.param(("keypoints", "human-0", 4, 1), -10**400, "keypoints['human-0'][4][1]",
+                         id="huge-int-keypoint"),
         ],
     )
     def test_bad_frame_field_rejected_by_name(self, tmp_path, path, value, named):
@@ -368,6 +383,21 @@ class TestValidation:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError, match=re.escape(message)):
             read_trace(path)
+
+    @pytest.mark.parametrize("index", [None, 1.0, "3"], ids=["missing", "float", "string"])
+    def test_invalid_index_names_no_frame(self, tmp_path, index):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, _minimal_trace())
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec.pop("index") if index is None else rec.update(index=index)
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError) as caught:
+            read_trace(path)
+        message = str(caught.value)
+        assert message == f"line 2: malformed record: index must be an integer, got {index!r}"
+        assert f"frame {index!r}" not in message and f"frame {index}" not in message
 
     @pytest.mark.parametrize(
         "rgb",
@@ -427,6 +457,89 @@ class TestValidation:
     def test_change_stats_out_of_range_rejected(self, fields):
         with pytest.raises(ValueError):
             ChangeStats(**{"background_cr": 0.1, "hist_shift_mean": 2.0, **fields})
+
+
+def _human_frame(points):
+    human = Entity(id="h", kind=EntityKind.HUMAN, region=PatchRegion(0, 0, 10, 20))
+    return TraceFrame(index=0, entities=(human,), keypoints={"h": points})
+
+
+class TestKeypointArrays:
+    """In memory, each human's keypoints are one read-only, C-contiguous
+    float64 array of shape (K, 2), whatever form the points came in."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[1.0, 2.0], [3.5, -4.0]],
+            ((1, 2), (3.5, -4)),
+            [[1, 2.0], [3.5, -4]],
+            np.array([[1, 2], [3.5, -4]], dtype=np.float32),
+            np.array([[1.0, 2.0], [3.5, -4.0]]),
+            np.asfortranarray([[1.0, 2.0], [3.5, -4.0]]),
+        ],
+        ids=["floats", "int-tuples", "mixed", "float32", "writable", "fortran"],
+    )
+    def test_points_become_one_read_only_float_array(self, points):
+        pts = _human_frame(points).keypoints["h"]
+        assert type(pts) is np.ndarray and pts.dtype == np.float64 and pts.shape == (2, 2)
+        assert pts.flags.c_contiguous and not pts.flags.writeable
+        assert pts.tolist() == [[1.0, 2.0], [3.5, -4.0]]
+        assert all(type(c) is float for xy in pts.tolist() for c in xy)
+
+    def test_writable_array_is_copied(self):
+        points = np.array([[1.0, 2.0]])
+        pts = _human_frame(points).keypoints["h"]
+        points[0, 0] = 9.0
+        assert pts.tolist() == [[1.0, 2.0]]
+
+    def test_read_only_array_passes_through_replace(self):
+        frame = _human_frame([[1.0, 2.0], [3.0, 4.0]])
+        again = dataclasses.replace(frame, change=ChangeStats(0.0, 0.0))
+        assert again.keypoints["h"] is frame.keypoints["h"]
+
+    def test_no_points_is_an_empty_pair_array(self):
+        for points in ([], (), np.zeros((0, 2))):
+            assert _human_frame(points).keypoints["h"].shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "points, named",
+        [
+            (np.array([[1.0, np.nan]]), "keypoints['h'][0][1]"),
+            (np.array([[1.0, 2.0], [np.inf, 0.0]]), "keypoints['h'][1][0]"),
+            (np.array([[1.0, 2e6]]), "keypoints['h'][0][1]"),
+            (np.array([[True, False]]), "keypoints['h'][0][0]"),
+            (np.zeros((2, 3)), "keypoints['h'][0]"),
+            (np.zeros(4), "keypoints['h'][0]"),
+            ([[1.0, 2.0], [True, 4.0]], "keypoints['h'][1][0]"),
+            ([[1.0, 2.0], [3.0]], "keypoints['h'][1]"),
+        ],
+        ids=["nan", "inf", "out-of-range", "bool-array", "triples", "flat", "bool", "single"],
+    )
+    def test_bad_points_are_named(self, points, named):
+        with pytest.raises(ValueError, match=re.escape(f"{named} must be")):
+            _human_frame(points)
+
+    def test_read_keeps_under_32_bytes_per_keypoint(self, tmp_path):
+        """Per-frame records cost the same at any keypoint count, so the
+        bytes a keypoint costs are the difference between reads of one
+        60-frame walking scene at 133 and at 1 keypoint per human. Points
+        held as a tuple of two floats each cost about 104 bytes."""
+        retained = {}
+        for count in (1, 133):
+            path = tmp_path / f"walking-{count}.jsonl"
+            write_trace(path, generate_trace("walking", 60, seed=0, keypoint_count=count))
+            tracemalloc.start()
+            try:
+                trace = read_trace(path)
+                retained[count] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            humans = sum(len(f.keypoints) for f in trace.frames)
+            del trace
+        assert humans > 50
+        per_keypoint = (retained[133] - retained[1]) / (humans * 132)
+        assert per_keypoint <= 32, f"{per_keypoint:.1f} bytes per keypoint"
 
 
 class TestGenerator:
