@@ -299,8 +299,8 @@ class SimEngine:
         self.queued: Dict[ModuleId, bool] = {m: False for m in self.module_ids}
         self.pending: List[Tuple[int, int, ModuleId, Union[DetectionOutput, PoseOutput]]] = []
         self.history = KeypointConfidenceHistory()
-        # the last pixel frame's raster and its whole-raster rgb_histograms
-        self.prev_frame: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # the last pixel frame's raster
+        self.prev_frame: Optional[np.ndarray] = None
         self._seq = 0
         self._expected_index = trace.frames[0].index
 
@@ -390,7 +390,8 @@ class SimEngine:
 
     def _change_stats(self, frame: TraceFrame) -> Tuple[float, float, Dict[str, float]]:
         """The background change ratio, the mean histogram shift and the
-        change ratio per tracked patch."""
+        change ratio per tracked patch. A pixel frame's shift is 0.0 where
+        the background ratio cannot fire the composition trigger."""
         if frame.pixels is not None:
             return self._pixel_change_stats(frame.pixels.rgb)
         if frame.change is not None:
@@ -401,19 +402,16 @@ class SimEngine:
     def _pixel_change_stats(self, current: np.ndarray) -> Tuple[float, float, Dict[str, float]]:
         """Change statistics between the last pixel frame and this one.
 
-        Only the tracked patches are counted per frame: the background's
-        histograms are each raster's whole counts, made once, minus the
-        counts of the pixels the patches occupy.
+        The background's histograms are counted only on a frame whose
+        background change ratio passes the composition trigger's first test.
         """
         ccfg = self.cfg.change
-        counts = cd.rgb_histograms(current, ccfg.histogram_bins)
         prev = self.prev_frame
-        self.prev_frame = (current, counts)
+        self.prev_frame = current
         if prev is None:
             return 0.0, 0.0, {}
-        prev_pixels, prev_counts = prev
         # int16 holds every byte difference exactly
-        diff = np.abs(current.astype(np.int16) - prev_pixels)
+        diff = np.abs(current.astype(np.int16) - prev)
         changed = cd.grayscale_diff(diff) > ccfg.intensity_threshold
         rows, cols = changed.shape
         # believed regions live in frame coordinates; rasters may be smaller
@@ -442,12 +440,14 @@ class SimEngine:
         bg_area = rows * cols - int(np.count_nonzero(occupied))
         bg_changed = int(np.count_nonzero(changed)) - int(np.count_nonzero(changed[occupied]))
         bg_cr = bg_changed / bg_area if bg_area else 0.0
-        # whole-raster minus occupied counts: integers below 2**53, so exact
-        bins = ccfg.histogram_bins
-        hist_prev = prev_counts - cd.rgb_histograms(prev_pixels, bins, occupied)
-        hist_curr = counts - cd.rgb_histograms(current, bins, occupied)
-        shift = cd.chi_square_shift(hist_prev, hist_curr)
-        return bg_cr, shift, patch_cr
+        if not bg_cr > ccfg.patch_change_threshold:
+            # the trigger cannot fire: a shift of 0.0 never exceeds the
+            # non-negative histogram_threshold
+            return bg_cr, 0.0, patch_cr
+        bins, background = ccfg.histogram_bins, ~occupied
+        hist_prev = cd.rgb_histograms(prev, bins, background)
+        hist_curr = cd.rgb_histograms(current, bins, background)
+        return bg_cr, cd.chi_square_shift(hist_prev, hist_curr), patch_cr
 
     def _update_motion(self, patch_cr: Mapping[str, float]) -> None:
         flipped = []

@@ -47,12 +47,12 @@ class _Mismatch(Exception):
 
 def check_fields(obj: Any, error: type = ValueError) -> None:
     """Raise ``error`` naming the first field of ``obj`` that breaks its
-    declaration. A value of the field's exact scalar type within its bounds
-    passes on one test; any other value goes to the field's parser."""
+    declaration. A value of one of the field's exact scalar types within its
+    bounds passes on one test; any other value goes to the field's parser."""
     table = _TABLES.get(type(obj)) or _TABLES.setdefault(type(obj), _table(type(obj)))
     for name, exact, least, most, parse in table:
         value = getattr(obj, name)  # vars(obj) would give each instance a dict
-        if type(value) is exact and (least is None or least <= value <= most):
+        if type(value) in exact and (least is None or least <= value <= most):
             continue
         try:
             parsed = parse(value)
@@ -63,7 +63,7 @@ def check_fields(obj: Any, error: type = ValueError) -> None:
             object.__setattr__(obj, name, parsed)
 
 
-# per checked class, a (name, exact type, least, most, parser) row per field
+# per checked class, a (name, exact types, least, most, parser) row per field
 _TABLES: Dict[type, Tuple[Tuple[str, Any, Any, Any, Parser], ...]] = {}
 
 
@@ -73,12 +73,15 @@ def _table(cls: type) -> Tuple[Tuple[str, Any, Any, Any, Parser], ...]:
                  for f in dataclasses.fields(cls))
 
 
-def _fast(hint: Any) -> Tuple[Any, Any, Any]:
-    """(exact type, least, most): a value of that exact type within [least,
-    most], or of that exact class when the bounds are None, needs no parser."""
-    if get_origin(hint) is Annotated:
-        return (get_args(hint)[0], *_bounds(get_args(hint)[1]))
-    return (hint if isinstance(hint, type) else None), None, None
+def _fast(hint: Any) -> Tuple[Tuple[type, ...], Any, Any]:
+    """(exact types, least, most): a value of one of those exact types within
+    [least, most], or of that exact class when the bounds are None, needs no
+    parser. A number field takes an int (a JSON 60) as it is, as its parser
+    does; a bool is neither."""
+    if get_origin(hint) is Annotated and get_args(hint)[1] != POINTS:
+        base, interval = get_args(hint)
+        return ((float, int) if base is float else (base,)), *_bounds(interval)
+    return ((hint,) if isinstance(hint, type) else ()), None, None
 
 
 def _parser(hint: Any) -> Parser:
@@ -146,10 +149,16 @@ def _tuple(args: Tuple[Any, ...]) -> Parser:
 
 def _mapping(value: Any) -> Parser:
     parse = _parser(value)
+    exact, least, most = _fast(value)
 
     def mapping(v: Any) -> dict:
         if not isinstance(v, Mapping):
             raise _Mismatch("an object", v)
+        # numbers that pass the fast test need no parser
+        if least is not None and all(
+            type(x) in exact and least <= x <= most for x in v.values()
+        ):
+            return dict(v)
         return {k: _item(parse, k, x) for k, x in v.items()}
 
     return mapping

@@ -63,7 +63,9 @@ class ChangeStats:
     __post_init__ = check_fields
 
 
-@dataclass(frozen=True)
+# eq=False here and on TraceFrame and Trace makes equality identity: the
+# generated == would compare numpy arrays and raise
+@dataclass(frozen=True, eq=False)
 class FramePixels:
     """Low-resolution RGB raster for pixel-level change detection."""
 
@@ -78,7 +80,7 @@ class FramePixels:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceFrame:
     """One ground-truth scene record."""
 
@@ -107,7 +109,7 @@ class TraceHeader:
     __post_init__ = check_fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     header: TraceHeader
     frames: Tuple[TraceFrame, ...]

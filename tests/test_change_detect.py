@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import numpy_rgb_histograms, reference_pixel_change
+from percsched import change_detect
 from percsched.change_detect import (
     ChangeDetectConfig,
     chi_square_shift,
@@ -226,20 +227,73 @@ def engine_pixel_change(prev, curr, means, frame_w, frame_h, cfg):
     )
     engine._change_stats(frames[0])
     got = engine._change_stats(frames[1])
-    assert engine.prev_frame[0] is curr
+    assert engine.prev_frame is curr
     return got
 
 
+def whitened_case(h, w, whitened, cfg=CFG):
+    """An (h, w) raster pair with no tracks whose first ``whitened`` pixels
+    turn from black to white: the background ratio is ``whitened / (h * w)``."""
+    prev = np.zeros((h, w, 3), dtype=np.uint8)
+    curr = prev.copy()
+    curr.reshape(-1, 3)[:whitened] = 255
+    return prev, curr, {}, w, h, cfg
+
+
 class TestPixelChangeOracle:
-    """Counting the background as whole-raster minus occupied counts must give
-    the bits that counting it directly gives."""
+    """The engine's pixel statistics must equal the direct count's bits. The
+    histogram shift is counted only where the background ratio passes the
+    composition trigger's first test, and is 0.0 elsewhere, so the trigger
+    equals the direct count's on every case."""
+
+    def check(self, case):
+        bg_cr, shift, patch_cr = engine_pixel_change(*case)
+        want_bg, want_shift, want_patch = reference_pixel_change(*case)
+        cfg = case[-1]
+        assert (bg_cr, patch_cr) == (want_bg, want_patch)
+        assert shift == (want_shift if bg_cr > cfg.patch_change_threshold else 0.0)
+        assert composition_change_trigger(bg_cr, shift, cfg) == composition_change_trigger(
+            want_bg, want_shift, cfg
+        )
+        assert type(bg_cr) is float and all(type(v) is float for v in patch_cr.values())
 
     @given(case=pixel_change_cases())
     def test_engine_equals_direct_count(self, case):
-        bg_cr, shift, patch_cr = engine_pixel_change(*case)
-        want_bg, want_shift, want_patch = reference_pixel_change(*case)
-        assert (bg_cr, shift, patch_cr) == (want_bg, want_shift, want_patch)
-        assert type(bg_cr) is float and all(type(v) is float for v in patch_cr.values())
+        self.check(case)
+
+    def test_background_ratio_below_threshold_reports_no_shift(self):
+        case = whitened_case(16, 16, 1)
+        want_bg, want_shift, _ = reference_pixel_change(*case)
+        assert want_bg < CFG.patch_change_threshold and want_shift > 0.0
+        assert engine_pixel_change(*case)[1] == 0.0
+        self.check(case)
+
+    def test_background_ratio_above_threshold_counts_the_shift(self):
+        case = whitened_case(4, 4, 8)
+        bg_cr, shift, _ = engine_pixel_change(*case)
+        assert bg_cr == 0.5 and shift > CFG.histogram_threshold
+        self.check(case)
+
+    def test_background_ratio_at_threshold_counts_no_histogram(self, monkeypatch):
+        """A background ratio equal to the threshold cannot fire the trigger,
+        so the frame counts no histogram; one more changed background pixel
+        passes the test and counts both rasters' backgrounds."""
+        cfg = ChangeDetectConfig(histogram_threshold=0.0)
+        kernel = change_detect.rgb_histograms
+        masks = []
+
+        def counted(pixels, bins, mask=None):
+            masks.append(mask)
+            return kernel(pixels, bins, mask)
+
+        monkeypatch.setattr(change_detect, "rgb_histograms", counted)
+        bg_cr, shift, _ = engine_pixel_change(*whitened_case(4, 5, 1, cfg))
+        assert bg_cr == cfg.patch_change_threshold
+        assert masks == [] and not composition_change_trigger(bg_cr, shift, cfg)
+        bg_cr, shift, _ = engine_pixel_change(*whitened_case(4, 5, 2, cfg))
+        assert bg_cr > cfg.patch_change_threshold
+        assert len(masks) == 2 and all(mask.all() for mask in masks)
+        assert composition_change_trigger(bg_cr, shift, cfg)
 
     def test_non_finite_belief_is_rejected_as_patch_geometry(self):
         rgb = np.zeros((4, 4, 3), dtype=np.uint8)

@@ -275,26 +275,36 @@ def test_pixel_run_logs_equal_direct_count_runs(monkeypatch, case):
 
 
 def test_pixel_frames_count_only_the_tracked_patches(monkeypatch):
-    """Each pixel frame counts its whole raster once; each later pixel frame
-    makes exactly two more histogram calls, and they select only pixels the
-    tracked patches occupy, so the background is never counted pixel by
-    pixel again."""
+    """A pixel frame counts histograms only when its background change ratio
+    passes the composition trigger's first test: then it makes exactly two
+    calls, each masked to exactly the pixels no tracked patch occupies, and
+    otherwise none. At least one frame of the golden pixel trace passes."""
     trace = make_trace("interaction-pixels")
+    ccfg = ChangeDetectConfig()
     per_frame = {}
-    occupied = {}
+    background = {}
+    candidates = set()
 
     class Probe(SimEngine):
+        last_raster = None
+
         def _change_stats(self, frame):
             k = frame.index
             per_frame[k] = []
-            mask = np.zeros(frame.pixels.rgb.shape[:2], dtype=bool)
             means = dict(zip(self.bank.ids, self.bank.means.tolist()))
             header = self.trace.header
-            boxes = reference_regions(means, mask.shape, header.frame_w, header.frame_h)
-            for box in boxes.values():
+            prev, self.last_raster = self.last_raster, frame.pixels.rgb
+            if prev is not None:
+                bg_cr, _, _ = reference_pixel_change(
+                    prev, frame.pixels.rgb, means, header.frame_w, header.frame_h, ccfg
+                )
+                if bg_cr > ccfg.patch_change_threshold:
+                    candidates.add(k)
+            mask = np.ones(frame.pixels.rgb.shape[:2], dtype=bool)
+            for box in reference_regions(means, mask.shape, header.frame_w, header.frame_h).values():
                 if box is not None:
-                    mask[box[0]:box[1], box[2]:box[3]] = True
-            occupied[k] = mask
+                    mask[box[0]:box[1], box[2]:box[3]] = False
+            background[k] = mask
             return super()._change_stats(frame)
 
     kernel = change_detect.rgb_histograms
@@ -307,12 +317,10 @@ def test_pixel_frames_count_only_the_tracked_patches(monkeypatch):
     Probe(trace, PolicyKind.SCHEDULED, RunConfig(seed=SEED).pipeline(trace.header)).run()
     assert sorted(per_frame) == list(range(FRAMES))
     for k, masks in per_frame.items():
-        assert sum(mask is None for mask in masks) == 1, f"frame {k}"
-        selective = [mask for mask in masks if mask is not None]
-        assert len(selective) == (2 if k else 0), f"frame {k}"
-        for mask in selective:
-            assert not np.any(mask & ~occupied[k]), f"frame {k} counts background pixels"
-    assert any(mask.any() for mask in occupied.values())
+        assert len(masks) == (2 if k in candidates else 0), f"frame {k}"
+        for mask in masks:
+            assert np.array_equal(mask, background[k]), f"frame {k}"
+    assert candidates and not all(mask.all() for mask in background.values())
 
 
 def test_pixel_trace_moves_tracked_patches():

@@ -92,6 +92,23 @@ class TestRoundTrip:
         assert_traces_equal(back, trace)
         assert back.frames[0].keypoints["h"].tolist() == [list(p) for p in kps]
 
+    def test_equality_is_identity(self, tmp_path):
+        """Frames hold arrays, so equality is identity: two reads of one file
+        compare unequal, without raising, and a frame equals itself."""
+        for name, trace in (
+            ("walking", generate_trace("walking", 3, 1, keypoint_count=17)),
+            ("pixels", _minimal_trace(pixels=True)),
+        ):
+            path = tmp_path / f"{name}.jsonl"
+            write_trace(path, trace)
+            a, b = read_trace(path), read_trace(path)
+            assert a != b and not a == b
+            assert not any(fa == fb for fa, fb in zip(a.frames, b.frames))
+            assert not any(fa.pixels == fb.pixels for fa, fb in zip(a.frames, b.frames)
+                           if fa.pixels is not None)
+            assert all(frame == frame for frame in a.frames) and a == a
+        assert any(frame.keypoints for frame in read_trace(tmp_path / "walking.jsonl").frames)
+
     def test_integer_keypoints_read_as_floats(self, tmp_path):
         # frame 3 of this trace, on line 5, is the first with a human
         path = tmp_path / "t.jsonl"
@@ -335,6 +352,9 @@ class TestValidation:
             (("change", "hist_shift_mean"), True, "hist_shift_mean"),
             (("change", "patch_cr", "cup"), True, "patch_cr['cup']"),
             (("change", "patch_cr"), [], "patch_cr"),
+            # JSON integers out of range
+            (("entities", 0, "w"), 0, "w"),
+            (("change", "patch_cr", "cup"), 2, "patch_cr['cup']"),
             (("keypoints", "human-0", 0, 0), "1.5", "keypoints['human-0'][0][0]"),
             (("keypoints", "human-0", 0, 1), None, "keypoints['human-0'][0][1]"),
             (("keypoints", "human-0", 1), [1.0, 2.0, 3.0], "keypoints['human-0'][1]"),
@@ -364,6 +384,23 @@ class TestValidation:
             TraceError, match=re.escape(f"line 5: frame 3: malformed record: {named} must be")
         ):
             read_trace(trace)
+
+    def test_integer_numbers_read_as_written(self, tmp_path):
+        """A JSON integer in a number field, alone or in a map of numbers,
+        reads as the integer it is."""
+        trace = tmp_path / "t.jsonl"
+        write_trace(trace, generate_trace("interaction", 12, seed=3))
+        lines = trace.read_text().splitlines()
+        rec = json.loads(lines[4])
+        rec["entities"][0]["w"] = 60
+        rec["change"]["patch_cr"] = dict.fromkeys(rec["change"]["patch_cr"], 1)
+        lines[4] = json.dumps(rec)
+        trace.write_text("\n".join(lines) + "\n")
+        frame = read_trace(trace).frames[3]
+        w = frame.entities[0].region.w
+        assert w == 60 and type(w) is int
+        assert frame.change.patch_cr == dict.fromkeys(rec["change"]["patch_cr"], 1)
+        assert all(type(v) is int for v in frame.change.patch_cr.values())
 
     @pytest.mark.parametrize(
         "line, text, message",
