@@ -352,9 +352,6 @@ class TestValidation:
             (("change", "hist_shift_mean"), True, "hist_shift_mean"),
             (("change", "patch_cr", "cup"), True, "patch_cr['cup']"),
             (("change", "patch_cr"), [], "patch_cr"),
-            # JSON integers out of range
-            (("entities", 0, "w"), 0, "w"),
-            (("change", "patch_cr", "cup"), 2, "patch_cr['cup']"),
             (("keypoints", "human-0", 0, 0), "1.5", "keypoints['human-0'][0][0]"),
             (("keypoints", "human-0", 0, 1), None, "keypoints['human-0'][0][1]"),
             (("keypoints", "human-0", 1), [1.0, 2.0, 3.0], "keypoints['human-0'][1]"),
@@ -366,6 +363,9 @@ class TestValidation:
             (("keypoints", "human-0", 4, 0), 1e7, "keypoints['human-0'][4][0]"),
             pytest.param(("keypoints", "human-0", 4, 1), -10**400, "keypoints['human-0'][4][1]",
                          id="huge-int-keypoint"),
+            # JSON integers out of range
+            pytest.param(("entities", 0, "w"), 0, "w", id="zero-int-width"),
+            pytest.param(("change", "patch_cr", "cup"), 2, "patch_cr['cup']", id="int-ratio-above-one"),
         ],
     )
     def test_bad_frame_field_rejected_by_name(self, tmp_path, path, value, named):
