@@ -33,7 +33,6 @@ from .rewards import (
     box_uniform_entropy,
     detection_info_gain,
     detection_reward,
-    keypoint_entropy,
     pose_reward,
     post_execution_entropy,
     pre_execution_entropy,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Annotated, Optional
+from typing import Annotated
 
 import numpy as np
 
@@ -47,12 +47,9 @@ def motion_status(cr: float, cfg: ChangeDetectConfig) -> MotionStatus:
     return MotionStatus.MOVING if cr > cfg.patch_change_threshold else MotionStatus.STATIONARY
 
 
-def rgb_histograms(
-    pixels: np.ndarray,
-    bins: int,
-    mask: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-channel histograms of an (h, w, 3) 8-bit image, optionally masked.
+def rgb_histograms(pixels: np.ndarray, bins: int, mask: np.ndarray) -> np.ndarray:
+    """Per-channel histograms of the pixels of an (h, w, 3) 8-bit image that
+    the (h, w) boolean ``mask`` selects.
 
     Returns an array of shape (3, bins) with raw counts over ``bins`` equal
     bins on [0, 256), the counts ``np.histogram`` gives. Each channel's
@@ -67,11 +64,9 @@ def rgb_histograms(
         raise ValueError(f"pixels must be uint8, got {img.dtype}")
     if bins < 1:
         raise ValueError(f"bins must be positive, got {bins}")
-    flat = img.reshape(-1, 3)
-    if mask is not None:
-        if np.shape(mask) != img.shape[:2]:
-            raise ValueError(f"mask must have shape {img.shape[:2]}, got {np.shape(mask)}")
-        flat = flat.take(np.flatnonzero(mask), axis=0)
+    if np.shape(mask) != img.shape[:2]:
+        raise ValueError(f"mask must have shape {img.shape[:2]}, got {np.shape(mask)}")
+    flat = img.reshape(-1, 3).take(np.flatnonzero(mask), axis=0)
     counts = np.stack([np.bincount(flat[:, c], minlength=256) for c in range(3)])
     return counts.astype(float) @ _byte_bins(bins)
 

@@ -137,9 +137,9 @@ def _section_from_dict(section_cls: type, value: Any, name: str) -> Any:
     if not isinstance(value, Mapping):
         raise ConfigError(f"section {name!r} must be an object")
     known = {f.name for f in dataclasses.fields(section_cls)}
-    unknown = sorted(set(value) - known)
+    unknown = sorted(f"{name}.{key}" for key in set(value) - known)
     if unknown:
-        raise ConfigError(f"unknown fields in section {name!r}: {unknown}")
+        raise ConfigError(f"unknown config fields: {unknown}")
     try:
         return section_cls(**value)
     except ValueError as exc:

@@ -211,13 +211,6 @@ def pre_execution_entropy(
     return cfg.keypoint_count * total
 
 
-def keypoint_entropy(sigma: float) -> float:
-    """Entropy of an isotropic 2D Gaussian keypoint estimate, in nats."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return LN_TWO_PI_E + 2.0 * math.log(sigma)
-
-
 def _require_valid_keypoints(confs: np.ndarray, bases: np.ndarray) -> None:
     """Every confidence must lie in (0, 1] and every base sigma be positive;
     reports the first bad keypoint, and is written so that NaN fails both."""

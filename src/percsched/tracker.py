@@ -14,6 +14,11 @@ one-track textbook filter gives it: the transition and measurement matrices
 only select and add entries, so those products are written as slice
 additions, and the products that do round (the gain solve and the
 covariance update) go through the same LAPACK and BLAS calls per matrix.
+
+The covariance has one update form, Joseph's
+``(I - K H) P (I - K H)^T + K R K^T``: a sum of two congruences, it stays
+positive definite at noise weights where the shorter ``(I - K H) P`` loses
+that to cancellation.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ class KalmanConfig:
     std_weight_position: Positive = 1.0 / 20.0
     std_weight_velocity: Positive = 1.0 / 160.0
     std_weight_measurement: Positive = 1.0 / 20.0
-    joseph_update: bool = False
     max_frames_since_update: PositiveCount = 90
 
     __post_init__ = check_fields
@@ -122,8 +126,9 @@ def measurement_variance(heights: np.ndarray, cfg: KalmanConfig) -> np.ndarray:
 
 
 def _variances(heights: np.ndarray, position_weight: float, velocity_weight: float) -> np.ndarray:
-    """``(n, 8)`` diagonal variances: per-height std weights, squared."""
-    weights = np.array([position_weight] * MEAS_DIM + [velocity_weight] * MEAS_DIM)
+    """``(n, 8)`` diagonal variances: per-height std weights, squared. An
+    integer weight runs as the float it equals, however large."""
+    weights = np.array([position_weight] * MEAS_DIM + [velocity_weight] * MEAS_DIM, dtype=float)
     return (heights[:, None] * weights) ** 2
 
 
@@ -278,11 +283,7 @@ def update(
     # I - K H: K H holds K in its first MEAS_DIM columns and zeros elsewhere
     ikh = np.repeat(_IDENTITY[None], len(ids), axis=0)
     ikh[:, :, :MEAS_DIM] -= k
-    if cfg.joseph_update:
-        new_cov = ikh @ p @ ikh.swapaxes(-1, -2) + k @ r @ gain_t
-    else:
-        new_cov = ikh @ p
-    new_cov = _symmetrize(new_cov)
+    new_cov = _symmetrize(ikh @ p @ ikh.swapaxes(-1, -2) + k @ r @ gain_t)
     _require_pd(new_cov, ids)
     return bank._with_rows(rows, new_mean, new_cov)
 

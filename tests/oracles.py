@@ -137,7 +137,8 @@ def inflate_process_noise(track: TrackState, cfg: KalmanConfig, extra_scale: flo
 
 
 def update(track: TrackState, measurement: np.ndarray, cfg: KalmanConfig) -> TrackState:
-    """Standard Kalman update against an (x_c, y_c, w, h) measurement."""
+    """Kalman update against an (x_c, y_c, w, h) measurement, with the
+    covariance in Joseph form."""
     z = np.asarray(measurement, dtype=float)
     if z.shape != (MEAS_DIM,):
         raise ValueError(f"measurement must have shape ({MEAS_DIM},), got {z.shape}")
@@ -150,12 +151,8 @@ def update(track: TrackState, measurement: np.ndarray, cfg: KalmanConfig) -> Tra
         raise NumericalError("innovation covariance is singular") from exc
     innovation = z - _H @ track.mean
     new_mean = track.mean + k @ innovation
-    if cfg.joseph_update:
-        ikh = np.eye(STATE_DIM) - k @ _H
-        new_cov = ikh @ p @ ikh.T + k @ r @ k.T
-    else:
-        new_cov = (np.eye(STATE_DIM) - k @ _H) @ p
-    new_cov = _symmetrize(new_cov)
+    ikh = np.eye(STATE_DIM) - k @ _H
+    new_cov = _symmetrize(ikh @ p @ ikh.T + k @ r @ k.T)
     _require_pd(new_cov, track.entity_id)
     return TrackState(mean=new_mean, covariance=new_cov, entity_id=track.entity_id)
 
@@ -218,6 +215,15 @@ def keypoint_sigma(conf: float, base: float) -> float:
     if base <= 0:
         raise ValueError(f"base sigma must be positive, got {base}")
     return max(-base * math.log(conf), SIGMA_FLOOR)
+
+
+def keypoint_entropy(sigma: float) -> float:
+    """Entropy of an isotropic 2D Gaussian keypoint estimate, in nats; the
+    term that :func:`percsched.rewards.post_execution_entropy` sums per
+    keypoint, there as ``2 ln sigma`` on top of one ``K ln(2 pi e)``."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    return LN_TWO_PI_E + 2.0 * math.log(sigma)
 
 
 def extrapolate_confidence(
@@ -286,17 +292,13 @@ def per_track_detection_info_gain(
     return total
 
 
-def numpy_rgb_histograms(
-    pixels: np.ndarray, bins: int, mask: Optional[np.ndarray] = None
-) -> np.ndarray:
+def numpy_rgb_histograms(pixels: np.ndarray, bins: int, mask: np.ndarray) -> np.ndarray:
     """:func:`percsched.change_detect.rgb_histograms` as three ``np.histogram``
     calls on a float copy of the raster, one per channel."""
     img = np.asarray(pixels).astype(float)
     out = np.zeros((3, bins), dtype=float)
     for c in range(3):
-        channel = img[:, :, c]
-        values = channel[mask] if mask is not None else channel.reshape(-1)
-        out[c], _ = np.histogram(values, bins=bins, range=(0.0, 256.0))
+        out[c], _ = np.histogram(img[:, :, c][mask], bins=bins, range=(0.0, 256.0))
     return out
 
 

@@ -32,10 +32,9 @@ from percsched.rewards import (
     RewardConfig,
     box_uniform_entropy,
     detection_info_gain,
-    keypoint_entropy,
 )
 from percsched.scene import DETECTION, POSE, MotionStatus
-from oracles import brute_force_select, measurement_noise
+from oracles import brute_force_select, keypoint_entropy, measurement_noise
 from percsched.scheduler import select
 from percsched.toolkit import NoiseConfig
 from percsched.tracker import (

@@ -282,7 +282,7 @@ class TestPixelChangeOracle:
         kernel = change_detect.rgb_histograms
         masks = []
 
-        def counted(pixels, bins, mask=None):
+        def counted(pixels, bins, mask):
             masks.append(mask)
             return kernel(pixels, bins, mask)
 
@@ -359,7 +359,7 @@ class TestRgbHistograms:
     def test_counts_and_mask(self):
         img = np.zeros((4, 4, 3), dtype=np.uint8)
         img[:2, :, 0] = 255
-        hist = rgb_histograms(img, bins=2)
+        hist = rgb_histograms(img, bins=2, mask=np.ones((4, 4), dtype=bool))
         assert hist[0, 0] == 8 and hist[0, 1] == 8
         assert hist[1, 0] == 16
         mask = np.zeros((4, 4), dtype=bool)
@@ -373,7 +373,6 @@ class TestRgbHistograms:
         img = np.stack([rng.permutation(256) for _ in range(3)], axis=-1)
         img = img.astype(np.uint8).reshape(16, 16, 3)
         masks = (
-            None,
             rng.random((16, 16)) < 0.5,
             np.zeros((16, 16), dtype=bool),
             np.ones((16, 16), dtype=bool),
@@ -394,14 +393,15 @@ class TestRgbHistograms:
         masked=st.booleans(),
     )
     def test_random_rasters_match_numpy_histogram(self, img, bins, seed, masked):
-        mask = np.random.default_rng(seed).random(img.shape[:2]) < 0.7 if masked else None
+        everywhere = np.ones(img.shape[:2], dtype=bool)
+        mask = np.random.default_rng(seed).random(img.shape[:2]) < 0.7 if masked else everywhere
         want = numpy_rgb_histograms(img, bins, mask)
         assert np.array_equal(rgb_histograms(img, bins, mask), want)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int16, np.uint16, np.int64, bool])
     def test_non_uint8_rejected(self, dtype):
         with pytest.raises(ValueError, match="uint8"):
-            rgb_histograms(np.zeros((4, 4, 3), dtype=dtype), bins=8)
+            rgb_histograms(np.zeros((4, 4, 3), dtype=dtype), bins=8, mask=np.ones((4, 4), bool))
 
     def test_mask_shape_must_match(self):
         with pytest.raises(ValueError, match="mask"):

@@ -342,7 +342,8 @@ class TestRun:
             # a JSON string is not a boolean: "false" would be truthy
             ({"engine": {"delete_on_miss": "false"}}, "engine.delete_on_miss"),
             ({"engine": {"force_pose_on_composition": "no"}}, "engine.force_pose_on_composition"),
-            ({"kalman": {"joseph_update": 1}}, "kalman.joseph_update"),
+            # the Joseph covariance update is the only form; its old switch is unknown
+            ({"kalman": {"joseph_update": True}}, "kalman.joseph_update"),
             # a boolean is not a rate: true used to drop every detection
             ({"noise": {"miss_rate": True}}, "noise.miss_rate"),
             ({"kalman": {"max_frames_since_update": 2.5}}, "kalman.max_frames_since_update"),
@@ -540,6 +541,19 @@ class TestCompare:
             line for line in printed.splitlines() if line.startswith("latency_vs_parallel")
         )
         assert "+0.0%" in delta_line
+
+    @pytest.mark.parametrize("field", ["std_weight_position", "std_weight_velocity"])
+    def test_integer_weight_beyond_int64_runs_as_the_equal_float(
+        self, trace_path, tmp_path, capsys, field
+    ):
+        """2**70 used to make an object-dtype noise array and exit 4."""
+        outcomes = []
+        for value in (2**70, float(2**70)):
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps({"trace": str(trace_path), "kalman": {field: value}}))
+            rc = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+            outcomes.append((rc, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
 
     def test_single_policy_rejected(self, trace_path):
         rc = main(

@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 from percsched.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_TRACE, main
 from percsched.config import RunConfig
 from percsched.engine import RunLog
-from percsched.traces import write_trace
+from percsched.tracker import KalmanConfig
+from percsched.traces import generate_trace, write_trace
 from test_golden import SEED, TRACES, make_trace
 
 TYPE_SWAPS = ("x", 7, True, None, [])
@@ -39,7 +40,6 @@ NUMBERS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, -0.0)
 _OVERFLOW = "the Kalman or reward arithmetic overflows or loses positive definiteness"
 KNOWN_EXIT_4 = {
     ("kalman", "std_weight_position", 1e308): _OVERFLOW,
-    ("kalman", "std_weight_position", 1e-300): _OVERFLOW,
     ("kalman", "std_weight_measurement", 1e308): _OVERFLOW,
     ("kalman", "std_weight_measurement", 1e-300): _OVERFLOW,
     ("kalman", "std_weight_velocity", 1e308): _OVERFLOW,
@@ -155,21 +155,27 @@ def _check_run_logs(out: Path):
                     )
 
 
+def _compare(tmp: Path, lines, config: dict):
+    """Run ``percsched compare`` in process on the trace ``lines`` under
+    ``config``, writing to ``tmp/o``; (exit code, stderr)."""
+    trace = tmp / "trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if config.get("trace") == "":
+        config["trace"] = str(trace)
+    (tmp / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["compare", "--config", str(tmp / "config.json"), "--out", str(tmp / "o")])
+    return rc, err.getvalue()
+
+
 @settings(max_examples=60)
 @given(data=st.data())
 def test_every_mutation_exits_with_its_documented_code(golden_files, data):
     lines, config, described, names, known = data.draw(mutations(golden_files))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        trace = tmp / "trace.jsonl"
-        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        if config.get("trace") == "":
-            config["trace"] = str(trace)
-        (tmp / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(["compare", "--config", str(tmp / "config.json"), "--out", str(tmp / "o")])
-        message = err.getvalue()
+        rc, message = _compare(tmp, lines, config)
         if rc == EXIT_RUNTIME and known in KNOWN_EXIT_4:
             return
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_TRACE), f"{described}: exit {rc}: {message}"
@@ -179,3 +185,18 @@ def test_every_mutation_exits_with_its_documented_code(golden_files, data):
             assert any(s in message for s in ["line ", "frame ", *names]), (
                 f"{described}: exit {rc} names no line, frame or field: {message}"
             )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("std_weight_measurement", 1e-9), ("std_weight_position", 1e6), ("std_weight_velocity", 1e6)],
+)
+def test_kalman_weights_the_short_update_form_could_not_take(tmp_path, field, value):
+    """On this trace the covariance update ``(I - K H) P`` lost positive
+    definiteness at each of these weights (exit 4); the Joseph form keeps it."""
+    path = tmp_path / "interaction.jsonl"
+    write_trace(path, generate_trace("interaction", 40, 3))
+    config = RunConfig(kalman=KalmanConfig(**{field: value})).to_dict()
+    rc, message = _compare(tmp_path, path.read_text(encoding="utf-8").splitlines(), config)
+    assert rc == EXIT_OK, message
+    _check_run_logs(tmp_path / "o")

@@ -3,14 +3,22 @@
 Three generated archetype traces plus one pixel-raster trace, each run under
 the parallel, oracle and scheduled policies, at the default config (keys
 ``trace/policy``) and at five config variants that leave the defaults for
-noise, busy queueing, serial overhead, keep-on-miss and Joseph updates with
-early staleness (keys ``variant/trace/policy``). A refactor that is meant to
-keep behaviour must leave every digest unchanged.
+noise, busy queueing, serial overhead, keep-on-miss and early staleness (keys
+``variant/trace/policy``). The Kalman filter has one update form, so no
+variant picks one. A refactor that is meant to keep behaviour must leave
+every digest unchanged.
 
 The digests live in ``tests/golden/runlog_digests.json``. Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden/runlog_digests.json``
 only for a change that is meant to alter run logs, and say in CHANGES.md which
 bytes moved and why.
+
+``tests/golden/vector_digests.json`` pins, for the same runs, the SHA-256 of
+the decided, honored and forced vectors alone, as the benchmark encodes them
+(``bench/checks.vectors_digest``). A change that moves bytes but not
+decisions leaves these pins as they are. Regenerate them with
+``PYTHONPATH=src python tests/test_golden.py vectors > tests/golden/vector_digests.json``
+only for a change that is meant to alter decisions.
 
 ``TRACE_DIGESTS`` pins the four traces as ``write_trace`` writes them, so a
 change to the trace writer or the generators shows here first.
@@ -39,7 +47,9 @@ from percsched.toolkit import NoiseConfig
 from percsched.tracker import KalmanConfig
 from percsched.traces import ChangeStats, FramePixels, Trace, generate_trace, write_trace
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "runlog_digests.json"
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden" / "runlog_digests.json"
+VECTORS = HERE / "golden" / "vector_digests.json"
 FRAMES = 120
 SEED = 11
 TRACES = ("static", "interaction", "walking", "interaction-pixels")
@@ -52,8 +62,8 @@ TRACE_DIGESTS = {
 }
 # the offline run logs of two traces with keypoints, at the default config
 OFFLINE_DIGESTS = {
-    "interaction": "d52343c21abc6736269becacac9ffef6a2e660bdb5b7903e654c20be34943679",
-    "walking": "3331575f93ba58fd529276eabc4114551a8d190eb6662efd33dd9e572f1e744b",
+    "interaction": "67eab061f8dfa2dc7e84e3d85f7036056b5aec968914efb2134c9db51e85e03a",
+    "walking": "bdee825c7144dc762addb07b4092ba8254f621c22533dc6bc981f58e7d9c243a",
 }
 VARIANTS = {
     "noise": RunConfig(
@@ -69,9 +79,9 @@ VARIANTS = {
     "keep-on-miss": RunConfig(
         seed=SEED, engine=EngineConfig(delete_on_miss=False), noise=NoiseConfig(miss_rate=0.2)
     ),
-    "joseph-stale": RunConfig(
+    "stale": RunConfig(
         seed=SEED,
-        kalman=KalmanConfig(joseph_update=True, max_frames_since_update=5),
+        kalman=KalmanConfig(max_frames_since_update=5),
         noise=NoiseConfig(miss_rate=0.3),
     ),
 }
@@ -108,37 +118,63 @@ def make_trace(name: str) -> Trace:
     return generate_trace(name, FRAMES, SEED)
 
 
-def run_logs(trace: Trace, cfg: RunConfig, kinds=tuple(PolicyKind)) -> dict:
-    """Each policy's run log over one trace as JSONL text, keyed by policy."""
+def bench_module(name: str):
+    """``bench/<name>.py``, loaded by path: ``bench/`` is not a package."""
+    path = HERE.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def policy_runs(trace: Trace, cfg: RunConfig, kinds=tuple(PolicyKind)) -> dict:
+    """Each policy's :class:`RunLog` over one trace, keyed by policy."""
     pipe = cfg.pipeline(trace.header)
     gt = extract_keyframes(run_offline(trace, pipe), cfg.keyframes)
     return {
-        kind.value: run(
-            trace, kind, pipe, gt.required if kind is PolicyKind.ORACLE else None
-        ).to_jsonl()
+        kind.value: run(trace, kind, pipe, gt.required if kind is PolicyKind.ORACLE else None)
         for kind in kinds
     }
 
 
-def digests(name: str, variant: str = "", kinds=tuple(PolicyKind)) -> dict:
-    """SHA-256 of each policy's run log over one trace, keyed ``name/policy``
-    at the default config and ``variant/name/policy`` at a config variant."""
-    cfg = VARIANTS[variant] if variant else RunConfig(seed=SEED)
+def run_logs(trace: Trace, cfg: RunConfig) -> dict:
+    """Each policy's run log over one trace as JSONL text, keyed by policy."""
+    return {policy: log.to_jsonl() for policy, log in policy_runs(trace, cfg).items()}
+
+
+def variant_config(variant: str) -> RunConfig:
+    """The golden config of a variant; ``""`` is the default config."""
+    return VARIANTS[variant] if variant else RunConfig(seed=SEED)
+
+
+@functools.lru_cache(maxsize=None)
+def matrix_runs(name: str, variant: str = "") -> dict:
+    """Every policy's run over one golden trace at one golden config; the
+    byte pins and the vector pins read the same runs."""
+    return policy_runs(make_trace(name), variant_config(variant))
+
+
+def text_digest(log: RunLog) -> str:
+    return hashlib.sha256(log.to_jsonl().encode("utf-8")).hexdigest()
+
+
+def digests(name: str, variant: str = "", of=text_digest) -> dict:
+    """``of`` each policy's run log over one trace (by default the SHA-256 of
+    its bytes), keyed ``name/policy`` at the default config and
+    ``variant/name/policy`` at a config variant."""
     prefix = f"{variant}/" if variant else ""
-    logs = run_logs(make_trace(name), cfg, kinds)
     return {
-        f"{prefix}{name}/{policy}": hashlib.sha256(text.encode("utf-8")).hexdigest()
-        for policy, text in logs.items()
+        f"{prefix}{name}/{policy}": of(log) for policy, log in matrix_runs(name, variant).items()
     }
 
 
-def golden_matrix() -> dict:
+def golden_matrix(of=text_digest) -> dict:
     """Every golden digest: the default config, then each variant."""
     return {
         key: d
         for variant in ("", *VARIANTS)
         for name in TRACES
-        for key, d in digests(name, variant).items()
+        for key, d in digests(name, variant, of).items()
     }
 
 
@@ -165,6 +201,13 @@ def test_run_logs_match_golden_digests(golden, name):
 def test_variant_run_logs_match_golden_digests(golden, variant, name):
     for key, digest in digests(name, variant).items():
         assert digest == golden[key], f"run log {key} changed"
+
+
+def test_decision_vectors_match_pinned_digests():
+    """Every golden run decides, honors and forces on the frames it did when
+    the pins were made, whatever its other bytes."""
+    pinned = json.loads(VECTORS.read_text(encoding="utf-8"))
+    assert golden_matrix(bench_module("checks").vectors_digest) == pinned
 
 
 @pytest.mark.parametrize("name", sorted(OFFLINE_DIGESTS))
@@ -199,7 +242,7 @@ def test_pixel_run_logs_equal_numpy_histogram_runs(monkeypatch, bins):
     kernel = change_detect.rgb_histograms
     calls = []
 
-    def checked(pixels, n_bins, mask=None):
+    def checked(pixels, n_bins, mask):
         got = kernel(pixels, n_bins, mask)
         assert np.array_equal(got, numpy_rgb_histograms(pixels, n_bins, mask))
         calls.append(n_bins)
@@ -262,7 +305,7 @@ def test_pixel_run_logs_equal_direct_count_runs(monkeypatch, case):
     kernel = change_detect.rgb_histograms
     calls = []
 
-    def checked(pixels, n_bins, mask=None):
+    def checked(pixels, n_bins, mask):
         got = kernel(pixels, n_bins, mask)
         assert np.array_equal(got, numpy_rgb_histograms(pixels, n_bins, mask))
         calls.append(n_bins)
@@ -309,7 +352,7 @@ def test_pixel_frames_count_only_the_tracked_patches(monkeypatch):
 
     kernel = change_detect.rgb_histograms
 
-    def counted(pixels, n_bins, mask=None):
+    def counted(pixels, n_bins, mask):
         per_frame[max(per_frame)].append(mask)
         return kernel(pixels, n_bins, mask)
 
@@ -368,10 +411,14 @@ def test_baselines_skip_the_belief_layers(monkeypatch, golden, variant):
     """Parallel and Oracle keep track membership only: no Kalman filter,
     change detection or motion gating, and still their golden run logs."""
     route_belief_calls(monkeypatch, forbidden)
+    prefix = f"{variant}/" if variant else ""
     for name in TRACES:
-        baselines = digests(name, variant, (PolicyKind.PARALLEL, PolicyKind.ORACLE))
-        for key, digest in baselines.items():
-            assert digest == golden[key], f"run log {key} changed"
+        baselines = policy_runs(
+            make_trace(name), variant_config(variant), (PolicyKind.PARALLEL, PolicyKind.ORACLE)
+        )
+        for policy, log in baselines.items():
+            key = f"{prefix}{name}/{policy}"
+            assert text_digest(log) == golden[key], f"run log {key} changed"
 
 
 def test_scheduled_runs_the_belief_layers(monkeypatch):
@@ -392,11 +439,7 @@ def test_benchmark_tracer_reaches_the_tracker():
     """``bench/run.py --trace 1`` wraps the engine's tracker calls by name:
     a short scheduled run must reach every tracker span, and tracing must
     leave its run log byte for byte as it was."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-
+    tracing = bench_module("tracing")
     trace = make_trace("interaction-pixels")
     cfg = RunConfig(seed=SEED).pipeline(trace.header)
     plain = run(trace, PolicyKind.SCHEDULED, cfg).to_jsonl()
@@ -412,4 +455,5 @@ def test_benchmark_tracer_reaches_the_tracker():
 
 
 if __name__ == "__main__":
-    sys.stdout.write(json.dumps(golden_matrix(), indent=2, sort_keys=True) + "\n")
+    of = bench_module("checks").vectors_digest if sys.argv[1:] == ["vectors"] else text_digest
+    sys.stdout.write(json.dumps(golden_matrix(of), indent=2, sort_keys=True) + "\n")

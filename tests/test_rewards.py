@@ -13,13 +13,12 @@ from percsched.rewards import (
     coco_wholebody_sigmas,
     detection_info_gain,
     detection_reward,
-    keypoint_entropy,
     pose_reward,
     post_execution_entropy,
     pre_execution_entropy,
 )
 from percsched.scene import DETECTION, POSE
-from oracles import extrapolate_confidence, keypoint_sigma, measurement_noise
+from oracles import extrapolate_confidence, keypoint_entropy, keypoint_sigma, measurement_noise
 from percsched.tracker import KalmanConfig, TrackBank, init_track, predict
 
 KCFG = KalmanConfig()
