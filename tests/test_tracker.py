@@ -353,16 +353,23 @@ class TestBankEqualsOneTrackOracle:
                 for t, q, z in zip(tracks, q_scales, still)]
         assert_rows_equal(got, want)
 
+    # predicted: update a bank that went through predict first, so the
+    # covariances are the filter's own rather than arbitrary ones
+    @pytest.mark.parametrize("predicted", [False, True])
     @given(drawn=banks(), offsets=st.lists(st.floats(-3.0, 3.0), min_size=28, max_size=28),
            picks=st.lists(st.booleans(), min_size=7, max_size=7))
-    def test_update(self, drawn, offsets, picks):
+    def test_update(self, predicted, drawn, offsets, picks):
         tracks = drawn[0]
+        bank = oracles.bank_of(tracks)
+        if predicted:
+            bank = predict(bank, CFG)
+            tracks = [oracles.predict(t, CFG) for t in tracks]
         chosen = [t for t, pick in zip(tracks, picks) if pick] or tracks[:1]
         z = np.array([
             t.mean[:4] + max(float(t.mean[3]), 1.0) * np.array(offsets[4 * i: 4 * i + 4])
             for i, t in enumerate(chosen)
         ])
-        got = update(oracles.bank_of(tracks), [t.entity_id for t in chosen], z, CFG)
+        got = update(bank, [t.entity_id for t in chosen], z, CFG)
         updated = {t.entity_id: oracles.update(t, zi, CFG) for t, zi in zip(chosen, z)}
         assert_rows_equal(got, [updated.get(t.entity_id, t) for t in tracks])
 
