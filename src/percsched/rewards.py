@@ -30,7 +30,7 @@ import numpy as np
 
 from .scene import DETECTION, POSE, ModuleId
 from .schema import NonNegative, Positive, PositiveCount, check_fields
-from .tracker import MEAS_DIM, KalmanConfig, NumericalError, TrackBank, measurement_variance
+from .tracker import KalmanConfig, NumericalError, TrackBank, measurement_variance
 
 LN_TWO_PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -154,9 +154,10 @@ def detection_info_gain(
     ``relevance`` holds one weight per bank row. Each track contributes
     0.5 * r * ln(det(projected prior) / det(R)) with R the same
     height-scaled measurement noise an update would use. Zero-relevance
-    tracks contribute nothing. The log-determinants of all contributing
-    tracks come from one batched ``slogdet`` on the bank's covariances; the
-    contributions are added in row order.
+    tracks contribute nothing. Both matrices are diagonal: the projected
+    prior holds the blocks' position variances ``p_xx`` and R holds MEAS_DIM
+    equal variances, so the term is 0.5 * r * sum_i ln(p_xx_i / R_ii). Each
+    log is a ``math.log``, taken in row and coordinate order.
     """
     weights = np.asarray(relevance, dtype=float)
     if weights.shape != (len(bank),):
@@ -164,21 +165,21 @@ def detection_info_gain(
     live = np.flatnonzero(weights != 0.0)
     if not live.size:
         return 0.0
-    # top-left 4x4 of each state covariance, as measurement_covariance gives
-    projected = bank.covariances[live, :MEAS_DIM, :MEAS_DIM]
-    signs, logdets_p = np.linalg.slogdet(projected)
-    not_pd = signs <= 0
-    if not_pd.any():
-        first = bank.ids[live[int(np.argmax(not_pd))]]
+    position_variances = bank.blocks[live, 0]
+    ok = (position_variances > 0.0) & (position_variances < math.inf)
+    if np.count_nonzero(ok) < ok.size:
+        first = bank.ids[live[int(np.argmin(ok.all(axis=1)))]]
         raise NumericalError(f"projected covariance for track {first!r} is not positive definite")
-    # R is diagonal with MEAS_DIM equal variances
-    variances = measurement_variance(bank.means[live, 3], kalman_cfg)
-    logdets_r = np.log(np.repeat(variances[:, None], MEAS_DIM, axis=1)).sum(axis=1)
+    ratios = position_variances / measurement_variance(bank.means[live, 3], kalman_cfg)[:, None]
+    if np.count_nonzero(ratios) < ratios.size:
+        # a ratio that underflows to zero has an infinitely negative log
+        return -math.inf
     total = 0.0
-    for weight, logdet_p, logdet_r in zip(
-        weights[live].tolist(), logdets_p.tolist(), logdets_r.tolist()
-    ):
-        total += 0.5 * weight * (logdet_p - logdet_r)
+    for weight, row in zip(weights[live].tolist(), ratios.tolist()):
+        log_ratio = 0.0
+        for ratio in row:
+            log_ratio += math.log(ratio)
+        total += 0.5 * weight * log_ratio
     return total
 
 

@@ -5,15 +5,19 @@ The state follows the BoT-SORT eight-dimensional parameterization
 the current box height. Only the filter itself lives here: association is
 supplied externally by entity identity, never computed.
 
+No matrix of the model couples two box coordinates: the transition adds
+each velocity to its own position, the measurement reads the positions, and
+the process noise, the measurement noise and the initial covariance are
+diagonal. So each track's 8x8 covariance is four independent 2x2 blocks
+``[[p_xx, p_xv], [p_xv, p_vv]]``, one per box coordinate, and the filter is
+four textbook two-state filters per track.
+
 Every live track sits in one :class:`TrackBank`: sorted ids, an ``(n, 8)``
-array of means and an ``(n, 8, 8)`` array of covariances, the stacked
-layout of SORT's and ByteTrack's ``multi_predict``. Each operation advances
-all of its rows with one set of array calls and checks them with one
-batched Cholesky factorization. A row comes out bit for bit as the
-one-track textbook filter gives it: the transition and measurement matrices
-only select and add entries, so those products are written as slice
-additions, and the products that do round (the gain solve and the
-covariance update) go through the same LAPACK and BLAS calls per matrix.
+array of means and an ``(n, 3, 4)`` array of blocks, holding ``p_xx``,
+``p_xv`` and ``p_vv`` of the four coordinates. Each operation advances all of
+its rows with elementwise IEEE ``+ - * /`` on those columns, so no BLAS,
+LAPACK or transcendental sets a bit, and a row comes out bit for bit as the
+one-track two-state filter gives it.
 
 The covariance has one update form, Joseph's
 ``(I - K H) P (I - K H)^T + K R K^T``: a sum of two congruences, it stays
@@ -33,17 +37,12 @@ from .schema import Positive, PositiveCount, check_fields
 
 STATE_DIM = 8
 MEAS_DIM = 4
-
-_IDENTITY = np.eye(STATE_DIM)
-_MEAS_IDENTITY = np.eye(MEAS_DIM)
-# the transition adds each velocity to its position
-_F = np.eye(STATE_DIM)
-_F[:MEAS_DIM, MEAS_DIM:] = _MEAS_IDENTITY
-_F_T = _F.T
+# the block entries a bank stores per box coordinate, in this order
+BLOCK_ENTRIES = ("p_xx", "p_xv", "p_vv")
 
 
 class NumericalError(RuntimeError):
-    """Raised when a covariance stops being usable (non-PD or singular)."""
+    """Raised when a covariance stops being usable (not positive definite)."""
 
 
 @dataclass(frozen=True)
@@ -62,23 +61,25 @@ class KalmanConfig:
 class TrackBank:
     """Filter state of every live track, one row per id in sorted id order.
 
-    Arrays are owned and never mutated; every operation returns a new bank.
+    ``blocks[i]`` holds track ``i``'s ``p_xx``, ``p_xv`` and ``p_vv``, one
+    column per box coordinate. Arrays are owned and never mutated; every
+    operation returns a new bank.
     """
 
     ids: Tuple[str, ...] = ()
     means: np.ndarray = field(default_factory=lambda: np.zeros((0, STATE_DIM)))
-    covariances: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, STATE_DIM, STATE_DIM))
+    blocks: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, len(BLOCK_ENTRIES), MEAS_DIM))
     )
 
     def __post_init__(self) -> None:
         n = len(self.ids)
         if self.means.shape != (n, STATE_DIM):
             raise ValueError(f"means must have shape ({n}, {STATE_DIM}), got {self.means.shape}")
-        if self.covariances.shape != (n, STATE_DIM, STATE_DIM):
+        if self.blocks.shape != (n, len(BLOCK_ENTRIES), MEAS_DIM):
             raise ValueError(
-                f"covariances must have shape ({n}, {STATE_DIM}, {STATE_DIM}), "
-                f"got {self.covariances.shape}"
+                f"blocks must have shape ({n}, {len(BLOCK_ENTRIES)}, {MEAS_DIM}), "
+                f"got {self.blocks.shape}"
             )
         if list(self.ids) != sorted(set(self.ids)):
             raise ValueError("track ids must be unique and sorted")
@@ -107,16 +108,14 @@ class TrackBank:
         keep = [i for i, tid in enumerate(self.ids) if tid not in gone]
         if len(keep) == len(self.ids):
             return self
-        return TrackBank(
-            tuple(self.ids[i] for i in keep), self.means[keep], self.covariances[keep]
-        )
+        return TrackBank(tuple(self.ids[i] for i in keep), self.means[keep], self.blocks[keep])
 
-    def _with_rows(self, rows: np.ndarray, means: np.ndarray, covariances: np.ndarray) -> "TrackBank":
+    def _with_rows(self, rows: np.ndarray, means: np.ndarray, blocks: np.ndarray) -> "TrackBank":
         new_means = self.means.copy()
         new_means[rows] = means
-        new_covs = self.covariances.copy()
-        new_covs[rows] = covariances
-        return TrackBank(self.ids, new_means, new_covs)
+        new_blocks = self.blocks.copy()
+        new_blocks[rows] = blocks
+        return TrackBank(self.ids, new_means, new_blocks)
 
 
 def measurement_variance(heights: np.ndarray, cfg: KalmanConfig) -> np.ndarray:
@@ -126,28 +125,16 @@ def measurement_variance(heights: np.ndarray, cfg: KalmanConfig) -> np.ndarray:
 
 
 def _variances(heights: np.ndarray, position_weight: float, velocity_weight: float) -> np.ndarray:
-    """``(n, 8)`` diagonal variances: per-height std weights, squared. An
-    integer weight runs as the float it equals, however large."""
-    weights = np.array([position_weight] * MEAS_DIM + [velocity_weight] * MEAS_DIM, dtype=float)
+    """``(n, 2)`` position and velocity variances: per-height std weights,
+    squared. An integer weight runs as the float it equals, however large."""
+    weights = np.array([position_weight, velocity_weight], dtype=float)
     return (heights[:, None] * weights) ** 2
 
 
 def _process_variances(heights: np.ndarray, cfg: KalmanConfig) -> np.ndarray:
-    """``(n, 8)`` diagonals of the height-scaled process noise Q."""
+    """``(n, 2)`` position and velocity variances of the height-scaled
+    process noise Q."""
     return _variances(np.maximum(heights, 1.0), cfg.std_weight_position, cfg.std_weight_velocity)
-
-
-def _diagonals(matrices: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonal of each matrix in a stack; the stack
-    must be C-contiguous, as every fresh copy here is."""
-    n, d, _ = matrices.shape
-    return matrices.reshape(n, d * d)[:, :: d + 1]
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    out = m + m.swapaxes(-1, -2)
-    out /= 2.0
-    return out
 
 
 def _require_distinct(ids: Sequence[str]) -> None:
@@ -158,20 +145,18 @@ def _require_distinct(ids: Sequence[str]) -> None:
         seen.add(tid)
 
 
-def _require_pd(covariances: np.ndarray, ids: Sequence[str]) -> None:
-    """One Cholesky factorization of the whole stack; on failure, name the
-    first track whose covariance is not positive definite."""
-    try:
-        np.linalg.cholesky(covariances)
-    except np.linalg.LinAlgError as exc:
-        for tid, cov in zip(ids, covariances):
-            try:
-                np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                raise NumericalError(
-                    f"covariance of track {tid!r} lost positive definiteness"
-                ) from exc
-        raise NumericalError("covariance lost positive definiteness") from exc
+def _require_pd(blocks: np.ndarray, ids: Sequence[str]) -> None:
+    """Cholesky's pivot test on every block: ``p_xx > 0`` and
+    ``p_vv - p_xv^2 / p_xx > 0``, the second taken as
+    ``p_vv - p_xv * (p_xv / p_xx)`` so that it does not overflow where
+    ``p_xx * p_vv`` would. NaN and infinite pivots fail. Names the first
+    track with a block that is not positive definite."""
+    p_xx, p_xv, p_vv = blocks[:, 0], blocks[:, 1], blocks[:, 2]
+    pivots = np.concatenate((p_xx, p_vv - p_xv * (p_xv / p_xx)), axis=1)
+    ok = (pivots > 0.0) & (pivots < np.inf)
+    if np.count_nonzero(ok) < ok.size:
+        first = ids[int(np.argmin(ok.all(axis=1)))]
+        raise NumericalError(f"covariance of track {first!r} lost positive definiteness")
 
 
 def _measurements(measurements: np.ndarray, count: int) -> np.ndarray:
@@ -185,7 +170,7 @@ def init_track(
     bank: TrackBank, ids: Sequence[str], measurements: np.ndarray, cfg: KalmanConfig
 ) -> TrackBank:
     """Add one track per new id, each started from its (x_c, y_c, w, h)
-    measurement row with zero velocity."""
+    measurement row with zero velocity and uncorrelated variances."""
     z = _measurements(measurements, len(ids))
     _require_distinct(ids)
     for tid in ids:
@@ -197,16 +182,17 @@ def init_track(
         raise ValueError(f"box dims must be positive, got w={w}, h={h}")
     means = np.zeros((len(ids), STATE_DIM))
     means[:, :MEAS_DIM] = z
-    covs = np.zeros((len(ids), STATE_DIM, STATE_DIM))
-    _diagonals(covs)[:] = _variances(
+    blocks = np.zeros((len(ids), len(BLOCK_ENTRIES), MEAS_DIM))
+    # p_xx and p_vv; p_xv starts at zero
+    blocks[:, 0::2] = _variances(
         z[:, 3], 2 * cfg.std_weight_position, 10 * cfg.std_weight_velocity
-    )
+    )[:, :, None]
     all_ids = bank.ids + tuple(ids)
     order = sorted(range(len(all_ids)), key=all_ids.__getitem__)
     return TrackBank(
         tuple(all_ids[i] for i in order),
         np.concatenate([bank.means, means])[order],
-        np.concatenate([bank.covariances, covs])[order],
+        np.concatenate([bank.blocks, blocks])[order],
     )
 
 
@@ -227,16 +213,17 @@ def predict(
     if not len(bank):
         return bank
     means = bank.means.copy()
-    still = np.asarray(zero_velocity, dtype=bool)[..., None]
-    means[:, MEAS_DIM:] = np.where(still, 0.0, means[:, MEAS_DIM:])
+    np.copyto(means[:, MEAS_DIM:], 0.0, where=np.asarray(zero_velocity, dtype=bool)[..., None])
     q = _process_variances(means[:, 3], cfg) * np.asarray(q_scale, dtype=float)[..., None]
-    # F x as a slice addition; F P F^T through the same BLAS call per matrix
     means[:, :MEAS_DIM] += means[:, MEAS_DIM:]
-    covs = _F @ bank.covariances @ _F_T
-    _diagonals(covs)[:] += q
-    covs = _symmetrize(covs)
-    _require_pd(covs, bank.ids)
-    return TrackBank(bank.ids, means, covs)
+    # F = [[1, 1], [0, 1]] per coordinate, so F P F^T only adds and no
+    # product rounds: p_xx + p_xv and p_xv + p_vv, then their sum
+    blocks = bank.blocks.copy()
+    blocks[:, :2] += bank.blocks[:, 1:]
+    blocks[:, 0] += blocks[:, 1]
+    blocks[:, 0::2] += q[:, :, None]
+    _require_pd(blocks, bank.ids)
+    return TrackBank(bank.ids, means, blocks)
 
 
 def inflate_process_noise(
@@ -252,43 +239,55 @@ def inflate_process_noise(
     if extra_scale <= 0 or not ids:
         return bank
     rows = bank.rows(ids)
-    covs = bank.covariances[rows]
-    _diagonals(covs)[:] += _process_variances(bank.means[rows, 3], cfg) * extra_scale
-    covs = _symmetrize(covs)
-    _require_pd(covs, ids)
-    return bank._with_rows(rows, bank.means[rows], covs)
+    blocks = bank.blocks[rows]
+    blocks[:, 0::2] += (_process_variances(bank.means[rows, 3], cfg) * extra_scale)[:, :, None]
+    _require_pd(blocks, ids)
+    return bank._with_rows(rows, bank.means[rows], blocks)
 
 
 def update(
     bank: TrackBank, ids: Sequence[str], measurements: np.ndarray, cfg: KalmanConfig
 ) -> TrackBank:
     """Kalman update of each named track against its (x_c, y_c, w, h)
-    measurement row; one batched solve for all gains."""
+    measurement row.
+
+    Per coordinate H = [1, 0], so S = p_xx + r and K = (p_xx, p_xv) / S, and
+    ``I - K H`` is ``[[1 - k_x, 0], [-k_v, 1]]``. The Joseph products are
+    written out entry by entry in the order of the 2x2 matrix products;
+    the covariance keeps the lower triangle, its ``p_xv`` entry.
+    """
     z = _measurements(measurements, len(ids))
     if not ids:
         return bank
     rows = bank.rows(ids)
     mean = bank.means[rows]
-    p = bank.covariances[rows]
-    r = _MEAS_IDENTITY * measurement_variance(mean[:, 3], cfg)[:, None, None]
-    # H selects the box coordinates: H P H^T + R and H P as slices
-    s = p[:, :MEAS_DIM, :MEAS_DIM] + r
-    try:
-        gain_t = np.linalg.solve(s, p[:, :MEAS_DIM, :])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("innovation covariance is singular") from exc
-    k = gain_t.swapaxes(-1, -2)
+    blocks = bank.blocks[rows]
+    p_xx, p_xv, p_vv = blocks[:, 0], blocks[:, 1], blocks[:, 2]
+    r = measurement_variance(mean[:, 3], cfg)[:, None]
+    # the gains (k_x, k_v) of every coordinate, as an (m, 2, 4) array
+    gain = blocks[:, :2] / (p_xx + r)[:, None]
+    k_x, k_v = gain[:, 0], gain[:, 1]
     innovation = z - mean[:, :MEAS_DIM]
-    new_mean = mean + np.matmul(k, innovation[:, :, None])[:, :, 0]
-    # I - K H: K H holds K in its first MEAS_DIM columns and zeros elsewhere
-    ikh = np.repeat(_IDENTITY[None], len(ids), axis=0)
-    ikh[:, :, :MEAS_DIM] -= k
-    new_cov = _symmetrize(ikh @ p @ ikh.swapaxes(-1, -2) + k @ r @ gain_t)
-    _require_pd(new_cov, ids)
-    return bank._with_rows(rows, new_mean, new_cov)
+    # the mean's positions and velocities, each moved by its gain
+    moved = mean.reshape(-1, 2, MEAS_DIM)
+    moved += gain * innovation[:, None]
+    keep_x = 1.0 - k_x
+    # the second row of (I - K H) P
+    low = p_xv - k_v * p_xx
+    high = p_vv - k_v * p_xv
+    new_xx = keep_x * p_xx * keep_x + k_x * r * k_x
+    new_xv = low * keep_x + k_v * r * k_x
+    new_vv = high - low * k_v + k_v * r * k_v
+    blocks[:, 0], blocks[:, 1], blocks[:, 2] = new_xx, new_xv, new_vv
+    _require_pd(blocks, ids)
+    return bank._with_rows(rows, mean, blocks)
 
 
 def measurement_covariance(bank: TrackBank) -> np.ndarray:
-    """Every track's state covariance projected into measurement space:
-    the top-left 4x4 blocks, ``(n, 4, 4)``."""
-    return bank.covariances[:, :MEAS_DIM, :MEAS_DIM].copy()
+    """Every track's state covariance projected into measurement space,
+    ``(n, 4, 4)``: H reads the positions, so it is the diagonal matrix of the
+    blocks' ``p_xx``."""
+    n = len(bank)
+    projected = np.zeros((n, MEAS_DIM * MEAS_DIM))
+    projected[:, :: MEAS_DIM + 1] = bank.blocks[:, 0]
+    return projected.reshape(n, MEAS_DIM, MEAS_DIM)

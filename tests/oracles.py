@@ -31,29 +31,78 @@ from percsched.traces import Trace, TraceFrame
 
 
 # ---------------------------------------------------------------------------
-# the one-track Kalman filter: the bank must equal it row for row, bit for bit
+# the one-track Kalman filter: four textbook two-state filters, one per box
+# coordinate. The bank must equal it row for row, bit for bit.
 # ---------------------------------------------------------------------------
+
+Matrix2 = List[List[float]]
 
 
 @dataclass(frozen=True)
 class TrackState:
-    """Filter state for one box. Arrays are owned and never mutated."""
+    """Filter state for one box: the (8,) mean and the (3, 4) blocks, the
+    ``p_xx``, ``p_xv`` and ``p_vv`` of each coordinate's 2x2 covariance.
+    Arrays are owned and never mutated."""
 
     mean: np.ndarray
-    covariance: np.ndarray
+    blocks: np.ndarray
     entity_id: str = ""
 
     def __post_init__(self) -> None:
         if self.mean.shape != (STATE_DIM,):
             raise ValueError(f"mean must have shape ({STATE_DIM},), got {self.mean.shape}")
-        if self.covariance.shape != (STATE_DIM, STATE_DIM):
-            raise ValueError(f"covariance must be {STATE_DIM}x{STATE_DIM}")
+        if self.blocks.shape != (3, MEAS_DIM):
+            raise ValueError(f"blocks must have shape (3, {MEAS_DIM}), got {self.blocks.shape}")
 
 
-_F = np.eye(STATE_DIM)
-_F[:MEAS_DIM, MEAS_DIM:] = np.eye(MEAS_DIM)
-_H = np.zeros((MEAS_DIM, STATE_DIM))
-_H[:, :MEAS_DIM] = np.eye(MEAS_DIM)
+def _matmul2(a: Matrix2, b: Matrix2) -> Matrix2:
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+
+
+def _add2(a: Matrix2, b: Matrix2) -> Matrix2:
+    return [[a[i][j] + b[i][j] for j in range(2)] for i in range(2)]
+
+
+def _transpose2(a: Matrix2) -> Matrix2:
+    return [[a[0][0], a[1][0]], [a[0][1], a[1][1]]]
+
+
+_F2 = [[1.0, 1.0], [0.0, 1.0]]
+_H2 = [1.0, 0.0]
+_I2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def _coordinates(track: TrackState) -> List[Tuple[float, float, Matrix2]]:
+    """``(x, v, P)`` of each box coordinate, P a 2x2 nested list."""
+    mean = track.mean.tolist()
+    p_xx, p_xv, p_vv = track.blocks.tolist()
+    return [
+        (mean[i], mean[MEAS_DIM + i], [[p_xx[i], p_xv[i]], [p_xv[i], p_vv[i]]])
+        for i in range(MEAS_DIM)
+    ]
+
+
+def _track(coordinates: Sequence[Tuple[float, float, Matrix2]], entity_id: str) -> TrackState:
+    """The track holding ``(x, v, P)`` per coordinate; a covariance keeps its
+    lower triangle."""
+    mean = [x for x, _, _ in coordinates] + [v for _, v, _ in coordinates]
+    blocks = [[p[0][0] for _, _, p in coordinates], [p[1][0] for _, _, p in coordinates],
+              [p[1][1] for _, _, p in coordinates]]
+    for _, _, p in coordinates:
+        _require_pd(p, entity_id)
+    return TrackState(mean=np.array(mean), blocks=np.array(blocks), entity_id=entity_id)
+
+
+def _require_pd(p: Matrix2, entity_id: str) -> None:
+    """A 2x2 Cholesky factorization that fails on a non-positive or
+    non-finite pivot."""
+    a, b, c = p[0][0], p[1][0], p[1][1]
+    ok = all(math.isfinite(e) for e in (a, b, c)) and a > 0.0
+    if ok:
+        l21 = b / math.sqrt(a)
+        ok = c - l21 * l21 > 0.0
+    if not ok:
+        raise NumericalError(f"covariance of track {entity_id!r} lost positive definiteness")
 
 
 def bank_of(tracks: Sequence[TrackState]) -> TrackBank:
@@ -62,8 +111,19 @@ def bank_of(tracks: Sequence[TrackState]) -> TrackBank:
     return TrackBank(
         tuple(t.entity_id for t in ordered),
         np.array([t.mean for t in ordered]).reshape(-1, STATE_DIM),
-        np.array([t.covariance for t in ordered]).reshape(-1, STATE_DIM, STATE_DIM),
+        np.array([t.blocks for t in ordered]).reshape(-1, 3, MEAS_DIM),
     )
+
+
+def random_pd_blocks(rng: np.random.Generator, scale: float = 1.0, ridge: float = 1.0) -> np.ndarray:
+    """(3, 4) blocks of four random positive-definite 2x2 covariances: each
+    ``a a^T + ridge I`` with ``a`` standard normal times ``scale``."""
+    out = np.zeros((3, MEAS_DIM))
+    for i in range(MEAS_DIM):
+        a = rng.normal(size=(2, 2)) * scale
+        cov = a @ a.T + np.eye(2) * ridge
+        out[:, i] = cov[0, 0], cov[1, 0], cov[1, 1]
+    return out
 
 
 def bank_and_relevance(
@@ -75,8 +135,140 @@ def bank_and_relevance(
     return bank, [by_id[tid] for tid in bank.ids]
 
 
+def _square(x: float) -> float:
+    return x * x
+
+
+def measurement_variance(height: float, cfg: KalmanConfig) -> float:
+    """Variance of each coordinate's height-scaled measurement noise."""
+    return _square(cfg.std_weight_measurement * max(float(height), 1.0))
+
+
+def init_track(measurement: np.ndarray, cfg: KalmanConfig, entity_id: str = "") -> TrackState:
+    """Start a track from one (x_c, y_c, w, h) measurement with zero velocity."""
+    z = np.asarray(measurement, dtype=float)
+    if z.shape != (MEAS_DIM,):
+        raise ValueError(f"measurement must have shape ({MEAS_DIM},), got {z.shape}")
+    if z[2] <= 0 or z[3] <= 0:
+        raise ValueError(f"box dims must be positive, got w={z[2]}, h={z[3]}")
+    h = float(z[3])
+    p_xx = _square(h * (2 * cfg.std_weight_position))
+    p_vv = _square(h * (10 * cfg.std_weight_velocity))
+    return _track([(x, 0.0, [[p_xx, 0.0], [0.0, p_vv]]) for x in z.tolist()], entity_id)
+
+
+def _process_noise(height: float, cfg: KalmanConfig, scale: float) -> Matrix2:
+    """Q of one coordinate: height-scaled, times ``scale``."""
+    h = max(float(height), 1.0)
+    q_x = _square(h * cfg.std_weight_position) * scale
+    q_v = _square(h * cfg.std_weight_velocity) * scale
+    return [[q_x, 0.0], [0.0, q_v]]
+
+
+def predict(
+    track: TrackState,
+    cfg: KalmanConfig,
+    q_scale: float = 1.0,
+    zero_velocity: bool = False,
+) -> TrackState:
+    """One constant-velocity step per coordinate: x' = F x, P' = F P F^T + Q."""
+    q = _process_noise(track.mean[3], cfg, q_scale)
+    out = []
+    for x, v, p in _coordinates(track):
+        if zero_velocity:
+            v = 0.0
+        out.append((x + v, v, _add2(_matmul2(_matmul2(_F2, p), _transpose2(_F2)), q)))
+    return _track(out, track.entity_id)
+
+
+def inflate_process_noise(track: TrackState, cfg: KalmanConfig, extra_scale: float) -> TrackState:
+    """Add ``extra_scale`` times the height-scaled process noise."""
+    if extra_scale <= 0:
+        return track
+    q = _process_noise(track.mean[3], cfg, extra_scale)
+    return _track([(x, v, _add2(p, q)) for x, v, p in _coordinates(track)], track.entity_id)
+
+
+def update(track: TrackState, measurement: np.ndarray, cfg: KalmanConfig) -> TrackState:
+    """Kalman update of each coordinate against its entry of an
+    (x_c, y_c, w, h) measurement, H = [1, 0], with the covariance in Joseph
+    form ``(I - K H) P (I - K H)^T + K r K^T``."""
+    z = np.asarray(measurement, dtype=float)
+    if z.shape != (MEAS_DIM,):
+        raise ValueError(f"measurement must have shape ({MEAS_DIM},), got {z.shape}")
+    r = measurement_variance(track.mean[3], cfg)
+    out = []
+    for (x, v, p), z_i in zip(_coordinates(track), z.tolist()):
+        s = p[0][0] + r
+        k = [p[0][0] / s, p[1][0] / s]
+        innovation = z_i - x
+        ikh = [[_I2[i][j] - k[i] * _H2[j] for j in range(2)] for i in range(2)]
+        krk = [[k[i] * r * k[j] for j in range(2)] for i in range(2)]
+        joseph = _add2(_matmul2(_matmul2(ikh, p), _transpose2(ikh)), krk)
+        out.append((x + k[0] * innovation, v + k[1] * innovation, joseph))
+    return _track(out, track.entity_id)
+
+
+def measurement_covariance(track: TrackState) -> np.ndarray:
+    """The state covariance projected into measurement space: diagonal,
+    each coordinate's ``p_xx``."""
+    return np.diag(track.blocks[0])
+
+
+def per_track_detection_info_gain(
+    tracks: Sequence[Tuple[TrackState, float]], kalman_cfg: KalmanConfig
+) -> float:
+    """:func:`percsched.rewards.detection_info_gain` one track and one
+    coordinate at a time: ``0.5 * relevance * sum_i ln(p_xx_i / r)``."""
+    total = 0.0
+    for track, relevance in tracks:
+        if relevance == 0.0:
+            continue
+        r = measurement_variance(track.mean[3], kalman_cfg)
+        log_ratio = 0.0
+        for p_xx in track.blocks[0].tolist():
+            if not 0.0 < p_xx < math.inf:
+                raise NumericalError(
+                    f"projected covariance for track {track.entity_id!r} is not positive definite"
+                )
+            log_ratio += math.log(p_xx / r)
+        total += 0.5 * relevance * log_ratio
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the same filter with 8x8 matrices, as SORT and BoT-SORT write it; the
+# two-state filters must agree with it to rounding on block-form states
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FullTrackState:
+    """Filter state for one box with an 8x8 covariance."""
+
+    mean: np.ndarray
+    covariance: np.ndarray
+    entity_id: str = ""
+
+
+_F = np.eye(STATE_DIM)
+_F[:MEAS_DIM, MEAS_DIM:] = np.eye(MEAS_DIM)
+_H = np.zeros((MEAS_DIM, STATE_DIM))
+_H[:, :MEAS_DIM] = np.eye(MEAS_DIM)
+
+
+def full_covariance(blocks: np.ndarray) -> np.ndarray:
+    """The 8x8 covariance whose 2x2 coordinate blocks are ``blocks``, (3, 4)."""
+    p_xx, p_xv, p_vv = np.asarray(blocks, dtype=float)
+    return np.block([[np.diag(p_xx), np.diag(p_xv)], [np.diag(p_xv), np.diag(p_vv)]])
+
+
+def to_full(track: TrackState) -> FullTrackState:
+    return FullTrackState(track.mean.copy(), full_covariance(track.blocks), track.entity_id)
+
+
 def process_noise(height: float, cfg: KalmanConfig) -> np.ndarray:
-    """Diagonal process noise scaled by the current box height."""
+    """Diagonal 8x8 process noise scaled by the current box height."""
     h = max(float(height), 1.0)
     std = np.array(
         [cfg.std_weight_position * h] * 4 + [cfg.std_weight_velocity * h] * 4
@@ -91,82 +283,57 @@ def measurement_noise(height: float, cfg: KalmanConfig) -> np.ndarray:
     return np.diag(std**2)
 
 
-def init_track(measurement: np.ndarray, cfg: KalmanConfig, entity_id: str = "") -> TrackState:
-    """Start a track from one (x_c, y_c, w, h) measurement with zero velocity."""
-    z = np.asarray(measurement, dtype=float)
-    if z.shape != (MEAS_DIM,):
-        raise ValueError(f"measurement must have shape ({MEAS_DIM},), got {z.shape}")
-    if z[2] <= 0 or z[3] <= 0:
-        raise ValueError(f"box dims must be positive, got w={z[2]}, h={z[3]}")
-    mean = np.zeros(STATE_DIM)
-    mean[:MEAS_DIM] = z
-    h = z[3]
-    std = np.array(
-        [2 * cfg.std_weight_position * h] * 4 + [10 * cfg.std_weight_velocity * h] * 4
-    )
-    covariance = np.diag(std**2)
-    return TrackState(mean=mean, covariance=covariance, entity_id=entity_id)
-
-
-def predict(
-    track: TrackState,
-    cfg: KalmanConfig,
-    q_scale: float = 1.0,
-    zero_velocity: bool = False,
-) -> TrackState:
-    """One constant-velocity step: advance the mean, inflate the covariance."""
+def full_predict(
+    track: FullTrackState, cfg: KalmanConfig, q_scale: float = 1.0, zero_velocity: bool = False
+) -> FullTrackState:
     mean = track.mean.copy()
     if zero_velocity:
         mean[MEAS_DIM:] = 0.0
     q = process_noise(mean[3], cfg) * q_scale
-    new_mean = _F @ mean
-    new_cov = _F @ track.covariance @ _F.T + q
-    new_cov = _symmetrize(new_cov)
-    _require_pd(new_cov, track.entity_id)
-    return TrackState(mean=new_mean, covariance=new_cov, entity_id=track.entity_id)
+    new_cov = _symmetrize(_F @ track.covariance @ _F.T + q)
+    _require_full_pd(new_cov, track.entity_id)
+    return FullTrackState(_F @ mean, new_cov, track.entity_id)
 
 
-def inflate_process_noise(track: TrackState, cfg: KalmanConfig, extra_scale: float) -> TrackState:
-    """Add ``extra_scale`` times the height-scaled process noise."""
+def full_inflate_process_noise(
+    track: FullTrackState, cfg: KalmanConfig, extra_scale: float
+) -> FullTrackState:
     if extra_scale <= 0:
         return track
-    q = process_noise(track.mean[3], cfg) * extra_scale
-    new_cov = _symmetrize(track.covariance + q)
-    _require_pd(new_cov, track.entity_id)
-    return TrackState(mean=track.mean.copy(), covariance=new_cov, entity_id=track.entity_id)
+    new_cov = _symmetrize(track.covariance + process_noise(track.mean[3], cfg) * extra_scale)
+    _require_full_pd(new_cov, track.entity_id)
+    return FullTrackState(track.mean.copy(), new_cov, track.entity_id)
 
 
-def update(track: TrackState, measurement: np.ndarray, cfg: KalmanConfig) -> TrackState:
-    """Kalman update against an (x_c, y_c, w, h) measurement, with the
-    covariance in Joseph form."""
+def full_update(track: FullTrackState, measurement: np.ndarray, cfg: KalmanConfig) -> FullTrackState:
+    """Kalman update with an LU-solved gain and the Joseph-form covariance."""
     z = np.asarray(measurement, dtype=float)
-    if z.shape != (MEAS_DIM,):
-        raise ValueError(f"measurement must have shape ({MEAS_DIM},), got {z.shape}")
     r = measurement_noise(track.mean[3], cfg)
     p = track.covariance
     s = _H @ p @ _H.T + r
-    try:
-        k = np.linalg.solve(s, (_H @ p)).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("innovation covariance is singular") from exc
-    innovation = z - _H @ track.mean
-    new_mean = track.mean + k @ innovation
+    k = np.linalg.solve(s, (_H @ p)).T
+    new_mean = track.mean + k @ (z - _H @ track.mean)
     ikh = np.eye(STATE_DIM) - k @ _H
     new_cov = _symmetrize(ikh @ p @ ikh.T + k @ r @ k.T)
-    _require_pd(new_cov, track.entity_id)
-    return TrackState(mean=new_mean, covariance=new_cov, entity_id=track.entity_id)
+    _require_full_pd(new_cov, track.entity_id)
+    return FullTrackState(new_mean, new_cov, track.entity_id)
 
 
-def measurement_covariance(track: TrackState) -> np.ndarray:
-    """Project the state covariance into measurement space (top-left 4x4)."""
-    return (_H @ track.covariance @ _H.T).copy()
+def full_detection_info_gain(track: FullTrackState, kalman_cfg: KalmanConfig) -> float:
+    """One track's unit-relevance detection gain from ``slogdet`` of its
+    projected covariance and of R."""
+    sign, logdet_p = np.linalg.slogdet(_H @ track.covariance @ _H.T)
+    if sign <= 0:
+        raise NumericalError(f"projected covariance for track {track.entity_id!r} is not positive definite")
+    _, logdet_r = np.linalg.slogdet(measurement_noise(track.mean[3], kalman_cfg))
+    return 0.5 * (float(logdet_p) - float(logdet_r))
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _require_pd(cov: np.ndarray, entity_id: str) -> None:
+def _require_full_pd(cov: np.ndarray, entity_id: str) -> None:
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -270,26 +437,6 @@ def scalar_extrapolated(
         extrapolate_confidence(float(a), float(b), k_last, k_prev, frame_index)
         for a, b in zip(s_last, s_prev)
     ]
-
-
-def per_track_detection_info_gain(
-    tracks: Sequence[Tuple[TrackState, float]], kalman_cfg: KalmanConfig
-) -> float:
-    """:func:`percsched.rewards.detection_info_gain` with one ``slogdet``
-    and one measurement-noise matrix per track."""
-    total = 0.0
-    for track, relevance in tracks:
-        if relevance == 0.0:
-            continue
-        sign, logdet_p = np.linalg.slogdet(measurement_covariance(track))
-        if sign <= 0:
-            raise NumericalError(
-                f"projected covariance for track {track.entity_id!r} is not positive definite"
-            )
-        r = measurement_noise(track.mean[3], kalman_cfg)
-        logdet_r = float(np.sum(np.log(np.diag(r))))
-        total += 0.5 * relevance * (float(logdet_p) - logdet_r)
-    return total
 
 
 def numpy_rgb_histograms(pixels: np.ndarray, bins: int, mask: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from percsched.change_detect import (
 from percsched.config import RunConfig
 from percsched.engine import PolicyKind, SimEngine
 from percsched.scene import Entity, EntityKind, MotionStatus, PatchRegion
-from percsched.tracker import STATE_DIM, TrackBank
+from percsched.tracker import MEAS_DIM, STATE_DIM, TrackBank
 from percsched.traces import FramePixels, Trace, TraceFrame, TraceHeader
 
 CFG = ChangeDetectConfig()
@@ -223,7 +223,8 @@ def engine_pixel_change(prev, curr, means, frame_w, frame_h, cfg):
     engine.bank = TrackBank(
         tuple(means),
         np.array(list(means.values()), dtype=float).reshape(-1, STATE_DIM),
-        np.broadcast_to(np.eye(STATE_DIM), (len(means), STATE_DIM, STATE_DIM)),
+        np.broadcast_to([[1.0] * MEAS_DIM, [0.0] * MEAS_DIM, [1.0] * MEAS_DIM],
+                        (len(means), 3, MEAS_DIM)),
     )
     engine._change_stats(frames[0])
     got = engine._change_stats(frames[1])

@@ -22,6 +22,11 @@ only for a change that is meant to alter decisions.
 
 ``TRACE_DIGESTS`` pins the four traces as ``write_trace`` writes them, so a
 change to the trace writer or the generators shows here first.
+
+The byte pins hold for one CPython, numpy and libm family, whatever SIMD
+code numpy dispatches to on the host; the decision pins hold across hosts.
+Both are rechecked in child processes with numpy's dispatch cut to its
+baseline, and the decision pins with glibc's math off its FMA path.
 """
 
 import dataclasses
@@ -29,6 +34,9 @@ import functools
 import hashlib
 import importlib.util
 import json
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -452,6 +460,70 @@ def test_benchmark_tracer_reaches_the_tracker():
         tracer.uninstall()
     assert {name: tracer.calls[name] for name in TRACKER_SPANS if not tracer.calls[name]} == {}
     assert traced == plain
+
+
+# the smallest |net| an unforced scheduled decision of the golden matrix may
+# have; it was 3.33e-3 when the pins were made. A host that rounds a reward
+# a few ulps apart then cannot flip a pinned decision.
+DECISION_MARGIN = 1e-9
+
+
+def test_unforced_decisions_clear_the_margin():
+    nets = [
+        abs(rec.net[m])
+        for variant in ("", *VARIANTS)
+        for name in TRACES
+        for rec in matrix_runs(name, variant)[PolicyKind.SCHEDULED.value].records
+        for m in rec.net
+        if not rec.forced[m]
+    ]
+    assert nets and min(nets) > DECISION_MARGIN
+
+
+def matrix_pins(env: dict, *args: str) -> dict:
+    """The golden matrix this file prints when run as a script with ``args``,
+    in a child process with ``env`` added to the environment."""
+    child = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"), **env)
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__)), *args],
+        env=child, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def dispatched_features() -> list:
+    """numpy's dispatch targets that this host runs, named as
+    ``NPY_DISABLE_CPU_FEATURES`` takes them."""
+    from numpy._core import _multiarray_umath as umath
+
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
+X86 = platform.machine().lower() in ("x86_64", "amd64")
+
+
+@pytest.mark.skipif(not X86, reason="names x86 dispatch targets and glibc's x86 math paths")
+def test_pins_hold_with_simd_dispatch_off():
+    """No numpy transcendental or BLAS call sets a logged bit: with numpy cut
+    to its baseline code, every byte pin and decision pin holds. The decision
+    pins also hold with glibc's math on its non-FMA path."""
+    features = dispatched_features()
+    off = {"NPY_DISABLE_CPU_FEATURES": " ".join(features)}
+    if features:
+        probe = (
+            "import json; from numpy._core import _multiarray_umath as m; "
+            f"print(json.dumps([m.__cpu_features__[f] for f in {features!r}]))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, **off),
+            capture_output=True, text=True, check=True,
+        )
+        assert json.loads(child.stdout) == [False] * len(features), child.stderr
+    assert matrix_pins(off) == json.loads(GOLDEN.read_text(encoding="utf-8"))
+    pinned = json.loads(VECTORS.read_text(encoding="utf-8"))
+    assert matrix_pins(off, "vectors") == pinned
+    no_fma = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}
+    assert matrix_pins(no_fma, "vectors") == pinned
 
 
 if __name__ == "__main__":

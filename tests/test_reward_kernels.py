@@ -16,6 +16,7 @@ from oracles import (
     bank_and_relevance,
     keypoint_sigma,
     per_track_detection_info_gain,
+    random_pd_blocks,
     scalar_extrapolated,
     scalar_post_execution_entropy,
 )
@@ -140,20 +141,33 @@ class TestExtrapolated:
         assert hist.extrapolated("h", 5, cfg).tolist() == expected == [CONFIDENCE_FLOOR, 0.5]
 
 
-def _track(entity_id, covariance, height):
+IDENTITY = np.array([[1.0] * 4, [0.0] * 4, [1.0] * 4])
+
+
+def _track(entity_id, blocks, height):
     mean = np.array([10.0, 20.0, 30.0, height, 0.0, 0.0, 0.0, 0.0])
-    return TrackState(mean=mean, covariance=covariance, entity_id=entity_id)
+    return TrackState(mean=mean, blocks=np.asarray(blocks, dtype=float), entity_id=entity_id)
+
+
+def _with_position_variances(p_xx):
+    """Identity blocks with ``p_xx`` as the four position variances."""
+    blocks = IDENTITY.copy()
+    blocks[0] = p_xx
+    return blocks
 
 
 @st.composite
 def track_sets(draw):
-    """1-8 tracks with random positive-definite covariances."""
+    """1-8 tracks with random block-form positive-definite covariances."""
     count = draw(st.integers(min_value=1, max_value=8))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     out = []
     for i in range(count):
-        a = rng.normal(size=(8, 8)) * draw(st.floats(min_value=1e-2, max_value=1e2))
-        cov = a @ a.T + np.eye(8) * draw(st.floats(min_value=1e-3, max_value=10.0))
+        cov = random_pd_blocks(
+            rng,
+            scale=draw(st.floats(min_value=1e-2, max_value=1e2)),
+            ridge=draw(st.floats(min_value=1e-3, max_value=10.0)),
+        )
         height = draw(st.floats(min_value=0.1, max_value=2000.0))
         relevance = draw(st.sampled_from([0.0, 1.0]) | relevances)
         out.append((_track(f"t{i}", cov, height), relevance))
@@ -170,23 +184,33 @@ class TestDetectionInfoGain:
 
     def test_no_tracks_and_zero_relevance_give_zero(self):
         assert detection_info_gain(*bank_and_relevance([]), _cfg(17), KCFG) == 0.0
-        zero = bank_and_relevance([(_track("a", np.eye(8), 40.0), 0.0)])
+        zero = bank_and_relevance([(_track("a", IDENTITY, 40.0), 0.0)])
         assert detection_info_gain(*zero, _cfg(17), KCFG) == 0.0
 
     def test_first_non_pd_track_is_named(self):
-        indefinite = np.diag([-1.0] + [1.0] * 7)
-        good = _track("a-good", np.eye(8), 40.0)
+        indefinite = _with_position_variances([-1.0, 1.0, 1.0, 1.0])
+        good = _track("a-good", IDENTITY, 40.0)
         skipped = _track("b-skipped", indefinite, 40.0)
         bad = _track("c-bad", indefinite, 40.0)
-        also_bad = _track("d-also-bad", np.zeros((8, 8)), 40.0)
+        also_bad = _track("d-also-bad", np.zeros((3, 4)), 40.0)
         tracks = [(good, 1.0), (skipped, 0.0), (bad, 0.5), (also_bad, 1.0)]
         with pytest.raises(NumericalError, match="'c-bad'"):
             detection_info_gain(*bank_and_relevance(tracks), _cfg(17), KCFG)
         with pytest.raises(NumericalError, match="'c-bad'"):
             per_track_detection_info_gain(tracks, KCFG)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_nan_inf_and_zero_position_variances_are_named(self, value):
+        good = _track("a-good", IDENTITY, 40.0)
+        bad = _track("c-bad", _with_position_variances([1.0, 1.0, value, 1.0]), 40.0)
+        tracks = [(good, 1.0), (bad, 0.5)]
+        with pytest.raises(NumericalError, match="'c-bad'"):
+            detection_info_gain(*bank_and_relevance(tracks), _cfg(17), KCFG)
+        with pytest.raises(NumericalError, match="'c-bad'"):
+            per_track_detection_info_gain(tracks, KCFG)
+
     def test_one_weight_per_row(self):
-        bank, _ = bank_and_relevance([(_track("a", np.eye(8), 40.0), 1.0)])
+        bank, _ = bank_and_relevance([(_track("a", IDENTITY, 40.0), 1.0)])
         with pytest.raises(ValueError, match="relevance"):
             detection_info_gain(bank, [1.0, 1.0], _cfg(17), KCFG)
 

@@ -34,11 +34,14 @@ def _cfg(lam=0.0, cost_det=15.0, cost_pose=80.0, keypoints=133, **kwargs):
 
 
 def _bank_with_projected(*projected, h=40.0):
-    """One track per projected covariance, each box ``h`` high."""
-    covs = np.array([np.eye(8)] * len(projected))
-    covs[:, :4, :4] = projected
+    """One track per projected covariance, each box ``h`` high. A bank's
+    projected covariance is diagonal: its position variances ``p_xx``."""
+    for p in projected:
+        assert np.count_nonzero(p - np.diag(np.diag(p))) == 0
+    blocks = np.array([[[1.0] * 4, [0.0] * 4, [1.0] * 4]] * len(projected))
+    blocks[:, 0] = [np.diag(p) for p in projected]
     means = np.array([[0, 0, 30, h, 0, 0, 0, 0.0]] * len(projected))
-    return TrackBank(tuple(f"t{i}" for i in range(len(projected))), means, covs)
+    return TrackBank(tuple(f"t{i}" for i in range(len(projected))), means, blocks)
 
 
 class TestDetectionInfoGain:

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import measurement_noise, process_noise
+from oracles import full_covariance, measurement_noise, process_noise, random_pd_blocks
 from percsched.tracker import (
     KalmanConfig,
     NumericalError,
@@ -55,9 +57,24 @@ def start(box):
     return init_track(TrackBank(), ["t"], np.array([box], dtype=float), CFG)
 
 
-def one(mean, covariance):
-    """A one-track bank, track ``t``, holding the given state."""
-    return TrackBank(("t",), np.array([mean], dtype=float), np.array([covariance], dtype=float))
+def one(mean, blocks):
+    """A one-track bank, track ``t``, holding the given mean and (3, 4)
+    blocks."""
+    return TrackBank(("t",), np.array([mean], dtype=float), np.array([blocks], dtype=float))
+
+
+def blocks_of(p_xx, p_xv, p_vv):
+    """(3, 4) blocks with each entry the same in all four coordinates, or
+    given per coordinate."""
+    return np.array([np.broadcast_to(np.asarray(e, dtype=float), 4) for e in (p_xx, p_xv, p_vv)])
+
+
+IDENTITY = blocks_of(1.0, 0.0, 1.0)
+
+
+def full(bank, row=0):
+    """A bank row's covariance as the 8x8 matrix of its blocks."""
+    return full_covariance(bank.blocks[row])
 
 
 def measure(bank, z):
@@ -71,15 +88,15 @@ class TestInitTrack:
         np.testing.assert_array_equal(t.means[0], [100, 100, 50, 80, 0, 0, 0, 0])
 
     def test_covariance_diagonal_positive(self):
-        cov = start([10.0, 10.0, 5.0, 8.0]).covariances[0]
-        assert np.all(np.diag(cov) > 0)
-        assert np.count_nonzero(cov - np.diag(np.diag(cov))) == 0
+        p_xx, p_xv, p_vv = start([10.0, 10.0, 5.0, 8.0]).blocks[0]
+        assert np.all(p_xx > 0) and np.all(p_vv > 0)
+        assert np.count_nonzero(p_xv) == 0
 
     def test_deterministic(self):
         z = [1.0, 2.0, 3.0, 4.0]
         a, b = start(z), start(z)
         np.testing.assert_array_equal(a.means, b.means)
-        np.testing.assert_array_equal(a.covariances, b.covariances)
+        np.testing.assert_array_equal(a.blocks, b.blocks)
 
     def test_rejects_empty_box(self):
         with pytest.raises(ValueError):
@@ -106,7 +123,7 @@ class TestPredict:
         np.testing.assert_array_equal(out.means, t.means)
 
     def test_one_constant_velocity_step(self):
-        t = one([0.0, 0.0, 10.0, 10.0, 1.0, 2.0, 0.0, 0.0], np.eye(8))
+        t = one([0.0, 0.0, 10.0, 10.0, 1.0, 2.0, 0.0, 0.0], IDENTITY)
         out = predict(t, CFG).means[0]
         assert out[0] == 1.0 and out[1] == 2.0
         assert out[2] == 10.0 and out[3] == 10.0
@@ -114,31 +131,35 @@ class TestPredict:
     def test_determinant_grows_under_pd_noise(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            a = rng.normal(size=(8, 8))
-            t = one([0, 0, 20, 20, 0, 0, 0, 0.0], a @ a.T + 8 * np.eye(8))
+            t = one([0, 0, 20, 20, 0, 0, 0, 0.0], random_pd_blocks(rng, ridge=2.0))
             out = predict(t, CFG)
-            # determinants computed independently of the filter code
-            before = pure_python_det(t.covariances[0])
-            after = pure_python_det(out.covariances[0])
+            # determinants of the 8x8 covariances, independent of the filter code
+            before = pure_python_det(full(t))
+            after = pure_python_det(full(out))
             assert after >= before * (1 - 1e-12)
 
     def test_zero_velocity_flag_clears_motion(self):
-        t = one([0.0, 0.0, 10.0, 10.0, 3.0, 4.0, 0.0, 0.0], np.eye(8))
+        t = one([0.0, 0.0, 10.0, 10.0, 3.0, 4.0, 0.0, 0.0], IDENTITY)
         out = predict(t, CFG, zero_velocity=True).means[0]
         assert out[0] == 0.0 and out[1] == 0.0
         assert np.all(out[4:] == 0.0)
 
     def test_non_pd_covariance_raises(self):
-        t = one([0, 0, 10, 10, 0, 0, 0, 0.0], -np.eye(8))
+        t = one([0, 0, 10, 10, 0, 0, 0, 0.0], -IDENTITY)
         with pytest.raises(NumericalError):
             predict(t, CFG, q_scale=0.0)
 
     def test_symmetry_preserved_over_many_steps(self):
+        # the blocks store p_xv once, so their 8x8 covariance is symmetric by
+        # construction; F P F^T only adds, so predicts alone give the 8x8
+        # filter's bits, and its covariance stays exactly symmetric too
         t = start([10.0, 10.0, 30.0, 40.0])
+        ref = oracles.to_full(oracles.init_track(np.array([10.0, 10.0, 30.0, 40.0]), CFG))
         for _ in range(100):
             t = predict(t, CFG)
-            cov = t.covariances[0]
-            assert np.max(np.abs(cov - cov.T)) < 1e-9
+            ref = oracles.full_predict(ref, CFG)
+            assert np.array_equal(full(t), ref.covariance)
+            assert np.array_equal(ref.covariance, ref.covariance.T)
 
     def test_empty_bank_is_returned_as_is(self):
         empty = TrackBank()
@@ -177,11 +198,11 @@ class TestUpdate:
         h[:, :4] = np.eye(4)
         q = process_noise(z[3], CFG)
         r = measurement_noise(z[3], CFG)
-        prior_ss = riccati_prior_fixed_point(f, h, q, r, start(z).covariances[0])
+        prior_ss = riccati_prior_fixed_point(f, h, q, r, full(start(z)))
         post_ss = prior_ss - prior_ss @ h.T @ np.linalg.inv(
             h @ prior_ss @ h.T + r
         ) @ h @ prior_ss
-        filter_posterior = t.covariances[0]
+        filter_posterior = full(t)
         np.testing.assert_allclose(
             h @ filter_posterior @ h.T, h @ post_ss @ h.T, rtol=1e-6
         )
@@ -191,13 +212,13 @@ class TestUpdate:
         # where the latter is well conditioned
         z = np.array([10.0, 20.0, 30.0, 40.0])
         prior = predict(start(z), CFG)
-        p = prior.covariances[0]
+        p = full(prior)
         h = np.zeros((4, 8))
         h[:, :4] = np.eye(4)
         k = p @ h.T @ np.linalg.inv(h @ p @ h.T + measurement_noise(prior.means[0, 3], CFG))
         standard = (np.eye(8) - k @ h) @ p
         out = measure(prior, z + 1.0)
-        np.testing.assert_allclose(out.covariances[0], standard, atol=1e-9)
+        np.testing.assert_allclose(full(out), standard, atol=1e-9)
         innovation = z + 1.0 - prior.means[0, :4]
         np.testing.assert_allclose(out.means[0], prior.means[0] + k @ innovation, rtol=1e-12)
 
@@ -217,19 +238,18 @@ class TestUpdate:
         bank = init_track(TrackBank(), ["a", "b", "c"], np.array([[1.0, 1, 5, 5]] * 3), CFG)
         out = update(bank, ["b"], np.array([[3.0, 1, 5, 5]]), CFG)
         assert np.array_equal(out.means[[0, 2]], bank.means[[0, 2]])
-        assert np.array_equal(out.covariances[[0, 2]], bank.covariances[[0, 2]])
+        assert np.array_equal(out.blocks[[0, 2]], bank.blocks[[0, 2]])
         assert out.means[1, 0] > 1.0
 
 
 class TestMeasurementCovariance:
     def test_block_extraction(self):
-        t = one([0, 0, 10, 10, 0, 0, 0, 0.0], np.diag(np.arange(1.0, 9.0)))
+        t = one([0, 0, 10, 10, 0, 0, 0, 0.0], blocks_of([1.0, 2.0, 3.0, 4.0], 0.5, 9.0))
         np.testing.assert_array_equal(measurement_covariance(t), [np.diag([1.0, 2.0, 3.0, 4.0])])
 
     def test_symmetric_and_pd(self):
         rng = np.random.default_rng(7)
-        a = rng.normal(size=(8, 8))
-        t = one([0, 0, 10, 10, 0, 0, 0, 0.0], a @ a.T + 8 * np.eye(8))
+        t = one([0, 0, 10, 10, 0, 0, 0, 0.0], random_pd_blocks(rng))
         proj = measurement_covariance(t)[0]
         np.testing.assert_allclose(proj, proj.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(proj) > 0)
@@ -250,25 +270,25 @@ class TestMotionScaling:
         low = predict(t, CFG, q_scale=0.1)
         topped_up = inflate_process_noise(low, ["t"], CFG, 60.0 - 0.1)
         full = predict(t, CFG, q_scale=60.0)
-        np.testing.assert_allclose(topped_up.covariances, full.covariances, rtol=1e-12)
+        np.testing.assert_allclose(topped_up.blocks, full.blocks, rtol=1e-12)
 
 
 class TestTrackBank:
     def test_rows_must_be_sorted_unique_and_shaped(self):
         with pytest.raises(ValueError, match="sorted"):
-            TrackBank(("b", "a"), np.zeros((2, 8)), np.zeros((2, 8, 8)))
+            TrackBank(("b", "a"), np.zeros((2, 8)), np.zeros((2, 3, 4)))
         with pytest.raises(ValueError, match="sorted"):
-            TrackBank(("a", "a"), np.zeros((2, 8)), np.zeros((2, 8, 8)))
+            TrackBank(("a", "a"), np.zeros((2, 8)), np.zeros((2, 3, 4)))
         with pytest.raises(ValueError, match="means"):
-            TrackBank(("a",), np.zeros((2, 8)), np.zeros((1, 8, 8)))
-        with pytest.raises(ValueError, match="covariances"):
-            TrackBank(("a",), np.zeros((1, 8)), np.zeros((1, 4, 4)))
+            TrackBank(("a",), np.zeros((2, 8)), np.zeros((1, 3, 4)))
+        with pytest.raises(ValueError, match=r"blocks must have shape \(1, 3, 4\)"):
+            TrackBank(("a",), np.zeros((1, 8)), np.zeros((1, 8, 8)))
 
     def test_without_drops_rows_and_ignores_strangers(self):
         bank = init_track(TrackBank(), ["a", "b", "c"], np.array([[1.0, 1, 5, 5]] * 3), CFG)
         out = bank.without(["b", "zz"])
         assert out.ids == ("a", "c") and "b" not in out and "a" in out
-        assert np.array_equal(out.covariances, bank.covariances[[0, 2]])
+        assert np.array_equal(out.blocks, bank.blocks[[0, 2]])
         assert bank.without(["zz"]) is bank
 
 
@@ -300,7 +320,7 @@ class TestCovarianceProperties:
                 t = measure(t, t.means[0, :4] + height * np.array(arg))
             else:
                 t = inflate_process_noise(t, ["t"], CFG, arg)
-            cov = t.covariances[0]
+            cov = full(t)
             assert np.array_equal(cov, cov.T)
             assert np.all(np.isfinite(cov))
             assert np.linalg.eigvalsh(cov).min() > 0.0
@@ -308,8 +328,9 @@ class TestCovarianceProperties:
 
 @st.composite
 def banks(draw):
-    """1-7 tracks, ids in shuffled order, with random positive-definite
-    covariances and a per-row process-noise scale and zero-velocity flag."""
+    """1-7 tracks, ids in shuffled order, with random block-form
+    positive-definite covariances (the form every reachable covariance has)
+    and a per-row process-noise scale and zero-velocity flag."""
     count = draw(st.integers(min_value=1, max_value=7))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     tracks, q_scales, still = [], [], []
@@ -319,9 +340,12 @@ def banks(draw):
             rng.uniform(0.0, 640.0, size=2), [rng.uniform(1.0, 300.0), height],
             rng.normal(0.0, 5.0, size=4),
         ])
-        a = rng.normal(size=(8, 8)) * draw(st.floats(min_value=1e-2, max_value=50.0))
-        cov = a @ a.T + np.eye(8) * draw(st.floats(min_value=1e-3, max_value=10.0))
-        tracks.append(oracles.TrackState(mean=mean, covariance=cov, entity_id=f"t{i}"))
+        blocks = random_pd_blocks(
+            rng,
+            scale=draw(st.floats(min_value=1e-2, max_value=50.0)),
+            ridge=draw(st.floats(min_value=1e-3, max_value=10.0)),
+        )
+        tracks.append(oracles.TrackState(mean=mean, blocks=blocks, entity_id=f"t{i}"))
         q_scales.append(draw(st.sampled_from([0.02, 60.0]) | st.floats(0.0, 100.0)))
         still.append(draw(st.booleans()))
     return tracks, q_scales, still
@@ -333,12 +357,12 @@ def assert_rows_equal(bank, tracks):
     assert bank.ids == tuple(t.entity_id for t in expected)
     for row, track in enumerate(expected):
         assert np.array_equal(bank.means[row], track.mean)
-        assert np.array_equal(bank.covariances[row], track.covariance)
+        assert np.array_equal(bank.blocks[row], track.blocks)
 
 
 class TestBankEqualsOneTrackOracle:
     """Each bank operation gives, row for row, exactly what the one-track
-    filter in ``tests/oracles.py`` gives. Run logs store floats derived from
+    two-state filters in ``tests/oracles.py`` give. Run logs store floats derived from
     these arrays, so the comparison is ``==``, not a tolerance."""
 
     @given(banks())
@@ -403,16 +427,25 @@ class TestBankEqualsOneTrackOracle:
         assert np.array_equal(got, [oracles.measurement_covariance(t) for t in tracks])
 
 
+# blocks with a NaN or an infinite entry, each put in track 'c' of four
+NON_FINITE_BLOCKS = {
+    "nan-p_xv": blocks_of(1.0, [0.0, math.nan, 0.0, 0.0], 1.0),
+    "nan-p_xx": blocks_of([1.0, 1.0, 1.0, math.nan], 0.0, 1.0),
+    "inf-p_xx": blocks_of([math.inf, 1.0, 1.0, 1.0], 0.0, 1.0),
+    "inf-p_vv": blocks_of(1.0, 0.0, [1.0, 1.0, math.inf, 1.0]),
+}
+
+
 class TestBadCovarianceNamesItsTrack:
-    """One Cholesky factorization checks a whole phase; a failure still
-    names the first track whose covariance is not positive definite."""
+    """One pivot test checks a whole phase; a failure still names the first
+    track whose covariance is not positive definite."""
 
     @staticmethod
-    def four_tracks():
-        covs = np.array([np.eye(8)] * 4)
-        covs[2] = -100.0 * np.eye(8)
+    def four_tracks(bad=-100.0 * IDENTITY):
+        blocks = np.array([IDENTITY] * 4)
+        blocks[2] = bad
         means = np.array([[10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0]] * 4)
-        return TrackBank(("a", "b", "c", "d"), means, covs)
+        return TrackBank(("a", "b", "c", "d"), means, blocks)
 
     def test_predict(self):
         with pytest.raises(NumericalError, match="track 'c'"):
@@ -427,3 +460,75 @@ class TestBadCovarianceNamesItsTrack:
         bank = self.four_tracks()
         with pytest.raises(NumericalError, match="track 'c'"):
             inflate_process_noise(bank, list(bank.ids), CFG, 1.0)
+
+    @pytest.mark.parametrize("op", ["predict", "update", "inflate"])
+    @pytest.mark.parametrize("bad", sorted(NON_FINITE_BLOCKS))
+    def test_nan_and_inf_blocks_are_named(self, op, bad):
+        # IEEE arithmetic on an infinity may flag an invalid operation on
+        # the way (inf - inf), so that warning is let pass
+        bank = self.four_tracks(NON_FINITE_BLOCKS[bad])
+        ids = list(bank.ids)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="track 'c'"):
+            if op == "predict":
+                predict(bank, CFG)
+            elif op == "update":
+                update(bank, ids, bank.means[:, :4] + 1.0, CFG)
+            else:
+                inflate_process_noise(bank, ids, CFG, 1.0)
+
+    @pytest.mark.parametrize("bad", sorted(NON_FINITE_BLOCKS))
+    def test_oracle_names_nan_and_inf_blocks(self, bad):
+        mean = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0])
+        track = oracles.TrackState(mean=mean, blocks=NON_FINITE_BLOCKS[bad], entity_id="c")
+        with pytest.raises(NumericalError, match="track 'c'"):
+            oracles.predict(track, CFG)
+
+
+# how far the two-state filters and the 8x8 filter may drift apart, relative
+# to each entry's covariance scale (and, for the gain, to max(1, |gain|)).
+# The 8x8 filter's LU-solved gain, BLAS summation order and fused
+# multiply-adds round differently, and an update that shrinks a covariance
+# by orders of magnitude shows the prior's rounding relative to the
+# posterior: over 300 runs of 150 of these steps the largest drift seen was
+# 3e-9 (a velocity mean), 1.3e-9 (a covariance entry) and 7.6e-10 (a gain).
+FULL_FILTER_RTOL = 1e-7
+
+
+class TestTwoStateFiltersAgreeWithTheFullFilter:
+    """Started from the same box and run through the same steps, the
+    one-track two-state filters and the textbook 8x8 filter hold the same
+    means, covariances and detection gain to within ``FULL_FILTER_RTOL``;
+    the 8x8 covariance keeps exact zeros outside the block pattern."""
+
+    @pytest.mark.parametrize("q_scale", [0.02, 60.0])
+    @settings(max_examples=25)
+    @given(
+        box=st.tuples(st.floats(0.0, 640.0), st.floats(0.0, 480.0),
+                      st.floats(1.0, 300.0), st.floats(1.0, 300.0)),
+        steps=st.lists(STEPS, min_size=1, max_size=120),
+    )
+    def test_states_and_gains_agree(self, q_scale, box, steps):
+        t = oracles.init_track(np.array(box), CFG, "t")
+        ref = oracles.to_full(t)
+        pattern = full_covariance(np.ones((3, 4))) != 0.0
+        for op, arg in steps:
+            if op == "predict":
+                t = oracles.predict(t, CFG, q_scale=q_scale, zero_velocity=arg)
+                ref = oracles.full_predict(ref, CFG, q_scale=q_scale, zero_velocity=arg)
+            elif op == "update":
+                z = t.mean[:4] + max(float(t.mean[3]), 1.0) * np.array(arg)
+                t = oracles.update(t, z, CFG)
+                ref = oracles.full_update(ref, z, CFG)
+            else:
+                t = oracles.inflate_process_noise(t, CFG, arg)
+                ref = oracles.full_inflate_process_noise(ref, CFG, arg)
+            cov = ref.covariance
+            assert np.all(cov[~pattern] == 0.0)
+            sd = np.sqrt(np.diag(cov))
+            drift = np.abs(full_covariance(t.blocks) - cov) / np.outer(sd, sd)
+            assert drift.max() <= FULL_FILTER_RTOL
+            mean_drift = np.abs(t.mean - ref.mean) / (np.abs(ref.mean) + sd)
+            assert mean_drift.max() <= FULL_FILTER_RTOL
+            gain = oracles.per_track_detection_info_gain([(t, 1.0)], CFG)
+            full_gain = oracles.full_detection_info_gain(ref, CFG)
+            assert abs(gain - full_gain) <= FULL_FILTER_RTOL * max(1.0, abs(full_gain))
