@@ -491,11 +491,19 @@ def matrix_pins(env: dict, *args: str) -> dict:
     return json.loads(out.stdout)
 
 
+def numpy_umath():
+    """numpy's ufunc extension module, which reports its CPU dispatch."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return umath
+
+
 def dispatched_features() -> list:
     """numpy's dispatch targets that this host runs, named as
     ``NPY_DISABLE_CPU_FEATURES`` takes them."""
-    from numpy._core import _multiarray_umath as umath
-
+    umath = numpy_umath()
     return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
 
 
@@ -511,7 +519,7 @@ def test_pins_hold_with_simd_dispatch_off():
     off = {"NPY_DISABLE_CPU_FEATURES": " ".join(features)}
     if features:
         probe = (
-            "import json; from numpy._core import _multiarray_umath as m; "
+            f"import importlib, json; m = importlib.import_module({numpy_umath().__name__!r}); "
             f"print(json.dumps([m.__cpu_features__[f] for f in {features!r}]))"
         )
         child = subprocess.run(
