@@ -251,12 +251,12 @@ def config_digest(cfg: PipelineConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def believed_region(mean: Sequence[float]) -> Tuple[float, float, float, float]:
-    """A track's predicted box ``(x, y, w, h)``, from its bank mean row, in
-    frame coordinates and at least 1 px each way."""
-    w = max(mean[2], 1.0)
-    h = max(mean[3], 1.0)
-    return mean[0] - w / 2.0, mean[1] - h / 2.0, w, h
+def believed_region(box: Sequence[float]) -> Tuple[float, float, float, float]:
+    """A track's predicted box ``(x, y, w, h)``, from its bank ``x`` row
+    ``(x_c, y_c, w, h)``, in frame coordinates and at least 1 px each way."""
+    w = max(box[2], 1.0)
+    h = max(box[3], 1.0)
+    return box[0] - w / 2.0, box[1] - h / 2.0, w, h
 
 
 # bench/tracing.py wraps ``engine.carry_forward`` by name, so the name stays
@@ -419,8 +419,8 @@ class SimEngine:
         sx = cols / self.trace.header.frame_w
         patch_cr: Dict[str, float] = {}
         occupied = np.zeros(changed.shape, dtype=bool)
-        for tid, mean in zip(self.bank.ids, self.bank.means.tolist()):
-            x, y, w, h = believed_region(mean)
+        for tid, box in zip(self.bank.ids, self.bank.x.tolist()):
+            x, y, w, h = believed_region(box)
             x, y = x * sx, y * sy
             w, h = max(w * sx, 1.0), max(h * sy, 1.0)
             if not all(map(math.isfinite, (x, y, w, h))):
@@ -470,13 +470,14 @@ class SimEngine:
             DETECTION: detection_reward(gain, g1_yolo, rcfg)
         }
         projected = measurement_covariance(bank)
+        boxes = bank.x.tolist()
         humans_pre = []
         humans_post = []
         for row, tid in enumerate(bank.ids):
             if self._kind_of(tid) is not EntityKind.HUMAN:
                 continue
-            w = max(float(bank.means[row, 2]), 1.0)
-            h = max(float(bank.means[row, 3]), 1.0)
+            w = max(boxes[row][2], 1.0)
+            h = max(boxes[row][3], 1.0)
             sigma_w = math.sqrt(max(float(projected[row, 2, 2]), 0.0))
             sigma_h = math.sqrt(max(float(projected[row, 3, 3]), 0.0))
             humans_pre.append((w, h, sigma_w, sigma_h, relevance[row]))

@@ -11,10 +11,11 @@ confidence scores.
 All entropies are in nats; the cost multiplier converts milliseconds of
 inference into nats through ``lambda_info_per_ms``.
 
-The per-frame kernels work on whole arrays (all keypoints of a human, all
-tracks of a frame) but keep the scalar reference arithmetic bit for bit:
-logarithms of per-keypoint values go through ``math.log`` and sums run in
-keypoint and track order, so run logs do not depend on the vectorization.
+The pose kernels work on whole arrays (all keypoints of a human), and the
+detection gain, over the few tracks of a frame, on Python floats; both keep
+the scalar reference arithmetic bit for bit: logarithms go through
+``math.log`` and sums run in keypoint and track order, so run logs do not
+depend on the vectorization.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .scene import DETECTION, POSE, ModuleId
 from .schema import NonNegative, Positive, PositiveCount, check_fields
-from .tracker import KalmanConfig, NumericalError, TrackBank, measurement_variance
+from .tracker import MEAS_DIM, KalmanConfig, NumericalError, TrackBank
 
 LN_TWO_PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -155,32 +156,48 @@ def detection_info_gain(
     0.5 * r * ln(det(projected prior) / det(R)) with R the same
     height-scaled measurement noise an update would use. Zero-relevance
     tracks contribute nothing. Both matrices are diagonal: the projected
-    prior holds the blocks' position variances ``p_xx`` and R holds MEAS_DIM
-    equal variances, so the term is 0.5 * r * sum_i ln(p_xx_i / R_ii). Each
-    log is a ``math.log``, taken in row and coordinate order.
+    prior holds the position variances ``p_xx`` and R holds MEAS_DIM equal
+    variances, so the term is 0.5 * r * sum_i ln(p_xx_i / R_ii). A bank holds
+    a few tracks, so the sum runs on Python floats, in row and coordinate
+    order, with one ``math.log`` per coordinate; the variance and the ratios
+    round as :func:`~percsched.tracker.measurement_variance` and a numpy
+    division round them.
     """
     weights = np.asarray(relevance, dtype=float)
     if weights.shape != (len(bank),):
         raise ValueError(f"expected {len(bank)} relevance weights, got {weights.shape}")
-    live = np.flatnonzero(weights != 0.0)
-    if not live.size:
+    live = [(row, weight) for row, weight in enumerate(weights.tolist()) if weight != 0.0]
+    if not live:
         return 0.0
-    position_variances = bank.blocks[live, 0]
-    ok = (position_variances > 0.0) & (position_variances < math.inf)
-    if np.count_nonzero(ok) < ok.size:
-        first = bank.ids[live[int(np.argmin(ok.all(axis=1)))]]
-        raise NumericalError(f"projected covariance for track {first!r} is not positive definite")
-    ratios = position_variances / measurement_variance(bank.means[live, 3], kalman_cfg)[:, None]
-    if np.count_nonzero(ratios) < ratios.size:
-        # a ratio that underflows to zero has an infinitely negative log
-        return -math.inf
+    position_variances = bank.p_xx.tolist()
+    heights = bank.x[:, 3].tolist()
+    std_weight = kalman_cfg.std_weight_measurement
     total = 0.0
-    for weight, row in zip(weights[live].tolist(), ratios.tolist()):
+    # set by a ratio that underflows to zero: its log is infinitely
+    # negative, but a later row must still pass the check
+    underflow = False
+    for row, weight in live:
+        variances = position_variances[row]
+        for p in variances:
+            if not 0.0 < p < math.inf:
+                raise NumericalError(
+                    f"projected covariance for track {bank.ids[row]!r} is not positive definite"
+                )
+        if underflow:
+            continue
+        std = std_weight * max(heights[row], 1.0)
+        noise = std * std
+        # IEEE division makes a positive ratio over a zero variance +inf,
+        # where Python's raises
+        ratios = [p / noise for p in variances] if noise else [math.inf] * MEAS_DIM
         log_ratio = 0.0
-        for ratio in row:
+        for ratio in ratios:
+            if not ratio:
+                underflow = True
+                break
             log_ratio += math.log(ratio)
         total += 0.5 * weight * log_ratio
-    return total
+    return -math.inf if underflow else total
 
 
 def detection_reward(gain: float, forced: bool, cfg: RewardConfig) -> RewardBreakdown:

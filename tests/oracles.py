@@ -108,10 +108,13 @@ def _require_pd(p: Matrix2, entity_id: str) -> None:
 def bank_of(tracks: Sequence[TrackState]) -> TrackBank:
     """The bank holding ``tracks``, rows in entity-id order."""
     ordered = sorted(tracks, key=lambda t: t.entity_id)
+    means = np.array([t.mean for t in ordered]).reshape(-1, STATE_DIM)
+    blocks = np.array([t.blocks for t in ordered]).reshape(-1, 3, MEAS_DIM)
     return TrackBank(
         tuple(t.entity_id for t in ordered),
-        np.array([t.mean for t in ordered]).reshape(-1, STATE_DIM),
-        np.array([t.blocks for t in ordered]).reshape(-1, 3, MEAS_DIM),
+        np.ascontiguousarray(means[:, :MEAS_DIM]),
+        np.ascontiguousarray(means[:, MEAS_DIM:]),
+        *(np.ascontiguousarray(blocks[:, i]) for i in range(3)),
     )
 
 

@@ -230,7 +230,7 @@ def test_criterion_6_kalman_gain_monotonicity(note):
         gain = detection_info_gain(track, [1.0], rcfg, kcfg)
 
         projected = measurement_covariance(track)[0]
-        noise = measurement_noise(track.means[0, 3], kcfg)
+        noise = measurement_noise(track.x[0, 3], kcfg)
         brute = 0.5 * math.log(_det4_cofactor(projected) / _det4_cofactor(noise))
         rel = abs(gain - brute) / max(abs(brute), 1e-300)
         worst_rel = max(worst_rel, rel)

@@ -220,11 +220,11 @@ def engine_pixel_change(prev, curr, means, frame_w, frame_h, cfg):
     ]
     pipe = RunConfig(seed=0, change=cfg).pipeline(header)
     engine = SimEngine(Trace(header=header, frames=tuple(frames[:1])), PolicyKind.SCHEDULED, pipe)
+    rows = np.array(list(means.values()), dtype=float).reshape(-1, STATE_DIM)
+    shape = (len(means), MEAS_DIM)
     engine.bank = TrackBank(
-        tuple(means),
-        np.array(list(means.values()), dtype=float).reshape(-1, STATE_DIM),
-        np.broadcast_to([[1.0] * MEAS_DIM, [0.0] * MEAS_DIM, [1.0] * MEAS_DIM],
-                        (len(means), 3, MEAS_DIM)),
+        tuple(means), rows[:, :MEAS_DIM], rows[:, MEAS_DIM:],
+        np.ones(shape), np.zeros(shape), np.ones(shape),
     )
     engine._change_stats(frames[0])
     got = engine._change_stats(frames[1])

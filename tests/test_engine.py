@@ -199,7 +199,7 @@ class TestScheduledPolicy:
             engine.step(frame)
         assert engine.bank.ids == ("obj-1",)
         cx, cy = trace.frames[0].entities[0].region.center
-        np.testing.assert_allclose(engine.bank.means[0, :4], [cx, cy, 40.0, 30.0], atol=1e-6)
+        np.testing.assert_allclose(engine.bank.x[0], [cx, cy, 40.0, 30.0], atol=1e-6)
 
 
 class TestBusyDiscipline:

@@ -19,6 +19,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -200,3 +201,20 @@ def test_kalman_weights_the_short_update_form_could_not_take(tmp_path, field, va
     rc, message = _compare(tmp_path, path.read_text(encoding="utf-8").splitlines(), config)
     assert rc == EXIT_OK, message
     _check_run_logs(tmp_path / "o")
+
+
+def test_zero_measurement_variance_is_an_infinite_gain_without_a_warning(tmp_path):
+    """At a measurement weight of 1e-300 the noise variance underflows to zero,
+    so every ratio, and with them the detection gain, is +inf: the run exits 4
+    naming the infinite gain, and the gain divides by zero without numpy's
+    divide warning."""
+    path = tmp_path / "interaction.jsonl"
+    write_trace(path, generate_trace("interaction", 40, 3))
+    config = RunConfig(kalman=KalmanConfig(std_weight_measurement=1e-300)).to_dict()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, message = _compare(tmp_path, path.read_text(encoding="utf-8").splitlines(), config)
+    assert rc == EXIT_RUNTIME
+    assert "error: gain must be finite, got inf" in message
+    assert "RuntimeWarning" not in message
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

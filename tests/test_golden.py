@@ -277,7 +277,7 @@ class DirectCountEngine(SimEngine):
             return 0.0, 0.0, {}
         header = self.trace.header
         return reference_pixel_change(
-            prev, frame.pixels.rgb, dict(zip(self.bank.ids, self.bank.means.tolist())),
+            prev, frame.pixels.rgb, dict(zip(self.bank.ids, self.bank.x.tolist())),
             header.frame_w, header.frame_h, self.cfg.change,
         )
 
@@ -342,7 +342,7 @@ def test_pixel_frames_count_only_the_tracked_patches(monkeypatch):
         def _change_stats(self, frame):
             k = frame.index
             per_frame[k] = []
-            means = dict(zip(self.bank.ids, self.bank.means.tolist()))
+            means = dict(zip(self.bank.ids, self.bank.x.tolist()))
             header = self.trace.header
             prev, self.last_raster = self.last_raster, frame.pixels.rgb
             if prev is not None:
@@ -441,12 +441,20 @@ TRACKER_SPANS = (
     "tracker.predict", "tracker.update", "tracker.init_track",
     "tracker.inflate_process_noise", "tracker.measurement_covariance",
 )
+# the other kernels a scheduled run calls through a traced name
+SCHEDULED_SPANS = (
+    "rewards.detection_info_gain", "rewards.pre_execution_entropy",
+    "rewards.post_execution_entropy", "rewards.extrapolated", "scheduler.select",
+    "toolkit.simulate_detection", "toolkit.simulate_pose",
+)
 
 
 def test_benchmark_tracer_reaches_the_tracker():
-    """``bench/run.py --trace 1`` wraps the engine's tracker calls by name:
-    a short scheduled run must reach every tracker span, and tracing must
-    leave its run log byte for byte as it was."""
+    """``bench/run.py --trace 1`` wraps the engine's tracker, reward,
+    scheduler and simulator calls by name: a short scheduled run must reach
+    every one of those spans, so that a kernel a change inlines cannot leave
+    its per-layer metric silently at zero, and tracing must leave its run log
+    byte for byte as it was."""
     tracing = bench_module("tracing")
     trace = make_trace("interaction-pixels")
     cfg = RunConfig(seed=SEED).pipeline(trace.header)
@@ -458,7 +466,8 @@ def test_benchmark_tracer_reaches_the_tracker():
         traced = run(trace, PolicyKind.SCHEDULED, cfg).to_jsonl()
     finally:
         tracer.uninstall()
-    assert {name: tracer.calls[name] for name in TRACKER_SPANS if not tracer.calls[name]} == {}
+    spans = TRACKER_SPANS + SCHEDULED_SPANS
+    assert {name: tracer.calls[name] for name in spans if not tracer.calls[name]} == {}
     assert traced == plain
 
 

@@ -209,6 +209,21 @@ class TestDetectionInfoGain:
         with pytest.raises(NumericalError, match="'c-bad'"):
             per_track_detection_info_gain(tracks, KCFG)
 
+    def test_ratio_underflowing_to_zero_gives_minus_infinity(self):
+        # 5e-324 over the noise variance of a 1000 px tall box,
+        # (0.05 * 1000) ** 2, rounds to zero, whose log is -inf
+        tiny = _track("a-tiny", _with_position_variances([1.0, 5e-324, 1.0, 1.0]), 1000.0)
+        good = _track("b-good", IDENTITY, 40.0)
+        tracks = [(tiny, 1.0), (good, 0.5)]
+        assert detection_info_gain(*bank_and_relevance(tracks), _cfg(17), KCFG) == -math.inf
+
+    def test_later_non_pd_track_is_named_ahead_of_an_underflow(self):
+        tiny = _track("a-tiny", _with_position_variances([5e-324] * 4), 1000.0)
+        bad = _track("b-bad", _with_position_variances([1.0, 1.0, -1.0, 1.0]), 40.0)
+        tracks = [(tiny, 1.0), (bad, 1.0)]
+        with pytest.raises(NumericalError, match="'b-bad'"):
+            detection_info_gain(*bank_and_relevance(tracks), _cfg(17), KCFG)
+
     def test_one_weight_per_row(self):
         bank, _ = bank_and_relevance([(_track("a", IDENTITY, 40.0), 1.0)])
         with pytest.raises(ValueError, match="relevance"):

@@ -38,10 +38,15 @@ def _bank_with_projected(*projected, h=40.0):
     projected covariance is diagonal: its position variances ``p_xx``."""
     for p in projected:
         assert np.count_nonzero(p - np.diag(np.diag(p))) == 0
-    blocks = np.array([[[1.0] * 4, [0.0] * 4, [1.0] * 4]] * len(projected))
-    blocks[:, 0] = [np.diag(p) for p in projected]
-    means = np.array([[0, 0, 30, h, 0, 0, 0, 0.0]] * len(projected))
-    return TrackBank(tuple(f"t{i}" for i in range(len(projected))), means, blocks)
+    n = len(projected)
+    return TrackBank(
+        tuple(f"t{i}" for i in range(n)),
+        np.array([[0, 0, 30, h]] * n, dtype=float),
+        np.zeros((n, 4)),
+        np.array([np.diag(p) for p in projected]).reshape(n, 4),
+        np.zeros((n, 4)),
+        np.ones((n, 4)),
+    )
 
 
 class TestDetectionInfoGain:

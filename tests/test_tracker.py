@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import full_covariance, measurement_noise, process_noise, random_pd_blocks
 from percsched.tracker import (
+    COLUMNS,
     KalmanConfig,
     NumericalError,
     TrackBank,
@@ -58,9 +59,20 @@ def start(box):
 
 
 def one(mean, blocks):
-    """A one-track bank, track ``t``, holding the given mean and (3, 4)
+    """A one-track bank, track ``t``, holding the given (8,) mean and (3, 4)
     blocks."""
-    return TrackBank(("t",), np.array([mean], dtype=float), np.array([blocks], dtype=float))
+    track = oracles.TrackState(np.array(mean, dtype=float), np.array(blocks, dtype=float), "t")
+    return oracles.bank_of([track])
+
+
+def mean_at(bank, row=0):
+    """A bank row's (8,) mean: its box, then its velocities."""
+    return np.concatenate([bank.x[row], bank.v[row]])
+
+
+def blocks_at(bank, row=0):
+    """A bank row's (3, 4) blocks: its ``p_xx``, ``p_xv`` and ``p_vv``."""
+    return np.array([bank.p_xx[row], bank.p_xv[row], bank.p_vv[row]])
 
 
 def blocks_of(p_xx, p_xv, p_vv):
@@ -74,7 +86,7 @@ IDENTITY = blocks_of(1.0, 0.0, 1.0)
 
 def full(bank, row=0):
     """A bank row's covariance as the 8x8 matrix of its blocks."""
-    return full_covariance(bank.blocks[row])
+    return full_covariance(blocks_at(bank, row))
 
 
 def measure(bank, z):
@@ -85,18 +97,18 @@ def measure(bank, z):
 class TestInitTrack:
     def test_zero_velocity_init(self):
         t = start([100.0, 100.0, 50.0, 80.0])
-        np.testing.assert_array_equal(t.means[0], [100, 100, 50, 80, 0, 0, 0, 0])
+        np.testing.assert_array_equal(mean_at(t), [100, 100, 50, 80, 0, 0, 0, 0])
 
     def test_covariance_diagonal_positive(self):
-        p_xx, p_xv, p_vv = start([10.0, 10.0, 5.0, 8.0]).blocks[0]
+        p_xx, p_xv, p_vv = blocks_at(start([10.0, 10.0, 5.0, 8.0]))
         assert np.all(p_xx > 0) and np.all(p_vv > 0)
         assert np.count_nonzero(p_xv) == 0
 
     def test_deterministic(self):
         z = [1.0, 2.0, 3.0, 4.0]
         a, b = start(z), start(z)
-        np.testing.assert_array_equal(a.means, b.means)
-        np.testing.assert_array_equal(a.blocks, b.blocks)
+        for name in COLUMNS:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_rejects_empty_box(self):
         with pytest.raises(ValueError):
@@ -106,7 +118,7 @@ class TestInitTrack:
         bank = init_track(TrackBank(), ["m", "c"], np.array([[1.0, 1, 5, 5], [2.0, 2, 6, 6]]), CFG)
         bank = init_track(bank, ["x", "a"], np.array([[3.0, 3, 7, 7], [4.0, 4, 8, 8]]), CFG)
         assert bank.ids == ("a", "c", "m", "x")
-        assert bank.means[:, 0].tolist() == [4.0, 2.0, 1.0, 3.0]
+        assert bank.x[:, 0].tolist() == [4.0, 2.0, 1.0, 3.0]
 
     def test_rejects_a_tracked_or_repeated_id(self):
         bank = start([1.0, 2.0, 3.0, 4.0])
@@ -120,11 +132,12 @@ class TestPredict:
     def test_zero_velocity_zero_noise_fixed_point(self):
         t = start([50.0, 60.0, 20.0, 30.0])
         out = predict(t, CFG, q_scale=0.0)
-        np.testing.assert_array_equal(out.means, t.means)
+        np.testing.assert_array_equal(out.x, t.x)
+        np.testing.assert_array_equal(out.v, t.v)
 
     def test_one_constant_velocity_step(self):
         t = one([0.0, 0.0, 10.0, 10.0, 1.0, 2.0, 0.0, 0.0], IDENTITY)
-        out = predict(t, CFG).means[0]
+        out = mean_at(predict(t, CFG))
         assert out[0] == 1.0 and out[1] == 2.0
         assert out[2] == 10.0 and out[3] == 10.0
 
@@ -140,7 +153,7 @@ class TestPredict:
 
     def test_zero_velocity_flag_clears_motion(self):
         t = one([0.0, 0.0, 10.0, 10.0, 3.0, 4.0, 0.0, 0.0], IDENTITY)
-        out = predict(t, CFG, zero_velocity=True).means[0]
+        out = mean_at(predict(t, CFG, zero_velocity=True))
         assert out[0] == 0.0 and out[1] == 0.0
         assert np.all(out[4:] == 0.0)
 
@@ -169,8 +182,8 @@ class TestPredict:
 class TestUpdate:
     def test_zero_innovation_keeps_positions(self):
         t = predict(start([10.0, 20.0, 30.0, 40.0]), CFG)
-        out = measure(t, t.means[0, :4].copy())
-        np.testing.assert_allclose(out.means[0, :4], t.means[0, :4], rtol=1e-12)
+        out = measure(t, t.x[0].copy())
+        np.testing.assert_allclose(out.x[0], t.x[0], rtol=1e-12)
 
     def test_posterior_below_prior_in_loewner_order(self):
         # brute-force eigendecomposition of the projected difference
@@ -215,12 +228,12 @@ class TestUpdate:
         p = full(prior)
         h = np.zeros((4, 8))
         h[:, :4] = np.eye(4)
-        k = p @ h.T @ np.linalg.inv(h @ p @ h.T + measurement_noise(prior.means[0, 3], CFG))
+        k = p @ h.T @ np.linalg.inv(h @ p @ h.T + measurement_noise(prior.x[0, 3], CFG))
         standard = (np.eye(8) - k @ h) @ p
         out = measure(prior, z + 1.0)
         np.testing.assert_allclose(full(out), standard, atol=1e-9)
-        innovation = z + 1.0 - prior.means[0, :4]
-        np.testing.assert_allclose(out.means[0], prior.means[0] + k @ innovation, rtol=1e-12)
+        innovation = z + 1.0 - prior.x[0]
+        np.testing.assert_allclose(mean_at(out), mean_at(prior) + k @ innovation, rtol=1e-12)
 
     def test_bad_measurement_shape(self):
         t = start([10.0, 20.0, 30.0, 40.0])
@@ -237,9 +250,9 @@ class TestUpdate:
     def test_only_the_named_rows_change(self):
         bank = init_track(TrackBank(), ["a", "b", "c"], np.array([[1.0, 1, 5, 5]] * 3), CFG)
         out = update(bank, ["b"], np.array([[3.0, 1, 5, 5]]), CFG)
-        assert np.array_equal(out.means[[0, 2]], bank.means[[0, 2]])
-        assert np.array_equal(out.blocks[[0, 2]], bank.blocks[[0, 2]])
-        assert out.means[1, 0] > 1.0
+        for name in COLUMNS:
+            assert np.array_equal(getattr(out, name)[[0, 2]], getattr(bank, name)[[0, 2]])
+        assert out.x[1, 0] > 1.0
 
 
 class TestMeasurementCovariance:
@@ -270,25 +283,56 @@ class TestMotionScaling:
         low = predict(t, CFG, q_scale=0.1)
         topped_up = inflate_process_noise(low, ["t"], CFG, 60.0 - 0.1)
         full = predict(t, CFG, q_scale=60.0)
-        np.testing.assert_allclose(topped_up.blocks, full.blocks, rtol=1e-12)
+        for name in ("p_xx", "p_xv", "p_vv"):
+            np.testing.assert_allclose(getattr(topped_up, name), getattr(full, name), rtol=1e-12)
 
 
 class TestTrackBank:
     def test_rows_must_be_sorted_unique_and_shaped(self):
         with pytest.raises(ValueError, match="sorted"):
-            TrackBank(("b", "a"), np.zeros((2, 8)), np.zeros((2, 3, 4)))
+            TrackBank(("b", "a"), *[np.zeros((2, 4))] * 5)
         with pytest.raises(ValueError, match="sorted"):
-            TrackBank(("a", "a"), np.zeros((2, 8)), np.zeros((2, 3, 4)))
-        with pytest.raises(ValueError, match="means"):
-            TrackBank(("a",), np.zeros((2, 8)), np.zeros((1, 3, 4)))
-        with pytest.raises(ValueError, match=r"blocks must have shape \(1, 3, 4\)"):
-            TrackBank(("a",), np.zeros((1, 8)), np.zeros((1, 8, 8)))
+            TrackBank(("a", "a"), *[np.zeros((2, 4))] * 5)
+        with pytest.raises(ValueError, match=r"x must have shape \(1, 4\), got \(2, 4\)"):
+            TrackBank(("a",), np.zeros((2, 4)), *[np.zeros((1, 4))] * 4)
+        for bad in range(1, 5):
+            columns = [np.zeros((1, 4))] * 5
+            columns[bad] = np.zeros((1, 8))
+            with pytest.raises(ValueError, match=rf"{COLUMNS[bad]} must have shape \(1, 4\)"):
+                TrackBank(("a",), *columns)
+
+    def test_columns_stay_contiguous_float_rows_of_four(self):
+        # the tracker's speed rests on every column being its own C-contiguous
+        # (n, 4) float64 array, whichever operation made the bank
+        def assert_layout(bank):
+            for name in COLUMNS:
+                column = getattr(bank, name)
+                assert column.shape == (len(bank), 4), name
+                assert column.dtype == np.float64, name
+                assert column.flags.c_contiguous, name
+
+        boxes = np.array([[1.0, 1, 5, 5], [2.0, 2, 6, 6], [3.0, 3, 7, 7]])
+        bank = init_track(TrackBank(), ["c", "a", "b"], np.asfortranarray(boxes), CFG)
+        assert_layout(bank)
+        bank = predict(bank, CFG, q_scale=np.array([0.5, 1.0, 2.0]),
+                       zero_velocity=np.array([True, False, False]))
+        assert_layout(bank)
+        # every row in row order, then a subset out of order
+        bank = update(bank, list(bank.ids), bank.x + 1.0, CFG)
+        assert_layout(bank)
+        bank = update(bank, ["c", "a"], bank.x[[2, 0]] - 1.0, CFG)
+        assert_layout(bank)
+        assert_layout(inflate_process_noise(bank, list(bank.ids), CFG, 3.0))
+        bank = inflate_process_noise(bank, ["b"], CFG, 3.0)
+        assert_layout(bank)
+        assert_layout(bank.without(["b"]))
 
     def test_without_drops_rows_and_ignores_strangers(self):
         bank = init_track(TrackBank(), ["a", "b", "c"], np.array([[1.0, 1, 5, 5]] * 3), CFG)
         out = bank.without(["b", "zz"])
         assert out.ids == ("a", "c") and "b" not in out and "a" in out
-        assert np.array_equal(out.blocks, bank.blocks[[0, 2]])
+        for name in COLUMNS:
+            assert np.array_equal(getattr(out, name), getattr(bank, name)[[0, 2]])
         assert bank.without(["zz"]) is bank
 
 
@@ -316,8 +360,8 @@ class TestCovarianceProperties:
             if op == "predict":
                 t = predict(t, CFG, q_scale=q_scale, zero_velocity=arg)
             elif op == "update":
-                height = max(float(t.means[0, 3]), 1.0)
-                t = measure(t, t.means[0, :4] + height * np.array(arg))
+                height = max(float(t.x[0, 3]), 1.0)
+                t = measure(t, t.x[0] + height * np.array(arg))
             else:
                 t = inflate_process_noise(t, ["t"], CFG, arg)
             cov = full(t)
@@ -356,8 +400,8 @@ def assert_rows_equal(bank, tracks):
     expected = sorted(tracks, key=lambda t: t.entity_id)
     assert bank.ids == tuple(t.entity_id for t in expected)
     for row, track in enumerate(expected):
-        assert np.array_equal(bank.means[row], track.mean)
-        assert np.array_equal(bank.blocks[row], track.blocks)
+        assert np.array_equal(mean_at(bank, row), track.mean)
+        assert np.array_equal(blocks_at(bank, row), track.blocks)
 
 
 class TestBankEqualsOneTrackOracle:
@@ -442,10 +486,10 @@ class TestBadCovarianceNamesItsTrack:
 
     @staticmethod
     def four_tracks(bad=-100.0 * IDENTITY):
-        blocks = np.array([IDENTITY] * 4)
-        blocks[2] = bad
-        means = np.array([[10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0]] * 4)
-        return TrackBank(("a", "b", "c", "d"), means, blocks)
+        mean = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0])
+        return oracles.bank_of([
+            oracles.TrackState(mean, bad if tid == "c" else IDENTITY, tid) for tid in "abcd"
+        ])
 
     def test_predict(self):
         with pytest.raises(NumericalError, match="track 'c'"):
@@ -454,7 +498,7 @@ class TestBadCovarianceNamesItsTrack:
     def test_update(self):
         bank = self.four_tracks()
         with pytest.raises(NumericalError, match="track 'c'"):
-            update(bank, list(bank.ids), bank.means[:, :4] + 1.0, CFG)
+            update(bank, list(bank.ids), bank.x + 1.0, CFG)
 
     def test_inflate(self):
         bank = self.four_tracks()
@@ -472,9 +516,25 @@ class TestBadCovarianceNamesItsTrack:
             if op == "predict":
                 predict(bank, CFG)
             elif op == "update":
-                update(bank, ids, bank.means[:, :4] + 1.0, CFG)
+                update(bank, ids, bank.x + 1.0, CFG)
             else:
                 inflate_process_noise(bank, ids, CFG, 1.0)
+
+    @pytest.mark.parametrize("op", ["predict", "update", "inflate"])
+    def test_zero_position_variance_is_named_without_a_warning(self, op):
+        # a position weight whose square underflows adds no position noise,
+        # so track 'c' keeps p_xx = 0; the pivot test must not divide by it
+        # (pytest turns numpy's divide warning into an error)
+        cfg = KalmanConfig(std_weight_position=1e-300)
+        bank = self.four_tracks(np.zeros((3, 4)))
+        ids = list(bank.ids)
+        with pytest.raises(NumericalError, match="track 'c'"):
+            if op == "predict":
+                predict(bank, cfg)
+            elif op == "update":
+                update(bank, ids, bank.x + 1.0, cfg)
+            else:
+                inflate_process_noise(bank, ids, cfg, 1.0)
 
     @pytest.mark.parametrize("bad", sorted(NON_FINITE_BLOCKS))
     def test_oracle_names_nan_and_inf_blocks(self, bad):
