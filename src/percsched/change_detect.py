@@ -19,6 +19,9 @@ from .scene import MotionStatus
 from .schema import NonNegative, OpenShare, PositiveCount, check_fields
 
 REC601_LUMA = (0.299, 0.587, 0.114)
+# the weights as a column, one row per channel of a (3, h*w) array
+_LUMA_COLUMN = np.array(REC601_LUMA)[:, None]
+_LUMA_COLUMN.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -32,14 +35,24 @@ class ChangeDetectConfig:
 
 
 def grayscale_diff(abs_rgb_diff: np.ndarray) -> np.ndarray:
-    """Collapse an (h, w, 3) absolute RGB difference to a Rec.601 luma map."""
+    """Collapse an (h, w, 3) absolute RGB difference to a Rec.601 luma map,
+    ``(0.299 r + 0.587 g) + 0.114 b`` per pixel in that order.
+
+    The order is fixed so that the bits do not depend on the host: a BLAS
+    dot sums the three products in an order, with or without a fused
+    multiply-add, that its kernel picks for the CPU, and a threshold on the
+    map can then flip from one host to another."""
     arr = np.asarray(abs_rgb_diff)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected shape (h, w, 3), got {arr.shape}")
-    # the (1, 3) by (3, h*w) dot that np.tensordot makes inside, so the same
-    # BLAS call and the same bits, without its axis bookkeeping
-    channels = arr.reshape(-1, 3).astype(float).T
-    return np.dot(np.array([REC601_LUMA]), channels).reshape(arr.shape[:2])
+    # one C-contiguous float row per channel, so each step is one
+    # contiguous elementwise pass
+    channels = np.ascontiguousarray(arr.reshape(-1, 3).T, dtype=float)
+    channels *= _LUMA_COLUMN
+    luma = channels[0]
+    luma += channels[1]
+    luma += channels[2]
+    return luma.reshape(arr.shape[:2])
 
 
 def motion_status(cr: float, cfg: ChangeDetectConfig) -> MotionStatus:

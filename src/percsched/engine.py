@@ -471,15 +471,18 @@ class SimEngine:
         }
         projected = measurement_covariance(bank)
         boxes = bank.x.tolist()
+        # per row, the projected variances of the box's w and h
+        size_variances = projected[:, (2, 3), (2, 3)].tolist()
         humans_pre = []
         humans_post = []
         for row, tid in enumerate(bank.ids):
-            if self._kind_of(tid) is not EntityKind.HUMAN:
+            if self.kinds.get(tid) is not EntityKind.HUMAN:
                 continue
             w = max(boxes[row][2], 1.0)
             h = max(boxes[row][3], 1.0)
-            sigma_w = math.sqrt(max(float(projected[row, 2, 2]), 0.0))
-            sigma_h = math.sqrt(max(float(projected[row, 3, 3]), 0.0))
+            var_w, var_h = size_variances[row]
+            sigma_w = math.sqrt(max(var_w, 0.0))
+            sigma_h = math.sqrt(max(var_h, 0.0))
             humans_pre.append((w, h, sigma_w, sigma_h, relevance[row]))
             confs = self.history.extrapolated(tid, k, rcfg)
             humans_post.append((confs, relevance[row], math.sqrt(w * h)))

@@ -11,11 +11,14 @@ confidence scores.
 All entropies are in nats; the cost multiplier converts milliseconds of
 inference into nats through ``lambda_info_per_ms``.
 
-The pose kernels work on whole arrays (all keypoints of a human), and the
-detection gain, over the few tracks of a frame, on Python floats; both keep
-the scalar reference arithmetic bit for bit: logarithms go through
-``math.log`` and sums run in keypoint and track order, so run logs do not
-depend on the vectorization.
+The pose entropy runs one Python pass per human over its keypoints, and the
+detection gain one over the few tracks of a frame, both on Python floats:
+at a few dozen values per call numpy's per-call overhead would cost more
+than the arithmetic. Both keep the scalar reference arithmetic bit for bit:
+logarithms go through ``math.log`` and sums run in keypoint and track
+order, so run logs do not depend on numpy's SIMD dispatch. The confidence
+history does its array work when a sample is recorded, so that an
+extrapolation per frame is one multiply-add and a clamp.
 """
 
 from __future__ import annotations
@@ -116,12 +119,16 @@ class RewardConfig:
                 f"expected keypoint_count={self.keypoint_count}"
             )
 
-    def resolved_sigma_base(self) -> np.ndarray:
-        if self.sigma_base is not None:
-            return np.asarray(self.sigma_base, dtype=float)
-        if self.keypoint_count == 133:
-            return np.asarray(coco_wholebody_sigmas(), dtype=float)
-        return np.full(self.keypoint_count, UNIFORM_SIGMA_BASE)
+
+def sigma_table(cfg: RewardConfig) -> Tuple[float, ...]:
+    """The per-keypoint base sigmas of ``cfg`` as floats: its own
+    ``sigma_base``, else the packaged COCO-WholeBody table at 133 keypoints,
+    else a uniform 0.05 table."""
+    if cfg.sigma_base is not None:
+        return tuple(map(float, cfg.sigma_base))
+    if cfg.keypoint_count == 133:
+        return coco_wholebody_sigmas()
+    return (UNIFORM_SIGMA_BASE,) * cfg.keypoint_count
 
 
 @dataclass(frozen=True)
@@ -229,18 +236,6 @@ def pre_execution_entropy(
     return cfg.keypoint_count * total
 
 
-def _require_valid_keypoints(confs: np.ndarray, bases: np.ndarray) -> None:
-    """Every confidence must lie in (0, 1] and every base sigma be positive;
-    reports the first bad keypoint, and is written so that NaN fails both."""
-    bad_conf = ~((confs > 0.0) & (confs <= 1.0))
-    bad = bad_conf | ~(bases > 0.0)
-    if bad.any():
-        d = int(np.argmax(bad))
-        if bad_conf[d]:
-            raise ValueError(f"confidence must lie in (0, 1], got {float(confs[d])}")
-        raise ValueError(f"base sigma must be positive, got {float(bases[d])}")
-
-
 def post_execution_entropy(
     humans: Sequence[Tuple[Sequence[float], float, float]], cfg: RewardConfig
 ) -> float:
@@ -251,23 +246,30 @@ def post_execution_entropy(
     values. ``scale`` (the object scale) multiplies the base sigmas.
 
     Per human this equals ``keypoint_count * LN_TWO_PI_E`` plus, in keypoint
-    order, ``2 * ln(max(-base * scale * ln(conf), SIGMA_FLOOR))``.
+    order, ``2 * ln(max(-base * scale * ln(conf), SIGMA_FLOOR))``. Every
+    confidence must lie in (0, 1] and every scaled base sigma be positive;
+    the first keypoint that breaks either is named.
     """
-    base = cfg.resolved_sigma_base()
+    table = sigma_table(cfg)
+    count = cfg.keypoint_count
+    log = math.log
     total = 0.0
     for confidences, relevance, scale in humans:
         confs = np.asarray(confidences, dtype=float)
-        if confs.shape != (cfg.keypoint_count,):
-            raise ValueError(
-                f"expected {cfg.keypoint_count} confidences, got {confs.shape}"
-            )
-        bases = base * float(scale)
-        _require_valid_keypoints(confs, bases)
-        log_conf = np.array(list(map(math.log, confs.tolist())))
-        sigmas = np.maximum(-bases * log_conf, SIGMA_FLOOR)
-        inner = cfg.keypoint_count * LN_TWO_PI_E
-        for log_sigma in map(math.log, sigmas.tolist()):
-            inner += 2.0 * log_sigma
+        if confs.shape != (count,):
+            raise ValueError(f"expected {count} confidences, got {confs.shape}")
+        scale = float(scale)
+        inner = count * LN_TWO_PI_E
+        for conf, base in zip(confs.tolist(), table):
+            b = base * scale
+            # written so that NaN fails both tests
+            if not 0.0 < conf <= 1.0:
+                raise ValueError(f"confidence must lie in (0, 1], got {conf}")
+            if not b > 0.0:
+                raise ValueError(f"base sigma must be positive, got {b}")
+            sigma = -b * log(conf)
+            # the floor as np.maximum takes it: a NaN sigma stays NaN
+            inner += 2.0 * log(SIGMA_FLOOR if sigma < SIGMA_FLOOR else sigma)
         total += float(relevance) * inner
     return total
 
@@ -278,40 +280,57 @@ def pose_reward(pre: float, post: float, forced: bool, cfg: RewardConfig) -> Rew
     return _breakdown(POSE, pre - post, forced, cfg)
 
 
+@functools.lru_cache(maxsize=16)
+def _prior(count: int) -> np.ndarray:
+    """The confidences of a human never seen by the pose module, read-only
+    since every caller shares them."""
+    prior = np.full(count, PRIOR_CONFIDENCE)
+    prior.flags.writeable = False
+    return prior
+
+
 class KeypointConfidenceHistory:
     """Rolling record of the last two pose executions per human.
 
     With two samples confidences are linearly extrapolated per keypoint;
     with one the last value is held; with none the prior applies. A human's
-    samples must come from strictly increasing frames.
+    samples must come from strictly increasing frames. Held and prior
+    confidences come back as shared read-only arrays.
     """
 
     def __init__(self) -> None:
-        self._last: Dict[str, Tuple[int, np.ndarray]] = {}
-        self._prev: Dict[str, Tuple[int, np.ndarray]] = {}
+        # per human: the last sample's frame and values, those values
+        # clamped to [CONFIDENCE_FLOOR, 1] (read-only), and the slope per
+        # frame from the sample before, None until there is one
+        self._last: Dict[str, Tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray]]] = {}
 
     def record(self, entity_id: str, frame_index: int, confidences: Sequence[float]) -> None:
         current = self._last.get(entity_id)
+        if current is not None and frame_index <= current[0]:
+            raise ValueError(f"sample of frame {frame_index} does not follow frame {current[0]}")
+        samples = np.asarray(confidences, dtype=float)
+        slope = None
         if current is not None:
-            if frame_index <= current[0]:
-                raise ValueError(f"sample of frame {frame_index} does not follow frame {current[0]}")
-            self._prev[entity_id] = current
-        self._last[entity_id] = (frame_index, np.asarray(confidences, dtype=float))
+            k_prev, s_prev = current[0], current[1]
+            slope = (samples - s_prev) / (frame_index - k_prev)
+        held = np.clip(samples, CONFIDENCE_FLOOR, 1.0)
+        held.flags.writeable = False
+        self._last[entity_id] = (frame_index, samples, held, slope)
 
     def extrapolated(self, entity_id: str, frame_index: int, cfg: RewardConfig) -> np.ndarray:
-        last = self._last.get(entity_id)
-        if last is None:
-            return np.full(cfg.keypoint_count, PRIOR_CONFIDENCE)
-        prev = self._prev.get(entity_id)
-        if prev is None or frame_index < last[0]:
-            return np.clip(last[1], CONFIDENCE_FLOOR, 1.0)
-        (k_last, s_last), (k_prev, s_prev) = last, prev
-        # linear in the frame index per keypoint; fmax/fmin clamp NaN to
-        # the floor exactly as min(1, max(floor, value)) does
-        slope = (s_last - s_prev) / (k_last - k_prev)
-        value = s_last + slope * (frame_index - k_last)
-        return np.fmin(np.fmax(value, CONFIDENCE_FLOOR), 1.0)
+        entry = self._last.get(entity_id)
+        if entry is None:
+            return _prior(cfg.keypoint_count)
+        k_last, s_last, held, slope = entry
+        if slope is None or frame_index < k_last:
+            return held
+        # s_last + slope * (frame_index - k_last) per keypoint, in place;
+        # fmax/fmin clamp NaN to the floor exactly as min(1, max(floor,
+        # value)) does
+        value = slope * (frame_index - k_last)
+        value += s_last
+        np.fmax(value, CONFIDENCE_FLOOR, out=value)
+        return np.fmin(value, 1.0, out=value)
 
     def forget(self, entity_id: str) -> None:
         self._last.pop(entity_id, None)
-        self._prev.pop(entity_id, None)

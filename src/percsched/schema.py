@@ -137,10 +137,15 @@ def _item(parse: Parser, key: Any, x: Any) -> Any:
 def _tuple(args: Tuple[Any, ...]) -> Parser:
     variadic = args[-1] is Ellipsis
     parsers = [_parser(a) for a in (args[:1] if variadic else args)]
+    cls = args[0] if variadic and isinstance(args[0], type) else None
 
     def parse(v: Any) -> Tuple[Any, ...]:
         if not isinstance(v, (list, tuple)) or not (variadic or len(v) == len(args)):
             raise _Mismatch("a list" if variadic else f"a list of {len(args)}", v)
+        # items of exactly the declared class, such as the entities the trace
+        # reader has just built, need no parser
+        if cls is not None and all(type(x) is cls for x in v):
+            return v if type(v) is tuple else tuple(v)
         pairs = zip(parsers * len(v) if variadic else parsers, v)
         return tuple(_item(p, i, x) for i, (p, x) in enumerate(pairs))
 

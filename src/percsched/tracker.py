@@ -30,7 +30,6 @@ that to cancellation.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Sequence, Tuple, Union
@@ -86,6 +85,8 @@ class TrackBank:
     p_vv: np.ndarray = field(default_factory=_empty_column)
 
     def __post_init__(self) -> None:
+        # a bank that an operation derives from a checked one skips this; see
+        # _derived
         n = len(self.ids)
         for name in COLUMNS:
             shape = getattr(self, name).shape
@@ -93,6 +94,20 @@ class TrackBank:
                 raise ValueError(f"{name} must have shape ({n}, {MEAS_DIM}), got {shape}")
         if list(self.ids) != sorted(set(self.ids)):
             raise ValueError("track ids must be unique and sorted")
+
+    @classmethod
+    def _derived(
+        cls, ids: Tuple[str, ...], x: np.ndarray, v: np.ndarray,
+        p_xx: np.ndarray, p_xv: np.ndarray, p_vv: np.ndarray,
+    ) -> "TrackBank":
+        """A bank that an operation derived from a checked bank: its ids are
+        that bank's own tuple, and each column an ``(n, 4)`` result of
+        elementwise steps on its columns, so they are not checked again.
+        The fields go into the instance dict, where a frozen dataclass's
+        ``__init__`` puts them."""
+        bank = object.__new__(cls)
+        bank.__dict__.update(ids=ids, x=x, v=v, p_xx=p_xx, p_xv=p_xv, p_vv=p_vv)
+        return bank
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -130,12 +145,12 @@ class TrackBank:
         """The bank with ``rows`` (from :meth:`rows`) of each named column
         set to the given new arrays; with every row, the arrays themselves
         become the columns."""
-        columns = dict(changed)
+        columns = {name: changed.get(name, getattr(self, name)) for name in COLUMNS}
         if not isinstance(rows, slice):
             for name, values in changed.items():
                 columns[name] = getattr(self, name).copy()
                 columns[name][rows] = values
-        return dataclasses.replace(self, **columns)
+        return TrackBank._derived(self.ids, **columns)
 
 
 def measurement_variance(heights: np.ndarray, cfg: KalmanConfig) -> np.ndarray:
@@ -240,6 +255,10 @@ def predict(
     if not len(bank):
         return bank
     v = np.where(np.asarray(zero_velocity, dtype=bool)[..., None], 0.0, bank.v)
+    if v.shape != bank.v.shape:  # the derived bank's shapes go unchecked
+        raise ValueError(
+            f"zero_velocity must be one flag or one per row, got shape {np.shape(zero_velocity)}"
+        )
     position, velocity = _process_variances(bank.x[:, 3:], cfg)
     scale = np.asarray(q_scale, dtype=float)[..., None]
     # F = [[1, 1], [0, 1]] per coordinate, so F P F^T only adds and no
@@ -250,7 +269,7 @@ def predict(
     p_xx += position * scale
     p_vv = bank.p_vv + velocity * scale
     _require_pd(p_xx, p_xv, p_vv, bank.ids)
-    return TrackBank(bank.ids, bank.x + v, v, p_xx, p_xv, p_vv)
+    return TrackBank._derived(bank.ids, bank.x + v, v, p_xx, p_xv, p_vv)
 
 
 def inflate_process_noise(

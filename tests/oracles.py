@@ -16,6 +16,7 @@ from percsched.rewards import (
     SIGMA_FLOOR,
     RewardBreakdown,
     RewardConfig,
+    sigma_table,
 )
 from percsched.scene import (
     DETECTION,
@@ -417,12 +418,12 @@ def scalar_post_execution_entropy(
 ) -> float:
     """:func:`percsched.rewards.post_execution_entropy` one keypoint at a
     time: ``keypoint_sigma`` per keypoint, summed in keypoint order."""
-    base = cfg.resolved_sigma_base()
+    base = sigma_table(cfg)
     total = 0.0
     for confs, relevance, scale in humans:
         inner = cfg.keypoint_count * LN_TWO_PI_E
         for d, conf in enumerate(confs):
-            sigma = keypoint_sigma(float(conf), float(base[d] * scale))
+            sigma = keypoint_sigma(float(conf), base[d] * float(scale))
             inner += 2.0 * math.log(sigma)
         total += relevance * inner
     return total
@@ -475,8 +476,8 @@ def reference_pixel_change(
     rasters with ``np.histogram``.
     """
     diff = np.abs(curr.astype(np.int16) - prev)
-    coeffs = np.asarray(REC601_LUMA, dtype=float)
-    gray = np.tensordot(coeffs, np.moveaxis(diff, 2, 0).astype(float), axes=(0, 0))
+    (wr, wg, wb), (r, g, b) = REC601_LUMA, np.moveaxis(diff, 2, 0).astype(float)
+    gray = (wr * r + wg * g) + wb * b
     patch_cr: Dict[str, float] = {}
     occupied = np.zeros(gray.shape, dtype=bool)
     for tid, box in reference_regions(means, gray.shape, frame_w, frame_h).items():

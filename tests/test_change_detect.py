@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import numpy_rgb_histograms, reference_pixel_change
 from percsched import change_detect
 from percsched.change_detect import (
+    REC601_LUMA,
     ChangeDetectConfig,
     chi_square_shift,
     composition_change_trigger,
@@ -72,6 +73,21 @@ class TestGrayscaleDiff:
         one = grayscale_diff(arr)
         scaled = grayscale_diff(2.5 * arr)
         np.testing.assert_allclose(scaled, 2.5 * one, rtol=1e-12)
+
+    def test_fixed_order_on_every_integral_luma_triple(self):
+        # where 299 r + 587 g + 114 b is a multiple of 1000 the exact luma is
+        # an integer, so a threshold at that integer decides on the last bit;
+        # a BLAS dot's order and fused multiply-adds depend on the host
+        residue_of_b = np.full(1000, -1)
+        residue_of_b[(114 * np.arange(256)) % 1000] = np.arange(256)
+        r, g = (a.ravel() for a in np.meshgrid(np.arange(256), np.arange(256), indexing="ij"))
+        b = residue_of_b[(-(299 * r + 587 * g)) % 1000]
+        triples = np.stack([r, g, b], axis=1)[b >= 0]
+        assert len(triples) == 16774
+        wr, wg, wb = REC601_LUMA
+        expected = [(wr * x + wg * y) + wb * z for x, y, z in triples.astype(float).tolist()]
+        got = grayscale_diff(triples.reshape(1, -1, 3).astype(np.int16))
+        assert got.ravel().tolist() == expected
 
     def test_shape_validation(self):
         for shape in ((4, 5), (3, 4, 5), (4, 5, 4)):

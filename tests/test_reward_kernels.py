@@ -27,6 +27,7 @@ from percsched.rewards import (
     RewardConfig,
     detection_info_gain,
     post_execution_entropy,
+    sigma_table,
 )
 from percsched.scene import DETECTION, POSE
 from percsched.tracker import KalmanConfig, NumericalError
@@ -140,6 +141,45 @@ class TestExtrapolated:
         expected = scalar_extrapolated((2, [math.nan, 0.5]), (1, [0.5, 0.5]), 5)
         assert hist.extrapolated("h", 5, cfg).tolist() == expected == [CONFIDENCE_FLOOR, 0.5]
 
+    @given(
+        samples=st.lists(st.floats(min_value=-0.5, max_value=1.5) | st.just(math.nan),
+                         min_size=1, max_size=133),
+        behind=st.integers(min_value=1, max_value=9),
+    )
+    def test_held_and_prior_are_read_only_and_exact(self, samples, behind):
+        count = len(samples)
+        cfg = _cfg(count)
+        hist = KeypointConfidenceHistory()
+        prior = hist.extrapolated("h", 0, cfg)
+        assert prior.tobytes() == np.full(count, rewards.PRIOR_CONFIDENCE).tobytes()
+        hist.record("h", 10, samples)
+        held = np.clip(np.array(samples), CONFIDENCE_FLOOR, 1.0)
+        one = hist.extrapolated("h", 20, cfg)
+        hist.record("h", 10 + behind, np.full(count, 0.5))
+        # a frame before the last sample holds that sample
+        earlier = hist.extrapolated("h", 9 + behind, cfg)
+        assert one.tobytes() == held.tobytes()
+        assert earlier.tobytes() == np.full(count, 0.5).tobytes()
+        for shared in (prior, one, earlier):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0] = 0.25
+
+    def test_record_after_forget_starts_afresh(self):
+        cfg = _cfg(2)
+        hist = KeypointConfidenceHistory()
+        hist.record("h", 5, [0.9, 0.9])
+        hist.record("h", 10, [0.5, 0.5])
+        hist.forget("h")
+        # an earlier frame is a first sample again, and it is held, not
+        # extrapolated from the forgotten pair
+        hist.record("h", 3, [0.7, 0.2])
+        assert hist.extrapolated("h", 30, cfg).tolist() == [0.7, 0.2]
+        hist.record("h", 4, [0.6, 0.3])
+        assert hist.extrapolated("h", 6, cfg).tolist() == scalar_extrapolated(
+            (4, [0.6, 0.3]), (3, [0.7, 0.2]), 6
+        )
+
 
 IDENTITY = np.array([[1.0] * 4, [0.0] * 4, [1.0] * 4])
 
@@ -242,13 +282,49 @@ class TestSigmaTable:
         monkeypatch.setattr(rewards.json, "loads", counting_loads)
         rewards.coco_wholebody_sigmas.cache_clear()
         cfg = _cfg(133)
-        tables = [cfg.resolved_sigma_base() for _ in range(50)]
+        tables = [sigma_table(cfg) for _ in range(50)]
         assert len(reads) == 1
-        assert all(np.array_equal(t, tables[0]) for t in tables)
+        assert all(t == tables[0] for t in tables)
 
-    def test_resolved_table_is_not_shared(self):
-        cfg = _cfg(133)
-        first = cfg.resolved_sigma_base()
-        first[:] = -1.0
-        assert np.all(cfg.resolved_sigma_base() > 0)
+    def test_table_cannot_be_written(self):
+        table = sigma_table(_cfg(133))
+        assert table is rewards.coco_wholebody_sigmas()
+        with pytest.raises(TypeError):
+            table[0] = -1.0  # type: ignore[index]
         assert all(s > 0 for s in rewards.coco_wholebody_sigmas())
+
+    @pytest.mark.parametrize(
+        "keypoints, sigma_base, expected",
+        [
+            (133, None, None),
+            (17, None, (0.05,) * 17),
+            (3, (1, np.float64(0.25), 2.0), (1.0, 0.25, 2.0)),
+        ],
+        ids=["packaged", "uniform", "given"],
+    )
+    def test_a_tuple_of_floats(self, keypoints, sigma_base, expected):
+        table = sigma_table(_cfg(keypoints, sigma_base))
+        assert type(table) is tuple and len(table) == keypoints
+        assert all(type(s) is float for s in table)
+        assert table == (expected or rewards.coco_wholebody_sigmas())
+
+    @pytest.mark.parametrize(
+        "keypoints, sigma_base, loads",
+        [(133, None, 3), (17, None, 0), (133, (0.1,) * 133, 0)],
+        ids=["packaged", "uniform", "given"],
+    )
+    def test_packaged_table_is_fetched_once_per_call(self, monkeypatch, keypoints, sigma_base, loads):
+        # the benchmark counts these fetches: one per post_execution_entropy
+        # call at 133 keypoints without a table of one's own
+        calls = []
+        real = rewards.coco_wholebody_sigmas
+
+        def counting():
+            calls.append(None)
+            return real()
+
+        monkeypatch.setattr(rewards, "coco_wholebody_sigmas", counting)
+        cfg = _cfg(keypoints, sigma_base)
+        for _ in range(3):
+            post_execution_entropy([(np.full(keypoints, 0.5), 1.0, 10.0)], cfg)
+        assert len(calls) == loads

@@ -16,6 +16,7 @@ from percsched.rewards import (
     pose_reward,
     post_execution_entropy,
     pre_execution_entropy,
+    sigma_table,
 )
 from percsched.scene import DETECTION, POSE
 from oracles import extrapolate_confidence, keypoint_entropy, keypoint_sigma, measurement_noise
@@ -330,9 +331,8 @@ class TestSigmaBaseDefaults:
         assert all(s > 0 for s in table)
 
     def test_resolution_rules(self):
-        assert len(_cfg().resolved_sigma_base()) == 133
-        uniform = _cfg(keypoints=17).resolved_sigma_base()
-        assert np.all(uniform == 0.05)
+        assert sigma_table(_cfg()) == coco_wholebody_sigmas()
+        assert sigma_table(_cfg(keypoints=17)) == (0.05,) * 17
 
     def test_load_sigma_base_formats(self, tmp_path):
         from percsched.rewards import load_sigma_base

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import assert_traces_equal
+from percsched import schema
 from percsched.config import RunConfig
 from percsched.engine import PolicyKind, run, run_offline
 from percsched.scene import Entity, EntityKind, PatchRegion
@@ -499,6 +500,33 @@ class TestValidation:
 def _human_frame(points):
     human = Entity(id="h", kind=EntityKind.HUMAN, region=PatchRegion(0, 0, 10, 20))
     return TraceFrame(index=0, entities=(human,), keypoints={"h": points})
+
+
+class TestEntitiesAreCheckedOnce:
+    def test_read_makes_no_item_parser_calls_for_entities(self, tmp_path, monkeypatch):
+        # each Entity checks its own fields when it is built, so the frame's
+        # tuple of them passes as it is
+        path = tmp_path / "t.jsonl"
+        write_trace(path, generate_trace("static", 20, seed=3))
+        parsed = []
+        real_item = schema._item
+
+        def counting_item(parse, key, x):
+            if isinstance(x, Entity):
+                parsed.append(key)
+            return real_item(parse, key, x)
+
+        monkeypatch.setattr(schema, "_item", counting_item)
+        trace = read_trace(path)
+        assert sum(len(frame.entities) for frame in trace.frames) > 0
+        assert parsed == []
+
+    def test_an_item_of_another_type_is_named(self):
+        good = Entity(id="a", kind=EntityKind.OBJECT, region=PatchRegion(0, 0, 1, 1))
+        with pytest.raises(ValueError, match=r"entities\[1\] must be a Entity, got 'b'"):
+            TraceFrame(index=0, entities=(good, "b"))
+        frame = TraceFrame(index=0, entities=[good])
+        assert frame.entities == (good,)
 
 
 class TestKeypointArrays:

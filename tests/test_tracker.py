@@ -471,6 +471,43 @@ class TestBankEqualsOneTrackOracle:
         assert np.array_equal(got, [oracles.measurement_covariance(t) for t in tracks])
 
 
+class TestDerivedBanksPassTheFullCheck:
+    """predict, update and inflate_process_noise build their banks without
+    checking the ids and shapes again; each must still pass every check a
+    caller's ``TrackBank(...)`` makes."""
+
+    @settings(max_examples=50)
+    @given(drawn=banks(), steps=st.lists(
+        st.tuples(st.sampled_from(["predict", "update", "inflate"]),
+                  st.lists(st.booleans(), min_size=7, max_size=7),
+                  st.floats(-3.0, 3.0)),
+        min_size=1, max_size=6,
+    ))
+    def test_every_returned_bank_passes(self, drawn, steps):
+        tracks, q_scales, still = drawn
+        bank = oracles.bank_of(tracks)
+        for op, picks, offset in steps:
+            chosen = [tid for tid, pick in zip(bank.ids, picks) if pick]
+            if op == "predict":
+                n = len(bank)
+                bank = predict(bank, CFG, q_scale=np.array(q_scales[:n]),
+                               zero_velocity=np.array(still[:n]))
+            elif op == "update":
+                rows = [bank.ids.index(tid) for tid in chosen]
+                bank = update(bank, chosen, bank.x[rows] + offset, CFG)
+            else:
+                bank = inflate_process_noise(bank, chosen, CFG, abs(offset))
+            checked = TrackBank(bank.ids, *(getattr(bank, name) for name in COLUMNS))
+            assert checked.ids == bank.ids
+            for name in COLUMNS:
+                assert getattr(checked, name) is getattr(bank, name)
+
+    def test_predict_rejects_a_velocity_flag_per_wrong_row_count(self):
+        bank = init_track(TrackBank(), ["a"], np.array([[1.0, 1, 5, 5]]), CFG)
+        with pytest.raises(ValueError, match=r"zero_velocity .* got shape \(3,\)"):
+            predict(bank, CFG, zero_velocity=np.array([True, False, True]))
+
+
 # blocks with a NaN or an infinite entry, each put in track 'c' of four
 NON_FINITE_BLOCKS = {
     "nan-p_xv": blocks_of(1.0, [0.0, math.nan, 0.0, 0.0], 1.0),
