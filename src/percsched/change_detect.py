@@ -19,9 +19,6 @@ from .scene import MotionStatus
 from .schema import NonNegative, OpenShare, PositiveCount, check_fields
 
 REC601_LUMA = (0.299, 0.587, 0.114)
-# the weights as a column, one row per channel of a (3, h*w) array
-_LUMA_COLUMN = np.array(REC601_LUMA)[:, None]
-_LUMA_COLUMN.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -45,14 +42,22 @@ def grayscale_diff(abs_rgb_diff: np.ndarray) -> np.ndarray:
     arr = np.asarray(abs_rgb_diff)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected shape (h, w, 3), got {arr.shape}")
-    # one C-contiguous float row per channel, so each step is one
-    # contiguous elementwise pass
-    channels = np.ascontiguousarray(arr.reshape(-1, 3).T, dtype=float)
-    channels *= _LUMA_COLUMN
-    luma = channels[0]
-    luma += channels[1]
-    luma += channels[2]
+    # a float copy in the input's interleaved order, weighted in one
+    # contiguous pass; the sums then read each channel with a stride of 3
+    weighted = arr.astype(float, order="C").reshape(-1)
+    weighted *= _interleaved_luma(arr.shape[0] * arr.shape[1])
+    luma = weighted[0::3] + weighted[1::3]
+    luma += weighted[2::3]
     return luma.reshape(arr.shape[:2])
+
+
+@functools.lru_cache(maxsize=4)
+def _interleaved_luma(pixels: int) -> np.ndarray:
+    """The Rec.601 weights repeated once per pixel, to weigh a flattened
+    (h, w, 3) array elementwise."""
+    weights = np.tile(REC601_LUMA, pixels)
+    weights.flags.writeable = False
+    return weights
 
 
 def motion_status(cr: float, cfg: ChangeDetectConfig) -> MotionStatus:

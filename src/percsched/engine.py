@@ -12,6 +12,11 @@ batched start of new tracks per detection output, and one batched noise
 top-up for the tracks found moving. Inference consumes no wall clock;
 module busy windows live entirely on the virtual clock, so a run is a pure
 function of (trace, policy, configs, seed).
+
+A run log's frame lines go through one codec compiled from
+:class:`FrameRecord`: a ``%``-template for the lines the engine makes, with
+the general encoder ``_line`` for any other record, and one JSON parse of
+all frame lines on the way back.
 """
 
 from __future__ import annotations
@@ -21,11 +26,15 @@ import hashlib
 import heapq
 import json
 import math
+import operator
 from collections.abc import Mapping as AnyMapping
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Sequence as AnySequence
+from dataclasses import Field, asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Literal, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, List, Literal, Mapping, Optional, Sequence, Tuple, Union, get_origin, get_type_hints,
+)
 
 import numpy as np
 
@@ -201,6 +210,165 @@ def _line(tags: dict, record: object) -> str:
     return _encode(row)
 
 
+# -- the frame-line codec ----------------------------------------------------
+#
+# A frame line that the engine makes is written through one %-template
+# compiled from FrameRecord's fields: a ``Mapping`` field is one value per
+# module id, in sorted order; a ``Sequence`` field is the list of applied
+# entries; a field that defaults to None must be None and is left out; any
+# other field is one scalar. A record the template does not fit is written
+# by ``_line``, whose bytes the template reproduces.
+
+_FRAME_TAGS = {"record": "frame"}
+_MODULES = tuple(sorted((DETECTION, POSE)))
+# the keys of an applied entry, in the order ``_apply_ready_outputs`` writes them
+_APPLIED_KEYS = ("module", "issued", "ready")
+_SCALAR, _PER_MODULE, _ENTRIES, _LEFT_OUT = range(4)
+
+
+def _frame_kind(field: Field, hint: object) -> int:
+    origin = get_origin(hint)
+    if origin is AnyMapping:
+        return _PER_MODULE
+    if origin is AnySequence:
+        return _ENTRIES
+    return _LEFT_OUT if field.default is None else _SCALAR
+
+
+_FRAME_HINTS = get_type_hints(FrameRecord)
+_FRAME_KINDS = tuple(_frame_kind(f, _FRAME_HINTS[f.name]) for f in fields(FrameRecord))
+_frame_values = operator.attrgetter(*_field_names(FrameRecord))
+_module_values = operator.itemgetter(*_MODULES)
+_APPLIED_SLOT = "{%s}" % ",".join(f"{_encode(k)}:%s" for k in _APPLIED_KEYS)
+# a templated line's keys, and the fields it leaves out, as the reader sees them
+_FRAME_KEYS = tuple(
+    name for name, kind in zip(_field_names(FrameRecord), _FRAME_KINDS) if kind is not _LEFT_OUT
+)
+_LEFT_OUT_FIELDS = {
+    name: None for name, kind in zip(_field_names(FrameRecord), _FRAME_KINDS) if kind is _LEFT_OUT
+}
+
+
+@functools.lru_cache(maxsize=8)
+def _frame_template(entries: int) -> str:
+    """The %-template of a frame line with ``entries`` applied entries."""
+    parts = [f"{_encode(k)}:{_encode(v)}" for k, v in _FRAME_TAGS.items()]
+    for name, kind in zip(_field_names(FrameRecord), _FRAME_KINDS):
+        if kind is _SCALAR:
+            slot = "%s"
+        elif kind is _PER_MODULE:
+            slot = "{%s}" % ",".join(f"{_encode(m)}:%s" for m in _MODULES)
+        elif kind is _ENTRIES:
+            slot = "[%s]" % ",".join([_APPLIED_SLOT] * entries)
+        else:
+            continue
+        parts.append(f"{_encode(name)}:{slot}")
+    return "{%s}" % ",".join(parts)
+
+
+# the JSON text of a value by its exact type; the encoder writes the rest
+_TEXT_OF_TYPE = {bool: ("false", "true").__getitem__, int: int.__repr__, float: float.__repr__}
+# what float.__repr__ writes for NaN and the infinities, which JSON spells
+# NaN, Infinity and -Infinity
+_NON_FINITE_REPRS = frozenset({"nan", "inf", "-inf"})
+
+
+def _scalar_texts(values: List[object]) -> Tuple[str, ...]:
+    """Each value as the encoder writes it: ``true`` or ``false`` for a bool,
+    ``int.__repr__`` for an int, ``float.__repr__`` for a finite float, and
+    the encoder's own text for NaN, the infinities and any other type."""
+    texts = [_TEXT_OF_TYPE.get(type(v), _encode)(v) for v in values]
+    if not _NON_FINITE_REPRS.isdisjoint(texts):
+        texts = [_encode(v) if t in _NON_FINITE_REPRS else t for t, v in zip(texts, values)]
+    return tuple(texts)
+
+
+def _frame_line(record: FrameRecord) -> str:
+    """``_line({"record": "frame"}, record)``, through the template when the
+    record fits it: a ``FrameRecord`` whose every mapping is a ``dict`` keyed
+    by exactly the module ids, whose every applied entry is a ``dict`` keyed
+    ``module``, ``issued``, ``ready`` in that order, and that has no offline
+    ``observations``."""
+    if type(record) is not FrameRecord:  # a subclass may add fields
+        return _line(_FRAME_TAGS, record)
+    values: List[object] = []
+    entries = 0
+    try:
+        for kind, value in zip(_FRAME_KINDS, _frame_values(record)):
+            if kind is _SCALAR:
+                values.append(value)
+            elif kind is _PER_MODULE:
+                if type(value) is not dict or len(value) != len(_MODULES):
+                    break
+                values.extend(_module_values(value))
+            elif kind is _ENTRIES:
+                if type(value) is not list and type(value) is not tuple:
+                    break
+                if value:
+                    if not all(type(e) is dict and tuple(e) == _APPLIED_KEYS for e in value):
+                        break
+                    for entry in value:
+                        values.extend(entry.values())
+                    entries = len(value)
+            elif value is not None:
+                break
+        else:
+            return _frame_template(entries) % _scalar_texts(values)
+    except KeyError:  # a mapping without one of the module ids
+        pass
+    return _line(_FRAME_TAGS, record)
+
+
+def _numbered_frame_lines(text: str) -> List[Tuple[int, str]]:
+    """The frame lines of a run log with their 1-based line numbers: every
+    line after the header that is not blank."""
+    return [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()][1:]
+
+
+def _frame_rows(lines: List[str], text: str) -> list:
+    """The parsed frame lines: one parse of them all as a JSON array and,
+    if that fails, one parse per line to name the line that is not JSON."""
+    try:
+        rows = json.loads("[" + ",".join(lines) + "]")
+    except ValueError:
+        rows = None
+    if rows is not None and len(rows) == len(lines):
+        return rows
+    rows = []
+    for n, line in _numbered_frame_lines(text):
+        try:
+            rows.append(json.loads(line))
+        except ValueError as exc:
+            raise EngineError(f"run-log line {n} is not JSON: {exc}") from None
+    return rows
+
+
+def _frame_records(lines: List[str], text: str) -> Tuple[FrameRecord, ...]:
+    """One record per frame line. A row whose keys are the templated keys
+    in field order becomes a record without ``FrameRecord.__init__``, as
+    ``TrackBank._derived`` builds a bank: FrameRecord has no
+    ``__post_init__``, so the instance dict is all ``__init__`` would set.
+    Any other row goes through ``FrameRecord(**row)``, where an unknown key
+    raises and a missing field takes its default."""
+    records: List[FrameRecord] = []
+    new = object.__new__
+    for row in _frame_rows(lines, text):
+        if type(row) is not dict or row.pop("record", None) != "frame":
+            n = _numbered_frame_lines(text)[len(records)][0]
+            raise EngineError(f"run-log line {n} is not a frame record")
+        if "applied" in row:
+            # a tuple, so the many frames that apply nothing share one ``()``
+            row["applied"] = tuple(row["applied"])
+        if tuple(row) == _FRAME_KEYS:
+            row.update(_LEFT_OUT_FIELDS)
+            record = new(FrameRecord)
+            record.__dict__.update(row)
+        else:
+            record = FrameRecord(**row)
+        records.append(record)
+    return tuple(records)
+
+
 @dataclass(frozen=True)
 class RunLog:
     header: RunLogHeader
@@ -209,7 +377,7 @@ class RunLog:
     def to_jsonl(self) -> str:
         tags = {"record": "header", "schema": RUNLOG_SCHEMA, "version": RUNLOG_VERSION}
         lines = [_line(tags, self.header)]
-        lines.extend(_line({"record": "frame"}, rec) for rec in self.records)
+        lines.extend(map(_frame_line, self.records))
         return "\n".join(lines) + "\n"
 
     def write(self, path: Union[str, Path]) -> None:
@@ -226,14 +394,7 @@ class RunLog:
         version = head.pop("version", None)
         if version != RUNLOG_VERSION:
             raise EngineError(f"unsupported run-log version {version}")
-        records = []
-        for line in lines[1:]:
-            row = json.loads(line)
-            del row["record"]
-            # a tuple, so the many frames that apply nothing share one ``()``
-            row["applied"] = tuple(row["applied"])
-            records.append(FrameRecord(**row))
-        return cls(header=RunLogHeader(**head), records=tuple(records))
+        return cls(header=RunLogHeader(**head), records=_frame_records(lines[1:], text))
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "RunLog":

@@ -31,6 +31,7 @@ that to cancellation.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
@@ -188,16 +189,19 @@ def _require_pd(p_xx: np.ndarray, p_xv: np.ndarray, p_vv: np.ndarray, ids: Seque
     """Cholesky's pivot test on every block: ``p_xx > 0`` and
     ``p_vv - p_xv^2 / p_xx > 0``, the second taken as
     ``p_vv - p_xv * (p_xv / p_xx)`` so that it does not overflow where
-    ``p_xx * p_vv`` would, and divided only where ``p_xx > 0``. NaN and
-    infinite pivots fail. Names the first track (in ``ids`` order) with a
-    block that is not positive definite."""
-    positive = p_xx > 0.0
-    ratio = np.divide(p_xv, p_xx, out=np.zeros(p_xx.shape), where=positive)
-    schur = p_vv - p_xv * ratio
-    ok = positive & (schur > 0.0) & (np.maximum(p_xx, schur) < np.inf)
-    if np.count_nonzero(ok) < ok.size:
-        first = ids[int(np.argmin(ok.all(axis=1)))]
-        raise NumericalError(f"covariance of track {first!r} lost positive definiteness")
+    ``p_xx * p_vv`` would. NaN and infinite pivots fail. Names the first
+    track (in ``ids`` order) with a block that is not positive definite.
+
+    The blocks are tested as Python floats, one IEEE operation at a time as
+    numpy would take them: an overflow or an invalid operation on a block
+    that fails then gives an infinity or a NaN and no numpy warning, and on
+    a bank of a few tracks the loop costs less than the ufunc calls."""
+    blocks = zip(p_xx.ravel().tolist(), p_xv.ravel().tolist(), p_vv.ravel().tolist())
+    for lane, (xx, xv, vv) in enumerate(blocks):
+        if not (0.0 < xx < math.inf and 0.0 < vv - xv * (xv / xx) < math.inf):
+            raise NumericalError(
+                f"covariance of track {ids[lane // MEAS_DIM]!r} lost positive definiteness"
+            )
 
 
 def _measurements(measurements: np.ndarray, count: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 import dataclasses
 import importlib.util
 import json
+import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +394,147 @@ class TestOfflineRun:
             cx, cy = e.region.center
             assert by_id[e.id][2] == cx and by_id[e.id][3] == cy
 
+
+
+FRAME_TAGS = {"record": "frame"}
+
+
+def golden_policy_logs():
+    """The parallel, oracle and scheduled logs of the golden matrix."""
+    from test_golden import TRACES, VARIANTS, matrix_runs
+
+    return [
+        log
+        for variant in ("", *VARIANTS)
+        for name in TRACES
+        for log in matrix_runs(name, variant).values()
+    ]
+
+
+def count_frame_fallbacks(monkeypatch):
+    """Frame lines written by ``_line`` rather than the template, as a list
+    that fills while the patch holds."""
+    fallbacks = []
+    real = engine_module._line
+
+    def counted(tags, record):
+        if tags == FRAME_TAGS:
+            fallbacks.append(record)
+        return real(tags, record)
+
+    monkeypatch.setattr(engine_module, "_line", counted)
+    return fallbacks
+
+
+def scheduled_record_with_an_applied_entry():
+    trace = generate_trace("interaction", 20, seed=1)
+    log = run(trace, PolicyKind.SCHEDULED, pipeline().pipeline(trace.header))
+    return next(rec for rec in log.records if rec.applied)
+
+
+EDGE_RECORDS = {
+    "int decision_time_ms": (dict(decision_time_ms=5), False),
+    "non-finite gains": (
+        dict(
+            info_gain={POSE: float("nan"), DETECTION: float("inf")},
+            net={POSE: float("-inf"), DETECTION: float("nan")},
+        ),
+        False,
+    ),
+    "numpy floats": (
+        dict(info_gain={POSE: np.float64(0.1), DETECTION: np.float64(-2.5)},
+             decision_time_ms=np.float64(1.5)),
+        False,
+    ),
+    "applied keys reordered": (
+        dict(applied=[{"ready": 3, "module": DETECTION, "issued": 1}]), True
+    ),
+    "third module key": (dict(decided={POSE: True, DETECTION: False, "depth": True}), True),
+    "mapping not a dict": (
+        dict(forced=types.MappingProxyType({POSE: False, DETECTION: True})), True
+    ),
+}
+
+
+class TestFrameLineCodec:
+    """The template writes every frame line's bytes as ``_line`` does."""
+
+    def test_golden_records_and_their_read_backs_write_encoder_bytes(self):
+        for log in golden_policy_logs():
+            back = RunLog.from_jsonl(log.to_jsonl())
+            for rec in log.records + back.records:
+                assert engine_module._frame_line(rec) == engine_module._line(FRAME_TAGS, rec)
+
+    def test_no_golden_policy_frame_line_falls_back(self, monkeypatch):
+        # a FrameRecord change that sends every line down the slow path fails here
+        logs = golden_policy_logs()
+        fallbacks = count_frame_fallbacks(monkeypatch)
+        for log in logs:
+            RunLog.from_jsonl(log.to_jsonl()).to_jsonl()
+        assert sum(len(log.records) for log in logs) > 0
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("edge", sorted(EDGE_RECORDS))
+    def test_edge_records_write_encoder_bytes(self, edge, monkeypatch):
+        changes, falls_back = EDGE_RECORDS[edge]
+        rec = dataclasses.replace(scheduled_record_with_an_applied_entry(), **changes)
+        expected = engine_module._line(FRAME_TAGS, rec)
+        fallbacks = count_frame_fallbacks(monkeypatch)
+        assert engine_module._frame_line(rec) == expected
+        assert fallbacks == ([rec] if falls_back else [])
+
+    def test_offline_records_write_encoder_bytes(self, monkeypatch):
+        trace = generate_trace("walking", 5, seed=1)
+        log = run_offline(trace, pipeline().pipeline(trace.header))
+        expected = [engine_module._line(FRAME_TAGS, rec) for rec in log.records]
+        fallbacks = count_frame_fallbacks(monkeypatch)
+        assert [engine_module._frame_line(rec) for rec in log.records] == expected
+        assert fallbacks == list(log.records)
+
+
+class TestRunLogReader:
+    @staticmethod
+    def log_lines():
+        trace = static_object_trace(frames=6)
+        return run(trace, PolicyKind.SCHEDULED, pipeline().pipeline(trace.header)).to_jsonl()
+
+    @pytest.mark.parametrize("bad", ['{"record":"frame","index":', "frame 2"])
+    def test_a_frame_line_that_is_not_json_is_named(self, bad):
+        lines = self.log_lines().splitlines()
+        lines[2] = bad
+        with pytest.raises(EngineError, match="run-log line 3 is not JSON"):
+            RunLog.from_jsonl("\n".join(lines))
+
+    @pytest.mark.parametrize("bad", ["[1, 2]", "7", '{"index": 2}', '{"record": "header"}'])
+    def test_a_line_that_is_no_frame_record_is_named(self, bad):
+        lines = self.log_lines().splitlines()
+        lines[3] = bad
+        # a blank line counts in the numbering
+        lines.insert(1, "")
+        with pytest.raises(EngineError, match="run-log line 5 is not a frame record"):
+            RunLog.from_jsonl("\n".join(lines))
+
+    def test_an_unknown_frame_key_raises(self):
+        head, first, rest = self.log_lines().split("\n", 2)
+        row = json.loads(first)
+        row["depth"] = 1
+        with pytest.raises(TypeError, match="depth"):
+            RunLog.from_jsonl("\n".join([head, json.dumps(row), rest]))
+
+    def test_any_key_order_and_whitespace_read_back_to_the_canonical_log(self):
+        text = self.log_lines()
+        rng = random.Random(3)
+
+        def shuffled(row):
+            # the per-module maps too; an applied entry, inside a list, keeps
+            # its key order, which a log writes as it reads it
+            items = list(row.items())
+            rng.shuffle(items)
+            return {k: shuffled(v) if isinstance(v, dict) else v for k, v in items}
+
+        loose = "\n".join(json.dumps(shuffled(json.loads(line))) for line in text.splitlines())
+        assert loose != text
+        assert RunLog.from_jsonl(loose).to_jsonl() == text
 
 def _level_switch_trace(level):
     """Eight uniform rasters at grey level 60, switching to ``level`` at frame 4."""

@@ -9,6 +9,7 @@ import oracles
 from oracles import full_covariance, measurement_noise, process_noise, random_pd_blocks
 from percsched.tracker import (
     COLUMNS,
+    MEAS_DIM,
     KalmanConfig,
     NumericalError,
     TrackBank,
@@ -16,6 +17,7 @@ from percsched.tracker import (
     init_track,
     measurement_covariance,
     predict,
+    _require_pd,
     update,
 )
 
@@ -572,6 +574,18 @@ class TestBadCovarianceNamesItsTrack:
                 update(bank, ids, bank.x + 1.0, cfg)
             else:
                 inflate_process_noise(bank, ids, cfg, 1.0)
+
+    @pytest.mark.parametrize(
+        "p_xx, p_xv", [(5e-324, 1.0), (0.0, math.inf)], ids=["ratio-overflows", "inf-times-zero"]
+    )
+    def test_pivot_test_names_its_track_without_a_warning(self, p_xx, p_xv):
+        # p_xv / p_xx overflows on the first block, and a zero ratio meets an
+        # infinite p_xv on the second (pytest turns numpy's warnings into errors)
+        shape = (4, MEAS_DIM)
+        xx, xv, vv = np.ones(shape), np.zeros(shape), np.ones(shape)
+        xx[2, 1], xv[2, 1] = p_xx, p_xv
+        with pytest.raises(NumericalError, match="track 'c'"):
+            _require_pd(xx, xv, vv, list("abcd"))
 
     @pytest.mark.parametrize("bad", sorted(NON_FINITE_BLOCKS))
     def test_oracle_names_nan_and_inf_blocks(self, bad):
