@@ -29,7 +29,7 @@ import math
 import operator
 from collections.abc import Mapping as AnyMapping
 from collections.abc import Sequence as AnySequence
-from dataclasses import Field, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import (
@@ -226,8 +226,11 @@ _APPLIED_KEYS = ("module", "issued", "ready")
 _SCALAR, _PER_MODULE, _ENTRIES, _LEFT_OUT = range(4)
 
 
-def _frame_kind(field: Field, hint: object) -> int:
-    origin = get_origin(hint)
+_FRAME_HINTS = get_type_hints(FrameRecord)
+
+
+def _frame_kind(field) -> int:
+    origin = get_origin(_FRAME_HINTS[field.name])
     if origin is AnyMapping:
         return _PER_MODULE
     if origin is AnySequence:
@@ -235,8 +238,7 @@ def _frame_kind(field: Field, hint: object) -> int:
     return _LEFT_OUT if field.default is None else _SCALAR
 
 
-_FRAME_HINTS = get_type_hints(FrameRecord)
-_FRAME_KINDS = tuple(_frame_kind(f, _FRAME_HINTS[f.name]) for f in fields(FrameRecord))
+_FRAME_KINDS = tuple(map(_frame_kind, fields(FrameRecord)))
 _frame_values = operator.attrgetter(*_field_names(FrameRecord))
 _module_values = operator.itemgetter(*_MODULES)
 _APPLIED_SLOT = "{%s}" % ",".join(f"{_encode(k)}:%s" for k in _APPLIED_KEYS)
