@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import (
-    Dict, List, Literal, Mapping, Optional, Sequence, Tuple, Union, get_origin, get_type_hints,
+    Dict, List, Literal, Mapping, Optional, Sequence, Set, Tuple, Union, get_origin, get_type_hints,
 )
 
 import numpy as np
@@ -53,6 +53,7 @@ from .rewards import (
 from .scene import (
     DETECTION,
     POSE,
+    Entity,
     EntityKind,
     ModuleId,
     MotionStatus,
@@ -197,14 +198,17 @@ _PLAIN = frozenset({bool, int, float, str, list, tuple, type(None)})
 
 def _line(tags: dict, record: object) -> str:
     """One run-log line: ``tags``, then the record's fields in declaration
-    order. Mappings are written with sorted keys; a ``None`` field is left
-    out and reads back as its default."""
+    order. Mappings are written with sorted keys, and the mappings in a list
+    (the applied entries) with ``module``, ``issued``, ``ready`` first; a
+    ``None`` field is left out and reads back as its default."""
     row = dict(tags)
     for name in _field_names(type(record)):
         value = getattr(record, name)
         kind = type(value)
         if kind is dict or (kind not in _PLAIN and isinstance(value, AnyMapping)):
             row[name] = {k: value[k] for k in sorted(value)}
+        elif kind is list or kind is tuple:
+            row[name] = [{**{k: e[k] for k in _APPLIED_KEYS if k in e}, **e} for e in value]
         elif value is not None:
             row[name] = value
     return _encode(row)
@@ -321,15 +325,15 @@ def _frame_line(record: FrameRecord) -> str:
     return _line(_FRAME_TAGS, record)
 
 
-def _numbered_frame_lines(text: str) -> List[Tuple[int, str]]:
-    """The frame lines of a run log with their 1-based line numbers: every
-    line after the header that is not blank."""
-    return [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()][1:]
+def _line_number(text: str, row: int) -> int:
+    """The 1-based line number of the ``row``-th line of a run log that is
+    not blank, counting the header as row 0."""
+    return [n for n, line in enumerate(text.splitlines(), 1) if line.strip()][row]
 
 
-def _frame_rows(lines: List[str], text: str) -> list:
-    """The parsed frame lines: one parse of them all as a JSON array and,
-    if that fails, one parse per line to name the line that is not JSON."""
+def _rows(lines: List[str], text: str) -> list:
+    """The parsed lines, the header first: one parse of them all as a JSON
+    array and, if that fails, one per line to name the line that is not JSON."""
     try:
         rows = json.loads("[" + ",".join(lines) + "]")
     except ValueError:
@@ -337,15 +341,16 @@ def _frame_rows(lines: List[str], text: str) -> list:
     if rows is not None and len(rows) == len(lines):
         return rows
     rows = []
-    for n, line in _numbered_frame_lines(text):
+    for line in lines:
         try:
             rows.append(json.loads(line))
         except ValueError as exc:
+            n = _line_number(text, len(rows))
             raise EngineError(f"run-log line {n} is not JSON: {exc}") from None
     return rows
 
 
-def _frame_records(lines: List[str], text: str) -> Tuple[FrameRecord, ...]:
+def _frame_records(rows: list, text: str) -> Tuple[FrameRecord, ...]:
     """One record per frame line. A row whose keys are the templated keys
     in field order becomes a record without ``FrameRecord.__init__``, as
     ``TrackBank._derived`` builds a bank: FrameRecord has no
@@ -354,9 +359,9 @@ def _frame_records(lines: List[str], text: str) -> Tuple[FrameRecord, ...]:
     raises and a missing field takes its default."""
     records: List[FrameRecord] = []
     new = object.__new__
-    for row in _frame_rows(lines, text):
+    for row in rows:
         if type(row) is not dict or row.pop("record", None) != "frame":
-            n = _numbered_frame_lines(text)[len(records)][0]
+            n = _line_number(text, len(records) + 1)
             raise EngineError(f"run-log line {n} is not a frame record")
         if "applied" in row:
             # a tuple, so the many frames that apply nothing share one ``()``
@@ -390,13 +395,14 @@ class RunLog:
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise EngineError("run log is empty")
-        head = json.loads(lines[0])
-        if head.pop("schema", None) != RUNLOG_SCHEMA or head.pop("record", None) != "header":
-            raise EngineError("first record must be a run-log header")
+        head, *rows = _rows(lines, text)
+        tags = (head.pop("schema", None), head.pop("record", None)) if type(head) is dict else ()
+        if tags != (RUNLOG_SCHEMA, "header"):
+            raise EngineError(f"run-log line {_line_number(text, 0)} is not a run-log header")
         version = head.pop("version", None)
         if version != RUNLOG_VERSION:
             raise EngineError(f"unsupported run-log version {version}")
-        return cls(header=RunLogHeader(**head), records=_frame_records(lines[1:], text))
+        return cls(header=RunLogHeader(**head), records=_frame_records(rows, text))
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "RunLog":
@@ -451,29 +457,22 @@ class SimEngine:
         self.module_ids = sorted(cfg.reward.cost_ms)
         self.keeps_beliefs = policy.keeps_beliefs
 
-        # id -> frames since its last detection: the tracked set under every
-        # policy; ``bank`` holds a Kalman belief per member when beliefs are kept
+        # id -> the frame its last detection was applied at: the tracked set
+        # under every policy. Only Scheduled keeps beliefs: a Kalman row per
+        # member in ``bank``, the members found moving, their keypoint
+        # confidences in ``history`` and the latest entity seen under each id.
         self.members: Dict[str, int] = {}
         self.bank = TrackBank()
-        self.kinds: Dict[str, EntityKind] = {}
-        self.relevance: Dict[str, float] = {}
-        self.motion: Dict[str, MotionStatus] = {}
+        self.moving: Set[str] = set()
+        self.history = KeypointConfidenceHistory()
+        self.entities: Dict[str, Entity] = {}
         self.busy_until: Dict[ModuleId, float] = {m: -math.inf for m in self.module_ids}
         self.queued: Dict[ModuleId, bool] = {m: False for m in self.module_ids}
         self.pending: List[Tuple[int, int, ModuleId, Union[DetectionOutput, PoseOutput]]] = []
-        self.history = KeypointConfidenceHistory()
         # the last pixel frame's raster
         self.prev_frame: Optional[np.ndarray] = None
         self._seq = 0
         self._expected_index = trace.frames[0].index
-
-    # -- helpers ----------------------------------------------------------
-
-    def _relevance_of(self, entity_id: str) -> float:
-        return self.relevance.get(entity_id, self.cfg.engine.default_relevance)
-
-    def _kind_of(self, entity_id: str) -> EntityKind:
-        return self.kinds.get(entity_id, EntityKind.OBJECT)
 
     # -- step phases ------------------------------------------------------
 
@@ -484,17 +483,16 @@ class SimEngine:
             _, _, module, out = heapq.heappop(self.pending)
             if isinstance(out, DetectionOutput):
                 ids = out.ids
-                fresh = [tid for tid in ids if tid not in self.members]
                 if self.keeps_beliefs:
+                    fresh = [tid for tid in ids if tid not in self.members]
                     self._track_detections(out, fresh)
+                    humans_changed |= self._any_human(fresh)
                 for tid in ids:
-                    self.members[tid] = 0
-                humans_changed |= self._any_human(fresh)
+                    self.members[tid] = k
                 if self.cfg.engine.delete_on_miss:
                     seen = set(ids)
                     missed = [tid for tid in self.members if tid not in seen]
-                    humans_changed |= self._any_human(missed)
-                    self._drop_tracks(missed)
+                    humans_changed |= self._drop_tracks(missed)
             elif self.keeps_beliefs:
                 for tid, confs in zip(out.ids, out.confidences):
                     if tid in self.members:
@@ -514,42 +512,40 @@ class SimEngine:
         if fresh:
             new_rows = [i for i, tid in enumerate(ids) if tid in is_new]
             self.bank = init_track(self.bank, fresh, z[new_rows], self.cfg.kalman)
-            for tid in fresh:
-                self.motion[tid] = MotionStatus.MOVING
+            self.moving.update(fresh)
 
     def _any_human(self, ids: List[str]) -> bool:
-        return any(self._kind_of(tid) is EntityKind.HUMAN for tid in ids)
+        entities = self.entities
+        return any(tid in entities and entities[tid].kind is EntityKind.HUMAN for tid in ids)
 
-    def _drop_tracks(self, ids: List[str]) -> None:
+    def _drop_tracks(self, ids: List[str]) -> bool:
+        """Drop ``ids`` from every container. Under Scheduled, return whether
+        one of them was a human; the baselines do not ask."""
         if not ids:
-            return
+            return False
         for tid in ids:
-            self.members.pop(tid, None)
-            self.motion.pop(tid, None)
+            del self.members[tid]
+        if not self.keeps_beliefs:
+            return False
+        for tid in ids:
+            self.moving.discard(tid)
             self.history.forget(tid)
-        if self.keeps_beliefs:
-            self.bank = self.bank.without(ids)
+        self.bank = self.bank.without(ids)
+        return self._any_human(ids)
 
-    def _predict_tracks(self) -> bool:
-        stale = []
-        for tid in self.members:
-            self.members[tid] += 1
-            if self.members[tid] > self.cfg.kalman.max_frames_since_update:
-                stale.append(tid)
+    def _predict_tracks(self, k: int) -> bool:
+        limit = k - self.cfg.kalman.max_frames_since_update
+        stale = [tid for tid, seen in self.members.items() if seen <= limit]
         if self.keeps_beliefs:
             ecfg = self.cfg.engine
-            moving = np.array(
-                [self.motion.get(tid) is MotionStatus.MOVING for tid in self.bank.ids], dtype=bool
-            )
+            moving = np.array([tid in self.moving for tid in self.bank.ids], dtype=bool)
             self.bank = predict(
                 self.bank,
                 self.cfg.kalman,
                 q_scale=np.where(moving, ecfg.moving_q_scale, ecfg.stationary_q_scale),
                 zero_velocity=~moving,
             )
-        humans_changed = self._any_human(stale)
-        self._drop_tracks(stale)
-        return humans_changed
+        return self._drop_tracks(stale)
 
     def _change_stats(self, frame: TraceFrame) -> Tuple[float, float, Dict[str, float]]:
         """The background change ratio, the mean histogram shift and the
@@ -613,12 +609,13 @@ class SimEngine:
         return bg_cr, cd.chi_square_shift(hist_prev, hist_curr), patch_cr
 
     def _update_motion(self, patch_cr: Mapping[str, float]) -> None:
-        flipped = []
+        ccfg, moving, flipped = self.cfg.change, set(), []
         for tid in self.bank.ids:
-            status = cd.motion_status(patch_cr.get(tid, 0.0), self.cfg.change)
-            if status is MotionStatus.MOVING and self.motion.get(tid) is not MotionStatus.MOVING:
-                flipped.append(tid)
-            self.motion[tid] = status
+            if cd.motion_status(patch_cr.get(tid, 0.0), ccfg) is MotionStatus.MOVING:
+                moving.add(tid)
+                if tid not in self.moving:
+                    flipped.append(tid)
+        self.moving = moving
         if flipped:
             # every track was predicted this frame, at the stationary scale unless moving
             extra = self.cfg.engine.moving_q_scale - self.cfg.engine.stationary_q_scale
@@ -627,7 +624,9 @@ class SimEngine:
     def _scheduled_rewards(self, k: int, g1_yolo: bool, g1_pose: bool) -> Dict[ModuleId, RewardBreakdown]:
         rcfg = self.cfg.reward
         bank = self.bank
-        relevance = [self._relevance_of(tid) for tid in bank.ids]
+        entities = list(map(self.entities.get, bank.ids))
+        default = self.cfg.engine.default_relevance
+        relevance = [default if e is None else e.relevance for e in entities]
         gain = detection_info_gain(bank, relevance, rcfg, self.cfg.kalman)
         rewards: Dict[ModuleId, RewardBreakdown] = {
             DETECTION: detection_reward(gain, g1_yolo, rcfg)
@@ -638,8 +637,8 @@ class SimEngine:
         size_variances = projected[:, (2, 3), (2, 3)].tolist()
         humans_pre = []
         humans_post = []
-        for row, tid in enumerate(bank.ids):
-            if self.kinds.get(tid) is not EntityKind.HUMAN:
+        for row, (tid, entity) in enumerate(zip(bank.ids, entities)):
+            if entity is None or entity.kind is not EntityKind.HUMAN:
                 continue
             w = max(boxes[row][2], 1.0)
             h = max(boxes[row][3], 1.0)
@@ -701,12 +700,11 @@ class SimEngine:
         k = frame.index
         if k != self._expected_index:
             raise EngineError(f"expected frame {self._expected_index}, got {k}")
-        for e in frame.entities:
-            self.kinds[e.id] = e.kind
-            self.relevance[e.id] = e.relevance
+        if self.keeps_beliefs:
+            self.entities.update({e.id: e for e in frame.entities})
 
         applied, humans_changed = self._apply_ready_outputs(k)
-        humans_changed |= self._predict_tracks()
+        humans_changed |= self._predict_tracks(k)
 
         if self.keeps_beliefs:
             bg_cr, shift, patch_cr = self._change_stats(frame)

@@ -289,7 +289,8 @@ class TestEngineMechanics:
                 pipeline().pipeline(header),
             )
 
-    def test_stale_tracks_dropped(self):
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    def test_stale_tracks_dropped(self, policy):
         frames = [make_frame(0, [obj()])] + [make_frame(i) for i in range(1, 16)]
         trace = Trace(
             header=TraceHeader(frame_period_ms=PERIOD, keypoint_count=5, frame_count=16),
@@ -301,9 +302,12 @@ class TestEngineMechanics:
             kalman=dataclasses.replace(cfg.kalman, max_frames_since_update=5),
             engine=dataclasses.replace(cfg.engine, delete_on_miss=False),
         )
-        log = run(trace, PolicyKind.SCHEDULED, cfg.pipeline(trace.header))
-        assert log.records[2].tracked == 1
-        assert log.records[-1].tracked == 0
+        pipe = cfg.pipeline(trace.header)
+        gt = metrics.extract_keyframes(run_offline(trace, pipe))
+        log = run(trace, policy, pipe, gt.required if policy is PolicyKind.ORACLE else None)
+        # the detection issued at frame 0 is applied at frame 1, and with a
+        # limit of 5 frames the track is stale at frame 6
+        assert [r.tracked for r in log.records] == [0] + [1] * 5 + [0] * 10
 
     def test_serial_overhead_delays_readiness(self):
         trace = static_object_trace()
@@ -523,18 +527,33 @@ class TestRunLogReader:
 
     def test_any_key_order_and_whitespace_read_back_to_the_canonical_log(self):
         text = self.log_lines()
+        assert '"applied":[{"module":' in text
         rng = random.Random(3)
 
-        def shuffled(row):
-            # the per-module maps too; an applied entry, inside a list, keeps
-            # its key order, which a log writes as it reads it
-            items = list(row.items())
+        def shuffled(value):
+            # every object's keys: the line's, the per-module maps' and the
+            # applied entries'
+            if isinstance(value, list):
+                return [shuffled(v) for v in value]
+            if not isinstance(value, dict):
+                return value
+            items = list(value.items())
             rng.shuffle(items)
-            return {k: shuffled(v) if isinstance(v, dict) else v for k, v in items}
+            return {k: shuffled(v) for k, v in items}
 
-        loose = "\n".join(json.dumps(shuffled(json.loads(line))) for line in text.splitlines())
+        rows = [shuffled(json.loads(line)) for line in text.splitlines()]
+        canonical = list(engine_module._APPLIED_KEYS)
+        assert any(list(e) != canonical for row in rows for e in row.get("applied", ()))
+        loose = "\n".join(map(json.dumps, rows))
         assert loose != text
         assert RunLog.from_jsonl(loose).to_jsonl() == text
+
+    @pytest.mark.parametrize("bad", ['{"record": "header", "schema":', "[1, 2]"])
+    def test_a_header_line_that_is_no_header_object_is_named(self, bad):
+        lines = self.log_lines().splitlines()
+        lines[0] = bad
+        with pytest.raises(EngineError, match="run-log line 1 is not"):
+            RunLog.from_jsonl("\n".join(lines))
 
 def _level_switch_trace(level):
     """Eight uniform rasters at grey level 60, switching to ``level`` at frame 4."""

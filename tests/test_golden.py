@@ -392,16 +392,17 @@ BELIEF_CALLS = (
     "predict", "update", "init_track", "inflate_process_noise", "measurement_covariance",
     "cd.grayscale_diff", "cd.rgb_histograms", "cd.chi_square_shift",
     "cd.composition_change_trigger", "cd.motion_status",
+    "history.record", "history.extrapolated", "history.forget",
 )
+BELIEF_OWNERS = {"cd": change_detect, "history": rewards.KeypointConfidenceHistory}
 
 
 def route_belief_calls(monkeypatch, on_call):
     """Pass every belief-layer call the engine makes through ``on_call(name)``
     before the real function runs."""
     for dotted in BELIEF_CALLS:
-        owner, name = engine_module, dotted
-        if dotted.startswith("cd."):
-            owner, name = change_detect, dotted[3:]
+        prefix, _, name = dotted.rpartition(".")
+        owner = BELIEF_OWNERS.get(prefix, engine_module)
 
         def routed(*args, _dotted=dotted, _real=getattr(owner, name), **kwargs):
             on_call(_dotted)
@@ -417,7 +418,8 @@ def forbidden(name):
 @pytest.mark.parametrize("variant", ["", *sorted(VARIANTS)])
 def test_baselines_skip_the_belief_layers(monkeypatch, golden, variant):
     """Parallel and Oracle keep track membership only: no Kalman filter,
-    change detection or motion gating, and still their golden run logs."""
+    change detection, motion gating or keypoint history, and still their
+    golden run logs."""
     route_belief_calls(monkeypatch, forbidden)
     prefix = f"{variant}/" if variant else ""
     for name in TRACES:
@@ -433,8 +435,42 @@ def test_scheduled_runs_the_belief_layers(monkeypatch):
     called = set()
     route_belief_calls(monkeypatch, called.add)
     trace = make_trace("interaction-pixels")
-    run(trace, PolicyKind.SCHEDULED, RunConfig(seed=SEED).pipeline(trace.header))
+    # the default config drops no track of this trace; early staleness does
+    for variant in ("", "stale"):
+        run(trace, PolicyKind.SCHEDULED, variant_config(variant).pipeline(trace.header))
     assert called == set(BELIEF_CALLS)
+
+
+def assert_one_track_set(engine):
+    """Under Scheduled the bank, the moving set and the keypoint history hold
+    members only, and the bank every member; the baselines keep membership
+    alone."""
+    if engine.keeps_beliefs:
+        assert list(engine.bank.ids) == sorted(engine.members)
+        assert engine.moving <= set(engine.bank.ids)
+        assert set(engine.history._last) <= set(engine.members)
+    else:
+        assert not engine.bank.ids and not engine.history._last and not engine.entities
+
+
+@pytest.mark.parametrize("variant", ["", *sorted(VARIANTS)])
+def test_every_step_keeps_one_track_set(monkeypatch, golden, variant):
+    real_step = SimEngine.step
+    steps = []
+
+    def checked_step(engine, frame):
+        record = real_step(engine, frame)
+        assert_one_track_set(engine)
+        steps.append(record.tracked)
+        return record
+
+    monkeypatch.setattr(SimEngine, "step", checked_step)
+    prefix = f"{variant}/" if variant else ""
+    for name in TRACES:
+        for policy, log in policy_runs(make_trace(name), variant_config(variant)).items():
+            key = f"{prefix}{name}/{policy}"
+            assert text_digest(log) == golden[key], f"run log {key} changed"
+    assert len(steps) == len(TRACES) * len(PolicyKind) * FRAMES and any(steps)
 
 
 TRACKER_SPANS = (
