@@ -33,7 +33,8 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import (
-    Dict, List, Literal, Mapping, Optional, Sequence, Set, Tuple, Union, get_origin, get_type_hints,
+    Annotated, Dict, List, Literal, Mapping, Optional, Sequence, Set, Tuple, Union, get_origin,
+    get_type_hints,
 )
 
 import numpy as np
@@ -59,7 +60,7 @@ from .scene import (
     MotionStatus,
 )
 from .scheduler import select
-from .schema import NonNegative, Positive, Share, check_fields
+from .schema import NonNegative, Share, check_fields
 from .toolkit import (
     DetectionOutput,
     NoiseConfig,
@@ -114,8 +115,10 @@ class EngineConfig:
     """
 
     busy_policy: Literal["drop", "queue"] = "drop"
-    stationary_q_scale: NonNegative = 0.02
-    moving_q_scale: Positive = 60.0
+    # the Kalman variances stay positive definite up to 1e16 on every
+    # archetype and first lose it near 1e17; 1e12 leaves four decades
+    stationary_q_scale: Annotated[float, "[0, 1e12]"] = 0.02
+    moving_q_scale: Annotated[float, "(0, 1e12]"] = 60.0
     scheduling_overhead_ms: NonNegative = 0.0
     overhead_accounting: Literal["overlapped", "serial"] = "overlapped"
     delete_on_miss: bool = True

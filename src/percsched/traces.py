@@ -159,6 +159,24 @@ def _entity_from_dict(d: dict) -> Entity:
     )
 
 
+def _shared_entity(d: dict, memo: Dict[tuple, Entity]) -> Entity:
+    """The entity of record ``d``, built once per distinct record: ``memo``
+    maps a record's items and the type of each value to the entity already
+    built from an identical record. A record that is no object, that holds an
+    unhashable value, or a value equal to 0 (0.0 == -0.0) is built anew, and
+    only a record that builds enters ``memo``, so a bad one fails each time."""
+    if type(d) is not dict or 0 in d.values():
+        return _entity_from_dict(d)
+    key = (*d.items(), *map(type, d.values()))
+    try:
+        entity = memo.get(key)
+    except TypeError:  # an unhashable value
+        return _entity_from_dict(d)
+    if entity is None:
+        entity = memo[key] = _entity_from_dict(d)
+    return entity
+
+
 def frame_to_dict(frame: TraceFrame) -> dict:
     rec: dict = {
         "record": "frame",
@@ -184,7 +202,9 @@ def frame_to_dict(frame: TraceFrame) -> dict:
     return rec
 
 
-def frame_from_dict(rec: dict, header: TraceHeader) -> TraceFrame:
+def frame_from_dict(rec: dict, header: TraceHeader, memo: Dict[tuple, Entity]) -> TraceFrame:
+    """The frame of record ``rec``; ``memo`` is ``_shared_entity``'s, kept by
+    the reader for one file so that its frames share their entities."""
     index = rec.get("index")
     try:
         change = None
@@ -199,7 +219,7 @@ def frame_from_dict(rec: dict, header: TraceHeader) -> TraceFrame:
             pixels = FramePixels(rgb=rgb)
         frame = TraceFrame(
             index=index,
-            entities=tuple(map(_entity_from_dict, rec["entities"])),
+            entities=tuple(_shared_entity(d, memo) for d in rec["entities"]),
             keypoints=rec.get("keypoints", {}),
             change=change,
             pixels=pixels,
@@ -244,6 +264,7 @@ def read_trace(path: Union[str, Path]) -> Trace:
         raise TraceError(f"trace file is empty: {path}")
     number, text = lines[0]
     frames = []
+    memo: Dict[tuple, Entity] = {}
     try:
         try:
             head = json.loads(text)
@@ -274,7 +295,7 @@ def read_trace(path: Union[str, Path]) -> Trace:
                 raise TraceError("a record must be a JSON object")
             if rec.get("record") != "frame":
                 raise TraceError(f"unexpected record type {rec.get('record')!r}")
-            frames.append(frame_from_dict(rec, header))
+            frames.append(frame_from_dict(rec, header, memo))
     except TraceError as exc:
         raise TraceError(f"line {number}: {exc}") from exc
     if not frames:

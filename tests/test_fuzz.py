@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from percsched.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_TRACE, main
 from percsched.config import RunConfig
-from percsched.engine import RunLog
+from percsched.engine import EngineConfig, RunLog
 from percsched.tracker import KalmanConfig
 from percsched.traces import generate_trace, write_trace
 from test_golden import SEED, TRACES, make_trace
@@ -46,8 +46,6 @@ KNOWN_EXIT_4 = {
     ("kalman", "std_weight_velocity", 1e308): _OVERFLOW,
     ("kalman", "std_weight_velocity", 1e-300): _OVERFLOW,
     ("noise", "box_std", 1e308): _OVERFLOW,
-    ("engine", "stationary_q_scale", 1e308): _OVERFLOW,
-    ("engine", "moving_q_scale", 1e308): _OVERFLOW,
 }
 
 
@@ -201,6 +199,24 @@ def test_kalman_weights_the_short_update_form_could_not_take(tmp_path, field, va
     rc, message = _compare(tmp_path, path.read_text(encoding="utf-8").splitlines(), config)
     assert rc == EXIT_OK, message
     _check_run_logs(tmp_path / "o")
+
+
+@pytest.mark.parametrize("field", ["stationary_q_scale", "moving_q_scale"])
+def test_q_scale_runs_at_its_bound_and_is_refused_past_it(tmp_path, field):
+    """Both q scales keep the Kalman variances positive definite up to 1e16
+    and lose it near 1e17, so each is bounded at 1e12: 1e12 runs, and 1e13 is
+    a config error naming the field."""
+    path = tmp_path / "static.jsonl"
+    write_trace(path, generate_trace("static", 150, 3))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    config = RunConfig(engine=EngineConfig(**{field: 1e12})).to_dict()
+    rc, message = _compare(tmp_path, lines, config)
+    assert rc == EXIT_OK, message
+    _check_run_logs(tmp_path / "o")
+    config["engine"][field] = 1e13
+    rc, message = _compare(tmp_path, lines, config)
+    assert rc == EXIT_CONFIG
+    assert f"engine.{field} must be a finite number in " in message
 
 
 def test_zero_measurement_variance_is_an_infinite_gain_without_a_warning(tmp_path):

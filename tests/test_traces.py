@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import assert_traces_equal
 from percsched import schema
+from percsched.cli import EXIT_TRACE, main
 from percsched.config import RunConfig
 from percsched.engine import PolicyKind, run, run_offline
 from percsched.scene import Entity, EntityKind, PatchRegion
@@ -527,6 +528,82 @@ class TestEntitiesAreCheckedOnce:
             TraceFrame(index=0, entities=(good, "b"))
         frame = TraceFrame(index=0, entities=[good])
         assert frame.entities == (good,)
+
+
+def _one_entity_trace(path: Path, records) -> None:
+    """Write a trace whose frame i lists the one entity record ``records[i]``."""
+    head = {"record": "header", "schema": "percsched-trace", "version": 2,
+            "frame_period_ms": 33.0, "keypoint_count": 17, "frame_count": len(records)}
+    frames = [{"record": "frame", "index": i, "entities": [rec]} for i, rec in enumerate(records)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in [head, *frames]))
+
+
+class TestSharedEntities:
+    """The reader builds one ``Entity`` per distinct entity record of a file,
+    and frames that repeat a record share it."""
+
+    @pytest.mark.parametrize(
+        "edit, text",
+        [
+            (lambda es: ["cup", *es[1:]], "string indices must be integers, not 'str'"),
+            (lambda es: [[1, 2], *es[1:]], "list indices must be integers or slices, not str"),
+            (lambda es: [5, *es[1:]], "'int' object is not subscriptable"),
+            (lambda es: {e["id"]: e for e in es}, "string indices must be integers, not 'str'"),
+        ],
+        ids=["string", "list", "number", "entities-object"],
+    )
+    def test_entity_record_that_is_no_object_is_trace_error(self, tmp_path, edit, text):
+        # frames 0-2 have filled the reader's memo by line 5, frame 3
+        path = tmp_path / "t.jsonl"
+        write_trace(path, generate_trace("interaction", 12, seed=3))
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[4])
+        rec["entities"] = edit(rec["entities"])
+        lines[4] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError) as caught:
+            read_trace(path)
+        assert str(caught.value) == f"line 5: frame 3: malformed record: {text}"
+        rc = main(["compare", "--trace", str(path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_TRACE
+
+    def test_records_equal_in_value_but_not_in_type_or_sign_stay_apart(self, tmp_path):
+        cup = {"id": "cup", "kind": "object", "x": 300, "y": 5, "w": 10, "h": 10,
+               "relevance": 1}
+        xs = [300, 300.0, 0.0, -0.0, 300]
+        path = tmp_path / "t.jsonl"
+        _one_entity_trace(path, [dict(cup, x=x) for x in xs])
+        entities = [frame.entities[0] for frame in read_trace(path).frames]
+        assert [repr(e.region.x) for e in entities] == ["300", "300.0", "0.0", "-0.0", "300"]
+        assert entities[0] is entities[4]
+        assert len({id(e) for e in entities}) == 4
+
+        _one_entity_trace(path, [cup, dict(cup, relevance=True)])
+        with pytest.raises(TraceError, match=re.escape(
+            "line 3: frame 1: malformed record: relevance must be"
+        )):
+            read_trace(path)
+
+        _one_entity_trace(path, [cup, dict(cup, id=[1])])
+        with pytest.raises(TraceError, match=re.escape(
+            "line 3: frame 1: malformed record: id must be a string, got [1]"
+        )):
+            read_trace(path)
+
+    @pytest.mark.parametrize("archetype", ARCHETYPES)
+    def test_read_trace_shares_entities_as_the_generator_does(self, tmp_path, archetype):
+        made = generate_trace(archetype, 150, seed=3)
+        path, again = tmp_path / "t.jsonl", tmp_path / "again.jsonl"
+        write_trace(path, made)
+        read = read_trace(path)
+
+        def distinct(trace):
+            return len({id(e) for frame in trace.frames for e in frame.entities})
+
+        assert distinct(read) <= distinct(made)
+        assert distinct(read) < sum(len(frame.entities) for frame in read.frames)
+        write_trace(again, read)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestKeypointArrays:
