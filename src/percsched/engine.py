@@ -541,12 +541,12 @@ class SimEngine:
         stale = [tid for tid, seen in self.members.items() if seen <= limit]
         if self.keeps_beliefs:
             ecfg = self.cfg.engine
-            moving = np.array([tid in self.moving for tid in self.bank.ids], dtype=bool)
+            still = [tid not in self.moving for tid in self.bank.ids]
             self.bank = predict(
                 self.bank,
                 self.cfg.kalman,
-                q_scale=np.where(moving, ecfg.moving_q_scale, ecfg.stationary_q_scale),
-                zero_velocity=~moving,
+                q_scale=[ecfg.stationary_q_scale if s else ecfg.moving_q_scale for s in still],
+                zero_velocity=still,
             )
         return self._drop_tracks(stale)
 
@@ -581,7 +581,7 @@ class SimEngine:
         sx = cols / self.trace.header.frame_w
         patch_cr: Dict[str, float] = {}
         occupied = np.zeros(changed.shape, dtype=bool)
-        for tid, box in zip(self.bank.ids, self.bank.x.tolist()):
+        for tid, box in zip(self.bank.ids, self.bank.x):
             x, y, w, h = believed_region(box)
             x, y = x * sx, y * sy
             w, h = max(w * sx, 1.0), max(h * sy, 1.0)
@@ -634,18 +634,18 @@ class SimEngine:
         rewards: Dict[ModuleId, RewardBreakdown] = {
             DETECTION: detection_reward(gain, g1_yolo, rcfg)
         }
-        projected = measurement_covariance(bank)
-        boxes = bank.x.tolist()
-        # per row, the projected variances of the box's w and h
-        size_variances = projected[:, (2, 3), (2, 3)].tolist()
+        # the projection's diagonal is each row's p_xx, which the loop reads
+        # from the bank; the call stays while bench/tracing.py traces it
+        measurement_covariance(bank)
         humans_pre = []
         humans_post = []
         for row, (tid, entity) in enumerate(zip(bank.ids, entities)):
             if entity is None or entity.kind is not EntityKind.HUMAN:
                 continue
-            w = max(boxes[row][2], 1.0)
-            h = max(boxes[row][3], 1.0)
-            var_w, var_h = size_variances[row]
+            box = bank.x[row]
+            w = max(box[2], 1.0)
+            h = max(box[3], 1.0)
+            var_w, var_h = bank.p_xx[row][2:]
             sigma_w = math.sqrt(max(var_w, 0.0))
             sigma_h = math.sqrt(max(var_h, 0.0))
             humans_pre.append((w, h, sigma_w, sigma_h, relevance[row]))

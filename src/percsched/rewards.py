@@ -34,7 +34,7 @@ import numpy as np
 
 from .scene import DETECTION, POSE, ModuleId
 from .schema import NonNegative, Positive, PositiveCount, check_fields
-from .tracker import MEAS_DIM, KalmanConfig, NumericalError, TrackBank
+from .tracker import MEAS_DIM, KalmanConfig, NumericalError, TrackBank, measurement_variance
 
 LN_TWO_PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -165,26 +165,22 @@ def detection_info_gain(
     tracks contribute nothing. Both matrices are diagonal: the projected
     prior holds the position variances ``p_xx`` and R holds MEAS_DIM equal
     variances, so the term is 0.5 * r * sum_i ln(p_xx_i / R_ii). A bank holds
-    a few tracks, so the sum runs on Python floats, in row and coordinate
-    order, with one ``math.log`` per coordinate; the variance and the ratios
-    round as :func:`~percsched.tracker.measurement_variance` and a numpy
-    division round them.
+    a few tracks, so the sum runs on the bank's Python floats, in row and
+    coordinate order, with one ``math.log`` per coordinate and R's variance
+    from :func:`~percsched.tracker.measurement_variance`, as an update takes
+    it.
     """
-    weights = np.asarray(relevance, dtype=float)
-    if weights.shape != (len(bank),):
-        raise ValueError(f"expected {len(bank)} relevance weights, got {weights.shape}")
-    live = [(row, weight) for row, weight in enumerate(weights.tolist()) if weight != 0.0]
+    if len(relevance) != len(bank):
+        raise ValueError(f"expected {len(bank)} relevance weights, got {len(relevance)}")
+    live = [(row, float(weight)) for row, weight in enumerate(relevance) if weight != 0.0]
     if not live:
         return 0.0
-    position_variances = bank.p_xx.tolist()
-    heights = bank.x[:, 3].tolist()
-    std_weight = kalman_cfg.std_weight_measurement
     total = 0.0
     # set by a ratio that underflows to zero: its log is infinitely
     # negative, but a later row must still pass the check
     underflow = False
     for row, weight in live:
-        variances = position_variances[row]
+        variances = bank.p_xx[row]
         for p in variances:
             if not 0.0 < p < math.inf:
                 raise NumericalError(
@@ -192,8 +188,7 @@ def detection_info_gain(
                 )
         if underflow:
             continue
-        std = std_weight * max(heights[row], 1.0)
-        noise = std * std
+        noise = measurement_variance(bank.x[row][3], kalman_cfg)
         # IEEE division makes a positive ratio over a zero variance +inf,
         # where Python's raises
         ratios = [p / noise for p in variances] if noise else [math.inf] * MEAS_DIM

@@ -13,14 +13,23 @@ diagonal. So each track's 8x8 covariance is four independent 2x2 blocks
 four textbook two-state filters per track.
 
 Every live track sits in one :class:`TrackBank`: sorted ids and five
-C-contiguous ``(n, 4)`` float columns, one entry per box coordinate: the box
-``x``, its velocities ``v``, and the block entries ``p_xx``, ``p_xv`` and
-``p_vv``. The columns are separate arrays because the banks are small (a few
-tracks), so per-call numpy overhead dominates, and a ufunc on a contiguous
-column costs about half what it costs on a strided slice of a wider array.
-Each operation advances all of its rows with elementwise IEEE ``+ - * /`` on
-those columns, so no BLAS, LAPACK or transcendental sets a bit, and a row
-comes out bit for bit as the one-track two-state filter gives it.
+columns, each a tuple with one row per track and each row a tuple of four
+Python floats, one entry per box coordinate: the box ``x``, its velocities
+``v``, and the block entries ``p_xx``, ``p_xv`` and ``p_vv``. A bank holds a
+few tracks, so a numpy call on it would cost more than its arithmetic.
+Each operation instead makes one pass over its rows in Python float
+``+ - * /``, the same IEEE double operations numpy's elementwise loops
+perform, so no BLAS, LAPACK or transcendental sets a bit, and a row comes
+out bit for bit as the one-track two-state filter gives it. The passes
+write the four coordinates of a row out one by one: on four entries,
+indexing each costs less than a loop or a ``map``.
+
+The four covariance blocks of each row a pass produces meet Cholesky's
+pivot test before the pass moves on: ``p_xx > 0`` and
+``p_vv - p_xv^2 / p_xx > 0``, the second taken as
+``p_vv - p_xv * (p_xv / p_xx)`` so that it does not overflow where
+``p_xx * p_vv`` would. NaN and infinite pivots fail, and the error names the
+first track, in the order the operation takes them, whose block fails.
 
 The covariance has one update form, Joseph's
 ``(I - K H) P (I - K H)^T + K R K^T``: a sum of two congruences, it stays
@@ -32,8 +41,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,8 +50,13 @@ from .schema import Positive, PositiveCount, check_fields
 
 STATE_DIM = 8
 MEAS_DIM = 4
-# a bank's columns, in constructor order, each (n, MEAS_DIM)
+# a bank's columns, in constructor order, each one row of MEAS_DIM floats per track
 COLUMNS = ("x", "v", "p_xx", "p_xv", "p_vv")
+
+Row = Tuple[float, float, float, float]
+Column = Tuple[Row, ...]
+_ZEROS: Row = (0.0,) * MEAS_DIM
+_INF = math.inf
 
 
 class NumericalError(RuntimeError):
@@ -61,51 +75,47 @@ class KalmanConfig:
     __post_init__ = check_fields
 
 
-def _empty_column() -> np.ndarray:
-    return np.zeros((0, MEAS_DIM))
-
-
 @dataclass(frozen=True, eq=False)
 class TrackBank:
     """Filter state of every live track, one row per id in sorted id order.
 
-    Row ``i`` of each ``(n, 4)`` column holds track ``i``'s entry for the
-    four box coordinates: ``x`` the box ``(x_c, y_c, w, h)``, ``v`` its
-    velocities, and ``p_xx``, ``p_xv``, ``p_vv`` the coordinates' 2x2
-    covariance blocks. Each is its own C-contiguous float64 array, so that
-    the elementwise steps never run on a strided slice. Arrays are owned and
-    never mutated; every operation returns a new bank, which may share the
-    columns it does not change.
+    Row ``i`` of each column holds track ``i``'s entry for the four box
+    coordinates: ``x`` the box ``(x_c, y_c, w, h)``, ``v`` its velocities,
+    and ``p_xx``, ``p_xv``, ``p_vv`` the coordinates' 2x2 covariance blocks.
+    The constructor takes each column as any ``(n, 4)`` array-like and
+    stores it as a tuple of rows, each a tuple of four Python floats. Every
+    operation returns a new bank, which shares the columns and rows it does
+    not change.
     """
 
     ids: Tuple[str, ...] = ()
-    x: np.ndarray = field(default_factory=_empty_column)
-    v: np.ndarray = field(default_factory=_empty_column)
-    p_xx: np.ndarray = field(default_factory=_empty_column)
-    p_xv: np.ndarray = field(default_factory=_empty_column)
-    p_vv: np.ndarray = field(default_factory=_empty_column)
+    x: Column = ()
+    v: Column = ()
+    p_xx: Column = ()
+    p_xv: Column = ()
+    p_vv: Column = ()
 
     def __post_init__(self) -> None:
         # a bank that an operation derives from a checked one skips this; see
         # _derived
         n = len(self.ids)
         for name in COLUMNS:
-            shape = getattr(self, name).shape
-            if shape != (n, MEAS_DIM):
-                raise ValueError(f"{name} must have shape ({n}, {MEAS_DIM}), got {shape}")
+            column = np.asarray(getattr(self, name), dtype=float)
+            if column.shape != (n, MEAS_DIM) and not (n == 0 and column.shape == (0,)):
+                raise ValueError(f"{name} must have shape ({n}, {MEAS_DIM}), got {column.shape}")
+            object.__setattr__(self, name, tuple(map(tuple, column.tolist())))
         if list(self.ids) != sorted(set(self.ids)):
             raise ValueError("track ids must be unique and sorted")
 
     @classmethod
     def _derived(
-        cls, ids: Tuple[str, ...], x: np.ndarray, v: np.ndarray,
-        p_xx: np.ndarray, p_xv: np.ndarray, p_vv: np.ndarray,
+        cls, ids: Tuple[str, ...], x: Column, v: Column, p_xx: Column, p_xv: Column, p_vv: Column
     ) -> "TrackBank":
         """A bank that an operation derived from a checked bank: its ids are
-        that bank's own tuple, and each column an ``(n, 4)`` result of
-        elementwise steps on its columns, so they are not checked again.
-        The fields go into the instance dict, where a frozen dataclass's
-        ``__init__`` puts them."""
+        sorted and distinct, and each column a tuple of ``len(ids)`` rows of
+        four Python floats, so they are not checked again. The fields go
+        into the instance dict, where a frozen dataclass's ``__init__`` puts
+        them."""
         bank = object.__new__(cls)
         bank.__dict__.update(ids=ids, x=x, v=v, p_xx=p_xx, p_xv=p_xv, p_vv=p_vv)
         return bank
@@ -120,15 +130,13 @@ class TrackBank:
     def _row(self) -> Dict[str, int]:
         return {tid: i for i, tid in enumerate(self.ids)}
 
-    def rows(self, ids: Sequence[str]) -> Union[slice, np.ndarray]:
-        """Row index of each id; the ids must be distinct members. Ids that
-        are the bank's own, in row order, give the slice of every row, so
-        that indexing a column with it gives a view instead of a copy."""
+    def rows(self, ids: Sequence[str]) -> Sequence[int]:
+        """Row index of each id; the ids must be distinct members."""
         if tuple(ids) == self.ids:
-            return slice(None)
+            return range(len(ids))
         _require_distinct(ids)
         try:
-            return np.array([self._row[tid] for tid in ids], dtype=np.intp)
+            return [self._row[tid] for tid in ids]
         except KeyError as exc:
             raise ValueError(f"track {exc.args[0]!r} is not in the bank") from None
 
@@ -138,43 +146,31 @@ class TrackBank:
         keep = [i for i, tid in enumerate(self.ids) if tid not in gone]
         if len(keep) == len(self.ids):
             return self
-        return TrackBank(
-            tuple(self.ids[i] for i in keep), *(getattr(self, name)[keep] for name in COLUMNS)
+        return TrackBank._derived(
+            tuple(self.ids[i] for i in keep),
+            *(tuple(getattr(self, name)[i] for i in keep) for name in COLUMNS),
         )
 
-    def _with_rows(self, rows: Union[slice, np.ndarray], **changed: np.ndarray) -> "TrackBank":
-        """The bank with ``rows`` (from :meth:`rows`) of each named column
-        set to the given new arrays; with every row, the arrays themselves
-        become the columns."""
-        columns = {name: changed.get(name, getattr(self, name)) for name in COLUMNS}
-        if not isinstance(rows, slice):
-            for name, values in changed.items():
-                columns[name] = getattr(self, name).copy()
-                columns[name][rows] = values
-        return TrackBank._derived(self.ids, **columns)
 
-
-def measurement_variance(heights: np.ndarray, cfg: KalmanConfig) -> np.ndarray:
-    """Per-row variance of the diagonal, height-scaled measurement noise R:
-    every one of the MEAS_DIM box coordinates has this variance."""
-    std = cfg.std_weight_measurement * np.maximum(heights, 1.0)
+def measurement_variance(height: float, cfg: KalmanConfig) -> float:
+    """Variance of the diagonal, height-scaled measurement noise R of a track
+    whose box is ``height`` tall: every one of the MEAS_DIM box coordinates
+    has this variance. ``max`` keeps a NaN height, as ``np.maximum`` does."""
+    std = float(cfg.std_weight_measurement) * max(height, 1.0)
     return std * std
 
 
-def _variances(
-    heights: np.ndarray, position_weight: float, velocity_weight: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Position and velocity variances, each shaped like ``heights``:
-    per-height std weights, squared. An integer weight runs as the float it
-    equals, however large."""
-    position = heights * float(position_weight)
-    velocity = heights * float(velocity_weight)
+def _variances(height: float, position_weight: float, velocity_weight: float) -> Tuple[float, float]:
+    """Position and velocity variances: per-height std weights, squared. An
+    integer weight runs as the float it equals."""
+    position = height * float(position_weight)
+    velocity = height * float(velocity_weight)
     return position * position, velocity * velocity
 
 
-def _process_variances(heights: np.ndarray, cfg: KalmanConfig) -> Tuple[np.ndarray, np.ndarray]:
+def _process_variances(height: float, cfg: KalmanConfig) -> Tuple[float, float]:
     """Position and velocity variances of the height-scaled process noise Q."""
-    return _variances(np.maximum(heights, 1.0), cfg.std_weight_position, cfg.std_weight_velocity)
+    return _variances(max(height, 1.0), cfg.std_weight_position, cfg.std_weight_velocity)
 
 
 def _require_distinct(ids: Sequence[str]) -> None:
@@ -185,30 +181,49 @@ def _require_distinct(ids: Sequence[str]) -> None:
         seen.add(tid)
 
 
-def _require_pd(p_xx: np.ndarray, p_xv: np.ndarray, p_vv: np.ndarray, ids: Sequence[str]) -> None:
-    """Cholesky's pivot test on every block: ``p_xx > 0`` and
-    ``p_vv - p_xv^2 / p_xx > 0``, the second taken as
-    ``p_vv - p_xv * (p_xv / p_xx)`` so that it does not overflow where
-    ``p_xx * p_vv`` would. NaN and infinite pivots fail. Names the first
-    track (in ``ids`` order) with a block that is not positive definite.
+def _require_pd(tid: str, p_xx: Row, p_xv: Row, p_vv: Row) -> None:
+    """Cholesky's pivot test on the four blocks of track ``tid``'s new row.
+    The conditions run in order and stop at the first that fails, so
+    ``p_xv / p_xx`` is taken only where ``p_xx`` is positive, and an
+    overflow or an invalid operation on the way gives an infinity or a NaN
+    that fails the test."""
+    xx0, xx1, xx2, xx3 = p_xx
+    xv0, xv1, xv2, xv3 = p_xv
+    vv0, vv1, vv2, vv3 = p_vv
+    if not (
+        0.0 < xx0 < _INF and 0.0 < vv0 - xv0 * (xv0 / xx0) < _INF
+        and 0.0 < xx1 < _INF and 0.0 < vv1 - xv1 * (xv1 / xx1) < _INF
+        and 0.0 < xx2 < _INF and 0.0 < vv2 - xv2 * (xv2 / xx2) < _INF
+        and 0.0 < xx3 < _INF and 0.0 < vv3 - xv3 * (xv3 / xx3) < _INF
+    ):
+        raise NumericalError(f"covariance of track {tid!r} lost positive definiteness")
 
-    The blocks are tested as Python floats, one IEEE operation at a time as
-    numpy would take them: an overflow or an invalid operation on a block
-    that fails then gives an infinity or a NaN and no numpy warning, and on
-    a bank of a few tracks the loop costs less than the ufunc calls."""
-    blocks = zip(p_xx.ravel().tolist(), p_xv.ravel().tolist(), p_vv.ravel().tolist())
-    for lane, (xx, xv, vv) in enumerate(blocks):
-        if not (0.0 < xx < math.inf and 0.0 < vv - xv * (xv / xx) < math.inf):
-            raise NumericalError(
-                f"covariance of track {ids[lane // MEAS_DIM]!r} lost positive definiteness"
-            )
+
+def _one_per_row(value: object, count: int, name: str, what: str) -> List[float]:
+    """``value``, a scalar or a sequence of ``count`` scalars, as one Python
+    float per row; a flag becomes 1.0 or 0.0."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        return [float(value)] * count
+    if len(value) == count:
+        try:
+            return list(map(float, value))
+        except TypeError:  # a nested sequence
+            pass
+    raise ValueError(f"{name} must be {what} or one per row, got shape {np.shape(value)}")
 
 
-def _measurements(measurements: np.ndarray, count: int) -> np.ndarray:
+def _measurements(measurements: np.ndarray, ids: Sequence[str]) -> List[List[float]]:
+    """One finite ``(x_c, y_c, w, h)`` row of Python floats per id."""
     z = np.asarray(measurements, dtype=float)
-    if z.shape != (count, MEAS_DIM):
-        raise ValueError(f"measurements must have shape ({count}, {MEAS_DIM}), got {z.shape}")
-    return z
+    if z.shape != (len(ids), MEAS_DIM):
+        raise ValueError(f"measurements must have shape ({len(ids)}, {MEAS_DIM}), got {z.shape}")
+    rows = z.tolist()
+    for tid, row in zip(ids, rows):
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"measurement of track {tid!r} must be finite, got {row}")
+    return rows
 
 
 def init_track(
@@ -216,37 +231,37 @@ def init_track(
 ) -> TrackBank:
     """Add one track per new id, each started from its (x_c, y_c, w, h)
     measurement row with zero velocity and uncorrelated variances."""
-    z = _measurements(measurements, len(ids))
+    z = _measurements(measurements, ids)
     _require_distinct(ids)
     for tid in ids:
         if tid in bank:
             raise ValueError(f"track {tid!r} is already in the bank")
-    bad = (z[:, 2] <= 0) | (z[:, 3] <= 0)
-    if bad.any():
-        w, h = z[int(np.argmax(bad)), 2:]
-        raise ValueError(f"box dims must be positive, got w={w}, h={h}")
-    shape = (len(ids), MEAS_DIM)
-    position, velocity = _variances(
-        z[:, 3:], 2 * cfg.std_weight_position, 10 * cfg.std_weight_velocity
-    )
+    x, p_xx, p_vv = [], [], []
+    for box in z:
+        w, h = box[2], box[3]
+        if w <= 0 or h <= 0:
+            raise ValueError(f"box dims must be positive, got w={w}, h={h}")
+        position, velocity = _variances(h, 2 * cfg.std_weight_position, 10 * cfg.std_weight_velocity)
+        x.append(tuple(box))
+        p_xx.append((position,) * MEAS_DIM)
+        p_vv.append((velocity,) * MEAS_DIM)
     # velocity and p_xv start at zero
-    added = (
-        z, np.zeros(shape), np.broadcast_to(position, shape), np.zeros(shape),
-        np.broadcast_to(velocity, shape),
-    )
+    zeros = [_ZEROS] * len(ids)
+    added = (x, zeros, p_xx, zeros, p_vv)
     all_ids = bank.ids + tuple(ids)
     order = sorted(range(len(all_ids)), key=all_ids.__getitem__)
-    return TrackBank(
+    columns = [getattr(bank, name) + tuple(new) for name, new in zip(COLUMNS, added)]
+    return TrackBank._derived(
         tuple(all_ids[i] for i in order),
-        *(np.concatenate([getattr(bank, name), new])[order] for name, new in zip(COLUMNS, added)),
+        *(tuple(column[i] for i in order) for column in columns),
     )
 
 
 def predict(
     bank: TrackBank,
     cfg: KalmanConfig,
-    q_scale: Union[float, np.ndarray] = 1.0,
-    zero_velocity: Union[bool, np.ndarray] = False,
+    q_scale: Union[float, Sequence[float]] = 1.0,
+    zero_velocity: Union[bool, Sequence[bool]] = False,
 ) -> TrackBank:
     """One constant-velocity step of every track: advance the means,
     inflate the covariances.
@@ -256,24 +271,39 @@ def predict(
     ``zero_velocity`` (likewise) clears a row's velocity before the
     transition, the usual treatment for elements believed not to move.
     """
-    if not len(bank):
+    n = len(bank)
+    if not n:
         return bank
-    v = np.where(np.asarray(zero_velocity, dtype=bool)[..., None], 0.0, bank.v)
-    if v.shape != bank.v.shape:  # the derived bank's shapes go unchecked
-        raise ValueError(
-            f"zero_velocity must be one flag or one per row, got shape {np.shape(zero_velocity)}"
+    scales = _one_per_row(q_scale, n, "q_scale", "one value")
+    stills = _one_per_row(zero_velocity, n, "zero_velocity", "one flag")
+    x_out, v_out, xx_out, xv_out, vv_out = [], [], [], [], []
+    for tid, x, v, xx, xv, vv, scale, still in zip(
+        bank.ids, bank.x, bank.v, bank.p_xx, bank.p_xv, bank.p_vv, scales, stills
+    ):
+        position, velocity = _process_variances(x[3], cfg)
+        q_x = position * scale
+        q_v = velocity * scale
+        # F = [[1, 1], [0, 1]] per coordinate, so F P F^T only adds and no
+        # product rounds: p_xx + p_xv and p_xv + p_vv, then their sum
+        xv_new = (xv[0] + vv[0], xv[1] + vv[1], xv[2] + vv[2], xv[3] + vv[3])
+        xx_new = (
+            xx[0] + xv[0] + xv_new[0] + q_x,
+            xx[1] + xv[1] + xv_new[1] + q_x,
+            xx[2] + xv[2] + xv_new[2] + q_x,
+            xx[3] + xv[3] + xv_new[3] + q_x,
         )
-    position, velocity = _process_variances(bank.x[:, 3:], cfg)
-    scale = np.asarray(q_scale, dtype=float)[..., None]
-    # F = [[1, 1], [0, 1]] per coordinate, so F P F^T only adds and no
-    # product rounds: p_xx + p_xv and p_xv + p_vv, then their sum
-    p_xv = bank.p_xv + bank.p_vv
-    p_xx = bank.p_xx + bank.p_xv
-    p_xx += p_xv
-    p_xx += position * scale
-    p_vv = bank.p_vv + velocity * scale
-    _require_pd(p_xx, p_xv, p_vv, bank.ids)
-    return TrackBank._derived(bank.ids, bank.x + v, v, p_xx, p_xv, p_vv)
+        vv_new = (vv[0] + q_v, vv[1] + q_v, vv[2] + q_v, vv[3] + q_v)
+        _require_pd(tid, xx_new, xv_new, vv_new)
+        if still:
+            v = _ZEROS
+        x_out.append((x[0] + v[0], x[1] + v[1], x[2] + v[2], x[3] + v[3]))
+        v_out.append(v)
+        xx_out.append(xx_new)
+        xv_out.append(xv_new)
+        vv_out.append(vv_new)
+    return TrackBank._derived(
+        bank.ids, tuple(x_out), tuple(v_out), tuple(xx_out), tuple(xv_out), tuple(vv_out)
+    )
 
 
 def inflate_process_noise(
@@ -288,12 +318,17 @@ def inflate_process_noise(
     """
     if extra_scale <= 0 or not ids:
         return bank
-    rows = bank.rows(ids)
-    position, velocity = _process_variances(bank.x[rows, 3:], cfg)
-    p_xx = bank.p_xx[rows] + position * extra_scale
-    p_vv = bank.p_vv[rows] + velocity * extra_scale
-    _require_pd(p_xx, bank.p_xv[rows], p_vv, ids)
-    return bank._with_rows(rows, p_xx=p_xx, p_vv=p_vv)
+    extra = float(extra_scale)
+    p_xx, p_vv = list(bank.p_xx), list(bank.p_vv)
+    for tid, i in zip(ids, bank.rows(ids)):
+        position, velocity = _process_variances(bank.x[i][3], cfg)
+        q_x = position * extra
+        q_v = velocity * extra
+        xx, vv = p_xx[i], p_vv[i]
+        p_xx[i] = (xx[0] + q_x, xx[1] + q_x, xx[2] + q_x, xx[3] + q_x)
+        p_vv[i] = (vv[0] + q_v, vv[1] + q_v, vv[2] + q_v, vv[3] + q_v)
+        _require_pd(tid, p_xx[i], bank.p_xv[i], p_vv[i])
+    return TrackBank._derived(bank.ids, bank.x, bank.v, tuple(p_xx), bank.p_xv, tuple(p_vv))
 
 
 def update(
@@ -307,30 +342,52 @@ def update(
     written out entry by entry in the order of the 2x2 matrix products;
     the covariance keeps the lower triangle, its ``p_xv`` entry.
     """
-    z = _measurements(measurements, len(ids))
+    z = _measurements(measurements, ids)
     if not ids:
         return bank
-    rows = bank.rows(ids)
-    x, v = bank.x[rows], bank.v[rows]
-    p_xx, p_xv, p_vv = bank.p_xx[rows], bank.p_xv[rows], bank.p_vv[rows]
-    r = measurement_variance(x[:, 3:], cfg)
-    s = p_xx + r
-    k_x = p_xx / s
-    k_v = p_xv / s
-    # the positions and velocities, each moved by its gain; x and v may be
-    # views of the bank's columns, so they are not written
-    innovation = z - x
-    x = x + k_x * innovation
-    v = v + k_v * innovation
-    keep_x = 1.0 - k_x
-    # the second row of (I - K H) P
-    low = p_xv - k_v * p_xx
-    high = p_vv - k_v * p_xv
-    new_xx = keep_x * p_xx * keep_x + k_x * r * k_x
-    new_xv = low * keep_x + k_v * r * k_x
-    new_vv = high - low * k_v + k_v * r * k_v
-    _require_pd(new_xx, new_xv, new_vv, ids)
-    return bank._with_rows(rows, x=x, v=v, p_xx=new_xx, p_xv=new_xv, p_vv=new_vv)
+    x, v, p_xx, p_xv, p_vv = columns = [list(getattr(bank, name)) for name in COLUMNS]
+    for tid, i, (z0, z1, z2, z3) in zip(ids, bank.rows(ids), z):
+        x0, x1, x2, x3 = x[i]
+        v0, v1, v2, v3 = v[i]
+        xx0, xx1, xx2, xx3 = p_xx[i]
+        xv0, xv1, xv2, xv3 = p_xv[i]
+        vv0, vv1, vv2, vv3 = p_vv[i]
+        r = measurement_variance(x3, cfg)
+        s0, s1, s2, s3 = xx0 + r, xx1 + r, xx2 + r, xx3 + r
+        if not (s0 and s1 and s2 and s3):
+            # IEEE division would make a gain, and so the new p_xx, NaN,
+            # which fails the pivot test; Python's division raises instead
+            raise NumericalError(f"covariance of track {tid!r} lost positive definiteness")
+        kx0, kx1, kx2, kx3 = xx0 / s0, xx1 / s1, xx2 / s2, xx3 / s3
+        kv0, kv1, kv2, kv3 = xv0 / s0, xv1 / s1, xv2 / s2, xv3 / s3
+        # the innovations, and 1 - k_x
+        in0, in1, in2, in3 = z0 - x0, z1 - x1, z2 - x2, z3 - x3
+        kk0, kk1, kk2, kk3 = 1.0 - kx0, 1.0 - kx1, 1.0 - kx2, 1.0 - kx3
+        # the second row of (I - K H) P: its p_xv and p_vv entries
+        lo0, lo1, lo2, lo3 = xv0 - kv0 * xx0, xv1 - kv1 * xx1, xv2 - kv2 * xx2, xv3 - kv3 * xx3
+        hi0, hi1, hi2, hi3 = vv0 - kv0 * xv0, vv1 - kv1 * xv1, vv2 - kv2 * xv2, vv3 - kv3 * xv3
+        x[i] = (x0 + kx0 * in0, x1 + kx1 * in1, x2 + kx2 * in2, x3 + kx3 * in3)
+        v[i] = (v0 + kv0 * in0, v1 + kv1 * in1, v2 + kv2 * in2, v3 + kv3 * in3)
+        p_xx[i] = (
+            kk0 * xx0 * kk0 + kx0 * r * kx0,
+            kk1 * xx1 * kk1 + kx1 * r * kx1,
+            kk2 * xx2 * kk2 + kx2 * r * kx2,
+            kk3 * xx3 * kk3 + kx3 * r * kx3,
+        )
+        p_xv[i] = (
+            lo0 * kk0 + kv0 * r * kx0,
+            lo1 * kk1 + kv1 * r * kx1,
+            lo2 * kk2 + kv2 * r * kx2,
+            lo3 * kk3 + kv3 * r * kx3,
+        )
+        p_vv[i] = (
+            hi0 - lo0 * kv0 + kv0 * r * kv0,
+            hi1 - lo1 * kv1 + kv1 * r * kv1,
+            hi2 - lo2 * kv2 + kv2 * r * kv2,
+            hi3 - lo3 * kv3 + kv3 * r * kv3,
+        )
+        _require_pd(tid, p_xx[i], p_xv[i], p_vv[i])
+    return TrackBank._derived(bank.ids, *map(tuple, columns))
 
 
 def measurement_covariance(bank: TrackBank) -> np.ndarray:
@@ -339,5 +396,6 @@ def measurement_covariance(bank: TrackBank) -> np.ndarray:
     ``p_xx``."""
     n = len(bank)
     projected = np.zeros((n, MEAS_DIM * MEAS_DIM))
-    projected[:, :: MEAS_DIM + 1] = bank.p_xx
+    if n:
+        projected[:, :: MEAS_DIM + 1] = bank.p_xx
     return projected.reshape(n, MEAS_DIM, MEAS_DIM)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -370,6 +372,11 @@ class TestCompositionTrigger:
         assert not composition_change_trigger(0.2, low, cfg)
         assert not composition_change_trigger(0.01, high, cfg)
         assert composition_change_trigger(0.2, high, cfg)
+
+    def test_shift_equal_to_the_threshold_does_not_fire(self):
+        cfg = ChangeDetectConfig(patch_change_threshold=0.05, histogram_threshold=10.0)
+        assert not composition_change_trigger(0.2, 10.0, cfg)
+        assert composition_change_trigger(0.2, math.nextafter(10.0, math.inf), cfg)
 
 
 class TestRgbHistograms:

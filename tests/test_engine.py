@@ -257,6 +257,15 @@ class TestBusyDiscipline:
             (pose_ready, {"module": POSE, "issued": 10, "ready": pose_ready}),
         ]
 
+    def test_busy_window_ending_on_a_frame_boundary_is_idle(self):
+        # 20 ms of yolo at a 10 ms period ends exactly on every second
+        # frame's start, where yolo is free again
+        header = TraceHeader(frame_period_ms=10.0, keypoint_count=5, frame_count=10)
+        trace = Trace(header=header, frames=tuple(make_frame(i, [obj()]) for i in range(10)))
+        cfg = dataclasses.replace(pipeline(), cost_yolo_ms=20.0)
+        log = run(trace, PolicyKind.PARALLEL, cfg.pipeline(header))
+        assert [r.index for r in log.records if r.honored[DETECTION]] == [0, 2, 4, 6, 8]
+
     def test_queue_mode_honors_at_busy_end(self):
         trace = static_object_trace()
         kf = {POSE: frozenset({0, 1}), DETECTION: frozenset()}

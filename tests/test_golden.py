@@ -52,7 +52,7 @@ from percsched.engine import EngineConfig, PolicyKind, RunLog, SimEngine, run, r
 from percsched.metrics import extract_keyframes
 from percsched.scene import POSE, EntityKind
 from percsched.toolkit import NoiseConfig
-from percsched.tracker import KalmanConfig
+from percsched.tracker import COLUMNS, MEAS_DIM, KalmanConfig
 from percsched.traces import ChangeStats, FramePixels, Trace, generate_trace, write_trace
 
 HERE = Path(__file__).resolve().parent
@@ -277,7 +277,7 @@ class DirectCountEngine(SimEngine):
             return 0.0, 0.0, {}
         header = self.trace.header
         return reference_pixel_change(
-            prev, frame.pixels.rgb, dict(zip(self.bank.ids, self.bank.x.tolist())),
+            prev, frame.pixels.rgb, dict(zip(self.bank.ids, self.bank.x)),
             header.frame_w, header.frame_h, self.cfg.change,
         )
 
@@ -342,7 +342,7 @@ def test_pixel_frames_count_only_the_tracked_patches(monkeypatch):
         def _change_stats(self, frame):
             k = frame.index
             per_frame[k] = []
-            means = dict(zip(self.bank.ids, self.bank.x.tolist()))
+            means = dict(zip(self.bank.ids, self.bank.x))
             header = self.trace.header
             prev, self.last_raster = self.last_raster, frame.pixels.rgb
             if prev is not None:
@@ -471,6 +471,34 @@ def test_every_step_keeps_one_track_set(monkeypatch, golden, variant):
             key = f"{prefix}{name}/{policy}"
             assert text_digest(log) == golden[key], f"run log {key} changed"
     assert len(steps) == len(TRACES) * len(PolicyKind) * FRAMES and any(steps)
+
+
+def test_every_scheduled_step_keeps_python_floats_in_the_bank(monkeypatch):
+    """After each step of every scheduled golden run, each bank column is a
+    tuple of rows and each row a tuple of four Python floats. A numpy scalar
+    that leaks into the bank keeps the bits, so no pin would notice, but it
+    makes every later operation on its row several times slower."""
+    real_step = SimEngine.step
+    sizes = []
+
+    def checked_step(engine, frame):
+        record = real_step(engine, frame)
+        bank = engine.bank
+        for name in COLUMNS:
+            column = getattr(bank, name)
+            assert type(column) is tuple and len(column) == len(bank), name
+            for row in column:
+                assert type(row) is tuple and len(row) == MEAS_DIM, name
+                assert all(type(value) is float for value in row), (name, row)
+        sizes.append(len(bank))
+        return record
+
+    monkeypatch.setattr(SimEngine, "step", checked_step)
+    for variant in ("", *sorted(VARIANTS)):
+        for name in TRACES:
+            trace = make_trace(name)
+            run(trace, PolicyKind.SCHEDULED, variant_config(variant).pipeline(trace.header))
+    assert len(sizes) == (1 + len(VARIANTS)) * len(TRACES) * FRAMES and any(sizes)
 
 
 TRACKER_SPANS = (

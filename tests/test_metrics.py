@@ -158,6 +158,34 @@ class TestExtractKeyframes:
         gt = extract_keyframes(offline_log(frames))
         assert gt.required[DETECTION] == frozenset({0})
 
+    def test_box_drift_of_exactly_tau_is_not_a_keyframe(self):
+        # a (6, 8) px shift is exactly 10.0 px, the default tau_box_px
+        frames = [obs([box("a", "object", 100, 100)])] + [obs([box("a", "object", 106, 108)])] * 3
+        gt = extract_keyframes(offline_log(frames))
+        assert gt.required[DETECTION] == frozenset({0})
+
+    def test_keypoint_drift_of_exactly_tau_is_not_a_keyframe(self):
+        # a (9, 12) px shift of every keypoint is exactly 15.0 px, the
+        # default tau_kp_px; the box stays put
+        points = [[200.0, 100.0], [210.0, 110.0], [220.0, 120.0]]
+        moved = [[x + 9.0, y + 12.0] for x, y in points]
+        human = [box("h", "human", 200, 100)]
+        frames = [obs(human, {"h": points})] + [obs(human, {"h": moved})] * 3
+        gt = extract_keyframes(offline_log(frames))
+        assert gt.required[POSE] == frozenset({0})
+        assert gt.required[DETECTION] == frozenset({0})
+
+    def test_zero_relevance_human_keypoint_drift_ignored(self):
+        frames = []
+        for i in range(6):
+            x = 100.0 + 40.0 * i
+            frames.append(obs(
+                [box("h", "human", 100, 100, relevance=0.0)],
+                {"h": [[x, 100.0], [x + 5, 120.0], [x - 5, 140.0]]},
+            ))
+        gt = extract_keyframes(offline_log(frames))
+        assert gt.required[POSE] == frozenset({0})
+
     def test_rejects_non_offline_runs(self):
         log = synthetic_run("parallel", {}, {}, n=3)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from percsched.tracker import (
     init_track,
     measurement_covariance,
     predict,
-    _require_pd,
     update,
 )
 
@@ -116,11 +116,20 @@ class TestInitTrack:
         with pytest.raises(ValueError):
             start([1.0, 2.0, 0.0, 4.0])
 
+    @pytest.mark.parametrize(
+        "box", [[1.0, 2.0, math.nan, 5.0], [math.inf, 2.0, 3.0, 5.0], [1.0, -math.inf, 3.0, 5.0]],
+        ids=["nan-width", "inf-centre", "minus-inf-centre"],
+    )
+    def test_rejects_a_non_finite_box_naming_its_track(self, box):
+        boxes = np.array([[1.0, 2.0, 3.0, 4.0], box])
+        with pytest.raises(ValueError, match="measurement of track 'u' must be finite"):
+            init_track(TrackBank(), ["t", "u"], boxes, CFG)
+
     def test_new_rows_merge_in_id_order(self):
         bank = init_track(TrackBank(), ["m", "c"], np.array([[1.0, 1, 5, 5], [2.0, 2, 6, 6]]), CFG)
         bank = init_track(bank, ["x", "a"], np.array([[3.0, 3, 7, 7], [4.0, 4, 8, 8]]), CFG)
         assert bank.ids == ("a", "c", "m", "x")
-        assert bank.x[:, 0].tolist() == [4.0, 2.0, 1.0, 3.0]
+        assert [row[0] for row in bank.x] == [4.0, 2.0, 1.0, 3.0]
 
     def test_rejects_a_tracked_or_repeated_id(self):
         bank = start([1.0, 2.0, 3.0, 4.0])
@@ -184,7 +193,7 @@ class TestPredict:
 class TestUpdate:
     def test_zero_innovation_keeps_positions(self):
         t = predict(start([10.0, 20.0, 30.0, 40.0]), CFG)
-        out = measure(t, t.x[0].copy())
+        out = measure(t, t.x[0])
         np.testing.assert_allclose(out.x[0], t.x[0], rtol=1e-12)
 
     def test_posterior_below_prior_in_loewner_order(self):
@@ -230,7 +239,7 @@ class TestUpdate:
         p = full(prior)
         h = np.zeros((4, 8))
         h[:, :4] = np.eye(4)
-        k = p @ h.T @ np.linalg.inv(h @ p @ h.T + measurement_noise(prior.x[0, 3], CFG))
+        k = p @ h.T @ np.linalg.inv(h @ p @ h.T + measurement_noise(prior.x[0][3], CFG))
         standard = (np.eye(8) - k @ h) @ p
         out = measure(prior, z + 1.0)
         np.testing.assert_allclose(full(out), standard, atol=1e-9)
@@ -241,6 +250,13 @@ class TestUpdate:
         t = start([10.0, 20.0, 30.0, 40.0])
         with pytest.raises(ValueError):
             measure(t, [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_measurement_naming_its_track(self, bad):
+        bank = init_track(TrackBank(), ["a", "b"], np.array([[1.0, 1, 5, 5]] * 2), CFG)
+        z = np.array([[1.0, 1, 5, 5], [2.0, 1, bad, 5]])
+        with pytest.raises(ValueError, match="measurement of track 'b' must be finite"):
+            update(bank, ["a", "b"], z, CFG)
 
     def test_repeated_or_unknown_id_rejected(self):
         bank = start([10.0, 20.0, 30.0, 40.0])
@@ -253,8 +269,9 @@ class TestUpdate:
         bank = init_track(TrackBank(), ["a", "b", "c"], np.array([[1.0, 1, 5, 5]] * 3), CFG)
         out = update(bank, ["b"], np.array([[3.0, 1, 5, 5]]), CFG)
         for name in COLUMNS:
-            assert np.array_equal(getattr(out, name)[[0, 2]], getattr(bank, name)[[0, 2]])
-        assert out.x[1, 0] > 1.0
+            column, before = getattr(out, name), getattr(bank, name)
+            assert (column[0], column[2]) == (before[0], before[2])
+        assert out.x[1][0] > 1.0
 
 
 class TestMeasurementCovariance:
@@ -303,15 +320,17 @@ class TestTrackBank:
             with pytest.raises(ValueError, match=rf"{COLUMNS[bad]} must have shape \(1, 4\)"):
                 TrackBank(("a",), *columns)
 
-    def test_columns_stay_contiguous_float_rows_of_four(self):
-        # the tracker's speed rests on every column being its own C-contiguous
-        # (n, 4) float64 array, whichever operation made the bank
+    def test_columns_stay_tuples_of_float_rows_of_four(self):
+        # the tracker's speed rests on every column being a tuple of rows,
+        # each a tuple of four Python floats, whichever operation made the
+        # bank: a numpy scalar keeps the bits but slows each later operation
         def assert_layout(bank):
             for name in COLUMNS:
                 column = getattr(bank, name)
-                assert column.shape == (len(bank), 4), name
-                assert column.dtype == np.float64, name
-                assert column.flags.c_contiguous, name
+                assert type(column) is tuple and len(column) == len(bank), name
+                for row in column:
+                    assert type(row) is tuple and len(row) == 4, name
+                    assert all(type(value) is float for value in row), name
 
         boxes = np.array([[1.0, 1, 5, 5], [2.0, 2, 6, 6], [3.0, 3, 7, 7]])
         bank = init_track(TrackBank(), ["c", "a", "b"], np.asfortranarray(boxes), CFG)
@@ -319,22 +338,26 @@ class TestTrackBank:
         bank = predict(bank, CFG, q_scale=np.array([0.5, 1.0, 2.0]),
                        zero_velocity=np.array([True, False, False]))
         assert_layout(bank)
-        # every row in row order, then a subset out of order
-        bank = update(bank, list(bank.ids), bank.x + 1.0, CFG)
+        bank = predict(bank, CFG, q_scale=[np.float64(0.5), 1, 2.0], zero_velocity=[1, 0, 0])
         assert_layout(bank)
-        bank = update(bank, ["c", "a"], bank.x[[2, 0]] - 1.0, CFG)
+        # every row in row order, then a subset out of order
+        bank = update(bank, list(bank.ids), np.array(bank.x) + 1.0, CFG)
+        assert_layout(bank)
+        bank = update(bank, ["c", "a"], np.array(bank.x)[[2, 0]] - 1.0, CFG)
         assert_layout(bank)
         assert_layout(inflate_process_noise(bank, list(bank.ids), CFG, 3.0))
-        bank = inflate_process_noise(bank, ["b"], CFG, 3.0)
+        bank = inflate_process_noise(bank, ["b"], CFG, np.float64(3.0))
         assert_layout(bank)
         assert_layout(bank.without(["b"]))
+        assert_layout(TrackBank(("a",), *[np.float32([[1, 2, 3, 4]])] * 5))
 
     def test_without_drops_rows_and_ignores_strangers(self):
         bank = init_track(TrackBank(), ["a", "b", "c"], np.array([[1.0, 1, 5, 5]] * 3), CFG)
         out = bank.without(["b", "zz"])
         assert out.ids == ("a", "c") and "b" not in out and "a" in out
         for name in COLUMNS:
-            assert np.array_equal(getattr(out, name), getattr(bank, name)[[0, 2]])
+            column = getattr(bank, name)
+            assert getattr(out, name) == (column[0], column[2])
         assert bank.without(["zz"]) is bank
 
 
@@ -362,7 +385,7 @@ class TestCovarianceProperties:
             if op == "predict":
                 t = predict(t, CFG, q_scale=q_scale, zero_velocity=arg)
             elif op == "update":
-                height = max(float(t.x[0, 3]), 1.0)
+                height = max(t.x[0][3], 1.0)
                 t = measure(t, t.x[0] + height * np.array(arg))
             else:
                 t = inflate_process_noise(t, ["t"], CFG, arg)
@@ -496,18 +519,25 @@ class TestDerivedBanksPassTheFullCheck:
                                zero_velocity=np.array(still[:n]))
             elif op == "update":
                 rows = [bank.ids.index(tid) for tid in chosen]
-                bank = update(bank, chosen, bank.x[rows] + offset, CFG)
+                bank = update(bank, chosen, np.array(bank.x)[rows] + offset, CFG)
             else:
                 bank = inflate_process_noise(bank, chosen, CFG, abs(offset))
             checked = TrackBank(bank.ids, *(getattr(bank, name) for name in COLUMNS))
             assert checked.ids == bank.ids
             for name in COLUMNS:
-                assert getattr(checked, name) is getattr(bank, name)
+                assert getattr(checked, name) == getattr(bank, name)
 
     def test_predict_rejects_a_velocity_flag_per_wrong_row_count(self):
         bank = init_track(TrackBank(), ["a"], np.array([[1.0, 1, 5, 5]]), CFG)
         with pytest.raises(ValueError, match=r"zero_velocity .* got shape \(3,\)"):
             predict(bank, CFG, zero_velocity=np.array([True, False, True]))
+
+    @pytest.mark.parametrize("q_scale", [[1.0, 2.0], np.ones((3, 1))], ids=["two-values", "3x1"])
+    def test_predict_rejects_a_noise_scale_per_wrong_row_count(self, q_scale):
+        bank = init_track(TrackBank(), list("abc"), np.array([[1.0, 1, 5, 5]] * 3), CFG)
+        shape = re.escape(str(np.shape(q_scale)))
+        with pytest.raises(ValueError, match=rf"q_scale must be one value or one per row, got shape {shape}"):
+            predict(bank, CFG, q_scale=q_scale)
 
 
 # blocks with a NaN or an infinite entry, each put in track 'c' of four
@@ -524,10 +554,14 @@ class TestBadCovarianceNamesItsTrack:
     track whose covariance is not positive definite."""
 
     @staticmethod
-    def four_tracks(bad=-100.0 * IDENTITY):
+    def four_tracks(bad=-100.0 * IDENTITY, bad_height=10.0):
         mean = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0])
+        bad_mean = mean.copy()
+        bad_mean[3] = bad_height
         return oracles.bank_of([
-            oracles.TrackState(mean, bad if tid == "c" else IDENTITY, tid) for tid in "abcd"
+            oracles.TrackState(bad_mean, bad, tid) if tid == "c"
+            else oracles.TrackState(mean, IDENTITY, tid)
+            for tid in "abcd"
         ])
 
     def test_predict(self):
@@ -537,7 +571,7 @@ class TestBadCovarianceNamesItsTrack:
     def test_update(self):
         bank = self.four_tracks()
         with pytest.raises(NumericalError, match="track 'c'"):
-            update(bank, list(bank.ids), bank.x + 1.0, CFG)
+            update(bank, list(bank.ids), np.array(bank.x) + 1.0, CFG)
 
     def test_inflate(self):
         bank = self.four_tracks()
@@ -547,15 +581,30 @@ class TestBadCovarianceNamesItsTrack:
     @pytest.mark.parametrize("op", ["predict", "update", "inflate"])
     @pytest.mark.parametrize("bad", sorted(NON_FINITE_BLOCKS))
     def test_nan_and_inf_blocks_are_named(self, op, bad):
-        # IEEE arithmetic on an infinity may flag an invalid operation on
-        # the way (inf - inf), so that warning is let pass
+        # Python float arithmetic takes an invalid operation on the way
+        # (inf - inf) to a NaN without a warning
         bank = self.four_tracks(NON_FINITE_BLOCKS[bad])
         ids = list(bank.ids)
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="track 'c'"):
+        with pytest.raises(NumericalError, match="track 'c'"):
             if op == "predict":
                 predict(bank, CFG)
             elif op == "update":
-                update(bank, ids, bank.x + 1.0, CFG)
+                update(bank, ids, np.array(bank.x) + 1.0, CFG)
+            else:
+                inflate_process_noise(bank, ids, CFG, 1.0)
+
+    @pytest.mark.parametrize("op", ["predict", "update", "inflate"])
+    def test_nan_height_is_named(self, op):
+        # the noise floor max(h, 1.0) keeps a NaN height, as np.maximum
+        # does, so the noise it scales makes the new blocks NaN
+        bank = self.four_tracks(IDENTITY, bad_height=math.nan)
+        ids = list(bank.ids)
+        z = np.nan_to_num(np.array(bank.x)) + 1.0
+        with pytest.raises(NumericalError, match="track 'c'"):
+            if op == "predict":
+                predict(bank, CFG)
+            elif op == "update":
+                update(bank, ids, z, CFG)
             else:
                 inflate_process_noise(bank, ids, CFG, 1.0)
 
@@ -571,21 +620,38 @@ class TestBadCovarianceNamesItsTrack:
             if op == "predict":
                 predict(bank, cfg)
             elif op == "update":
-                update(bank, ids, bank.x + 1.0, cfg)
+                update(bank, ids, np.array(bank.x) + 1.0, cfg)
             else:
                 inflate_process_noise(bank, ids, cfg, 1.0)
+
+    def test_zero_innovation_variance_is_named_without_a_division_error(self):
+        # with p_xx = 0 and a measurement weight whose square underflows,
+        # S = p_xx + r is 0: IEEE division would give a NaN gain, Python's
+        # raises ZeroDivisionError, and the update must do neither
+        # (the other tracks are 1e200 px tall, so that their r stays positive)
+        cfg = KalmanConfig(std_weight_measurement=1e-300)
+        tall = np.array([10.0, 10.0, 10.0, 1e200, 0.0, 0.0, 0.0, 0.0])
+        short = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0])
+        bank = oracles.bank_of([
+            oracles.TrackState(short, np.zeros((3, 4)), tid) if tid == "c"
+            else oracles.TrackState(tall, IDENTITY, tid)
+            for tid in "abcd"
+        ])
+        with pytest.raises(NumericalError, match="track 'c'"):
+            update(bank, list(bank.ids), np.array(bank.x) + 1.0, cfg)
 
     @pytest.mark.parametrize(
         "p_xx, p_xv", [(5e-324, 1.0), (0.0, math.inf)], ids=["ratio-overflows", "inf-times-zero"]
     )
     def test_pivot_test_names_its_track_without_a_warning(self, p_xx, p_xv):
-        # p_xv / p_xx overflows on the first block, and a zero ratio meets an
-        # infinite p_xv on the second (pytest turns numpy's warnings into errors)
-        shape = (4, MEAS_DIM)
-        xx, xv, vv = np.ones(shape), np.zeros(shape), np.ones(shape)
-        xx[2, 1], xv[2, 1] = p_xx, p_xv
+        # a top-up whose position noise underflows leaves p_xx and p_xv as
+        # they were: p_xv / p_xx overflows on the first block, and the
+        # second fails at p_xx = 0 before its infinite p_xv meets a ratio
+        # (pytest turns a RuntimeWarning into an error)
+        cfg = KalmanConfig(std_weight_position=1e-300)
+        bank = self.four_tracks(blocks_of([1.0, p_xx, 1.0, 1.0], [0.0, p_xv, 0.0, 0.0], 1.0))
         with pytest.raises(NumericalError, match="track 'c'"):
-            _require_pd(xx, xv, vv, list("abcd"))
+            inflate_process_noise(bank, list(bank.ids), cfg, 1.0)
 
     @pytest.mark.parametrize("bad", sorted(NON_FINITE_BLOCKS))
     def test_oracle_names_nan_and_inf_blocks(self, bad):
