@@ -16,9 +16,18 @@ detection gain one over the few tracks of a frame, both on Python floats:
 at a few dozen values per call numpy's per-call overhead would cost more
 than the arithmetic. Both keep the scalar reference arithmetic bit for bit:
 logarithms go through ``math.log`` and sums run in keypoint and track
-order, so run logs do not depend on numpy's SIMD dispatch. The confidence
-history does its array work when a sample is recorded, so that an
-extrapolation per frame is one multiply-add and a clamp.
+order, so run logs do not depend on numpy's SIMD dispatch.
+
+The confidence history does its array work once per recorded sample: the
+slope to the sample before and the clamped values to hold. Per frame an
+extrapolation is then one multiply-add and a clamp, or nothing while the
+confidences are held: before the first sample (the prior), after one
+sample, at a frame before the last sample, and after a sample equal to the
+one before, where the slope is zero on every keypoint. Held confidences
+keep their ``-ln(conf)`` from the first pose entropy pass that validates
+them, so on later frames that pass takes one ``math.log`` per keypoint
+instead of two and skips the checks. A sample equal to the one before keeps
+the held array, and so its logs.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,13 +128,24 @@ class RewardConfig:
                 f"expected keypoint_count={self.keypoint_count}"
             )
 
+    @functools.cached_property
+    def _sigma_floats(self) -> Tuple[float, ...]:
+        return _float_table(self.sigma_base)
+
+
+@functools.lru_cache(maxsize=16)
+def _float_table(table: Tuple[float, ...]) -> Tuple[float, ...]:
+    """One float tuple per distinct table; a config keeps its own, since
+    hashing 133 floats costs about as much as converting them."""
+    return tuple(map(float, table))
+
 
 def sigma_table(cfg: RewardConfig) -> Tuple[float, ...]:
     """The per-keypoint base sigmas of ``cfg`` as floats: its own
     ``sigma_base``, else the packaged COCO-WholeBody table at 133 keypoints,
     else a uniform 0.05 table."""
     if cfg.sigma_base is not None:
-        return tuple(map(float, cfg.sigma_base))
+        return cfg._sigma_floats
     if cfg.keypoint_count == 133:
         return coco_wholebody_sigmas()
     return (UNIFORM_SIGMA_BASE,) * cfg.keypoint_count
@@ -244,27 +264,58 @@ def post_execution_entropy(
     order, ``2 * ln(max(-base * scale * ln(conf), SIGMA_FLOOR))``. Every
     confidence must lie in (0, 1] and every scaled base sigma be positive;
     the first keypoint that breaks either is named.
+
+    :class:`HeldConfidences` that passed once keep their ``-ln(conf)``; on
+    them the sum is ``2 * ln(max(base * scale * n, SIGMA_FLOOR))`` with the
+    kept ``n``, the same bits, since negation is exact. A scale of at least
+    1 stands for the base sigma checks; below it the checked pass runs.
     """
     table = sigma_table(cfg)
     count = cfg.keypoint_count
     log = math.log
     total = 0.0
     for confidences, relevance, scale in humans:
-        confs = np.asarray(confidences, dtype=float)
+        held = type(confidences) is HeldConfidences
+        confs = confidences if held else np.asarray(confidences, dtype=float)
         if confs.shape != (count,):
             raise ValueError(f"expected {count} confidences, got {confs.shape}")
         scale = float(scale)
         inner = count * LN_TWO_PI_E
-        for conf, base in zip(confs.tolist(), table):
-            b = base * scale
-            # written so that NaN fails both tests
-            if not 0.0 < conf <= 1.0:
-                raise ValueError(f"confidence must lie in (0, 1], got {conf}")
-            if not b > 0.0:
-                raise ValueError(f"base sigma must be positive, got {b}")
-            sigma = -b * log(conf)
-            # the floor as np.maximum takes it: a NaN sigma stays NaN
-            inner += 2.0 * log(SIGMA_FLOOR if sigma < SIGMA_FLOOR else sigma)
+        neg_logs = confs.neg_logs if held else None
+        # kept logs mean every confidence passed, and the table is positive,
+        # so at a scale of at least 1 every base * scale is at least its base
+        if neg_logs is not None and scale >= 1.0:
+            for n, base in zip(neg_logs, table):
+                sigma = base * scale * n
+                inner += 2.0 * log(SIGMA_FLOOR if sigma < SIGMA_FLOOR else sigma)
+        elif held:
+            # the checked pass below, keeping each -ln(conf) on the way
+            neg_logs = []
+            keep = neg_logs.append
+            for conf, base in zip(confs.tolist(), table):
+                b = base * scale
+                if not 0.0 < conf <= 1.0:
+                    raise ValueError(f"confidence must lie in (0, 1], got {conf}")
+                if not b > 0.0:
+                    raise ValueError(f"base sigma must be positive, got {b}")
+                n = -log(conf)
+                keep(n)
+                sigma = b * n
+                inner += 2.0 * log(SIGMA_FLOOR if sigma < SIGMA_FLOOR else sigma)
+            # a writeable array could change under the kept logs
+            if not confs.flags.writeable:
+                confs.neg_logs = neg_logs
+        else:
+            for conf, base in zip(confs.tolist(), table):
+                b = base * scale
+                # written so that NaN fails both tests
+                if not 0.0 < conf <= 1.0:
+                    raise ValueError(f"confidence must lie in (0, 1], got {conf}")
+                if not b > 0.0:
+                    raise ValueError(f"base sigma must be positive, got {b}")
+                sigma = -b * log(conf)
+                # the floor as np.maximum takes it: a NaN sigma stays NaN
+                inner += 2.0 * log(SIGMA_FLOOR if sigma < SIGMA_FLOOR else sigma)
         total += float(relevance) * inner
     return total
 
@@ -275,41 +326,71 @@ def pose_reward(pre: float, post: float, forced: bool, cfg: RewardConfig) -> Rew
     return _breakdown(POSE, pre - post, forced, cfg)
 
 
+class HeldConfidences(np.ndarray):
+    """Confidences that stay the same from frame to frame: the prior, and
+    the clamped last sample that the history holds while it has no slope or
+    is read at an earlier frame.
+
+    The first :func:`post_execution_entropy` pass that validates a read-only
+    one keeps its ``-ln(conf)`` values in ``neg_logs``. They depend on the
+    values alone, so every holder of a shared array may read them. An array
+    derived from one, a view or a result, starts without.
+    """
+
+    # a class default needs no __array_finalize__ call per array made
+    neg_logs: Optional[List[float]] = None
+
+
+def _held(values: np.ndarray) -> HeldConfidences:
+    held = values.view(HeldConfidences)
+    held.flags.writeable = False
+    return held
+
+
 @functools.lru_cache(maxsize=16)
-def _prior(count: int) -> np.ndarray:
-    """The confidences of a human never seen by the pose module, read-only
-    since every caller shares them."""
-    prior = np.full(count, PRIOR_CONFIDENCE)
-    prior.flags.writeable = False
-    return prior
+def _prior(count: int) -> HeldConfidences:
+    """The confidences of a human never seen by the pose module, shared by
+    every caller."""
+    return _held(np.full(count, PRIOR_CONFIDENCE))
 
 
 class KeypointConfidenceHistory:
     """Rolling record of the last two pose executions per human.
 
     With two samples confidences are linearly extrapolated per keypoint;
-    with one the last value is held; with none the prior applies. A human's
-    samples must come from strictly increasing frames. Held and prior
-    confidences come back as shared read-only arrays.
+    with one the last value is held; with none the prior applies. A sample
+    equal to the one before gives a zero slope, and the pair holds the
+    first sample's array, which is exactly what the extrapolation gives. A
+    human's samples must come from strictly increasing frames. Held and
+    prior confidences come back as shared read-only
+    :class:`HeldConfidences`, extrapolated ones as a fresh array per frame.
     """
 
     def __init__(self) -> None:
         # per human: the last sample's frame and values, those values
-        # clamped to [CONFIDENCE_FLOOR, 1] (read-only), and the slope per
-        # frame from the sample before, None until there is one
-        self._last: Dict[str, Tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray]]] = {}
+        # clamped to [CONFIDENCE_FLOOR, 1] and held, and the slope per frame
+        # from the sample before, None until there is one and when the two
+        # are equal
+        self._last: Dict[str, Tuple[int, np.ndarray, HeldConfidences, Optional[np.ndarray]]] = {}
 
     def record(self, entity_id: str, frame_index: int, confidences: Sequence[float]) -> None:
         current = self._last.get(entity_id)
         if current is not None and frame_index <= current[0]:
             raise ValueError(f"sample of frame {frame_index} does not follow frame {current[0]}")
         samples = np.asarray(confidences, dtype=float)
-        slope = None
+        slope = held = None
         if current is not None:
             k_prev, s_prev = current[0], current[1]
-            slope = (samples - s_prev) / (frame_index - k_prev)
-        held = np.clip(samples, CONFIDENCE_FLOOR, 1.0)
-        held.flags.writeable = False
+            diff = samples - s_prev
+            if diff.any():
+                slope = diff / (frame_index - k_prev)
+            else:
+                # equal finite values (a NaN or an infinity gives a NaN or
+                # nonzero difference): the slope is zero, s_last + 0.0 * (k -
+                # k_last) is s_last, and its clamp has the held array's bits
+                held = current[2]
+        if held is None:
+            held = _held(np.clip(samples, CONFIDENCE_FLOOR, 1.0))
         self._last[entity_id] = (frame_index, samples, held, slope)
 
     def extrapolated(self, entity_id: str, frame_index: int, cfg: RewardConfig) -> np.ndarray:

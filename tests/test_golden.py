@@ -535,6 +535,46 @@ def test_benchmark_tracer_reaches_the_tracker():
     assert traced == plain
 
 
+@pytest.mark.parametrize("variant", ["", "noise"])
+@pytest.mark.parametrize("name", ["interaction-pixels", "walking"])
+def test_pose_reward_call_counts(monkeypatch, name, variant):
+    """``bench/run.py --trace 1`` reconciles ``rewards.extrapolated`` and
+    ``rewards.post_execution_entropy`` calls per scheduled frame: one
+    extrapolation per human track in the bank, for that frame, and one
+    entropy call per frame."""
+    frame = []
+    extrapolated, entropies, humans = [], [], []
+    real_step = SimEngine.step
+    real_extrapolated = rewards.KeypointConfidenceHistory.extrapolated
+    real_entropy = engine_module.post_execution_entropy
+
+    def step(engine, trace_frame):
+        frame[:] = [trace_frame.index]
+        record = real_step(engine, trace_frame)
+        for tid in engine.bank.ids:
+            entity = engine.entities.get(tid)
+            if entity is not None and entity.kind is EntityKind.HUMAN:
+                humans.append((trace_frame.index, tid))
+        return record
+
+    def counted_extrapolated(history, entity_id, frame_index, cfg):
+        assert frame_index == frame[0]
+        extrapolated.append((frame_index, entity_id))
+        return real_extrapolated(history, entity_id, frame_index, cfg)
+
+    def counted_entropy(*args, **kwargs):
+        entropies.append(frame[0])
+        return real_entropy(*args, **kwargs)
+
+    monkeypatch.setattr(SimEngine, "step", step)
+    monkeypatch.setattr(rewards.KeypointConfidenceHistory, "extrapolated", counted_extrapolated)
+    monkeypatch.setattr(engine_module, "post_execution_entropy", counted_entropy)
+    trace = make_trace(name)
+    run(trace, PolicyKind.SCHEDULED, variant_config(variant).pipeline(trace.header))
+    assert entropies == list(range(FRAMES))
+    assert extrapolated == humans and len(set(humans)) == len(humans) and humans
+
+
 # the smallest |net| an unforced scheduled decision of the golden matrix may
 # have; it was 3.33e-3 when the pins were made. A host that rounds a reward
 # a few ulps apart then cannot flip a pinned decision.

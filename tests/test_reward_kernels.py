@@ -23,6 +23,7 @@ from oracles import (
 from percsched import rewards
 from percsched.rewards import (
     CONFIDENCE_FLOOR,
+    HeldConfidences,
     KeypointConfidenceHistory,
     RewardConfig,
     detection_info_gain,
@@ -181,6 +182,195 @@ class TestExtrapolated:
         )
 
 
+def _samples(count, seed):
+    """Confidences across (0, 1] with the edges: 1.0 (a sigma under the
+    floor), values past 1 and below the floor, and a zero."""
+    values = np.random.default_rng(seed).uniform(1e-4, 1.0, count)
+    values[:4] = [1.0, 1.5, -0.25, 0.0]
+    return values.tolist()
+
+
+def _history(case, count):
+    """A history with one human ``h`` in ``case``, read from frame 25 on,
+    and the scalar reference values at a frame."""
+    hist = KeypointConfidenceHistory()
+    prev, last = _samples(count, 1), _samples(count, 2)
+    clamped = [min(1.0, max(CONFIDENCE_FLOOR, s)) for s in last]
+    if case == "prior":
+        return hist, lambda k: [rewards.PRIOR_CONFIDENCE] * count
+    if case == "one sample":
+        hist.record("h", 20, last)
+        return hist, lambda k: clamped
+    if case == "before the last sample":
+        hist.record("h", 20, prev)
+        hist.record("h", 30, last)
+        return hist, lambda k: clamped
+    if case == "zero slope":
+        prev = list(last)
+    elif case == "nan sample":
+        last[5] = math.nan
+    hist.record("h", 10, prev)
+    hist.record("h", 20, last)
+    return hist, lambda k: scalar_extrapolated((20, last), (10, prev), k)
+
+
+HELD_CASES = ("prior", "one sample", "zero slope", "before the last sample")
+
+
+class TestHeldConfidences:
+    """Held confidences keep their -ln(conf) from the first pose entropy
+    pass; the entropy stays the scalar one bit for bit, on first use and on
+    every reuse."""
+
+    @pytest.mark.parametrize("count", [17, 133], ids=["uniform", "packaged"])
+    @pytest.mark.parametrize("case", [*HELD_CASES, "sloped", "nan sample"])
+    def test_equals_scalar_through_the_history(self, case, count):
+        cfg = _cfg(count)
+        hist, reference = _history(case, count)
+        held = case in HELD_CASES
+        first = None
+        # below a scale of 1 held confidences take the checked pass again
+        for k, scale in zip(range(25, 29), (37.5, 12.25, 1.0, 0.3)):
+            confs = hist.extrapolated("h", k, cfg)
+            expected = reference(k)
+            assert confs.tolist() == expected
+            assert type(confs) is (HeldConfidences if held else np.ndarray)
+            got = post_execution_entropy([(confs, 0.75, scale)], cfg)
+            assert got == scalar_post_execution_entropy([(expected, 0.75, scale)], cfg)
+            if held:
+                # one array, its logs kept on first use and read after
+                first = confs if first is None else first
+                assert confs is first and confs.neg_logs is not None
+
+    def test_zero_slope_holds_the_last_sample(self):
+        cfg = _cfg(133)
+        last = _samples(133, 4)
+        hist = KeypointConfidenceHistory()
+        hist.record("h", 10, last)
+        hist.record("h", 13, list(last))
+        held = np.clip(np.array(last), CONFIDENCE_FLOOR, 1.0)
+        for k in (13, 14, 20, 100, 10_000):
+            got = hist.extrapolated("h", k, cfg)
+            assert got.tobytes() == held.tobytes()
+            assert got.tolist() == scalar_extrapolated((13, last), (10, last), k)
+
+    def test_an_equal_sample_keeps_the_held_array_and_its_logs(self):
+        cfg = _cfg(133)
+        last = _samples(133, 7)
+        hist = KeypointConfidenceHistory()
+        hist.record("h", 10, last)
+        held = hist.extrapolated("h", 11, cfg)
+        post_execution_entropy([(held, 1.0, 5.0)], cfg)
+        logs = held.neg_logs
+        hist.record("h", 12, list(last))
+        got = hist.extrapolated("h", 15, cfg)
+        assert got is held and got.neg_logs is logs
+        expected = scalar_extrapolated((12, last), (10, last), 15)
+        assert got.tolist() == expected
+        assert post_execution_entropy([(got, 1.0, 6.5)], cfg) == scalar_post_execution_entropy(
+            [(expected, 1.0, 6.5)], cfg
+        )
+
+    def test_a_slope_that_underflows_to_zero_stays_sloped(self):
+        # 5e-324 / 3 rounds to zero, but the samples differ
+        hist = KeypointConfidenceHistory()
+        hist.record("h", 1, [0.0, 0.5])
+        hist.record("h", 4, [5e-324, 0.5])
+        got = hist.extrapolated("h", 6, _cfg(2))
+        assert type(got) is np.ndarray
+        assert got.tolist() == scalar_extrapolated((4, [5e-324, 0.5]), (1, [0.0, 0.5]), 6)
+
+    def test_a_negative_zero_slope_holds_too(self):
+        hist = KeypointConfidenceHistory()
+        hist.record("h", 1, [0.0, 0.5])
+        hist.record("h", 2, [-0.0, 0.5])
+        got = hist.extrapolated("h", 9, _cfg(2))
+        assert type(got) is HeldConfidences
+        assert got.tolist() == scalar_extrapolated((2, [-0.0, 0.5]), (1, [0.0, 0.5]), 9)
+
+    @pytest.mark.parametrize("prev", [math.nan, math.inf])
+    def test_a_nan_or_infinite_sample_stays_sloped(self, prev):
+        hist = KeypointConfidenceHistory()
+        hist.record("h", 1, [prev, 0.5])
+        hist.record("h", 2, [math.nan, 0.5])
+        got = hist.extrapolated("h", 3, _cfg(2))
+        assert type(got) is np.ndarray
+        assert got.tolist() == scalar_extrapolated((2, [math.nan, 0.5]), (1, [prev, 0.5]), 3)
+
+    @pytest.mark.parametrize(
+        "count, scale",
+        [(17, 0.0), (17, -1.0), (17, math.nan), (17, 5e-324), (133, 0.0), (133, math.nan),
+         (133, 1e-322)],
+    )
+    def test_bad_scale_raises_on_every_frame(self, count, scale):
+        # 1e-322 times the packaged table underflows to zero from the base
+        # sigmas below about 0.025 on, not on the first keypoints
+        cfg = _cfg(count)
+        hist = KeypointConfidenceHistory()
+        hist.record("h", 3, _samples(count, 5))
+        confs = hist.extrapolated("h", 4, cfg)
+        message = _message(list(confs), scale, cfg)
+        assert "base sigma must be positive" in message
+        # before the -ln(conf) are kept, and after a good frame kept them
+        assert _message(confs, scale, cfg) == message
+        assert confs.neg_logs is None
+        post_execution_entropy([(confs, 1.0, 2.0)], cfg)
+        assert confs.neg_logs is not None
+        for _ in range(2):
+            assert _message(confs, scale, cfg) == message
+
+    @pytest.mark.parametrize("bad", [0.0, -0.25, 1.0 + 1e-12, math.nan, math.inf])
+    @pytest.mark.parametrize("position", [0, 9])
+    @pytest.mark.parametrize("scale", [2.0, 0.0])
+    def test_bad_confidence_raises_on_every_frame(self, bad, position, scale):
+        cfg = _cfg(17)
+        values = [0.5] * 17
+        values[position] = bad
+        confs = rewards._held(np.array(values))
+        message = _message(values, scale, cfg)
+        # a bad confidence at the first keypoint is named ahead of its sigma
+        if position == 0 or scale:
+            assert message.startswith("confidence must lie in (0, 1]")
+        for _ in range(3):
+            assert _message(confs, scale, cfg) == message
+            assert confs.neg_logs is None
+
+    def test_nan_held_by_the_history_raises_on_every_frame(self):
+        cfg = _cfg(17)
+        values = [0.5] * 17
+        values[6] = math.nan
+        message = _message(values, 4.0, cfg)
+        hist = KeypointConfidenceHistory()
+        hist.record("h", 3, values)
+        for k in (3, 4, 9):
+            assert _message(hist.extrapolated("h", k, cfg), 4.0, cfg) == message
+        # held at a frame before the last sample
+        hist.forget("h")
+        hist.record("h", 2, [0.5] * 17)
+        hist.record("h", 5, values)
+        for k in (3, 4):
+            assert _message(hist.extrapolated("h", k, cfg), 4.0, cfg) == message
+
+    def test_only_read_only_arrays_keep_their_logs(self):
+        cfg = _cfg(17)
+        hist = KeypointConfidenceHistory()
+        hist.record("h", 3, _samples(17, 6))
+        held = hist.extrapolated("h", 4, cfg)
+        copy, scaled, view = held.copy(), held * 0.5, held[:]
+        for derived in (copy, scaled, view):
+            assert type(derived) is HeldConfidences and derived.neg_logs is None
+            expected = scalar_post_execution_entropy([(derived.tolist(), 1.0, 3.0)], cfg)
+            assert post_execution_entropy([(derived, 1.0, 3.0)], cfg) == expected
+        assert copy.neg_logs is None and scaled.neg_logs is None
+        assert view.neg_logs is not None and held.neg_logs is None
+
+
+def _message(confs, scale, cfg):
+    with pytest.raises(ValueError) as error:
+        post_execution_entropy([(confs, 1.0, scale)], cfg)
+    return str(error.value)
+
+
 IDENTITY = np.array([[1.0] * 4, [0.0] * 4, [1.0] * 4])
 
 
@@ -307,6 +497,13 @@ class TestSigmaTable:
         assert type(table) is tuple and len(table) == keypoints
         assert all(type(s) is float for s in table)
         assert table == (expected or rewards.coco_wholebody_sigmas())
+
+    def test_own_table_is_converted_once_per_distinct_table(self):
+        cfg = _cfg(3, (1, np.float64(0.25), 2.0))
+        table = sigma_table(cfg)
+        assert table == (1.0, 0.25, 2.0) and all(type(s) is float for s in table)
+        assert sigma_table(cfg) is table
+        assert sigma_table(_cfg(3, (1.0, 0.25, 2.0))) is table
 
     @pytest.mark.parametrize(
         "keypoints, sigma_base, loads",
