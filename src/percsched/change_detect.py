@@ -38,24 +38,31 @@ def grayscale_diff(abs_rgb_diff: np.ndarray) -> np.ndarray:
     The order is fixed so that the bits do not depend on the host: a BLAS
     dot sums the three products in an order, with or without a fused
     multiply-add, that its kernel picks for the CPU, and a threshold on the
-    map can then flip from one host to another."""
+    map can then flip from one host to another. Each pixel's luma depends on
+    its own three values alone, so a band of rows maps to the same bits as
+    those rows of the whole raster; the engine passes only the rows whose
+    bytes differ."""
     arr = np.asarray(abs_rgb_diff)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected shape (h, w, 3), got {arr.shape}")
     # a float copy in the input's interleaved order, weighted in one
     # contiguous pass; the sums then read each channel with a stride of 3
+    pixels = arr.shape[0] * arr.shape[1]
     weighted = arr.astype(float, order="C").reshape(-1)
-    weighted *= _interleaved_luma(arr.shape[0] * arr.shape[1])
+    weighted *= _interleaved_luma(pixels.bit_length())[: 3 * pixels]
     luma = weighted[0::3] + weighted[1::3]
     luma += weighted[2::3]
     return luma.reshape(arr.shape[:2])
 
 
-@functools.lru_cache(maxsize=4)
-def _interleaved_luma(pixels: int) -> np.ndarray:
-    """The Rec.601 weights repeated once per pixel, to weigh a flattened
-    (h, w, 3) array elementwise."""
-    weights = np.tile(REC601_LUMA, pixels)
+@functools.lru_cache(maxsize=64)
+def _interleaved_luma(bits: int) -> np.ndarray:
+    """The Rec.601 weights repeated ``2**bits`` times, to weigh a flattened
+    (h, w, 3) array of fewer pixels elementwise through a prefix. Keyed on
+    the bit length of the pixel count, so bands of rows of every height
+    share a few vectors; 64 entries hold every bit length of an int64.
+    Read-only, since the cache shares it."""
+    weights = np.tile(REC601_LUMA, 1 << bits)
     weights.flags.writeable = False
     return weights
 

@@ -431,6 +431,27 @@ def believed_region(box: Sequence[float]) -> Tuple[float, float, float, float]:
     return box[0] - w / 2.0, box[1] - h / 2.0, w, h
 
 
+def patch_rect(
+    box: Sequence[float], sx: float, sy: float, rows: int, cols: int
+) -> Optional[Tuple[int, int, int, int]]:
+    """A track's believed region scaled by ``(sx, sy)`` to a raster of
+    ``rows`` x ``cols``, at least 1 px each way, rounded and clipped to it:
+    ``(y0, y1, x0, x1)``, or None where nothing is left."""
+    x, y, w, h = believed_region(box)
+    x, y = x * sx, y * sy
+    w, h = max(w * sx, 1.0), max(h * sy, 1.0)
+    if not all(map(math.isfinite, (x, y, w, h))):
+        raise ValueError(f"patch geometry must be finite, got x={x}, y={y}, w={w}, h={h}")
+    # a bank row holds Python floats, which round to ints
+    y0 = max(0, round(y))
+    x0 = max(0, round(x))
+    y1 = min(rows, round(y + h))
+    x1 = min(cols, round(x + w))
+    if y1 <= y0 or x1 <= x0:
+        return None
+    return y0, y1, x0, x1
+
+
 # bench/tracing.py wraps ``engine.carry_forward`` by name, so the name stays
 # until that tracing target goes; the engine itself calls ``believed_region``.
 carry_forward = believed_region
@@ -564,49 +585,57 @@ class SimEngine:
     def _pixel_change_stats(self, current: np.ndarray) -> Tuple[float, float, Dict[str, float]]:
         """Change statistics between the last pixel frame and this one.
 
-        The background's histograms are counted only on a frame whose
-        background change ratio passes the composition trigger's first test.
+        Only the band of rows from the first to the last byte that differs
+        from the last raster is differenced, mapped to luma and thresholded.
+        A pixel outside the band has luma 0.0, which no intensity threshold
+        in [0, 255] exceeds, so the threshold map and every count are those
+        of the whole raster. An unchanged raster costs one byte compare and
+        the patch geometry checks. The background's histograms are counted
+        only on a frame whose background change ratio passes the composition
+        trigger's first test.
         """
         ccfg = self.cfg.change
         prev = self.prev_frame
         self.prev_frame = current
         if prev is None:
             return 0.0, 0.0, {}
-        # int16 holds every byte difference exactly
-        diff = np.abs(current.astype(np.int16) - prev)
-        changed = cd.grayscale_diff(diff) > ccfg.intensity_threshold
-        rows, cols = changed.shape
+        rows, cols = current.shape[:2]
         # believed regions live in frame coordinates; rasters may be smaller
         sy = rows / self.trace.header.frame_h
         sx = cols / self.trace.header.frame_w
+        patches = [patch_rect(box, sx, sy, rows, cols) for box in self.bank.x]
+        # a bool array's bytes are 0 and 1: the first and last 1 bound the band
+        differs = (current != prev).tobytes()
+        first = differs.find(1)
+        if first < 0:
+            # no pixel changed: every ratio is 0.0, which passes no
+            # patch_change_threshold, so no histogram is counted
+            return 0.0, 0.0, dict.fromkeys(self.bank.ids, 0.0)
+        r0, r1 = first // (3 * cols), differs.rfind(1) // (3 * cols) + 1
+        # the larger byte less the smaller is the absolute difference, exactly
+        now, before = current[r0:r1], prev[r0:r1]
+        diff = np.maximum(now, before) - np.minimum(now, before)
+        # raster row r is row r - r0 of the band; no pixel outside it changed
+        changed = cd.grayscale_diff(diff) > ccfg.intensity_threshold
         patch_cr: Dict[str, float] = {}
-        occupied = np.zeros(changed.shape, dtype=bool)
-        for tid, box in zip(self.bank.ids, self.bank.x):
-            x, y, w, h = believed_region(box)
-            x, y = x * sx, y * sy
-            w, h = max(w * sx, 1.0), max(h * sy, 1.0)
-            if not all(map(math.isfinite, (x, y, w, h))):
-                raise ValueError(
-                    f"patch geometry must be finite, got x={x}, y={y}, w={w}, h={h}"
-                )
-            y0 = max(0, int(round(y)))
-            x0 = max(0, int(round(x)))
-            y1 = min(rows, int(round(y + h)))
-            x1 = min(cols, int(round(x + w)))
-            if y1 <= y0 or x1 <= x0:
+        occupied = np.zeros((rows, cols), dtype=bool)
+        for tid, rect in zip(self.bank.ids, patches):
+            if rect is None:
                 patch_cr[tid] = 0.0
                 continue
-            count = int(np.count_nonzero(changed[y0:y1, x0:x1]))
+            y0, y1, x0, x1 = rect
+            count = int(np.count_nonzero(changed[max(y0 - r0, 0):max(y1 - r0, 0), x0:x1]))
             patch_cr[tid] = count / ((y1 - y0) * (x1 - x0))
             occupied[y0:y1, x0:x1] = True
-        bg_area = rows * cols - int(np.count_nonzero(occupied))
-        bg_changed = int(np.count_nonzero(changed)) - int(np.count_nonzero(changed[occupied]))
+        background = ~occupied
+        bg_area = int(np.count_nonzero(background))
+        bg_changed = int(np.count_nonzero(changed & background[r0:r1]))
         bg_cr = bg_changed / bg_area if bg_area else 0.0
         if not bg_cr > ccfg.patch_change_threshold:
             # the trigger cannot fire: a shift of 0.0 never exceeds the
             # non-negative histogram_threshold
             return bg_cr, 0.0, patch_cr
-        bins, background = ccfg.histogram_bins, ~occupied
+        bins = ccfg.histogram_bins
         hist_prev = cd.rgb_histograms(prev, bins, background)
         hist_curr = cd.rgb_histograms(current, bins, background)
         return bg_cr, cd.chi_square_shift(hist_prev, hist_curr), patch_cr

@@ -16,7 +16,7 @@ from typing import Annotated, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .scene import DETECTION, FALSE_POSITIVE_PREFIX, POSE, EntityKind, ModuleId
+from .scene import DETECTION, FALSE_POSITIVE_PREFIX, MAX_PIXELS, POSE, EntityKind, ModuleId
 from .schema import NonNegative, OpenShare, Positive, Share, check_fields
 from .traces import TraceFrame
 
@@ -53,7 +53,9 @@ class NoiseConfig:
     level, giving a skewed confidence profile.
     """
 
-    box_std: NonNegative = 0.0
+    # a jitter beyond every trace coordinate's bound means nothing; at 1e9
+    # the interaction archetype's covariances lose positive definiteness
+    box_std: Annotated[float, f"[0, {MAX_PIXELS:g}]"] = 0.0
     miss_rate: Share = 0.0
     false_positive_rate: Share = 0.0
     floor_margin: Annotated[float, "[0, 1)"] = 0.95

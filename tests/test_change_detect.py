@@ -91,6 +91,23 @@ class TestGrayscaleDiff:
         got = grayscale_diff(triples.reshape(1, -1, 3).astype(np.int16))
         assert got.ravel().tolist() == expected
 
+    def test_band_of_rows_maps_to_the_whole_maps_bits(self):
+        diff = np.random.default_rng(11).integers(0, 256, size=(60, 80, 3), dtype=np.uint8)
+        whole = grayscale_diff(diff).tolist()
+        for r0, r1 in ((0, 1), (59, 60), (7, 19), (13, 38), (0, 60)):
+            assert grayscale_diff(diff[r0:r1]).tolist() == whole[r0:r1]
+
+    def test_bands_of_every_height_share_the_cached_weights(self):
+        """The weights are a prefix of one cached vector per power of two,
+        so once each size class is built no band builds weights again."""
+        diff = np.ones((60, 80, 3), dtype=np.uint8)
+        for rows in range(1, 61):
+            grayscale_diff(diff[:rows])
+        built = change_detect._interleaved_luma.cache_info().misses
+        for rows in range(1, 61):
+            grayscale_diff(diff[:rows])
+        assert change_detect._interleaved_luma.cache_info().misses == built
+
     def test_shape_validation(self):
         for shape in ((4, 5), (3, 4, 5), (4, 5, 4)):
             with pytest.raises(ValueError, match="h, w, 3"):
@@ -211,17 +228,47 @@ def believed_boxes(draw, frame_w, frame_h):
     return {f"t{i}": [*box, 0.0, 0.0, 0.0, 0.0] for i, box in enumerate(boxes)}
 
 
+def nudged(prev, at, level):
+    """A copy of ``prev`` with the byte at index ``at`` moved by ``level``,
+    up where that stays a byte and down otherwise."""
+    curr = prev.copy()
+    value = int(prev[at])
+    curr[at] = value + level if value + level <= 255 else value - level
+    return curr
+
+
 @st.composite
 def pixel_change_cases(draw):
+    """Raster pairs whose differing bytes cover nothing, one byte of one
+    channel in the first or the last row, a band of rows, a random share of
+    the pixels or every byte, under intensity thresholds from 0 to 255."""
     h, w = draw(st.integers(1, 64)), draw(st.integers(1, 64))
     frame_w, frame_h = draw(st.integers(1, 200)), draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     prev = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-    moved = rng.random((h, w, 1)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
-    curr = np.where(moved, rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8), prev)
+    fresh = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    mask = draw(st.sampled_from(["none", "first-row byte", "last-row byte", "band", "share", "every"]))
+    if mask == "none":
+        curr = prev.copy()
+    elif mask.endswith("byte"):
+        row = 0 if mask == "first-row byte" else h - 1
+        at = (row, draw(st.integers(0, w - 1)), draw(st.integers(0, 2)))
+        curr = nudged(prev, at, draw(st.sampled_from([1, 2, 31, 128, 255])))
+    elif mask == "band":
+        r0 = draw(st.integers(0, h - 1))
+        r1 = draw(st.integers(r0 + 1, h))
+        curr = prev.copy()
+        curr[r0:r1] = fresh[r0:r1]
+    elif mask == "share":
+        moved = rng.random((h, w, 1)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+        curr = np.where(moved, fresh, prev)
+    else:
+        # a nonzero step modulo 256 moves every byte
+        step = rng.integers(1, 256, size=(h, w, 3))
+        curr = ((prev + step) % 256).astype(np.uint8)
     means = draw(believed_boxes(frame_w, frame_h))
     cfg = ChangeDetectConfig(
-        intensity_threshold=draw(st.sampled_from([0.0, 30.0, 200.0])),
+        intensity_threshold=draw(st.sampled_from([0.0, 30.0, 200.0, 255.0])),
         histogram_bins=draw(st.sampled_from([1, 7, 32, 256, 300])),
     )
     return prev, curr, means, frame_w, frame_h, cfg
@@ -319,6 +366,39 @@ class TestPixelChangeOracle:
         means = {"t0": [float("nan"), 1.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]}
         with pytest.raises(ValueError, match="patch geometry must be finite"):
             engine_pixel_change(rgb, rgb, means, 8, 8, CFG)
+
+    def test_one_blue_level_counts_at_threshold_zero(self):
+        """A one-level change in blue alone has luma 0.114, which passes an
+        intensity threshold of 0 and no higher one."""
+        prev = np.zeros((4, 4, 3), dtype=np.uint8)
+        curr = nudged(prev, (3, 2, 2), 1)
+        for threshold, want in ((0.0, 1 / 16), (30.0, 0.0)):
+            case = (prev, curr, {}, 4, 4, ChangeDetectConfig(intensity_threshold=threshold))
+            assert engine_pixel_change(*case)[0] == want
+            self.check(case)
+
+    def test_unchanged_raster_maps_no_luma(self, monkeypatch):
+        """An unchanged raster takes no difference: every patch ratio and
+        the background ratio are 0.0, and a non-finite belief still fails
+        as patch geometry."""
+
+        def no_luma(abs_rgb_diff):
+            raise AssertionError("grayscale_diff called on an unchanged raster")
+
+        monkeypatch.setattr(change_detect, "grayscale_diff", no_luma)
+        rgb = np.random.default_rng(5).integers(0, 256, size=(6, 8, 3), dtype=np.uint8)
+        means = {
+            "t0": [2.0, 2.0, 3.0, 3.0, 0.0, 0.0, 0.0, 0.0],
+            "t1": [50.0, 50.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+            "t2": [4.0, 3.0, 20.0, 20.0, 0.0, 0.0, 0.0, 0.0],
+        }
+        cfg = ChangeDetectConfig(intensity_threshold=0.0)
+        assert engine_pixel_change(rgb, rgb.copy(), means, 8, 6, cfg) == (
+            0.0, 0.0, {"t0": 0.0, "t1": 0.0, "t2": 0.0}
+        )
+        means["t1"] = [float("nan"), 1.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="patch geometry must be finite"):
+            engine_pixel_change(rgb, rgb.copy(), means, 8, 6, cfg)
 
 
 class TestMotionStatus:

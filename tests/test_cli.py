@@ -5,7 +5,8 @@ import pytest
 
 from percsched.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRACE, main
 from percsched.config import ConfigError, RunConfig
-from percsched.traces import read_trace
+from percsched.scene import MAX_PIXELS
+from percsched.traces import ARCHETYPES, read_trace
 
 
 @pytest.fixture()
@@ -554,6 +555,28 @@ class TestCompare:
             rc = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
             outcomes.append((rc, capsys.readouterr()))
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("archetype", ARCHETYPES)
+    def test_box_jitter_at_the_coordinate_bound_runs(self, tmp_path, archetype):
+        """``noise.box_std`` goes up to ``scene.MAX_PIXELS``, the bound of
+        every trace coordinate; the covariances stay positive definite there
+        on every archetype (they first fail near 1e9)."""
+        trace = tmp_path / "trace.jsonl"
+        args = ["--frames", "150", "--seed", "3", "--out", str(trace)]
+        assert main(["gen-trace", "--archetype", archetype, *args]) == EXIT_OK
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"trace": str(trace), "noise": {"box_std": MAX_PIXELS}}))
+        rc = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+
+    def test_box_jitter_beyond_the_coordinate_bound_is_config_error(
+        self, trace_path, tmp_path, capsys
+    ):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"trace": str(trace_path), "noise": {"box_std": 1e7}}))
+        rc = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "box_std must be a finite number in [0, 1e+06]" in capsys.readouterr().err
 
     def test_single_policy_rejected(self, trace_path):
         rc = main(

@@ -45,7 +45,6 @@ KNOWN_EXIT_4 = {
     ("kalman", "std_weight_measurement", 1e-300): _OVERFLOW,
     ("kalman", "std_weight_velocity", 1e308): _OVERFLOW,
     ("kalman", "std_weight_velocity", 1e-300): _OVERFLOW,
-    ("noise", "box_std", 1e308): _OVERFLOW,
 }
 
 

@@ -388,6 +388,21 @@ def test_pixel_trace_moves_tracked_patches():
     assert max(seen) > 0.0
 
 
+def test_pixel_trace_holds_unchanged_and_banded_pairs():
+    """The engine skips an unchanged raster and differences only the band of
+    rows whose bytes differ; the pixel trace must hold both kinds of pair,
+    so that its golden run logs pin both."""
+    rasters = [frame.pixels.rgb for frame in make_trace("interaction-pixels").frames]
+    bands = []
+    for prev, curr in zip(rasters, rasters[1:]):
+        rows = np.flatnonzero((curr != prev).any(axis=(1, 2)))
+        bands.append((rows[0], rows[-1] + 1) if rows.size else None)
+    assert len(bands) == FRAMES - 1
+    assert bands.count(None) == 101
+    changed = [band for band in bands if band is not None]
+    assert any(r1 - r0 < RASTER_H for r0, r1 in changed)
+
+
 BELIEF_CALLS = (
     "predict", "update", "init_track", "inflate_process_noise", "measurement_covariance",
     "cd.grayscale_diff", "cd.rgb_histograms", "cd.chi_square_shift",
