@@ -395,6 +395,41 @@ class TestCovarianceProperties:
             assert np.linalg.eigvalsh(cov).min() > 0.0
 
 
+# one random step of the one-track oracle: predict at any noise scale, update
+# against any finite box, or top up process noise
+FINITE = st.floats(-1e6, 1e6)
+ORACLE_STEPS = st.one_of(
+    st.tuples(st.just("predict"), st.tuples(st.floats(0.0, 100.0), st.booleans())),
+    st.tuples(st.just("update"), st.tuples(FINITE, FINITE, FINITE, FINITE)),
+    st.tuples(st.just("inflate"), st.floats(0.0, 100.0)),
+)
+
+
+class TestCoordinateBlocksStayEqual:
+    """Q, R and the initial covariance weight all four box coordinates by the
+    same height, so the four coordinates' blocks get the same IEEE operations
+    on the same inputs from ``init_track`` on. The bank stores one block per
+    track on the strength of this: the four columns of the oracle's (3, 4)
+    blocks stay bitwise equal, signed zeros included."""
+
+    @settings(max_examples=200)
+    @given(
+        box=st.tuples(FINITE, FINITE, st.floats(1e-3, 1e4), st.floats(1e-3, 1e4)),
+        steps=st.lists(ORACLE_STEPS, min_size=1, max_size=60),
+    )
+    def test_four_columns_stay_bitwise_equal(self, box, steps):
+        t = oracles.init_track(np.array(box), CFG, "t")
+        for op, arg in steps:
+            if op == "predict":
+                t = oracles.predict(t, CFG, q_scale=arg[0], zero_velocity=arg[1])
+            elif op == "update":
+                t = oracles.update(t, np.array(arg), CFG)
+            else:
+                t = oracles.inflate_process_noise(t, CFG, arg)
+            for entry in t.blocks.tolist():
+                assert all(e == entry[0] and repr(e) == repr(entry[0]) for e in entry), entry
+
+
 @st.composite
 def banks(draw):
     """1-7 tracks, ids in shuffled order, with random block-form
