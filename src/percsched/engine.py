@@ -431,17 +431,24 @@ def believed_region(box: Sequence[float]) -> Tuple[float, float, float, float]:
     return box[0] - w / 2.0, box[1] - h / 2.0, w, h
 
 
-def patch_rect(
-    box: Sequence[float], sx: float, sy: float, rows: int, cols: int
-) -> Optional[Tuple[int, int, int, int]]:
-    """A track's believed region scaled by ``(sx, sy)`` to a raster of
-    ``rows`` x ``cols``, at least 1 px each way, rounded and clipped to it:
-    ``(y0, y1, x0, x1)``, or None where nothing is left."""
+def scaled_region(box: Sequence[float], sx: float, sy: float) -> Tuple[float, float, float, float]:
+    """A track's believed region scaled by ``(sx, sy)``, at least 1 px each
+    way: ``(x, y, w, h)``, each checked finite."""
     x, y, w, h = believed_region(box)
     x, y = x * sx, y * sy
     w, h = max(w * sx, 1.0), max(h * sy, 1.0)
     if not all(map(math.isfinite, (x, y, w, h))):
         raise ValueError(f"patch geometry must be finite, got x={x}, y={y}, w={w}, h={h}")
+    return x, y, w, h
+
+
+def patch_rect(
+    box: Sequence[float], sx: float, sy: float, rows: int, cols: int
+) -> Optional[Tuple[int, int, int, int]]:
+    """A track's :func:`scaled_region` on a raster of ``rows`` x ``cols``,
+    rounded and clipped to it: ``(y0, y1, x0, x1)``, or None where nothing
+    is left."""
+    x, y, w, h = scaled_region(box, sx, sy)
     # a bank row holds Python floats, which round to ints
     y0 = max(0, round(y))
     x0 = max(0, round(x))
@@ -590,9 +597,9 @@ class SimEngine:
         A pixel outside the band has luma 0.0, which no intensity threshold
         in [0, 255] exceeds, so the threshold map and every count are those
         of the whole raster. An unchanged raster costs one byte compare and
-        the patch geometry checks. The background's histograms are counted
-        only on a frame whose background change ratio passes the composition
-        trigger's first test.
+        the finiteness check of each patch's geometry. The background's
+        histograms are counted only on a frame whose background change ratio
+        passes the composition trigger's first test.
         """
         ccfg = self.cfg.change
         prev = self.prev_frame
@@ -603,14 +610,17 @@ class SimEngine:
         # believed regions live in frame coordinates; rasters may be smaller
         sy = rows / self.trace.header.frame_h
         sx = cols / self.trace.header.frame_w
-        patches = [patch_rect(box, sx, sy, rows, cols) for box in self.bank.x]
         # a bool array's bytes are 0 and 1: the first and last 1 bound the band
         differs = (current != prev).tobytes()
         first = differs.find(1)
         if first < 0:
             # no pixel changed: every ratio is 0.0, which passes no
-            # patch_change_threshold, so no histogram is counted
+            # patch_change_threshold, so no histogram is counted and no
+            # patch is placed, but its geometry must still be finite
+            for box in self.bank.x:
+                scaled_region(box, sx, sy)
             return 0.0, 0.0, dict.fromkeys(self.bank.ids, 0.0)
+        patches = [patch_rect(box, sx, sy, rows, cols) for box in self.bank.x]
         r0, r1 = first // (3 * cols), differs.rfind(1) // (3 * cols) + 1
         # the larger byte less the smaller is the absolute difference, exactly
         now, before = current[r0:r1], prev[r0:r1]
@@ -674,10 +684,9 @@ class SimEngine:
             box = bank.x[row]
             w = max(box[2], 1.0)
             h = max(box[3], 1.0)
-            var_w, var_h = bank.p_xx[row][2:]
-            sigma_w = math.sqrt(max(var_w, 0.0))
-            sigma_h = math.sqrt(max(var_h, 0.0))
-            humans_pre.append((w, h, sigma_w, sigma_h, relevance[row]))
+            # w and h share the track's position variance
+            sigma = math.sqrt(max(bank.p_xx[row], 0.0))
+            humans_pre.append((w, h, sigma, sigma, relevance[row]))
             confs = self.history.extrapolated(tid, k, rcfg)
             humans_post.append((confs, relevance[row], math.sqrt(w * h)))
         pre = pre_execution_entropy(humans_pre, rcfg)

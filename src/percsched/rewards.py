@@ -43,7 +43,7 @@ import numpy as np
 
 from .scene import DETECTION, POSE, ModuleId
 from .schema import NonNegative, Positive, PositiveCount, check_fields
-from .tracker import MEAS_DIM, KalmanConfig, NumericalError, TrackBank, measurement_variance
+from .tracker import KalmanConfig, NumericalError, TrackBank, measurement_variance
 
 LN_TWO_PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -182,13 +182,15 @@ def detection_info_gain(
     ``relevance`` holds one weight per bank row. Each track contributes
     0.5 * r * ln(det(projected prior) / det(R)) with R the same
     height-scaled measurement noise an update would use. Zero-relevance
-    tracks contribute nothing. Both matrices are diagonal: the projected
-    prior holds the position variances ``p_xx`` and R holds MEAS_DIM equal
-    variances, so the term is 0.5 * r * sum_i ln(p_xx_i / R_ii). A bank holds
-    a few tracks, so the sum runs on the bank's Python floats, in row and
-    coordinate order, with one ``math.log`` per coordinate and R's variance
-    from :func:`~percsched.tracker.measurement_variance`, as an update takes
-    it.
+    tracks contribute nothing. Both matrices are a variance times the 4x4
+    identity: the projected prior's is the position variance ``p_xx`` that
+    the track's four box coordinates share, and R's is
+    :func:`~percsched.tracker.measurement_variance`, as an update takes it.
+    So the term is 0.5 * r * 4 * ln(p_xx / R_ii). A bank holds a few tracks,
+    so the sum runs on the bank's Python floats in row order, with one
+    ``math.log`` per track. The four coordinates' equal logs are summed as
+    ``log + log + log + log``, which has the bits of a per-coordinate sum
+    started at 0.0, since ``math.log`` never gives ``-0.0``.
     """
     if len(relevance) != len(bank):
         raise ValueError(f"expected {len(bank)} relevance weights, got {len(relevance)}")
@@ -200,25 +202,22 @@ def detection_info_gain(
     # negative, but a later row must still pass the check
     underflow = False
     for row, weight in live:
-        variances = bank.p_xx[row]
-        for p in variances:
-            if not 0.0 < p < math.inf:
-                raise NumericalError(
-                    f"projected covariance for track {bank.ids[row]!r} is not positive definite"
-                )
+        p = bank.p_xx[row]
+        if not 0.0 < p < math.inf:
+            raise NumericalError(
+                f"projected covariance for track {bank.ids[row]!r} is not positive definite"
+            )
         if underflow:
             continue
         noise = measurement_variance(bank.x[row][3], kalman_cfg)
         # IEEE division makes a positive ratio over a zero variance +inf,
         # where Python's raises
-        ratios = [p / noise for p in variances] if noise else [math.inf] * MEAS_DIM
-        log_ratio = 0.0
-        for ratio in ratios:
-            if not ratio:
-                underflow = True
-                break
-            log_ratio += math.log(ratio)
-        total += 0.5 * weight * log_ratio
+        ratio = p / noise if noise else math.inf
+        if not ratio:
+            underflow = True
+            continue
+        log = math.log(ratio)
+        total += 0.5 * weight * (log + log + log + log)
     return -math.inf if underflow else total
 
 

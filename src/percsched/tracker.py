@@ -8,24 +8,28 @@ supplied externally by entity identity, never computed.
 No matrix of the model couples two box coordinates: the transition adds
 each velocity to its own position, the measurement reads the positions, and
 the process noise, the measurement noise and the initial covariance are
-diagonal. So each track's 8x8 covariance is four independent 2x2 blocks
-``[[p_xx, p_xv], [p_xv, p_vv]]``, one per box coordinate, and the filter is
-four textbook two-state filters per track.
+diagonal. So each track's 8x8 covariance is four 2x2 blocks
+``[[p_xx, p_xv], [p_xv, p_vv]]``, one per box coordinate. Each noise term
+has one height and one weight for all four coordinates, so the four blocks
+start equal and every step applies the same float operations to each: they
+stay equal bit for bit, and a track stores its block once. A weight per
+coordinate would need the four blocks again.
 
 Every live track sits in one :class:`TrackBank`: sorted ids and five
-columns, each a tuple with one row per track and each row a tuple of four
-Python floats, one entry per box coordinate: the box ``x``, its velocities
-``v``, and the block entries ``p_xx``, ``p_xv`` and ``p_vv``. A bank holds a
-few tracks, so a numpy call on it would cost more than its arithmetic.
-Each operation instead makes one pass over its rows in Python float
-``+ - * /``, the same IEEE double operations numpy's elementwise loops
-perform, so no BLAS, LAPACK or transcendental sets a bit, and a row comes
-out bit for bit as the one-track two-state filter gives it. The passes
-write the four coordinates of a row out one by one: on four entries,
-indexing each costs less than a loop or a ``map``.
+columns, each a tuple with one row per track. ``x``, the box, and ``v``, its
+velocities, hold a row of four Python floats, one per box coordinate; the
+block entries ``p_xx``, ``p_xv`` and ``p_vv`` hold one Python float. A bank
+holds a few tracks, so a numpy call on it would cost more than its
+arithmetic. Each operation instead makes one pass over its rows in Python
+float ``+ - * /``, the same IEEE double operations numpy's elementwise
+loops perform, so no BLAS, LAPACK or transcendental sets a bit, and a row
+comes out bit for bit as the one-track two-state filters give it. The
+passes work the block once per track and write the four coordinates of a
+mean out one by one: on four entries, indexing each costs less than a loop
+or a ``map``.
 
-The four covariance blocks of each row a pass produces meet Cholesky's
-pivot test before the pass moves on: ``p_xx > 0`` and
+The covariance block of each row a pass produces meets Cholesky's pivot
+test before the pass moves on: ``p_xx > 0`` and
 ``p_vv - p_xv^2 / p_xx > 0``, the second taken as
 ``p_vv - p_xv * (p_xv / p_xx)`` so that it does not overflow where
 ``p_xx * p_vv`` would. NaN and infinite pivots fail, and the error names the
@@ -50,11 +54,14 @@ from .schema import Positive, PositiveCount, check_fields
 
 STATE_DIM = 8
 MEAS_DIM = 4
-# a bank's columns, in constructor order, each one row of MEAS_DIM floats per track
-COLUMNS = ("x", "v", "p_xx", "p_xv", "p_vv")
+# a bank's columns, in constructor order: x and v hold one row of MEAS_DIM
+# floats per track, the block columns one float
+BLOCK_COLUMNS = ("p_xx", "p_xv", "p_vv")
+COLUMNS = ("x", "v") + BLOCK_COLUMNS
 
 Row = Tuple[float, float, float, float]
 Column = Tuple[Row, ...]
+BlockColumn = Tuple[float, ...]
 _ZEROS: Row = (0.0,) * MEAS_DIM
 _INF = math.inf
 
@@ -79,21 +86,22 @@ class KalmanConfig:
 class TrackBank:
     """Filter state of every live track, one row per id in sorted id order.
 
-    Row ``i`` of each column holds track ``i``'s entry for the four box
-    coordinates: ``x`` the box ``(x_c, y_c, w, h)``, ``v`` its velocities,
-    and ``p_xx``, ``p_xv``, ``p_vv`` the coordinates' 2x2 covariance blocks.
-    The constructor takes each column as any ``(n, 4)`` array-like and
-    stores it as a tuple of rows, each a tuple of four Python floats. Every
-    operation returns a new bank, which shares the columns and rows it does
-    not change.
+    Row ``i`` of each column holds track ``i``'s entry: ``x`` the box
+    ``(x_c, y_c, w, h)`` and ``v`` its velocities, and ``p_xx``, ``p_xv``,
+    ``p_vv`` the 2x2 covariance block that all four box coordinates share.
+    The constructor takes ``x`` and ``v`` as any ``(n, 4)`` array-like and
+    stores each as a tuple of rows, each a tuple of four Python floats; it
+    takes each block column as any ``(n,)`` array-like and stores it as a
+    tuple of Python floats. Every operation returns a new bank, which shares
+    the columns and rows it does not change.
     """
 
     ids: Tuple[str, ...] = ()
     x: Column = ()
     v: Column = ()
-    p_xx: Column = ()
-    p_xv: Column = ()
-    p_vv: Column = ()
+    p_xx: BlockColumn = ()
+    p_xv: BlockColumn = ()
+    p_vv: BlockColumn = ()
 
     def __post_init__(self) -> None:
         # a bank that an operation derives from a checked one skips this; see
@@ -101,21 +109,28 @@ class TrackBank:
         n = len(self.ids)
         for name in COLUMNS:
             column = np.asarray(getattr(self, name), dtype=float)
-            if column.shape != (n, MEAS_DIM) and not (n == 0 and column.shape == (0,)):
-                raise ValueError(f"{name} must have shape ({n}, {MEAS_DIM}), got {column.shape}")
-            object.__setattr__(self, name, tuple(map(tuple, column.tolist())))
+            if name in BLOCK_COLUMNS:
+                shape: Tuple[int, ...] = (n,)
+                stored = tuple(column.tolist())
+            else:
+                shape = (n, MEAS_DIM)
+                stored = tuple(map(tuple, column.tolist()))
+            if column.shape != shape and not (n == 0 and column.shape == (0,)):
+                raise ValueError(f"{name} must have shape {shape}, got {column.shape}")
+            object.__setattr__(self, name, stored)
         if list(self.ids) != sorted(set(self.ids)):
             raise ValueError("track ids must be unique and sorted")
 
     @classmethod
     def _derived(
-        cls, ids: Tuple[str, ...], x: Column, v: Column, p_xx: Column, p_xv: Column, p_vv: Column
+        cls, ids: Tuple[str, ...], x: Column, v: Column,
+        p_xx: BlockColumn, p_xv: BlockColumn, p_vv: BlockColumn,
     ) -> "TrackBank":
         """A bank that an operation derived from a checked bank: its ids are
-        sorted and distinct, and each column a tuple of ``len(ids)`` rows of
-        four Python floats, so they are not checked again. The fields go
-        into the instance dict, where a frozen dataclass's ``__init__`` puts
-        them."""
+        sorted and distinct, ``x`` and ``v`` tuples of ``len(ids)`` rows of
+        four Python floats and each block column a tuple of ``len(ids)``
+        Python floats, so they are not checked again. The fields go into the
+        instance dict, where a frozen dataclass's ``__init__`` puts them."""
         bank = object.__new__(cls)
         bank.__dict__.update(ids=ids, x=x, v=v, p_xx=p_xx, p_xv=p_xv, p_vv=p_vv)
         return bank
@@ -181,21 +196,13 @@ def _require_distinct(ids: Sequence[str]) -> None:
         seen.add(tid)
 
 
-def _require_pd(tid: str, p_xx: Row, p_xv: Row, p_vv: Row) -> None:
-    """Cholesky's pivot test on the four blocks of track ``tid``'s new row.
-    The conditions run in order and stop at the first that fails, so
+def _require_pd(tid: str, p_xx: float, p_xv: float, p_vv: float) -> None:
+    """Cholesky's pivot test on the block of track ``tid``'s new row. The
+    conditions run in order and stop at the first that fails, so
     ``p_xv / p_xx`` is taken only where ``p_xx`` is positive, and an
     overflow or an invalid operation on the way gives an infinity or a NaN
     that fails the test."""
-    xx0, xx1, xx2, xx3 = p_xx
-    xv0, xv1, xv2, xv3 = p_xv
-    vv0, vv1, vv2, vv3 = p_vv
-    if not (
-        0.0 < xx0 < _INF and 0.0 < vv0 - xv0 * (xv0 / xx0) < _INF
-        and 0.0 < xx1 < _INF and 0.0 < vv1 - xv1 * (xv1 / xx1) < _INF
-        and 0.0 < xx2 < _INF and 0.0 < vv2 - xv2 * (xv2 / xx2) < _INF
-        and 0.0 < xx3 < _INF and 0.0 < vv3 - xv3 * (xv3 / xx3) < _INF
-    ):
+    if not (0.0 < p_xx < _INF and 0.0 < p_vv - p_xv * (p_xv / p_xx) < _INF):
         raise NumericalError(f"covariance of track {tid!r} lost positive definiteness")
 
 
@@ -243,11 +250,10 @@ def init_track(
             raise ValueError(f"box dims must be positive, got w={w}, h={h}")
         position, velocity = _variances(h, 2 * cfg.std_weight_position, 10 * cfg.std_weight_velocity)
         x.append(tuple(box))
-        p_xx.append((position,) * MEAS_DIM)
-        p_vv.append((velocity,) * MEAS_DIM)
+        p_xx.append(position)
+        p_vv.append(velocity)
     # velocity and p_xv start at zero
-    zeros = [_ZEROS] * len(ids)
-    added = (x, zeros, p_xx, zeros, p_vv)
+    added = (x, [_ZEROS] * len(ids), p_xx, [0.0] * len(ids), p_vv)
     all_ids = bank.ids + tuple(ids)
     order = sorted(range(len(all_ids)), key=all_ids.__getitem__)
     columns = [getattr(bank, name) + tuple(new) for name, new in zip(COLUMNS, added)]
@@ -281,18 +287,11 @@ def predict(
         bank.ids, bank.x, bank.v, bank.p_xx, bank.p_xv, bank.p_vv, scales, stills
     ):
         position, velocity = _process_variances(x[3], cfg)
-        q_x = position * scale
-        q_v = velocity * scale
         # F = [[1, 1], [0, 1]] per coordinate, so F P F^T only adds and no
         # product rounds: p_xx + p_xv and p_xv + p_vv, then their sum
-        xv_new = (xv[0] + vv[0], xv[1] + vv[1], xv[2] + vv[2], xv[3] + vv[3])
-        xx_new = (
-            xx[0] + xv[0] + xv_new[0] + q_x,
-            xx[1] + xv[1] + xv_new[1] + q_x,
-            xx[2] + xv[2] + xv_new[2] + q_x,
-            xx[3] + xv[3] + xv_new[3] + q_x,
-        )
-        vv_new = (vv[0] + q_v, vv[1] + q_v, vv[2] + q_v, vv[3] + q_v)
+        xv_new = xv + vv
+        xx_new = xx + xv + xv_new + position * scale
+        vv_new = vv + velocity * scale
         _require_pd(tid, xx_new, xv_new, vv_new)
         if still:
             v = _ZEROS
@@ -322,11 +321,8 @@ def inflate_process_noise(
     p_xx, p_vv = list(bank.p_xx), list(bank.p_vv)
     for tid, i in zip(ids, bank.rows(ids)):
         position, velocity = _process_variances(bank.x[i][3], cfg)
-        q_x = position * extra
-        q_v = velocity * extra
-        xx, vv = p_xx[i], p_vv[i]
-        p_xx[i] = (xx[0] + q_x, xx[1] + q_x, xx[2] + q_x, xx[3] + q_x)
-        p_vv[i] = (vv[0] + q_v, vv[1] + q_v, vv[2] + q_v, vv[3] + q_v)
+        p_xx[i] += position * extra
+        p_vv[i] += velocity * extra
         _require_pd(tid, p_xx[i], bank.p_xv[i], p_vv[i])
     return TrackBank._derived(bank.ids, bank.x, bank.v, tuple(p_xx), bank.p_xv, tuple(p_vv))
 
@@ -338,9 +334,11 @@ def update(
     measurement row.
 
     Per coordinate H = [1, 0], so S = p_xx + r and K = (p_xx, p_xv) / S, and
-    ``I - K H`` is ``[[1 - k_x, 0], [-k_v, 1]]``. The Joseph products are
-    written out entry by entry in the order of the 2x2 matrix products;
-    the covariance keeps the lower triangle, its ``p_xv`` entry.
+    ``I - K H`` is ``[[1 - k_x, 0], [-k_v, 1]]``. The four coordinates share
+    the block, so the gain and the Joseph products are taken once per track
+    and the gain moves each of the four means. The products are written out
+    entry by entry in the order of the 2x2 matrix products; the covariance
+    keeps the lower triangle, its ``p_xv`` entry.
     """
     z = _measurements(measurements, ids)
     if not ids:
@@ -349,53 +347,36 @@ def update(
     for tid, i, (z0, z1, z2, z3) in zip(ids, bank.rows(ids), z):
         x0, x1, x2, x3 = x[i]
         v0, v1, v2, v3 = v[i]
-        xx0, xx1, xx2, xx3 = p_xx[i]
-        xv0, xv1, xv2, xv3 = p_xv[i]
-        vv0, vv1, vv2, vv3 = p_vv[i]
+        xx, xv, vv = p_xx[i], p_xv[i], p_vv[i]
         r = measurement_variance(x3, cfg)
-        s0, s1, s2, s3 = xx0 + r, xx1 + r, xx2 + r, xx3 + r
-        if not (s0 and s1 and s2 and s3):
+        s = xx + r
+        if not s:
             # IEEE division would make a gain, and so the new p_xx, NaN,
             # which fails the pivot test; Python's division raises instead
             raise NumericalError(f"covariance of track {tid!r} lost positive definiteness")
-        kx0, kx1, kx2, kx3 = xx0 / s0, xx1 / s1, xx2 / s2, xx3 / s3
-        kv0, kv1, kv2, kv3 = xv0 / s0, xv1 / s1, xv2 / s2, xv3 / s3
-        # the innovations, and 1 - k_x
-        in0, in1, in2, in3 = z0 - x0, z1 - x1, z2 - x2, z3 - x3
-        kk0, kk1, kk2, kk3 = 1.0 - kx0, 1.0 - kx1, 1.0 - kx2, 1.0 - kx3
+        kx = xx / s
+        kv = xv / s
+        kk = 1.0 - kx
         # the second row of (I - K H) P: its p_xv and p_vv entries
-        lo0, lo1, lo2, lo3 = xv0 - kv0 * xx0, xv1 - kv1 * xx1, xv2 - kv2 * xx2, xv3 - kv3 * xx3
-        hi0, hi1, hi2, hi3 = vv0 - kv0 * xv0, vv1 - kv1 * xv1, vv2 - kv2 * xv2, vv3 - kv3 * xv3
-        x[i] = (x0 + kx0 * in0, x1 + kx1 * in1, x2 + kx2 * in2, x3 + kx3 * in3)
-        v[i] = (v0 + kv0 * in0, v1 + kv1 * in1, v2 + kv2 * in2, v3 + kv3 * in3)
-        p_xx[i] = (
-            kk0 * xx0 * kk0 + kx0 * r * kx0,
-            kk1 * xx1 * kk1 + kx1 * r * kx1,
-            kk2 * xx2 * kk2 + kx2 * r * kx2,
-            kk3 * xx3 * kk3 + kx3 * r * kx3,
-        )
-        p_xv[i] = (
-            lo0 * kk0 + kv0 * r * kx0,
-            lo1 * kk1 + kv1 * r * kx1,
-            lo2 * kk2 + kv2 * r * kx2,
-            lo3 * kk3 + kv3 * r * kx3,
-        )
-        p_vv[i] = (
-            hi0 - lo0 * kv0 + kv0 * r * kv0,
-            hi1 - lo1 * kv1 + kv1 * r * kv1,
-            hi2 - lo2 * kv2 + kv2 * r * kv2,
-            hi3 - lo3 * kv3 + kv3 * r * kv3,
-        )
+        lo = xv - kv * xx
+        hi = vv - kv * xv
+        # the innovations
+        in0, in1, in2, in3 = z0 - x0, z1 - x1, z2 - x2, z3 - x3
+        x[i] = (x0 + kx * in0, x1 + kx * in1, x2 + kx * in2, x3 + kx * in3)
+        v[i] = (v0 + kv * in0, v1 + kv * in1, v2 + kv * in2, v3 + kv * in3)
+        p_xx[i] = kk * xx * kk + kx * r * kx
+        p_xv[i] = lo * kk + kv * r * kx
+        p_vv[i] = hi - lo * kv + kv * r * kv
         _require_pd(tid, p_xx[i], p_xv[i], p_vv[i])
     return TrackBank._derived(bank.ids, *map(tuple, columns))
 
 
 def measurement_covariance(bank: TrackBank) -> np.ndarray:
     """Every track's state covariance projected into measurement space,
-    ``(n, 4, 4)``: H reads the positions, so it is the diagonal matrix of
-    ``p_xx``."""
+    ``(n, 4, 4)``: H reads the positions, so it is ``p_xx`` times the
+    identity."""
     n = len(bank)
     projected = np.zeros((n, MEAS_DIM * MEAS_DIM))
     if n:
-        projected[:, :: MEAS_DIM + 1] = bank.p_xx
+        projected[:, :: MEAS_DIM + 1] = np.array(bank.p_xx)[:, None]
     return projected.reshape(n, MEAS_DIM, MEAS_DIM)

@@ -107,10 +107,15 @@ def _require_pd(p: Matrix2, entity_id: str) -> None:
 
 
 def bank_of(tracks: Sequence[TrackState]) -> TrackBank:
-    """The bank holding ``tracks``, rows in entity-id order."""
+    """The bank holding ``tracks``, rows in entity-id order. A bank stores
+    one block per track, so each track's four coordinate blocks must be
+    bitwise equal; the bank takes the first."""
     ordered = sorted(tracks, key=lambda t: t.entity_id)
+    for t in ordered:
+        columns = {t.blocks[:, i].tobytes() for i in range(MEAS_DIM)}
+        assert len(columns) == 1, f"track {t.entity_id!r} has unequal coordinate blocks"
     means = np.array([t.mean for t in ordered]).reshape(-1, STATE_DIM)
-    blocks = np.array([t.blocks for t in ordered]).reshape(-1, 3, MEAS_DIM)
+    blocks = np.array([t.blocks[:, 0] for t in ordered]).reshape(-1, 3)
     return TrackBank(
         tuple(t.entity_id for t in ordered),
         np.ascontiguousarray(means[:, :MEAS_DIM]),
@@ -119,15 +124,13 @@ def bank_of(tracks: Sequence[TrackState]) -> TrackBank:
     )
 
 
-def random_pd_blocks(rng: np.random.Generator, scale: float = 1.0, ridge: float = 1.0) -> np.ndarray:
-    """(3, 4) blocks of four random positive-definite 2x2 covariances: each
-    ``a a^T + ridge I`` with ``a`` standard normal times ``scale``."""
-    out = np.zeros((3, MEAS_DIM))
-    for i in range(MEAS_DIM):
-        a = rng.normal(size=(2, 2)) * scale
-        cov = a @ a.T + np.eye(2) * ridge
-        out[:, i] = cov[0, 0], cov[1, 0], cov[1, 1]
-    return out
+def random_pd_block(rng: np.random.Generator, scale: float = 1.0, ridge: float = 1.0) -> np.ndarray:
+    """(3, 4) blocks of one random positive-definite 2x2 covariance
+    ``a a^T + ridge I``, ``a`` standard normal times ``scale``, shared by all
+    four coordinates, as every block the filter reaches is."""
+    a = rng.normal(size=(2, 2)) * scale
+    cov = a @ a.T + np.eye(2) * ridge
+    return np.repeat([[cov[0, 0]], [cov[1, 0]], [cov[1, 1]]], MEAS_DIM, axis=1)
 
 
 def bank_and_relevance(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import numpy_rgb_histograms, reference_pixel_change
-from percsched import change_detect
+from percsched import change_detect, engine as engine_module
 from percsched.change_detect import (
     REC601_LUMA,
     ChangeDetectConfig,
@@ -286,10 +286,9 @@ def engine_pixel_change(prev, curr, means, frame_w, frame_h, cfg):
     pipe = RunConfig(seed=0, change=cfg).pipeline(header)
     engine = SimEngine(Trace(header=header, frames=tuple(frames[:1])), PolicyKind.SCHEDULED, pipe)
     rows = np.array(list(means.values()), dtype=float).reshape(-1, STATE_DIM)
-    shape = (len(means), MEAS_DIM)
+    n = len(means)
     engine.bank = TrackBank(
-        tuple(means), rows[:, :MEAS_DIM], rows[:, MEAS_DIM:],
-        np.ones(shape), np.zeros(shape), np.ones(shape),
+        tuple(means), rows[:, :MEAS_DIM], rows[:, MEAS_DIM:], np.ones(n), np.zeros(n), np.ones(n)
     )
     engine._change_stats(frames[0])
     got = engine._change_stats(frames[1])
@@ -378,14 +377,18 @@ class TestPixelChangeOracle:
             self.check(case)
 
     def test_unchanged_raster_maps_no_luma(self, monkeypatch):
-        """An unchanged raster takes no difference: every patch ratio and
-        the background ratio are 0.0, and a non-finite belief still fails
-        as patch geometry."""
+        """An unchanged raster takes no difference and places no patch on
+        the raster: every patch ratio and the background ratio are 0.0, and
+        a non-finite belief still fails as patch geometry."""
 
         def no_luma(abs_rgb_diff):
             raise AssertionError("grayscale_diff called on an unchanged raster")
 
+        def no_rect(*args):
+            raise AssertionError("patch_rect called on an unchanged raster")
+
         monkeypatch.setattr(change_detect, "grayscale_diff", no_luma)
+        monkeypatch.setattr(engine_module, "patch_rect", no_rect)
         rgb = np.random.default_rng(5).integers(0, 256, size=(6, 8, 3), dtype=np.uint8)
         means = {
             "t0": [2.0, 2.0, 3.0, 3.0, 0.0, 0.0, 0.0, 0.0],
@@ -396,9 +399,10 @@ class TestPixelChangeOracle:
         assert engine_pixel_change(rgb, rgb.copy(), means, 8, 6, cfg) == (
             0.0, 0.0, {"t0": 0.0, "t1": 0.0, "t2": 0.0}
         )
-        means["t1"] = [float("nan"), 1.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
-        with pytest.raises(ValueError, match="patch geometry must be finite"):
-            engine_pixel_change(rgb, rgb.copy(), means, 8, 6, cfg)
+        for bad in (math.nan, math.inf, -math.inf):
+            means["t1"] = [bad, 1.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+            with pytest.raises(ValueError, match="patch geometry must be finite"):
+                engine_pixel_change(rgb, rgb.copy(), means, 8, 6, cfg)
 
 
 class TestMotionStatus:

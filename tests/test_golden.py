@@ -52,7 +52,7 @@ from percsched.engine import EngineConfig, PolicyKind, RunLog, SimEngine, run, r
 from percsched.metrics import extract_keyframes
 from percsched.scene import POSE, EntityKind
 from percsched.toolkit import NoiseConfig
-from percsched.tracker import COLUMNS, MEAS_DIM, KalmanConfig
+from percsched.tracker import BLOCK_COLUMNS, COLUMNS, MEAS_DIM, KalmanConfig
 from percsched.traces import ChangeStats, FramePixels, Trace, generate_trace, write_trace
 
 HERE = Path(__file__).resolve().parent
@@ -490,9 +490,11 @@ def test_every_step_keeps_one_track_set(monkeypatch, golden, variant):
 
 def test_every_scheduled_step_keeps_python_floats_in_the_bank(monkeypatch):
     """After each step of every scheduled golden run, each bank column is a
-    tuple of rows and each row a tuple of four Python floats. A numpy scalar
-    that leaks into the bank keeps the bits, so no pin would notice, but it
-    makes every later operation on its row several times slower."""
+    tuple with one entry per track: ``x`` and ``v`` rows are tuples of four
+    Python floats, and each covariance column's entries are Python floats.
+    A numpy scalar that leaks into the bank keeps the bits, so no pin would
+    notice, but it makes every later operation on its row several times
+    slower."""
     real_step = SimEngine.step
     sizes = []
 
@@ -502,6 +504,9 @@ def test_every_scheduled_step_keeps_python_floats_in_the_bank(monkeypatch):
         for name in COLUMNS:
             column = getattr(bank, name)
             assert type(column) is tuple and len(column) == len(bank), name
+            if name in BLOCK_COLUMNS:
+                assert all(type(value) is float for value in column), (name, column)
+                continue
             for row in column:
                 assert type(row) is tuple and len(row) == MEAS_DIM, name
                 assert all(type(value) is float for value in row), (name, row)

@@ -16,7 +16,7 @@ from oracles import (
     bank_and_relevance,
     keypoint_sigma,
     per_track_detection_info_gain,
-    random_pd_blocks,
+    random_pd_block,
     scalar_extrapolated,
     scalar_post_execution_entropy,
 )
@@ -380,7 +380,8 @@ def _track(entity_id, blocks, height):
 
 
 def _with_position_variances(p_xx):
-    """Identity blocks with ``p_xx`` as the four position variances."""
+    """Identity blocks with ``p_xx`` as the position variance that all four
+    coordinates share."""
     blocks = IDENTITY.copy()
     blocks[0] = p_xx
     return blocks
@@ -388,12 +389,13 @@ def _with_position_variances(p_xx):
 
 @st.composite
 def track_sets(draw):
-    """1-8 tracks with random block-form positive-definite covariances."""
+    """1-8 tracks, each with one random positive-definite 2x2 block shared
+    by its four coordinates."""
     count = draw(st.integers(min_value=1, max_value=8))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     out = []
     for i in range(count):
-        cov = random_pd_blocks(
+        cov = random_pd_block(
             rng,
             scale=draw(st.floats(min_value=1e-2, max_value=1e2)),
             ridge=draw(st.floats(min_value=1e-3, max_value=10.0)),
@@ -418,7 +420,7 @@ class TestDetectionInfoGain:
         assert detection_info_gain(*zero, _cfg(17), KCFG) == 0.0
 
     def test_first_non_pd_track_is_named(self):
-        indefinite = _with_position_variances([-1.0, 1.0, 1.0, 1.0])
+        indefinite = _with_position_variances(-1.0)
         good = _track("a-good", IDENTITY, 40.0)
         skipped = _track("b-skipped", indefinite, 40.0)
         bad = _track("c-bad", indefinite, 40.0)
@@ -432,7 +434,7 @@ class TestDetectionInfoGain:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
     def test_nan_inf_and_zero_position_variances_are_named(self, value):
         good = _track("a-good", IDENTITY, 40.0)
-        bad = _track("c-bad", _with_position_variances([1.0, 1.0, value, 1.0]), 40.0)
+        bad = _track("c-bad", _with_position_variances(value), 40.0)
         tracks = [(good, 1.0), (bad, 0.5)]
         with pytest.raises(NumericalError, match="'c-bad'"):
             detection_info_gain(*bank_and_relevance(tracks), _cfg(17), KCFG)
@@ -442,14 +444,14 @@ class TestDetectionInfoGain:
     def test_ratio_underflowing_to_zero_gives_minus_infinity(self):
         # 5e-324 over the noise variance of a 1000 px tall box,
         # (0.05 * 1000) ** 2, rounds to zero, whose log is -inf
-        tiny = _track("a-tiny", _with_position_variances([1.0, 5e-324, 1.0, 1.0]), 1000.0)
+        tiny = _track("a-tiny", _with_position_variances(5e-324), 1000.0)
         good = _track("b-good", IDENTITY, 40.0)
         tracks = [(tiny, 1.0), (good, 0.5)]
         assert detection_info_gain(*bank_and_relevance(tracks), _cfg(17), KCFG) == -math.inf
 
     def test_later_non_pd_track_is_named_ahead_of_an_underflow(self):
-        tiny = _track("a-tiny", _with_position_variances([5e-324] * 4), 1000.0)
-        bad = _track("b-bad", _with_position_variances([1.0, 1.0, -1.0, 1.0]), 40.0)
+        tiny = _track("a-tiny", _with_position_variances(5e-324), 1000.0)
+        bad = _track("b-bad", _with_position_variances(-1.0), 40.0)
         tracks = [(tiny, 1.0), (bad, 1.0)]
         with pytest.raises(NumericalError, match="'b-bad'"):
             detection_info_gain(*bank_and_relevance(tracks), _cfg(17), KCFG)

@@ -36,17 +36,18 @@ def _cfg(lam=0.0, cost_det=15.0, cost_pose=80.0, keypoints=133, **kwargs):
 
 def _bank_with_projected(*projected, h=40.0):
     """One track per projected covariance, each box ``h`` high. A bank's
-    projected covariance is diagonal: its position variances ``p_xx``."""
+    projected covariance is its position variance ``p_xx``, which all four
+    coordinates share, times the identity."""
     for p in projected:
-        assert np.count_nonzero(p - np.diag(np.diag(p))) == 0
+        assert np.array_equal(p, p[0, 0] * np.eye(4))
     n = len(projected)
     return TrackBank(
         tuple(f"t{i}" for i in range(n)),
         np.array([[0, 0, 30, h]] * n, dtype=float),
         np.zeros((n, 4)),
-        np.array([np.diag(p) for p in projected]).reshape(n, 4),
-        np.zeros((n, 4)),
-        np.ones((n, 4)),
+        np.array([p[0, 0] for p in projected]),
+        np.zeros(n),
+        np.ones(n),
     )
 
 

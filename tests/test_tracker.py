@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import full_covariance, measurement_noise, process_noise, random_pd_blocks
+from oracles import full_covariance, measurement_noise, process_noise, random_pd_block
 from percsched.tracker import (
+    BLOCK_COLUMNS,
     COLUMNS,
     MEAS_DIM,
     KalmanConfig,
@@ -72,15 +73,22 @@ def mean_at(bank, row=0):
     return np.concatenate([bank.x[row], bank.v[row]])
 
 
-def blocks_at(bank, row=0):
-    """A bank row's (3, 4) blocks: its ``p_xx``, ``p_xv`` and ``p_vv``."""
-    return np.array([bank.p_xx[row], bank.p_xv[row], bank.p_vv[row]])
-
-
 def blocks_of(p_xx, p_xv, p_vv):
     """(3, 4) blocks with each entry the same in all four coordinates, or
     given per coordinate."""
     return np.array([np.broadcast_to(np.asarray(e, dtype=float), 4) for e in (p_xx, p_xv, p_vv)])
+
+
+def blocks_at(bank, row=0):
+    """A bank row's (3, 4) blocks: its ``p_xx``, ``p_xv`` and ``p_vv``,
+    which all four coordinates share."""
+    return blocks_of(bank.p_xx[row], bank.p_xv[row], bank.p_vv[row])
+
+
+def columns_of(n):
+    """Zero constructor columns for ``n`` tracks: ``x`` and ``v`` of shape
+    ``(n, 4)``, the block columns of shape ``(n,)``."""
+    return [np.zeros((n, MEAS_DIM))] * 2 + [np.zeros(n)] * len(BLOCK_COLUMNS)
 
 
 IDENTITY = blocks_of(1.0, 0.0, 1.0)
@@ -155,7 +163,7 @@ class TestPredict:
     def test_determinant_grows_under_pd_noise(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            t = one([0, 0, 20, 20, 0, 0, 0, 0.0], random_pd_blocks(rng, ridge=2.0))
+            t = one([0, 0, 20, 20, 0, 0, 0, 0.0], random_pd_block(rng, ridge=2.0))
             out = predict(t, CFG)
             # determinants of the 8x8 covariances, independent of the filter code
             before = pure_python_det(full(t))
@@ -276,12 +284,18 @@ class TestUpdate:
 
 class TestMeasurementCovariance:
     def test_block_extraction(self):
-        t = one([0, 0, 10, 10, 0, 0, 0, 0.0], blocks_of([1.0, 2.0, 3.0, 4.0], 0.5, 9.0))
-        np.testing.assert_array_equal(measurement_covariance(t), [np.diag([1.0, 2.0, 3.0, 4.0])])
+        mean = np.array([0, 0, 10, 10, 0, 0, 0, 0.0])
+        bank = oracles.bank_of([
+            oracles.TrackState(mean, blocks_of(p_xx, 0.5, 9.0), tid)
+            for tid, p_xx in (("a", 1.0), ("b", 2.0), ("c", 3.0))
+        ])
+        np.testing.assert_array_equal(
+            measurement_covariance(bank), [np.diag([p] * 4) for p in (1.0, 2.0, 3.0)]
+        )
 
     def test_symmetric_and_pd(self):
         rng = np.random.default_rng(7)
-        t = one([0, 0, 10, 10, 0, 0, 0, 0.0], random_pd_blocks(rng))
+        t = one([0, 0, 10, 10, 0, 0, 0, 0.0], random_pd_block(rng))
         proj = measurement_covariance(t)[0]
         np.testing.assert_allclose(proj, proj.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(proj) > 0)
@@ -309,25 +323,38 @@ class TestMotionScaling:
 class TestTrackBank:
     def test_rows_must_be_sorted_unique_and_shaped(self):
         with pytest.raises(ValueError, match="sorted"):
-            TrackBank(("b", "a"), *[np.zeros((2, 4))] * 5)
+            TrackBank(("b", "a"), *columns_of(2))
         with pytest.raises(ValueError, match="sorted"):
-            TrackBank(("a", "a"), *[np.zeros((2, 4))] * 5)
+            TrackBank(("a", "a"), *columns_of(2))
         with pytest.raises(ValueError, match=r"x must have shape \(1, 4\), got \(2, 4\)"):
-            TrackBank(("a",), np.zeros((2, 4)), *[np.zeros((1, 4))] * 4)
-        for bad in range(1, 5):
-            columns = [np.zeros((1, 4))] * 5
+            TrackBank(("a",), np.zeros((2, 4)), *columns_of(1)[1:])
+        for bad, shape in zip(range(1, 5), (r"\(1, 4\)", r"\(1,\)", r"\(1,\)", r"\(1,\)")):
+            columns = columns_of(1)
             columns[bad] = np.zeros((1, 8))
-            with pytest.raises(ValueError, match=rf"{COLUMNS[bad]} must have shape \(1, 4\)"):
+            with pytest.raises(ValueError, match=rf"{COLUMNS[bad]} must have shape {shape}"):
                 TrackBank(("a",), *columns)
 
-    def test_columns_stay_tuples_of_float_rows_of_four(self):
-        # the tracker's speed rests on every column being a tuple of rows,
-        # each a tuple of four Python floats, whichever operation made the
+    @pytest.mark.parametrize("name", BLOCK_COLUMNS)
+    def test_a_block_column_per_coordinate_is_rejected(self, name):
+        # the four coordinates share one block, so a block column with an
+        # entry per coordinate, (n, 4), is a layout the bank does not hold
+        columns = columns_of(2)
+        columns[COLUMNS.index(name)] = np.ones((2, MEAS_DIM))
+        with pytest.raises(ValueError, match=rf"{name} must have shape \(2,\), got \(2, 4\)"):
+            TrackBank(("a", "b"), *columns)
+
+    def test_columns_stay_tuples_of_python_floats(self):
+        # the tracker's speed rests on every column being a tuple with one
+        # entry per track, a tuple of four Python floats for x and v and a
+        # Python float for each block entry, whichever operation made the
         # bank: a numpy scalar keeps the bits but slows each later operation
         def assert_layout(bank):
             for name in COLUMNS:
                 column = getattr(bank, name)
                 assert type(column) is tuple and len(column) == len(bank), name
+                if name in BLOCK_COLUMNS:
+                    assert all(type(value) is float for value in column), name
+                    continue
                 for row in column:
                     assert type(row) is tuple and len(row) == 4, name
                     assert all(type(value) is float for value in row), name
@@ -349,7 +376,7 @@ class TestTrackBank:
         bank = inflate_process_noise(bank, ["b"], CFG, np.float64(3.0))
         assert_layout(bank)
         assert_layout(bank.without(["b"]))
-        assert_layout(TrackBank(("a",), *[np.float32([[1, 2, 3, 4]])] * 5))
+        assert_layout(TrackBank(("a",), *[np.float32([[1, 2, 3, 4]])] * 2, *[np.float32([1])] * 3))
 
     def test_without_drops_rows_and_ignores_strangers(self):
         bank = init_track(TrackBank(), ["a", "b", "c"], np.array([[1.0, 1, 5, 5]] * 3), CFG)
@@ -432,9 +459,9 @@ class TestCoordinateBlocksStayEqual:
 
 @st.composite
 def banks(draw):
-    """1-7 tracks, ids in shuffled order, with random block-form
-    positive-definite covariances (the form every reachable covariance has)
-    and a per-row process-noise scale and zero-velocity flag."""
+    """1-7 tracks, ids in shuffled order, each with one random
+    positive-definite 2x2 block shared by its four coordinates (the form
+    every reachable covariance has) and a per-row process-noise scale and zero-velocity flag."""
     count = draw(st.integers(min_value=1, max_value=7))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     tracks, q_scales, still = [], [], []
@@ -444,7 +471,7 @@ def banks(draw):
             rng.uniform(0.0, 640.0, size=2), [rng.uniform(1.0, 300.0), height],
             rng.normal(0.0, 5.0, size=4),
         ])
-        blocks = random_pd_blocks(
+        blocks = random_pd_block(
             rng,
             scale=draw(st.floats(min_value=1e-2, max_value=50.0)),
             ridge=draw(st.floats(min_value=1e-3, max_value=10.0)),
@@ -575,7 +602,15 @@ class TestDerivedBanksPassTheFullCheck:
             predict(bank, CFG, q_scale=q_scale)
 
 
-# blocks with a NaN or an infinite entry, each put in track 'c' of four
+# a block with a NaN or an infinite entry, put in track 'c' of four
+NON_FINITE_BLOCK = {
+    "nan-p_xv": blocks_of(1.0, math.nan, 1.0),
+    "nan-p_xx": blocks_of(math.nan, 0.0, 1.0),
+    "inf-p_xx": blocks_of(math.inf, 0.0, 1.0),
+    "inf-p_vv": blocks_of(1.0, 0.0, math.inf),
+}
+# the same entries in one coordinate's block, for the one-track oracle,
+# which checks each coordinate
 NON_FINITE_BLOCKS = {
     "nan-p_xv": blocks_of(1.0, [0.0, math.nan, 0.0, 0.0], 1.0),
     "nan-p_xx": blocks_of([1.0, 1.0, 1.0, math.nan], 0.0, 1.0),
@@ -614,11 +649,11 @@ class TestBadCovarianceNamesItsTrack:
             inflate_process_noise(bank, list(bank.ids), CFG, 1.0)
 
     @pytest.mark.parametrize("op", ["predict", "update", "inflate"])
-    @pytest.mark.parametrize("bad", sorted(NON_FINITE_BLOCKS))
+    @pytest.mark.parametrize("bad", sorted(NON_FINITE_BLOCK))
     def test_nan_and_inf_blocks_are_named(self, op, bad):
         # Python float arithmetic takes an invalid operation on the way
         # (inf - inf) to a NaN without a warning
-        bank = self.four_tracks(NON_FINITE_BLOCKS[bad])
+        bank = self.four_tracks(NON_FINITE_BLOCK[bad])
         ids = list(bank.ids)
         with pytest.raises(NumericalError, match="track 'c'"):
             if op == "predict":
@@ -680,11 +715,11 @@ class TestBadCovarianceNamesItsTrack:
     )
     def test_pivot_test_names_its_track_without_a_warning(self, p_xx, p_xv):
         # a top-up whose position noise underflows leaves p_xx and p_xv as
-        # they were: p_xv / p_xx overflows on the first block, and the
-        # second fails at p_xx = 0 before its infinite p_xv meets a ratio
-        # (pytest turns a RuntimeWarning into an error)
+        # they were: p_xv / p_xx overflows in the first case, and the second
+        # fails at p_xx = 0 before its infinite p_xv meets a ratio (pytest
+        # turns a RuntimeWarning into an error)
         cfg = KalmanConfig(std_weight_position=1e-300)
-        bank = self.four_tracks(blocks_of([1.0, p_xx, 1.0, 1.0], [0.0, p_xv, 0.0, 0.0], 1.0))
+        bank = self.four_tracks(blocks_of(p_xx, p_xv, 1.0))
         with pytest.raises(NumericalError, match="track 'c'"):
             inflate_process_noise(bank, list(bank.ids), cfg, 1.0)
 
