@@ -159,7 +159,7 @@ def _entity_from_dict(d: dict) -> Entity:
     )
 
 
-def _shared_entity(d: dict, memo: Dict[tuple, Entity]) -> Entity:
+def _shared_entity(d: dict, memo: dict) -> Entity:
     """The entity of record ``d``, built once per distinct record: ``memo``
     maps a record's items and the type of each value to the entity already
     built from an identical record. A record that is no object, that holds an
@@ -202,9 +202,35 @@ def frame_to_dict(frame: TraceFrame) -> dict:
     return rec
 
 
-def frame_from_dict(rec: dict, header: TraceHeader, memo: Dict[tuple, Entity]) -> TraceFrame:
-    """The frame of record ``rec``; ``memo`` is ``_shared_entity``'s, kept by
-    the reader for one file so that its frames share their entities."""
+def _shared_pixels(p: dict, memo: dict) -> FramePixels:
+    """The raster of pixels record ``p``, decoded once for a run of frames
+    that repeat it: ``memo["pixels"]`` holds the text, height, width and
+    raster of the last record that decoded, and a record whose ``rgb_b64``
+    equals that text and whose ``h`` and ``w`` are those same exact ints
+    shares that raster. Any other record is decoded anew, so a bad one fails
+    where it stands."""
+    last = memo.get("pixels")
+    if (
+        last is not None
+        and type(p) is dict
+        and p.get("rgb_b64") == last[0]
+        and type(p.get("h")) is int
+        and type(p.get("w")) is int
+        and (p["h"], p["w"]) == last[1:3]
+    ):
+        return last[3]
+    raw = base64.b64decode(p["rgb_b64"])
+    rgb = np.frombuffer(raw, dtype=np.uint8).reshape(p["h"], p["w"], 3)
+    pixels = FramePixels(rgb=rgb)
+    memo["pixels"] = (p["rgb_b64"], p["h"], p["w"], pixels)
+    return pixels
+
+
+def frame_from_dict(rec: dict, header: TraceHeader, memo: dict) -> TraceFrame:
+    """The frame of record ``rec``. The reader keeps ``memo`` for one file so
+    that its frames share what they repeat: ``_shared_entity``'s entities,
+    keyed by tuples, and ``_shared_pixels``' last raster, keyed by
+    ``"pixels"``."""
     index = rec.get("index")
     try:
         change = None
@@ -213,10 +239,7 @@ def frame_from_dict(rec: dict, header: TraceHeader, memo: Dict[tuple, Entity]) -
             change = ChangeStats(c["background_cr"], c["hist_shift_mean"], c.get("patch_cr", {}))
         pixels = None
         if "pixels" in rec:
-            p = rec["pixels"]
-            raw = base64.b64decode(p["rgb_b64"])
-            rgb = np.frombuffer(raw, dtype=np.uint8).reshape(p["h"], p["w"], 3)
-            pixels = FramePixels(rgb=rgb)
+            pixels = _shared_pixels(rec["pixels"], memo)
         frame = TraceFrame(
             index=index,
             entities=tuple(_shared_entity(d, memo) for d in rec["entities"]),
@@ -254,6 +277,11 @@ def write_trace(path: Union[str, Path], trace: Trace) -> None:
 
 
 def read_trace(path: Union[str, Path]) -> Trace:
+    """The trace in the JSONL file at ``path``. Its frames share one
+    ``Entity`` per distinct entity record, and a frame whose pixels record
+    repeats the last raster read (the same text, height and width) shares
+    that raster's read-only array; a malformed record raises a
+    ``TraceError`` naming its line."""
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
@@ -264,7 +292,7 @@ def read_trace(path: Union[str, Path]) -> Trace:
         raise TraceError(f"trace file is empty: {path}")
     number, text = lines[0]
     frames = []
-    memo: Dict[tuple, Entity] = {}
+    memo: dict = {}
     try:
         try:
             head = json.loads(text)

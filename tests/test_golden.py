@@ -53,7 +53,14 @@ from percsched.metrics import extract_keyframes
 from percsched.scene import POSE, EntityKind
 from percsched.toolkit import NoiseConfig
 from percsched.tracker import BLOCK_COLUMNS, COLUMNS, MEAS_DIM, KalmanConfig
-from percsched.traces import ChangeStats, FramePixels, Trace, generate_trace, write_trace
+from percsched.traces import (
+    ChangeStats,
+    FramePixels,
+    Trace,
+    generate_trace,
+    read_trace,
+    write_trace,
+)
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "runlog_digests.json"
@@ -196,6 +203,20 @@ def test_written_traces_match_golden_digests(tmp_path, name):
     path = tmp_path / "trace.jsonl"
     write_trace(path, make_trace(name))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("variant", ["", "noise"])
+def test_read_pixel_trace_runs_as_the_trace_in_memory(tmp_path, variant):
+    """The golden runs go through in-memory traces; a pixel trace read back,
+    whose repeated rasters share one array, gives the same run logs."""
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, make_trace("interaction-pixels"))
+    read = read_trace(path)
+    assert any(a.pixels.rgb is b.pixels.rgb for a, b in zip(read.frames, read.frames[1:]))
+    held = matrix_runs("interaction-pixels", variant)
+    assert run_logs(read, variant_config(variant)) == {
+        policy: log.to_jsonl() for policy, log in held.items()
+    }
 
 
 @pytest.mark.parametrize("name", TRACES)

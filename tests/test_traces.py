@@ -26,6 +26,7 @@ from percsched.traces import (
     TraceError,
     TraceFrame,
     TraceHeader,
+    frame_from_dict,
     generate_trace,
     read_trace,
     write_trace,
@@ -602,6 +603,99 @@ class TestSharedEntities:
 
         assert distinct(read) <= distinct(made)
         assert distinct(read) < sum(len(frame.entities) for frame in read.frames)
+        write_trace(again, read)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def _pixels(value: int, h: int = 2, w: int = 3) -> dict:
+    """The pixels record of an ``h`` x ``w`` raster whose bytes all equal ``value``."""
+    return {"w": w, "h": h, "rgb_b64": base64.b64encode(bytes([value]) * (h * w * 3)).decode()}
+
+
+def _raster_trace(path: Path, rasters) -> None:
+    """Write a trace whose frame i carries the pixels record ``rasters[i]``."""
+    head = {"record": "header", "schema": "percsched-trace", "version": 2,
+            "frame_period_ms": 33.0, "keypoint_count": 17, "frame_count": len(rasters)}
+    frames = [{"record": "frame", "index": i, "entities": [], "pixels": p}
+              for i, p in enumerate(rasters)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in [head, *frames]))
+
+
+def _decode_error(p: dict) -> str:
+    """The message of the error that decoding pixels record ``p`` on its own raises."""
+    with pytest.raises((TypeError, ValueError)) as caught:
+        np.frombuffer(base64.b64decode(p["rgb_b64"]), dtype=np.uint8).reshape(p["h"], p["w"], 3)
+    return str(caught.value)
+
+
+class TestSharedRasters:
+    """The reader decodes a raster that repeats the previous frame's text,
+    height and width once, and those frames share one read-only array."""
+
+    def test_consecutive_repeats_share_one_read_only_array(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        a, b = _pixels(7), _pixels(9)
+        _raster_trace(path, [a, a, dict(a), b, b])
+        rgbs = [frame.pixels.rgb for frame in read_trace(path).frames]
+        assert rgbs[0] is rgbs[1] is rgbs[2]
+        assert rgbs[3] is rgbs[4] and rgbs[3] is not rgbs[2]
+        assert rgbs[0].tobytes() == bytes([7]) * 18 and rgbs[3].tobytes() == bytes([9]) * 18
+        for rgb in rgbs:
+            assert rgb.shape == (2, 3, 3) and not rgb.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rgb[0, 0, 0] = 1
+
+    def test_only_the_last_raster_is_kept(self, tmp_path, monkeypatch):
+        # A-B-A decodes A twice: the reader keeps the last raster, not a dict
+        path = tmp_path / "t.jsonl"
+        a, b = _pixels(7), _pixels(9)
+        _raster_trace(path, [a, a, b, a])
+        decoded = []
+        real = base64.b64decode
+        monkeypatch.setattr(base64, "b64decode", lambda s: decoded.append(s) or real(s))
+        rgbs = [frame.pixels.rgb for frame in read_trace(path).frames]
+        assert decoded == [a["rgb_b64"], b["rgb_b64"], a["rgb_b64"]]
+        assert rgbs[0] is rgbs[1] and rgbs[3] is not rgbs[0]
+        assert rgbs[3].tobytes() == rgbs[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"h": 1}, {"h": True}, {"h": 2.0}, {"w": 3.0}, {"rgb_b64": 5}, {"rgb_b64": "AAA"}],
+        ids=["other-height", "true-height", "float-height", "float-width", "number-text",
+             "bad-padding"],
+    )
+    def test_repeat_that_differs_in_kind_fails_at_its_first_occurrence(self, tmp_path, edit):
+        # a text equal to the last raster's never matches under a height or
+        # width that is not that exact int, and a bad record never enters
+        # the memo, so each fails as its own decode does
+        path = tmp_path / "t.jsonl"
+        a = _pixels(7)
+        bad = dict(a, **edit)
+        _raster_trace(path, [a, a, bad, bad])
+        with pytest.raises(TraceError) as caught:
+            read_trace(path)
+        assert str(caught.value) == f"line 4: frame 2: malformed record: {_decode_error(bad)}"
+
+    def test_record_that_fails_fails_each_time(self):
+        header = TraceHeader()
+        memo: dict = {}
+        a = _pixels(7)
+        frame_from_dict({"index": 0, "entities": [], "pixels": a}, header, memo)
+        for bad in (dict(a, h=1), _pixels(0, h=0, w=0)):
+            for _ in range(2):
+                with pytest.raises(TraceError, match="frame 1: malformed record: "):
+                    frame_from_dict({"index": 1, "entities": [], "pixels": bad}, header, memo)
+        again = frame_from_dict({"index": 1, "entities": [], "pixels": dict(a)}, header, memo)
+        assert again.pixels.rgb.tobytes() == bytes([7]) * 18
+
+    def test_write_of_read_is_byte_identical(self, tmp_path):
+        path, again = tmp_path / "t.jsonl", tmp_path / "again.jsonl"
+        rgb = [np.full((12, 16, 3), v, dtype=np.uint8) for v in (3, 3, 3, 80, 3)]
+        frames = [TraceFrame(index=i, entities=(), pixels=FramePixels(rgb=x))
+                  for i, x in enumerate(rgb)]
+        write_trace(path, Trace(header=TraceHeader(frame_count=5), frames=tuple(frames)))
+        read = read_trace(path)
+        assert read.frames[0].pixels is read.frames[2].pixels
         write_trace(again, read)
         assert again.read_bytes() == path.read_bytes()
 
