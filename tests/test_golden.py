@@ -49,8 +49,8 @@ from percsched import engine as engine_module
 from percsched.change_detect import ChangeDetectConfig
 from percsched.config import RunConfig
 from percsched.engine import EngineConfig, PolicyKind, RunLog, SimEngine, run, run_offline
-from percsched.metrics import extract_keyframes
-from percsched.scene import POSE, EntityKind
+from percsched.metrics import KeyframeThresholds, extract_keyframes
+from percsched.scene import DETECTION, POSE, EntityKind
 from percsched.toolkit import NoiseConfig
 from percsched.tracker import BLOCK_COLUMNS, COLUMNS, MEAS_DIM, KalmanConfig
 from percsched.traces import (
@@ -79,6 +79,23 @@ TRACE_DIGESTS = {
 OFFLINE_DIGESTS = {
     "interaction": "67eab061f8dfa2dc7e84e3d85f7036056b5aec968914efb2134c9db51e85e03a",
     "walking": "bdee825c7144dc762addb07b4092ba8254f621c22533dc6bc981f58e7d9c243a",
+}
+# the SHA-256 of each golden trace's ground-truth keyframe sets, as
+# ``keyframe_sets`` writes them, at the default (tau_box_px, tau_kp_px), at a
+# tighter pair and at a looser one
+KEYFRAME_DIGESTS = {
+    "static/10,15": "f21e301d9e2a74a7ffca53100f9339254a98289b29be561a5294f7729a62f60f",
+    "interaction/10,15": "c459c8a59bc6f15acb13cd1a17fe07fc70d76f88989f7ec67273fcafb1007293",
+    "walking/10,15": "155b22f43fd9e0f2366177cafbf777a9614d99a9884cfc09e2d30f8309cff541",
+    "interaction-pixels/10,15": "c459c8a59bc6f15acb13cd1a17fe07fc70d76f88989f7ec67273fcafb1007293",
+    "static/3,4": "0122885678315cfe105e83260f8dea0c96ed23496f01d919ff8422fe2885f70f",
+    "interaction/3,4": "470653bbe1fb6e7acb4b9d3bf07e000fad9d1f1e776568668b6541c01cfabbc6",
+    "walking/3,4": "155b22f43fd9e0f2366177cafbf777a9614d99a9884cfc09e2d30f8309cff541",
+    "interaction-pixels/3,4": "470653bbe1fb6e7acb4b9d3bf07e000fad9d1f1e776568668b6541c01cfabbc6",
+    "static/30,40": "397b0533482b70ad982394357421b3ffad37bc2b9a0ef31c2575338860206a54",
+    "interaction/30,40": "bc03ee299c9a413c0186c09bbed5f4387a616a3777947def3bb40041c9e4081a",
+    "walking/30,40": "d3f7327dd3d50c92c1d422eba3eeffb9c052eae9e36f1871c94f023c58c8bcc7",
+    "interaction-pixels/30,40": "bc03ee299c9a413c0186c09bbed5f4387a616a3777947def3bb40041c9e4081a",
 }
 VARIANTS = {
     "noise": RunConfig(
@@ -260,6 +277,25 @@ def test_offline_log_gives_one_keyframe_set_in_memory_and_read_back(name):
     gt = extract_keyframes(log, cfg.keyframes)
     assert gt.required[POSE]
     assert extract_keyframes(back, cfg.keyframes) == gt
+
+
+def keyframe_sets(required: dict) -> str:
+    """Ground-truth keyframe sets as JSON text: each module's frames, sorted."""
+    return json.dumps({m: sorted(frames) for m, frames in required.items()}, sort_keys=True)
+
+
+@pytest.mark.parametrize("key", sorted(KEYFRAME_DIGESTS))
+def test_ground_truth_keyframes_match_pinned_sets(key):
+    """Every golden trace gives the keyframe sets it gave when the pins were
+    made, at the default thresholds and off them."""
+    name, pair = key.split("/")
+    trace = make_trace(name)
+    thresholds = KeyframeThresholds(*map(float, pair.split(",")))
+    gt = extract_keyframes(run_offline(trace, RunConfig(seed=SEED).pipeline(trace.header)),
+                           thresholds)
+    assert gt.count(DETECTION) and gt.count(POSE)
+    text = keyframe_sets(gt.required)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == KEYFRAME_DIGESTS[key], text
 
 
 @pytest.mark.parametrize("bins", [7, 20, 100])
