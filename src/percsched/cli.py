@@ -6,12 +6,11 @@ Exit codes: 0 success, 2 config error, 3 trace error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
 from typing import List, Optional
-
-import json
 
 from .config import POLICIES, ConfigError, RunConfig
 from .engine import PipelineConfig, PolicyKind, RunLog, run, run_offline
@@ -180,17 +179,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the subparsers are required, so parse_args admits no other command
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "gen-trace":
             return cmd_gen_trace(args)
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        parser.error(f"unknown command {args.command!r}")
-        return EXIT_RUNTIME
+        return cmd_compare(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -83,8 +83,6 @@ from .traces import Trace, TraceFrame
 RUNLOG_SCHEMA = "percsched-runlog"
 RUNLOG_VERSION = 1
 
-OFFLINE_POLICY = "offline"
-
 
 class EngineError(RuntimeError):
     """Raised for trace underruns and inconsistent engine inputs."""
@@ -151,9 +149,10 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class FrameRecord:
-    """Everything the metrics need about one frame of one run.
+    """Everything the metrics need about one frame of one policy run.
 
-    The fields, in order, are the keys of a frame line of the run log.
+    The fields, in order, are the keys of a frame line of the run log, and
+    every frame line has them all.
     """
 
     index: int
@@ -167,8 +166,6 @@ class FrameRecord:
     applied: Sequence[dict]
     decision_time_ms: float
     tracked: int
-    # offline runs only: the ground-truth boxes and keypoints of the frame
-    observations: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -184,9 +181,7 @@ class RunLogHeader:
     config_digest: str = ""
 
 
-# an offline record's keypoint arrays are written as the nested lists of
-# their points; any other object the encoder cannot write is a TypeError
-_encode = json.JSONEncoder(separators=(",", ":"), default=np.ndarray.tolist).encode
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 # ``fields()`` builds a new tuple per call, and a log asks once per record
@@ -200,10 +195,10 @@ _PLAIN = frozenset({bool, int, float, str, list, tuple, type(None)})
 
 
 def _line(tags: dict, record: object) -> str:
-    """One run-log line: ``tags``, then the record's fields in declaration
-    order. Mappings are written with sorted keys, and the mappings in a list
-    (the applied entries) with ``module``, ``issued``, ``ready`` first; a
-    ``None`` field is left out and reads back as its default."""
+    """One run-log line: ``tags``, then every field of the record in
+    declaration order. Mappings are written with sorted keys, and the
+    mappings in a list (the applied entries) with ``module``, ``issued``,
+    ``ready`` first."""
     row = dict(tags)
     for name in _field_names(type(record)):
         value = getattr(record, name)
@@ -212,7 +207,7 @@ def _line(tags: dict, record: object) -> str:
             row[name] = {k: value[k] for k in sorted(value)}
         elif kind is list or kind is tuple:
             row[name] = [{**{k: e[k] for k in _APPLIED_KEYS if k in e}, **e} for e in value]
-        elif value is not None:
+        else:
             row[name] = value
     return _encode(row)
 
@@ -222,55 +217,47 @@ def _line(tags: dict, record: object) -> str:
 # A frame line that the engine makes is written through one %-template
 # compiled from FrameRecord's fields: a ``Mapping`` field is one value per
 # module id, in sorted order; a ``Sequence`` field is the list of applied
-# entries; a field that defaults to None must be None and is left out; any
-# other field is one scalar. A record the template does not fit is written
-# by ``_line``, whose bytes the template reproduces.
+# entries; any other field is one scalar. A record the template does not fit
+# is written by ``_line``, whose bytes the template reproduces.
 
 _FRAME_TAGS = {"record": "frame"}
 _MODULES = tuple(sorted((DETECTION, POSE)))
 # the keys of an applied entry, in the order ``_apply_ready_outputs`` writes them
 _APPLIED_KEYS = ("module", "issued", "ready")
-_SCALAR, _PER_MODULE, _ENTRIES, _LEFT_OUT = range(4)
+_SCALAR, _PER_MODULE, _ENTRIES = range(3)
 
 
 _FRAME_HINTS = get_type_hints(FrameRecord)
 
 
-def _frame_kind(field) -> int:
-    origin = get_origin(_FRAME_HINTS[field.name])
+def _frame_kind(name: str) -> int:
+    origin = get_origin(_FRAME_HINTS[name])
     if origin is AnyMapping:
         return _PER_MODULE
     if origin is AnySequence:
         return _ENTRIES
-    return _LEFT_OUT if field.default is None else _SCALAR
+    return _SCALAR
 
 
-_FRAME_KINDS = tuple(map(_frame_kind, fields(FrameRecord)))
-_frame_values = operator.attrgetter(*_field_names(FrameRecord))
+# a frame line's keys, in order, as the template writes them and the reader sees them
+_FRAME_KEYS = _field_names(FrameRecord)
+_FRAME_KINDS = tuple(map(_frame_kind, _FRAME_KEYS))
+_frame_values = operator.attrgetter(*_FRAME_KEYS)
 _module_values = operator.itemgetter(*_MODULES)
 _APPLIED_SLOT = "{%s}" % ",".join(f"{_encode(k)}:%s" for k in _APPLIED_KEYS)
-# a templated line's keys, and the fields it leaves out, as the reader sees them
-_FRAME_KEYS = tuple(
-    name for name, kind in zip(_field_names(FrameRecord), _FRAME_KINDS) if kind is not _LEFT_OUT
-)
-_LEFT_OUT_FIELDS = {
-    name: None for name, kind in zip(_field_names(FrameRecord), _FRAME_KINDS) if kind is _LEFT_OUT
-}
 
 
 @functools.lru_cache(maxsize=8)
 def _frame_template(entries: int) -> str:
     """The %-template of a frame line with ``entries`` applied entries."""
     parts = [f"{_encode(k)}:{_encode(v)}" for k, v in _FRAME_TAGS.items()]
-    for name, kind in zip(_field_names(FrameRecord), _FRAME_KINDS):
+    for name, kind in zip(_FRAME_KEYS, _FRAME_KINDS):
         if kind is _SCALAR:
             slot = "%s"
         elif kind is _PER_MODULE:
             slot = "{%s}" % ",".join(f"{_encode(m)}:%s" for m in _MODULES)
-        elif kind is _ENTRIES:
-            slot = "[%s]" % ",".join([_APPLIED_SLOT] * entries)
         else:
-            continue
+            slot = "[%s]" % ",".join([_APPLIED_SLOT] * entries)
         parts.append(f"{_encode(name)}:{slot}")
     return "{%s}" % ",".join(parts)
 
@@ -295,9 +282,8 @@ def _scalar_texts(values: List[object]) -> Tuple[str, ...]:
 def _frame_line(record: FrameRecord) -> str:
     """``_line({"record": "frame"}, record)``, through the template when the
     record fits it: a ``FrameRecord`` whose every mapping is a ``dict`` keyed
-    by exactly the module ids, whose every applied entry is a ``dict`` keyed
-    ``module``, ``issued``, ``ready`` in that order, and that has no offline
-    ``observations``."""
+    by exactly the module ids, and whose every applied entry is a ``dict``
+    keyed ``module``, ``issued``, ``ready`` in that order."""
     if type(record) is not FrameRecord:  # a subclass may add fields
         return _line(_FRAME_TAGS, record)
     values: List[object] = []
@@ -310,7 +296,7 @@ def _frame_line(record: FrameRecord) -> str:
                 if type(value) is not dict or len(value) != len(_MODULES):
                     break
                 values.extend(_module_values(value))
-            elif kind is _ENTRIES:
+            else:
                 if type(value) is not list and type(value) is not tuple:
                     break
                 if value:
@@ -319,8 +305,6 @@ def _frame_line(record: FrameRecord) -> str:
                     for entry in value:
                         values.extend(entry.values())
                     entries = len(value)
-            elif value is not None:
-                break
         else:
             return _frame_template(entries) % _scalar_texts(values)
     except KeyError:  # a mapping without one of the module ids
@@ -370,7 +354,6 @@ def _frame_records(rows: list, text: str) -> Tuple[FrameRecord, ...]:
             # a tuple, so the many frames that apply nothing share one ``()``
             row["applied"] = tuple(row["applied"])
         if tuple(row) == _FRAME_KEYS:
-            row.update(_LEFT_OUT_FIELDS)
             record = new(FrameRecord)
             record.__dict__.update(row)
         else:
@@ -782,22 +765,17 @@ class SimEngine:
 
     def run(self) -> RunLog:
         records = tuple(self.step(frame) for frame in self.trace.frames)
-        return RunLog(_header(self.trace, self.cfg, self.policy.value, records), records)
-
-
-def _header(
-    trace: Trace, cfg: PipelineConfig, policy: str, records: Sequence[FrameRecord]
-) -> RunLogHeader:
-    costs = cfg.reward.cost_ms
-    return RunLogHeader(
-        policy=policy,
-        seed=cfg.seed,
-        frame_period_ms=trace.header.frame_period_ms,
-        frame_count=len(records),
-        module_costs={m: costs[m] for m in sorted(costs)},
-        keypoint_count=trace.header.keypoint_count,
-        config_digest=config_digest(cfg),
-    )
+        costs = self.cfg.reward.cost_ms
+        header = RunLogHeader(
+            policy=self.policy.value,
+            seed=self.cfg.seed,
+            frame_period_ms=self.period,
+            frame_count=len(records),
+            module_costs={m: costs[m] for m in sorted(costs)},
+            keypoint_count=self.trace.header.keypoint_count,
+            config_digest=config_digest(self.cfg),
+        )
+        return RunLog(header, records)
 
 
 def run(
@@ -810,40 +788,12 @@ def run(
     return SimEngine(trace, policy, cfg, oracle_keyframes).run()
 
 
-def run_offline(trace: Trace, cfg: PipelineConfig) -> RunLog:
-    """Exhaustive reference run: both modules on every frame, zero latency.
+def run_offline(trace: Trace, cfg: PipelineConfig) -> Tuple[TraceFrame, ...]:
+    """Exhaustive reference pass: both modules on every frame, at zero
+    latency and zero noise.
 
-    Outputs are the ground truth itself; the per-frame observations feed
-    ground-truth keyframe extraction.
+    Such a pass outputs the ground truth itself, so it is the trace's frames;
+    :func:`~percsched.metrics.extract_keyframes` walks them. ``cfg`` sets
+    nothing that a noise-free, instant pass could show.
     """
-    module_ids = sorted(cfg.reward.cost_ms)
-    records = []
-    for frame in trace.frames:
-        boxes = []
-        keypoints = {}
-        for e in sorted(frame.entities, key=lambda e: e.id):
-            if e.kind is EntityKind.BACKGROUND:
-                continue
-            cx, cy = e.region.center
-            boxes.append([e.id, e.kind.value, cx, cy, e.region.w, e.region.h, e.relevance])
-            if e.kind is EntityKind.HUMAN and e.id in frame.keypoints:
-                keypoints[e.id] = frame.keypoints[e.id]
-        flags = {m: True for m in module_ids}
-        zeros = {m: 0.0 for m in module_ids}
-        records.append(
-            FrameRecord(
-                index=frame.index,
-                decided=flags,
-                forced=dict(flags),
-                info_gain=dict(zeros),
-                cost_penalty=dict(zeros),
-                net=dict(zeros),
-                honored=dict(flags),
-                dropped={m: False for m in module_ids},
-                applied=(),
-                decision_time_ms=0.0,
-                tracked=len(boxes),
-                observations={"boxes": boxes, "keypoints": keypoints},
-            )
-        )
-    return RunLog(_header(trace, cfg, OFFLINE_POLICY, records), tuple(records))
+    return trace.frames

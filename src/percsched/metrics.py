@@ -1,13 +1,14 @@
 """Evaluation: ground-truth keyframes, activation recall, keyframe accuracy
 and per-run latency.
 
-Ground truth comes from an exhaustive offline run (both modules on every
-frame, instant outputs): a frame requires detection when the entity set
-changes or a relevant box center has drifted beyond a threshold since the
-last required frame; it requires pose when the human set changes or a
-relevant keypoint has drifted likewise. Recall counts honored activations
-on required frames; keyframe accuracy counts decisions regardless of
-whether the busy module could honor them.
+Ground truth comes from an exhaustive offline pass (both modules on every
+frame, instant and exact outputs), which outputs the trace's own frames: a
+frame requires detection when its set of non-background entities changes or
+a relevant box center has drifted beyond a threshold since the last
+required frame; it requires pose when the human set changes or a relevant
+human's keypoint has drifted likewise. Recall counts honored activations on
+required frames; keyframe accuracy counts decisions regardless of whether
+the busy module could honor them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from typing import Dict, Literal, Mapping, Optional, Sequence, Tuple, get_args
 
 import numpy as np
 
-from .engine import OFFLINE_POLICY, RunLog
-from .scene import DETECTION, POSE, ModuleId
+from .engine import RunLog
+from .scene import DETECTION, POSE, EntityKind, ModuleId
 from .schema import NonNegative, check_fields
+from .traces import TraceFrame
 
 LatencyDenominator = Literal["activated", "total"]
 LATENCY_DENOMINATORS = get_args(LatencyDenominator)
@@ -36,7 +38,8 @@ class KeyframeThresholds:
 
 @dataclass(frozen=True)
 class GroundTruthKeyframes:
-    """Frames that genuinely require each module, per the offline run."""
+    """Frames that genuinely require each module, per the trace's ground
+    truth."""
 
     required: Mapping[ModuleId, frozenset]
 
@@ -58,32 +61,26 @@ class MetricsReport:
 
 
 def extract_keyframes(
-    offline_run: RunLog,
+    frames: Sequence[TraceFrame],
     thresholds: KeyframeThresholds = KeyframeThresholds(),
 ) -> GroundTruthKeyframes:
-    """Walk the offline observations and mark frames requiring activation."""
-    if offline_run.header.policy != OFFLINE_POLICY:
-        raise ValueError(
-            "keyframe extraction needs the exhaustive offline run, "
-            f"got a {offline_run.header.policy!r} run"
-        )
+    """Walk the ground-truth frames that
+    :func:`~percsched.engine.run_offline` gives and mark the frames that
+    require each module."""
     det_required: set = set()
     pose_required: set = set()
     ref_centers: Dict[str, Tuple[float, float]] = {}
     ref_ids: Optional[frozenset] = None
-    ref_kps: Mapping[str, Sequence[Tuple[float, float]]] = {}
+    ref_kps: Mapping[str, np.ndarray] = {}
     ref_humans: Optional[frozenset] = None
 
-    for rec in offline_run.records:
-        obs = rec.observations
-        if obs is None:
-            raise ValueError(f"offline record {rec.index} lacks observations")
-        boxes = obs["boxes"]
-        ids = frozenset(b[0] for b in boxes)
-        relevant_centers = {b[0]: (b[2], b[3]) for b in boxes if b[6] > 0.0}
-        humans = frozenset(b[0] for b in boxes if b[1] == "human")
-        human_relevance = {b[0]: b[6] for b in boxes if b[1] == "human"}
-        kps = obs.get("keypoints", {})
+    for frame in frames:
+        entities = [e for e in frame.entities if e.kind is not EntityKind.BACKGROUND]
+        ids = frozenset(e.id for e in entities)
+        relevant_centers = {e.id: e.region.center for e in entities if e.relevance > 0.0}
+        humans = [e for e in entities if e.kind is EntityKind.HUMAN]
+        human_ids = frozenset(e.id for e in humans)
+        kps = {e.id: frame.keypoints[e.id] for e in humans if e.id in frame.keypoints}
 
         if ref_ids is None:
             det_needed = True
@@ -94,25 +91,26 @@ def extract_keyframes(
                 for eid, center in relevant_centers.items()
             )
         if det_needed:
-            det_required.add(rec.index)
+            det_required.add(frame.index)
             ref_ids = ids
             ref_centers = relevant_centers
 
         if ref_humans is None:
-            pose_needed = bool(humans)
+            pose_needed = bool(human_ids)
         else:
-            pose_needed = humans != ref_humans or any(
-                human_relevance.get(eid, 0.0) > 0.0
-                and eid in ref_kps
-                and _max_kp_shift(points, ref_kps[eid]) > thresholds.tau_kp_px
-                for eid, points in kps.items()
+            pose_needed = human_ids != ref_humans or any(
+                e.relevance > 0.0
+                and e.id in kps
+                and e.id in ref_kps
+                and _max_kp_shift(kps[e.id], ref_kps[e.id]) > thresholds.tau_kp_px
+                for e in humans
             )
         if pose_needed:
-            pose_required.add(rec.index)
-            ref_humans = humans
+            pose_required.add(frame.index)
+            ref_humans = human_ids
             ref_kps = kps
         elif ref_humans is None:
-            ref_humans = humans
+            ref_humans = human_ids
 
     return GroundTruthKeyframes(
         required={DETECTION: frozenset(det_required), POSE: frozenset(pose_required)}
@@ -123,15 +121,13 @@ def _dist(a: Tuple[float, float], b: Tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def _max_kp_shift(
-    current: Sequence[Tuple[float, float]], reference: Sequence[Tuple[float, float]]
-) -> float:
-    """The farthest any keypoint moved. The points are (K, 2) arrays in
-    memory or nested lists read back from a log; numpy's float64 differences
-    are the ones Python would take, and ``math.hypot`` measures each."""
+def _max_kp_shift(current: np.ndarray, reference: np.ndarray) -> float:
+    """The farthest any keypoint moved between two (K, 2) arrays; numpy's
+    float64 differences are the ones Python would take, and ``math.hypot``
+    measures each."""
     if len(current) != len(reference):
         return math.inf
-    dx, dy = np.subtract(current, reference).reshape(-1, 2).T.tolist()
+    dx, dy = (current - reference).T.tolist()
     return max(map(math.hypot, dx, dy), default=0.0)
 
 

@@ -29,6 +29,15 @@ def trace_path(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("argv", [[], ["sweep"], ["--seed", "3"]])
+def test_a_missing_or_unknown_command_is_a_usage_error(argv, capsys):
+    """argparse refuses it with its usage exit code, before any command runs."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "usage: percsched" in capsys.readouterr().err
+
+
 class TestGenTrace:
     def test_writes_valid_trace(self, trace_path):
         trace = read_trace(trace_path)

@@ -22,6 +22,8 @@ only for a change that is meant to alter decisions.
 
 ``TRACE_DIGESTS`` pins the four traces as ``write_trace`` writes them, so a
 change to the trace writer or the generators shows here first.
+``KEYFRAME_DIGESTS`` pins the ground-truth keyframe sets of the four traces
+at three threshold pairs, which the oracle runs and every recall read.
 
 The byte pins hold for one CPython, numpy and libm family, whatever SIMD
 code numpy dispatches to on the host; the decision pins hold across hosts.
@@ -74,11 +76,6 @@ TRACE_DIGESTS = {
     "interaction": "97b4705f66c0233c7467865f48c5667aa0b6800873997bd662c902effc234eb6",
     "walking": "e1298008ce815ddc6bf8f75570551d32d96fb6fe0333c2bb8a1ab547b2e7f6fd",
     "interaction-pixels": "5568e466a4d0d0200dcd1856a94a7d6a26fd63aeb1cf90132d9a5ba7fd4f3b97",
-}
-# the offline run logs of two traces with keypoints, at the default config
-OFFLINE_DIGESTS = {
-    "interaction": "67eab061f8dfa2dc7e84e3d85f7036056b5aec968914efb2134c9db51e85e03a",
-    "walking": "bdee825c7144dc762addb07b4092ba8254f621c22533dc6bc981f58e7d9c243a",
 }
 # the SHA-256 of each golden trace's ground-truth keyframe sets, as
 # ``keyframe_sets`` writes them, at the default (tau_box_px, tau_kp_px), at a
@@ -254,29 +251,6 @@ def test_decision_vectors_match_pinned_digests():
     the pins were made, whatever its other bytes."""
     pinned = json.loads(VECTORS.read_text(encoding="utf-8"))
     assert golden_matrix(bench_module("checks").vectors_digest) == pinned
-
-
-@pytest.mark.parametrize("name", sorted(OFFLINE_DIGESTS))
-def test_offline_log_gives_one_keyframe_set_in_memory_and_read_back(name):
-    """An offline log holds each human's keypoints as the trace's read-only
-    (K, 2) array in memory and as nested lists once read back; its bytes are
-    pinned, and both forms give the same ground-truth keyframes."""
-    cfg = RunConfig(seed=SEED)
-    trace = make_trace(name)
-    log = run_offline(trace, cfg.pipeline(trace.header))
-    text = log.to_jsonl()
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == OFFLINE_DIGESTS[name]
-    back = RunLog.from_jsonl(text)
-    held = [rec.observations["keypoints"] for rec in log.records]
-    read = [rec.observations["keypoints"] for rec in back.records]
-    assert any(held)
-    for frame, kps, listed in zip(trace.frames, held, read):
-        for eid, pts in kps.items():
-            assert pts is frame.keypoints[eid] and not pts.flags.writeable
-            assert type(listed[eid]) is list and listed[eid] == pts.tolist()
-    gt = extract_keyframes(log, cfg.keyframes)
-    assert gt.required[POSE]
-    assert extract_keyframes(back, cfg.keyframes) == gt
 
 
 def keyframe_sets(required: dict) -> str:

@@ -2,7 +2,6 @@ import pytest
 
 from percsched.config import RunConfig
 from percsched.engine import (
-    OFFLINE_POLICY,
     FrameRecord,
     PolicyKind,
     RunLog,
@@ -26,45 +25,22 @@ PERIOD = 1000.0 / 30.0
 MODULES = (DETECTION, POSE)
 
 
-def offline_log(frames):
-    """Build an offline run log from per-frame observation dicts."""
-    records = []
-    for i, obs in enumerate(frames):
-        flags = {m: True for m in MODULES}
-        zeros = {m: 0.0 for m in MODULES}
-        records.append(
-            FrameRecord(
-                index=i,
-                decided=dict(flags),
-                forced=dict(flags),
-                info_gain=dict(zeros),
-                cost_penalty=dict(zeros),
-                net=dict(zeros),
-                honored=dict(flags),
-                dropped={m: False for m in MODULES},
-                applied=(),
-                decision_time_ms=0.0,
-                tracked=len(obs["boxes"]),
-                observations=obs,
-            )
-        )
-    header = RunLogHeader(
-        policy=OFFLINE_POLICY,
-        seed=0,
-        frame_period_ms=PERIOD,
-        frame_count=len(records),
-        module_costs={DETECTION: 15.0, POSE: 80.0},
-        keypoint_count=3,
+def ground_truth_frames(frames):
+    """Number per-frame ``(entities, keypoints)`` pairs as trace frames."""
+    return tuple(
+        TraceFrame(index=i, entities=tuple(entities), keypoints=keypoints)
+        for i, (entities, keypoints) in enumerate(frames)
     )
-    return RunLog(header=header, records=tuple(records))
 
 
-def obs(boxes, keypoints=None):
-    return {"boxes": boxes, "keypoints": keypoints or {}}
+def obs(entities, keypoints=None):
+    return entities, keypoints or {}
 
 
 def box(eid, kind, cx, cy, relevance=1.0):
-    return [eid, kind, cx, cy, 30.0, 40.0, relevance]
+    """An entity whose 30 x 40 px box is centred on (cx, cy): the half
+    extents are whole, so the centre is exactly (cx, cy) for whole cx, cy."""
+    return Entity(eid, EntityKind(kind), PatchRegion(cx - 15.0, cy - 20.0, 30.0, 40.0), relevance)
 
 
 def synthetic_run(policy, decided, honored, decision_time=0.0, n=None):
@@ -107,7 +83,7 @@ class TestExtractKeyframes:
                 {"h": [[200.0, 100.0], [210.0, 110.0], [220.0, 120.0]]},
             )
         ] * 20
-        gt = extract_keyframes(offline_log(frames))
+        gt = extract_keyframes(ground_truth_frames(frames))
         assert gt.required[DETECTION] == frozenset({0})
         assert gt.required[POSE] == frozenset({0})
 
@@ -115,7 +91,7 @@ class TestExtractKeyframes:
         before = obs([box("a", "object", 50, 50)])
         after = obs([box("a", "object", 50, 50), box("b", "object", 90, 90)])
         frames = [before] * 12 + [after] * 5
-        gt = extract_keyframes(offline_log(frames))
+        gt = extract_keyframes(ground_truth_frames(frames))
         assert 12 in gt.required[DETECTION]
         assert gt.required[DETECTION] == frozenset({0, 12})
 
@@ -131,14 +107,14 @@ class TestExtractKeyframes:
                     {"h": [[x, 100.0], [x + 5, 120.0], [x - 5, 140.0]]},
                 )
             )
-        gt = extract_keyframes(offline_log(frames), KeyframeThresholds(10.0, 15.0))
+        gt = extract_keyframes(ground_truth_frames(frames), KeyframeThresholds(10.0, 15.0))
         assert gt.required[DETECTION] == frozenset(range(10))
         assert gt.required[POSE] == frozenset(range(10))
 
     def test_human_exit_requires_pose(self):
         with_h = obs([box("h", "human", 100, 100)], {"h": [[1.0, 1.0], [2, 2], [3, 3]]})
         without = obs([])
-        gt = extract_keyframes(offline_log([with_h] * 5 + [without] * 5))
+        gt = extract_keyframes(ground_truth_frames([with_h] * 5 + [without] * 5))
         assert 5 in gt.required[POSE]
         assert 5 in gt.required[DETECTION]
 
@@ -147,7 +123,7 @@ class TestExtractKeyframes:
         for i in range(8):
             x = 100.0 + 1.0 * i  # 1 px/frame stays under the 10 px threshold here
             frames.append(obs([box("a", "object", x, 100)]))
-        gt = extract_keyframes(offline_log(frames))
+        gt = extract_keyframes(ground_truth_frames(frames))
         assert gt.required[DETECTION] == frozenset({0})
 
     def test_zero_relevance_entities_ignored_for_drift(self):
@@ -155,13 +131,13 @@ class TestExtractKeyframes:
         for i in range(6):
             x = 100.0 + 30.0 * i
             frames.append(obs([box("a", "object", x, 100, relevance=0.0)]))
-        gt = extract_keyframes(offline_log(frames))
+        gt = extract_keyframes(ground_truth_frames(frames))
         assert gt.required[DETECTION] == frozenset({0})
 
     def test_box_drift_of_exactly_tau_is_not_a_keyframe(self):
         # a (6, 8) px shift is exactly 10.0 px, the default tau_box_px
         frames = [obs([box("a", "object", 100, 100)])] + [obs([box("a", "object", 106, 108)])] * 3
-        gt = extract_keyframes(offline_log(frames))
+        gt = extract_keyframes(ground_truth_frames(frames))
         assert gt.required[DETECTION] == frozenset({0})
 
     def test_keypoint_drift_of_exactly_tau_is_not_a_keyframe(self):
@@ -171,7 +147,7 @@ class TestExtractKeyframes:
         moved = [[x + 9.0, y + 12.0] for x, y in points]
         human = [box("h", "human", 200, 100)]
         frames = [obs(human, {"h": points})] + [obs(human, {"h": moved})] * 3
-        gt = extract_keyframes(offline_log(frames))
+        gt = extract_keyframes(ground_truth_frames(frames))
         assert gt.required[POSE] == frozenset({0})
         assert gt.required[DETECTION] == frozenset({0})
 
@@ -183,13 +159,25 @@ class TestExtractKeyframes:
                 [box("h", "human", 100, 100, relevance=0.0)],
                 {"h": [[x, 100.0], [x + 5, 120.0], [x - 5, 140.0]]},
             ))
-        gt = extract_keyframes(offline_log(frames))
+        gt = extract_keyframes(ground_truth_frames(frames))
         assert gt.required[POSE] == frozenset({0})
 
     def test_rejects_non_offline_runs(self):
+        """Ground truth is the trace's frames: a policy run, or its records,
+        is refused."""
         log = synthetic_run("parallel", {}, {}, n=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             extract_keyframes(log)
+        with pytest.raises(AttributeError):
+            extract_keyframes(log.records)
+
+    def test_background_entities_are_not_ground_truth(self):
+        """A background entity that appears, leaves or drifts requires no
+        module: the exhaustive pass outputs only objects and humans."""
+        walls = ([], [box("wall", "background", 300, 200)], [box("wall", "background", 350, 200)], [])
+        frames = [obs([box("a", "object", 50, 50)] + wall) for wall in walls]
+        gt = extract_keyframes(ground_truth_frames(frames))
+        assert gt.required == {DETECTION: frozenset({0}), POSE: frozenset()}
 
 
 class TestRecallAndAccuracy:
