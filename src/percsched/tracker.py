@@ -46,11 +46,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Annotated, Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .schema import Positive, PositiveCount, check_fields
+from .schema import PositiveCount, check_fields
 
 STATE_DIM = 8
 MEAS_DIM = 4
@@ -70,13 +70,23 @@ class NumericalError(RuntimeError):
     """Raised when a covariance stops being usable (not positive definite)."""
 
 
+# Swept by tests/sweep_kalman_weights.py, one weight at a time, runs first
+# broke above 3.8e147 (velocity), 6.0e147 (position) and 4.8e148
+# (measurement) on boxes 1e5 px tall, and below 5.5e-165 (velocity) and
+# 3.0e-155 (measurement). With every weight at 1e-76 or 1e76, in any mix,
+# every swept case runs; at 1e-77 and 1e77 a large velocity weight over a
+# small measurement weight overflows the detection gain. 1e-60 and 1e60
+# leave 16 decades for boxes up to the 1e6 px bound and long stale tracks.
+StdWeight = Annotated[float, "[1e-60, 1e60]"]
+
+
 @dataclass(frozen=True)
 class KalmanConfig:
     """Noise weights, all expressed as std factors per box height."""
 
-    std_weight_position: Positive = 1.0 / 20.0
-    std_weight_velocity: Positive = 1.0 / 160.0
-    std_weight_measurement: Positive = 1.0 / 20.0
+    std_weight_position: StdWeight = 1.0 / 20.0
+    std_weight_velocity: StdWeight = 1.0 / 160.0
+    std_weight_measurement: StdWeight = 1.0 / 20.0
     max_frames_since_update: PositiveCount = 90
 
     __post_init__ = check_fields

@@ -1,5 +1,5 @@
-"""Reference implementations that the tests check the library against, and
-the one trace comparison they share."""
+"""Reference implementations that the tests check the library against, the
+one trace comparison they share, and a config built past its checks."""
 
 import math
 import zlib
@@ -29,6 +29,17 @@ from percsched.scene import (
 from percsched.toolkit import NoiseConfig
 from percsched.tracker import MEAS_DIM, STATE_DIM, KalmanConfig, NumericalError, TrackBank
 from percsched.traces import Trace, TraceFrame
+
+
+def unchecked(cls: type, **changes: object) -> object:
+    """The frozen config ``cls`` at its defaults with ``changes`` set past
+    its field checks: a value outside a field's interval, for a test of a
+    kernel's guard or of where the interval was set."""
+    obj = cls()
+    for name, value in changes.items():
+        getattr(obj, name)  # an unknown field raises
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 # ---------------------------------------------------------------------------

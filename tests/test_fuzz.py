@@ -3,8 +3,9 @@
 Each example takes one of the four golden traces and a valid config, makes
 one mutation to the trace file or the config file, and runs the CLI in
 process. The mutations: a field's value swapped to a string, integer,
-boolean, null or list; a number set to NaN, ±inf, ±1e308, 1e-300 or -0.0; a
-key dropped; an entity listed twice; two frames swapped; a line cut short.
+boolean, null or list; a number set to NaN, ±inf, ±1e308, 1e-300, -0.0 or
+one end of the Kalman std weights' interval, 1e-60 or 1e60; a key dropped;
+an entity listed twice; two frames swapped; a line cut short.
 
 A run passes when it exits 2 or 3 with a message that names the line, the
 frame or the field, or exits 0 with these invariants on every run log:
@@ -16,10 +17,10 @@ mutation is listed in ``KNOWN_EXIT_4`` with its reason.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
@@ -34,18 +35,11 @@ from percsched.traces import generate_trace, write_trace
 from test_golden import SEED, TRACES, make_trace
 
 TYPE_SWAPS = ("x", 7, True, None, [])
-NUMBERS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, -0.0)
+NUMBERS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, -0.0, 1e-60, 1e60)
 
-# config mutations that are numerical failures rather than type errors: the
-# field takes the value, and the run breaks on it
-_OVERFLOW = "the Kalman or reward arithmetic overflows or loses positive definiteness"
-KNOWN_EXIT_4 = {
-    ("kalman", "std_weight_position", 1e308): _OVERFLOW,
-    ("kalman", "std_weight_measurement", 1e308): _OVERFLOW,
-    ("kalman", "std_weight_measurement", 1e-300): _OVERFLOW,
-    ("kalman", "std_weight_velocity", 1e308): _OVERFLOW,
-    ("kalman", "std_weight_velocity", 1e-300): _OVERFLOW,
-}
+# config mutations that are numerical failures rather than type errors (the
+# field takes the value, and the run breaks on it), each with its reason
+KNOWN_EXIT_4 = {}
 
 
 @pytest.fixture(scope="module")
@@ -218,18 +212,39 @@ def test_q_scale_runs_at_its_bound_and_is_refused_past_it(tmp_path, field):
     assert f"engine.{field} must be a finite number in " in message
 
 
-def test_zero_measurement_variance_is_an_infinite_gain_without_a_warning(tmp_path):
-    """At a measurement weight of 1e-300 the noise variance underflows to zero,
-    so every ratio, and with them the detection gain, is +inf: the run exits 4
-    naming the infinite gain, and the gain divides by zero without numpy's
-    divide warning."""
+STD_WEIGHTS = ("std_weight_position", "std_weight_velocity", "std_weight_measurement")
+
+
+@pytest.mark.parametrize("field", STD_WEIGHTS)
+def test_std_weight_runs_at_its_bounds_and_is_refused_past_them(tmp_path, field):
+    """``tests/sweep_kalman_weights.py`` set each Kalman std weight's
+    interval to [1e-60, 1e60]: both ends run, and a value past either end,
+    such as 1e-300 or 1e308, which used to exit 4, is a config error naming
+    the field."""
     path = tmp_path / "interaction.jsonl"
     write_trace(path, generate_trace("interaction", 40, 3))
-    config = RunConfig(kalman=KalmanConfig(std_weight_measurement=1e-300)).to_dict()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc, message = _compare(tmp_path, path.read_text(encoding="utf-8").splitlines(), config)
-    assert rc == EXIT_RUNTIME
-    assert "error: gain must be finite, got inf" in message
-    assert "RuntimeWarning" not in message
-    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for value in (1e-60, 1e60):
+        rc, message = _compare(tmp_path, lines, RunConfig(kalman=KalmanConfig(**{field: value}))
+                               .to_dict())
+        assert rc == EXIT_OK, message
+        _check_run_logs(tmp_path / "o")
+    for value in (1e-61, 1e61, 1e-300, 1e308):
+        config = RunConfig().to_dict()
+        config["kalman"][field] = value
+        rc, message = _compare(tmp_path, lines, config)
+        assert rc == EXIT_CONFIG, (value, message)
+        assert f"kalman.{field} must be a finite number in [1e-60, 1e60]" in message
+
+
+@pytest.mark.parametrize("weights", list(itertools.product((1e-60, 1e60), repeat=3)))
+def test_std_weights_run_together_at_every_corner_of_their_bounds(tmp_path, weights):
+    """The sweep breaks one weight at a time; together, a large velocity
+    weight over a small measurement weight first overflows the detection gain
+    at 1e77 and 1e-77. Every mix of the interval's ends runs."""
+    path = tmp_path / "interaction.jsonl"
+    write_trace(path, generate_trace("interaction", 40, 3))
+    config = RunConfig(kalman=KalmanConfig(**dict(zip(STD_WEIGHTS, weights)))).to_dict()
+    rc, message = _compare(tmp_path, path.read_text(encoding="utf-8").splitlines(), config)
+    assert rc == EXIT_OK, message
+    _check_run_logs(tmp_path / "o")

@@ -19,6 +19,7 @@ from oracles import (
     random_pd_block,
     scalar_extrapolated,
     scalar_post_execution_entropy,
+    unchecked,
 )
 from percsched import rewards
 from percsched.rewards import (
@@ -27,6 +28,7 @@ from percsched.rewards import (
     KeypointConfidenceHistory,
     RewardConfig,
     detection_info_gain,
+    detection_reward,
     post_execution_entropy,
     sigma_table,
 )
@@ -448,6 +450,19 @@ class TestDetectionInfoGain:
         good = _track("b-good", IDENTITY, 40.0)
         tracks = [(tiny, 1.0), (good, 0.5)]
         assert detection_info_gain(*bank_and_relevance(tracks), _cfg(17), KCFG) == -math.inf
+
+    def test_zero_noise_variance_gives_an_infinite_gain_without_a_warning(self):
+        # a measurement weight whose square underflows makes the noise
+        # variance zero and the ratio +inf, where Python's division would
+        # raise (pytest turns numpy's divide warning into an error); the
+        # config refuses such a weight, so it is set past the check, and the
+        # reward refuses the gain it gives
+        kcfg = unchecked(KalmanConfig, std_weight_measurement=1e-300)
+        tracks = [(_track("a", IDENTITY, 40.0), 1.0)]
+        gain = detection_info_gain(*bank_and_relevance(tracks), _cfg(17), kcfg)
+        assert gain == math.inf
+        with pytest.raises(ValueError, match="gain must be finite, got inf"):
+            detection_reward(gain, False, _cfg(17))
 
     def test_later_non_pd_track_is_named_ahead_of_an_underflow(self):
         tiny = _track("a-tiny", _with_position_variances(5e-324), 1000.0)

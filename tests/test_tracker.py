@@ -682,8 +682,10 @@ class TestBadCovarianceNamesItsTrack:
     def test_zero_position_variance_is_named_without_a_warning(self, op):
         # a position weight whose square underflows adds no position noise,
         # so track 'c' keeps p_xx = 0; the pivot test must not divide by it
-        # (pytest turns numpy's divide warning into an error)
-        cfg = KalmanConfig(std_weight_position=1e-300)
+        # (pytest turns numpy's divide warning into an error). The config
+        # refuses such a weight, so it is set past the check, as a bank
+        # built by hand may still hold such a block
+        cfg = oracles.unchecked(KalmanConfig, std_weight_position=1e-300)
         bank = self.four_tracks(np.zeros((3, 4)))
         ids = list(bank.ids)
         with pytest.raises(NumericalError, match="track 'c'"):
@@ -698,8 +700,9 @@ class TestBadCovarianceNamesItsTrack:
         # with p_xx = 0 and a measurement weight whose square underflows,
         # S = p_xx + r is 0: IEEE division would give a NaN gain, Python's
         # raises ZeroDivisionError, and the update must do neither
-        # (the other tracks are 1e200 px tall, so that their r stays positive)
-        cfg = KalmanConfig(std_weight_measurement=1e-300)
+        # (the other tracks are 1e200 px tall, so that their r stays positive;
+        # the config refuses the weight, so it is set past the check)
+        cfg = oracles.unchecked(KalmanConfig, std_weight_measurement=1e-300)
         tall = np.array([10.0, 10.0, 10.0, 1e200, 0.0, 0.0, 0.0, 0.0])
         short = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0])
         bank = oracles.bank_of([
@@ -717,8 +720,9 @@ class TestBadCovarianceNamesItsTrack:
         # a top-up whose position noise underflows leaves p_xx and p_xv as
         # they were: p_xv / p_xx overflows in the first case, and the second
         # fails at p_xx = 0 before its infinite p_xv meets a ratio (pytest
-        # turns a RuntimeWarning into an error)
-        cfg = KalmanConfig(std_weight_position=1e-300)
+        # turns a RuntimeWarning into an error; the config refuses the
+        # weight, so it is set past the check)
+        cfg = oracles.unchecked(KalmanConfig, std_weight_position=1e-300)
         bank = self.four_tracks(blocks_of(p_xx, p_xv, 1.0))
         with pytest.raises(NumericalError, match="track 'c'"):
             inflate_process_noise(bank, list(bank.ids), cfg, 1.0)
