@@ -38,7 +38,6 @@ from oracles import unchecked  # noqa: E402
 from percsched.config import RunConfig  # noqa: E402
 from percsched.engine import PolicyKind, run  # noqa: E402
 from percsched.scene import Entity, PatchRegion  # noqa: E402
-from percsched.toolkit import NoiseConfig  # noqa: E402
 from percsched.tracker import KalmanConfig  # noqa: E402
 from percsched.traces import Trace, generate_trace  # noqa: E402
 from test_golden import SEED, TRACES, VARIANTS, make_trace  # noqa: E402
@@ -77,8 +76,7 @@ def cases():
         trace = make_trace(name)
         out.append((f"golden/{name}", trace, RunConfig(seed=SEED).pipeline(trace.header)))
     big = scaled(generate_trace("interaction", 40, 3), SCALE)
-    out.append(("interaction-17/x1500", big, RunConfig(seed=3, noise=NoiseConfig()).pipeline(
-        big.header)))
+    out.append(("interaction-17/x1500", big, RunConfig(seed=3).pipeline(big.header)))
     return out
 
 

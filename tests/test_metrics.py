@@ -174,7 +174,7 @@ class TestExtractKeyframes:
     def test_background_entities_are_not_ground_truth(self):
         """A background entity that appears, leaves or drifts requires no
         module: the exhaustive pass outputs only objects and humans."""
-        walls = ([], [box("wall", "background", 300, 200)], [box("wall", "background", 350, 200)], [])
+        walls = [[]] + [[box("wall", "background", x, 200)] for x in (300, 350)] + [[]]
         frames = [obs([box("a", "object", 50, 50)] + wall) for wall in walls]
         gt = extract_keyframes(ground_truth_frames(frames))
         assert gt.required == {DETECTION: frozenset({0}), POSE: frozenset()}
