@@ -337,13 +337,22 @@ def _rows(lines: List[str], text: str) -> list:
     return rows
 
 
+def _built(cls: type, row: dict, text: str, number: int) -> object:
+    """``cls(**row)``, the ``number``-th row of a run log; a missing field or
+    an unknown key raises an ``EngineError`` naming the row's line."""
+    try:
+        return cls(**row)
+    except TypeError as exc:
+        raise EngineError(f"run-log line {_line_number(text, number)}: {exc}") from None
+
+
 def _frame_records(rows: list, text: str) -> Tuple[FrameRecord, ...]:
     """One record per frame line. A row whose keys are the templated keys
     in field order becomes a record without ``FrameRecord.__init__``, as
     ``TrackBank._derived`` builds a bank: FrameRecord has no
     ``__post_init__``, so the instance dict is all ``__init__`` would set.
-    Any other row goes through ``FrameRecord(**row)``, where an unknown key
-    raises and a missing field takes its default."""
+    Any other row goes through ``FrameRecord(**row)``, and a row with a
+    missing field or an unknown key raises an ``EngineError`` naming its line."""
     records: List[FrameRecord] = []
     new = object.__new__
     for row in rows:
@@ -357,7 +366,7 @@ def _frame_records(rows: list, text: str) -> Tuple[FrameRecord, ...]:
             record = new(FrameRecord)
             record.__dict__.update(row)
         else:
-            record = FrameRecord(**row)
+            record = _built(FrameRecord, row, text, len(records) + 1)
         records.append(record)
     return tuple(records)
 
@@ -388,7 +397,8 @@ class RunLog:
         version = head.pop("version", None)
         if version != RUNLOG_VERSION:
             raise EngineError(f"unsupported run-log version {version}")
-        return cls(header=RunLogHeader(**head), records=_frame_records(rows, text))
+        header = _built(RunLogHeader, head, text, 0)
+        return cls(header=header, records=_frame_records(rows, text))
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "RunLog":

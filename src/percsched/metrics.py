@@ -124,7 +124,11 @@ def _dist(a: Tuple[float, float], b: Tuple[float, float]) -> float:
 def _max_kp_shift(current: np.ndarray, reference: np.ndarray) -> float:
     """The farthest any keypoint moved between two (K, 2) arrays; numpy's
     float64 differences are the ones Python would take, and ``math.hypot``
-    measures each."""
+    measures each. Frames that repeat a keypoint block share its array, and
+    coordinates are bounded finite floats, so an array shifts 0.0 from
+    itself."""
+    if current is reference:
+        return 0.0
     if len(current) != len(reference):
         return math.inf
     dx, dy = (current - reference).T.tolist()

@@ -202,48 +202,41 @@ def frame_to_dict(frame: TraceFrame) -> dict:
     return rec
 
 
-def _shared_pixels(p: dict, memo: dict) -> FramePixels:
-    """The raster of pixels record ``p``, decoded once for a run of frames
-    that repeat it: ``memo["pixels"]`` holds the text, height, width and
-    raster of the last record that decoded, and a record whose ``rgb_b64``
-    equals that text and whose ``h`` and ``w`` are those same exact ints
-    shares that raster. Any other record is decoded anew, so a bad one fails
-    where it stands."""
-    last = memo.get("pixels")
-    if (
-        last is not None
-        and type(p) is dict
-        and p.get("rgb_b64") == last[0]
-        and type(p.get("h")) is int
-        and type(p.get("w")) is int
-        and (p["h"], p["w"]) == last[1:3]
-    ):
-        return last[3]
-    raw = base64.b64decode(p["rgb_b64"])
-    rgb = np.frombuffer(raw, dtype=np.uint8).reshape(p["h"], p["w"], 3)
-    pixels = FramePixels(rgb=rgb)
-    memo["pixels"] = (p["rgb_b64"], p["h"], p["w"], pixels)
-    return pixels
+# the record keys, each named as the frame field built from it, whose value a
+# frame may repeat from the frame before; it then shares that field's
+# product: the entity tuple, the checked keypoint arrays, the raster
+_REPEATED = ("entities", "keypoints", "pixels")
 
 
 def frame_from_dict(rec: dict, header: TraceHeader, memo: dict) -> TraceFrame:
     """The frame of record ``rec``. The reader keeps ``memo`` for one file so
-    that its frames share what they repeat: ``_shared_entity``'s entities,
-    keyed by tuples, and ``_shared_pixels``' last raster, keyed by
-    ``"pixels"``."""
+    that its frames share what they repeat: under each key of ``_REPEATED``,
+    the value last read and its product, reused for a record that holds that
+    same object, and ``_shared_entity``'s entities, keyed by tuples. Only a
+    frame that builds enters ``memo``, so a bad record fails each time."""
     index = rec.get("index")
+    made = {}
+    for key in _REPEATED:
+        last = memo.get(key)
+        if last is not None and key in rec and rec[key] is last[0]:
+            made[key] = last[1]
     try:
         change = None
         if "change" in rec:
             c = rec["change"]
             change = ChangeStats(c["background_cr"], c["hist_shift_mean"], c.get("patch_cr", {}))
-        pixels = None
-        if "pixels" in rec:
-            pixels = _shared_pixels(rec["pixels"], memo)
+        pixels = made.get("pixels")
+        if pixels is None and "pixels" in rec:
+            p = rec["pixels"]
+            raw = base64.b64decode(p["rgb_b64"])
+            pixels = FramePixels(rgb=np.frombuffer(raw, dtype=np.uint8).reshape(p["h"], p["w"], 3))
+        entities = made.get("entities")
+        if entities is None:
+            entities = tuple(_shared_entity(d, memo) for d in rec["entities"])
         frame = TraceFrame(
             index=index,
-            entities=tuple(_shared_entity(d, memo) for d in rec["entities"]),
-            keypoints=rec.get("keypoints", {}),
+            entities=entities,
+            keypoints=made.get("keypoints", rec.get("keypoints", {})),
             change=change,
             pixels=pixels,
         )
@@ -258,7 +251,69 @@ def frame_from_dict(rec: dict, header: TraceHeader, memo: dict) -> TraceFrame:
                 f"frame {index}: entity {eid!r} has {len(pts)} "
                 f"keypoints, header says {header.keypoint_count}"
             )
+    for key in _REPEATED:
+        if key in rec:
+            memo[key] = (rec[key], getattr(frame, key))
     return frame
+
+
+# json's own value scanner, and the whitespace it skips between tokens
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+_space = json.decoder.WHITESPACE.match
+_SPACE = " \t\n\r"
+
+
+def _walk(line: str, seen: dict) -> Optional[dict]:
+    """The object on ``line`` as ``json.loads`` reads it, or None where the
+    line holds no object; a fault may also raise. ``seen`` maps a key to the
+    text and value of the object, array or string last read under it. A
+    value whose text starts with that text is taken unparsed: it ends at its
+    closing delimiter, so json's scanner would stop where that text does and
+    return an equal value. The ``_SPACE`` tests spare compact lines the
+    whitespace match."""
+    end = _space(line).end()
+    if line[end] != "{":
+        return None
+    rec: dict = {}
+    end = _space(line, end + 1).end()
+    if line[end] == '"':
+        while True:
+            key, end = json.decoder.scanstring(line, end + 1)
+            if line[end] in _SPACE:
+                end = _space(line, end).end()
+            if line[end] != ":":
+                return None
+            start = end + 1
+            if line[start] in _SPACE:
+                start = _space(line, start).end()
+            last = seen.get(key)
+            if last is not None and line.startswith(last[0], start):
+                rec[key] = last[1]
+                end = start + len(last[0])
+            else:
+                rec[key], end = _scan(line, start)
+                if line[start] in '{["':
+                    seen[key] = (line[start:end], rec[key])
+            if line[end] in _SPACE:
+                end = _space(line, end).end()
+            if line[end] != ",":
+                break
+            end = _space(line, end + 1).end()
+            if line[end] != '"':
+                return None
+    if line[end] != "}" or _space(line, end + 1).end() != len(line):
+        return None
+    return rec
+
+
+def _record(line: str, seen: dict) -> object:
+    """The JSON value on ``line``: ``_walk``'s object, or, for any line the
+    walk does not finish, ``json.loads``' value or error."""
+    try:
+        rec = _walk(line, seen)
+    except Exception:  # noqa: BLE001 - json.loads raises the error for it
+        rec = None
+    return json.loads(line) if rec is None else rec
 
 
 def write_trace(path: Union[str, Path], trace: Trace) -> None:
@@ -278,9 +333,10 @@ def write_trace(path: Union[str, Path], trace: Trace) -> None:
 
 def read_trace(path: Union[str, Path]) -> Trace:
     """The trace in the JSONL file at ``path``. Its frames share one
-    ``Entity`` per distinct entity record, and a frame whose pixels record
-    repeats the last raster read (the same text, height and width) shares
-    that raster's read-only array; a malformed record raises a
+    ``Entity`` per distinct entity record, and a frame whose entities,
+    keypoints or pixels value repeats the text of the last such value read
+    takes it unparsed and shares its product: the entity tuple, the
+    read-only keypoint arrays, the raster. A malformed record raises a
     ``TraceError`` naming its line."""
     path = Path(path)
     if not path.exists():
@@ -293,6 +349,7 @@ def read_trace(path: Union[str, Path]) -> Trace:
     number, text = lines[0]
     frames = []
     memo: dict = {}
+    seen: dict = {}  # per key, the text and value last read (see _walk)
     try:
         try:
             head = json.loads(text)
@@ -316,7 +373,7 @@ def read_trace(path: Union[str, Path]) -> Trace:
             raise TraceError(f"invalid trace header: {exc}") from exc
         for number, text in lines[1:]:
             try:
-                rec = json.loads(text)
+                rec = _record(text, seen)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"unreadable trace record: {exc}") from exc
             if not isinstance(rec, dict):

@@ -515,8 +515,32 @@ class TestRunLogReader:
         head, first, rest = self.log_lines().split("\n", 2)
         row = json.loads(first)
         row["depth"] = 1
-        with pytest.raises(TypeError, match="depth"):
+        with pytest.raises(EngineError, match=r"run-log line 2: .*'depth'"):
             RunLog.from_jsonl("\n".join([head, json.dumps(row), rest]))
+
+    @pytest.mark.parametrize(
+        "row, line, cls, key",
+        [(0, 1, "RunLogHeader", "keypoint_count"), (2, 4, "FrameRecord", "tracked")],
+        ids=["header", "frame"],
+    )
+    @pytest.mark.parametrize(
+        "edit, text",
+        [
+            (lambda rec, key: rec.pop(key), "missing 1 required positional argument: '{key}'"),
+            (lambda rec, key: rec.update(depth=1), "got an unexpected keyword argument 'depth'"),
+        ],
+        ids=["missing", "unknown"],
+    )
+    def test_a_line_with_a_missing_or_unknown_field_is_named(self, row, line, cls, key, edit, text):
+        lines = self.log_lines().splitlines()
+        rec = json.loads(lines[row])
+        edit(rec, key)
+        lines[row] = json.dumps(rec)
+        # a blank line counts in the numbering
+        lines.insert(1, "")
+        with pytest.raises(EngineError) as caught:
+            RunLog.from_jsonl("\n".join(lines))
+        assert str(caught.value) == f"run-log line {line}: {cls}.__init__() " + text.format(key=key)
 
     def test_any_key_order_and_whitespace_read_back_to_the_canonical_log(self):
         text = self.log_lines()

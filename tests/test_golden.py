@@ -45,7 +45,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import numpy_rgb_histograms, reference_pixel_change, reference_regions
+from oracles import (
+    DECISION_VECTORS,
+    LogDifference,
+    first_difference,
+    numpy_rgb_histograms,
+    reference_pixel_change,
+    reference_regions,
+)
 from percsched import change_detect, metrics, rewards
 from percsched import engine as engine_module
 from percsched.change_detect import ChangeDetectConfig
@@ -251,6 +258,28 @@ def test_decision_vectors_match_pinned_digests():
     the pins were made, whatever its other bytes."""
     pinned = json.loads(VECTORS.read_text(encoding="utf-8"))
     assert golden_matrix(bench_module("checks").vectors_digest) == pinned
+
+
+@pytest.mark.parametrize(
+    "name, variant, policy, expected",
+    [
+        ("static", "queue", "scheduled", (27, "honored", ("honored",))),
+        ("walking", "serial-overhead", "oracle", (0, "decision_time_ms", ())),
+        ("interaction", "keep-on-miss", "scheduled", (1, "info_gain", ("decided", "honored"))),
+        ("interaction-pixels", "queue", "parallel", (None, None, ())),
+    ],
+)
+def test_first_difference_names_where_two_golden_logs_part(name, variant, policy, expected):
+    a, b = matrix_runs(name)[policy], matrix_runs(name, variant)[policy]
+    difference = LogDifference(("config_digest",), *expected)
+    assert first_difference(a, b) == first_difference(b, a) == difference
+    # the frame named is the first whose line differs in bytes
+    lines = zip(a.to_jsonl().splitlines()[1:], b.to_jsonl().splitlines()[1:])
+    frame = next((i for i, (la, lb) in enumerate(lines) if la != lb), None)
+    assert frame == difference.frame
+    assert first_difference(a, RunLog.from_jsonl(a.to_jsonl())) is None
+    cut = RunLog(a.header, a.records[:50])
+    assert first_difference(a, cut) == LogDifference((), 50, None, DECISION_VECTORS)
 
 
 def keyframe_sets(required: dict) -> str:

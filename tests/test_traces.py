@@ -8,15 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import assert_traces_equal
+from oracles import assert_traces_equal, read_trace_per_line
 from percsched import schema
 from percsched.cli import EXIT_TRACE, main
 from percsched.config import RunConfig
 from percsched.engine import PolicyKind, run
+from percsched.metrics import KeyframeThresholds, extract_keyframes
 from percsched.scene import Entity, EntityKind, PatchRegion
 from percsched.traces import (
     ARCHETYPES,
@@ -629,8 +630,8 @@ def _decode_error(p: dict) -> str:
 
 
 class TestSharedRasters:
-    """The reader decodes a raster that repeats the previous frame's text,
-    height and width once, and those frames share one read-only array."""
+    """The reader decodes a raster whose pixels record repeats the previous
+    frame's text once, and those frames share one read-only array."""
 
     def test_consecutive_repeats_share_one_read_only_array(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -698,6 +699,130 @@ class TestSharedRasters:
         assert read.frames[0].pixels is read.frames[2].pixels
         write_trace(again, read)
         assert again.read_bytes() == path.read_bytes()
+
+
+def _small_rasters(trace: Trace) -> Trace:
+    """``trace`` with each frame's change statistics replaced by a 2 x 3
+    raster of one grey level set by its entities' positions, so a frame that
+    repeats its entities repeats its raster."""
+    frames = []
+    for frame in trace.frames:
+        level = int(sum(e.region.x + e.region.y for e in frame.entities)) % 256
+        rgb = np.full((2, 3, 3), level, dtype=np.uint8)
+        frames.append(dataclasses.replace(frame, change=None, pixels=FramePixels(rgb=rgb)))
+    return Trace(header=trace.header, frames=tuple(frames))
+
+
+@st.composite
+def _generated_traces(draw):
+    keypoints = draw(st.sampled_from((1, 5, 17, 133)))
+    frames = draw(st.integers(2, 40 if keypoints < 133 else 12))
+    trace = generate_trace(draw(st.sampled_from(ARCHETYPES)), frames,
+                           draw(st.integers(0, 2**16)), keypoint_count=keypoints)
+    return _small_rasters(trace) if draw(st.booleans()) else trace
+
+
+# each line of a trace as write_trace writes it, with ", " and ": "
+# separators, and with more whitespace around every token and the line
+LAYOUTS = {
+    "compact": lambda rec: json.dumps(rec, separators=(",", ":")),
+    "spaced": json.dumps,
+    "loose": lambda rec: " \t" + json.dumps(rec, separators=(" ,\t", "  : ")) + "\t ",
+}
+REPEATED = ("entities", "keypoints", "pixels")
+
+
+class TestReaderWalk:
+    """``read_trace`` takes a value whose text repeats the previous frame's
+    value under the same key unparsed, and shares its product; it reads what
+    ``json.loads`` on each line reads, and fails where that fails with the
+    same error."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @settings(max_examples=40)
+    @given(trace=_generated_traces())
+    def test_read_equals_a_json_loads_read_and_shares_repeats(self, layout, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            compact, path = Path(tmp) / "compact.jsonl", Path(tmp) / "t.jsonl"
+            write_trace(compact, trace)
+            rows = [json.loads(line) for line in compact.read_text().splitlines()]
+            path.write_text("".join(LAYOUTS[layout](rec) + "\n" for rec in rows))
+            read, oracle = read_trace(path), read_trace_per_line(path)
+            write_trace(path, read)
+            assert path.read_bytes() == compact.read_bytes()
+        assert_traces_equal(read, oracle)
+        for thresholds in (KeyframeThresholds(0.0, 0.0), KeyframeThresholds()):
+            assert (extract_keyframes(read.frames, thresholds)
+                    == extract_keyframes(oracle.frames, thresholds))
+        frames = read.frames
+        for i, (last, rec) in enumerate(zip(rows[1:], rows[2:]), start=1):
+            for key in REPEATED:
+                if key in rec and json.dumps(rec[key]) == json.dumps(last.get(key)):
+                    if key == "keypoints":
+                        shared = frames[i].keypoints.items()
+                        assert all(pts is frames[i - 1].keypoints[eid] for eid, pts in shared)
+                    else:
+                        assert getattr(frames[i], key) is getattr(frames[i - 1], key), (i, key)
+
+    @staticmethod
+    def edited(path: Path, edit) -> Path:
+        """Write a 12-frame walking trace to ``path``, its line 12 (frame 10)
+        replaced by ``edit`` of it. That line repeats line 11's entities and
+        keypoints, as line 11 repeats line 10's."""
+        write_trace(path, generate_trace("walking", 12, seed=3, keypoint_count=5))
+        lines = path.read_text().splitlines()
+        old, new = (json.loads(lines[n]) for n in (10, 11))
+        assert old["entities"] == new["entities"] and old["keypoints"] == new["keypoints"]
+        lines[11] = edit(lines[11])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda line: line[: line.index('"keypoints"') + 40],
+             "unreadable trace record: Expecting ',' delimiter: line 2 column 1 (char 450)"),
+            (lambda line: line[: line.index(',"change"')],
+             "unreadable trace record: Expecting ',' delimiter: line 2 column 1 (char 505)"),
+            (lambda line: line + "\x1c",
+             "unreadable trace record: Extra data: line 1 column 700 (char 699)"),
+            (lambda line: "\ufeff" + line,
+             "unreadable trace record: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+             "line 1 column 1 (char 0)"),
+            (lambda line: line[:-1] + ',"keypoints":{"human-0":[[1.0,2.0]]}}',
+             "frame 10: entity 'human-0' has 1 keypoints, header says 5"),
+            (lambda line: re.sub(r"\[\[[^,]*", "[[NaN", line, count=1),
+             "frame 10: malformed record: keypoints['human-0'][0][0] must be a finite number "
+             "in [-1e+06, 1e+06], got nan"),
+            (lambda line: line.replace(',"change"', 'x,"change"'),
+             "unreadable trace record: Expecting ',' delimiter: line 1 column 505 (char 504)"),
+            (lambda line: f"[{line}]", "a record must be a JSON object"),
+        ],
+        ids=["cut-in-keypoints", "cut-after-keypoints", "trailing-x1c", "bom", "duplicate-key",
+             "nan", "garbage-after-keypoints", "array"],
+    )
+    def test_malformed_line_after_a_repeat_fails_as_json_loads_does(self, tmp_path, edit,
+                                                                   message):
+        with pytest.raises(TraceError) as caught:
+            read_trace(self.edited(tmp_path / "t.jsonl", edit))
+        assert str(caught.value) == f"line 12: {message}"
+
+    def test_huge_int_raises_json_loads_value_error(self, tmp_path):
+        path = self.edited(tmp_path / "t.jsonl",
+                           lambda line: line.replace('"index":10', '"index":' + "1" * 5000))
+        with pytest.raises(ValueError, match=re.escape(
+            "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits"
+        )) as caught:
+            read_trace(path)
+        assert type(caught.value) is ValueError
+
+    def test_duplicate_key_takes_its_last_value(self, tmp_path):
+        path = self.edited(tmp_path / "t.jsonl", lambda line: line.replace(
+            '"index":10,', '"index":10,"keypoints":5,"entities":[],'))
+        read = read_trace(path)
+        assert_traces_equal(read, read_trace_per_line(path))
+        # a number is always parsed, so the last keypoints text read is line 11's
+        assert read.frames[10].keypoints["human-0"] is read.frames[9].keypoints["human-0"]
 
 
 class TestKeypointArrays:
