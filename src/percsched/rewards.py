@@ -26,8 +26,12 @@ sample, at a frame before the last sample, and after a sample equal to the
 one before, where the slope is zero on every keypoint. Held confidences
 keep their ``-ln(conf)`` from the first pose entropy pass that validates
 them, so on later frames that pass takes one ``math.log`` per keypoint
-instead of two and skips the checks. A sample equal to the one before keeps
-the held array, and so its logs.
+instead of two and skips the checks. They also keep the per-human sum of
+their last such pass, keyed by the sigma table object and the scale; while
+a human is held at an equal scale under the same table, the pass takes that
+sum and no ``math.log`` at all. The sum is a pure function of that key and
+the kept logs, so its bits are the pass's. A sample equal to the one before
+keeps the held array, and so its logs and its sum.
 """
 
 from __future__ import annotations
@@ -148,7 +152,14 @@ def sigma_table(cfg: RewardConfig) -> Tuple[float, ...]:
         return cfg._sigma_floats
     if cfg.keypoint_count == 133:
         return coco_wholebody_sigmas()
-    return (UNIFORM_SIGMA_BASE,) * cfg.keypoint_count
+    return _uniform_table(cfg.keypoint_count)
+
+
+@functools.lru_cache(maxsize=16)
+def _uniform_table(count: int) -> Tuple[float, ...]:
+    """One uniform table per keypoint count, so that the pose entropy's
+    memo, keyed by the table object, holds across frames and configs."""
+    return (UNIFORM_SIGMA_BASE,) * count
 
 
 @dataclass(frozen=True)
@@ -267,7 +278,11 @@ def post_execution_entropy(
     :class:`HeldConfidences` that passed once keep their ``-ln(conf)``; on
     them the sum is ``2 * ln(max(base * scale * n, SIGMA_FLOOR))`` with the
     kept ``n``, the same bits, since negation is exact. A scale of at least
-    1 stands for the base sigma checks; below it the checked pass runs.
+    1 stands for the base sigma checks; below it the checked pass runs. That
+    kept-logs sum is itself kept on the array with its table and scale, and
+    reused while a human is held at the same table object and an equal
+    scale: equal floats of at least 1 have equal bits, so the reused sum is
+    the one the pass would give. Relevance multiplies it outside the memo.
     """
     table = sigma_table(cfg)
     count = cfg.keypoint_count
@@ -284,9 +299,14 @@ def post_execution_entropy(
         # kept logs mean every confidence passed, and the table is positive,
         # so at a scale of at least 1 every base * scale is at least its base
         if neg_logs is not None and scale >= 1.0:
-            for n, base in zip(neg_logs, table):
-                sigma = base * scale * n
-                inner += 2.0 * log(SIGMA_FLOOR if sigma < SIGMA_FLOOR else sigma)
+            memo = confs.memo
+            if memo is not None and memo[0] is table and memo[1] == scale:
+                inner = memo[2]
+            else:
+                for n, base in zip(neg_logs, table):
+                    sigma = base * scale * n
+                    inner += 2.0 * log(SIGMA_FLOOR if sigma < SIGMA_FLOOR else sigma)
+                confs.memo = (table, scale, inner)
         elif held:
             # the checked pass below, keeping each -ln(conf) on the way
             neg_logs = []
@@ -332,18 +352,25 @@ class HeldConfidences(np.ndarray):
 
     The first :func:`post_execution_entropy` pass that validates a read-only
     one keeps its ``-ln(conf)`` values in ``neg_logs``. They depend on the
-    values alone, so every holder of a shared array may read them. An array
-    derived from one, a view or a result, starts without.
+    values alone, so every holder of a shared array may read them. A pass
+    over the kept logs then keeps its per-human sum in ``memo`` as
+    ``(table, scale, inner)``: the sum is a pure function of the kept logs,
+    the sigma table and the scale, so a later pass with the same table
+    object and an equal scale takes ``inner`` as it is. The table is keyed
+    by identity and held by the memo, so a shared array never serves one
+    config's sum to another table. An array derived from one, a view or a
+    result, starts without either.
     """
 
-    # a class default needs no __array_finalize__ call per array made
+    # class defaults need no __array_finalize__ call per array made
     neg_logs: Optional[List[float]] = None
+    memo: Optional[Tuple[Tuple[float, ...], float, float]] = None
 
 
 def _held(values: np.ndarray) -> HeldConfidences:
-    held = values.view(HeldConfidences)
-    held.flags.writeable = False
-    return held
+    # a read-only view of a writeable base could be made writeable again
+    values.flags.writeable = False
+    return values.view(HeldConfidences)
 
 
 @functools.lru_cache(maxsize=16)

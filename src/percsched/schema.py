@@ -13,6 +13,7 @@ import math
 import reprlib
 import struct
 import types
+import weakref
 from collections.abc import Mapping
 from typing import Annotated, Any, Callable, Dict, List, Literal, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
@@ -175,24 +176,32 @@ def _mapping(value: Any) -> Parser:
 POINTS = "points"
 
 
-def _packed(flat: List[float]) -> np.ndarray:
-    """The read-only, C-contiguous (n, 2) float64 array over the packed bytes
-    of the coordinates ``flat``, x and y in turn."""
-    return np.ndarray((len(flat) // 2, 2), np.float64, struct.pack(f"{len(flat)}d", *flat))
-
-
 def _points(hint: Any) -> Parser:
     """Read a list of points as one read-only, C-contiguous float64 array of
     shape (n, 2), a JSON 5 as the 5.0 it stands for; a valid one passes
     through, and any other array is read as its list. Keypoint lists are long:
     pairs of floats in range are flattened in one comprehension and packed
-    into one array; the general parser reads the rest or names the bad item."""
+    into one array; the general parser reads the rest or names the bad item.
+    An array this parser packed passes again on one lookup: its bytes are
+    immutable and were in range when packed."""
     pair, _ = get_args(hint)  # Tuple[Tuple[C, C], ...]
     general = _tuple((pair, ...))
     least, most = _fast(get_args(pair)[0])[1:]
+    # the live arrays this parser packed, by id; an entry leaves with its
+    # array, so an id that a later object reuses is never taken for it
+    packed: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def pack(flat: List[float]) -> np.ndarray:
+        """The read-only, C-contiguous (n, 2) float64 array over the packed
+        bytes of the coordinates ``flat``, x and y in turn."""
+        v = np.ndarray((len(flat) // 2, 2), np.float64, struct.pack(f"{len(flat)}d", *flat))
+        packed[id(v)] = v
+        return v
 
     def parse(v: Any) -> np.ndarray:
         if isinstance(v, np.ndarray):
+            if packed.get(id(v)) is v:
+                return v
             if (v.dtype == np.float64 and v.ndim == 2 and v.shape[1] == 2
                     and v.flags.c_contiguous and not v.flags.writeable
                     and (not v.size or least <= v.min() and v.max() <= most)):
@@ -205,7 +214,7 @@ def _points(hint: Any) -> Parser:
             except (TypeError, ValueError):  # an item that is not a pair
                 flat = []
             if len(flat) == 2 * len(v):
-                return _packed(flat)
-        return _packed([float(c) for xy in general(v) for c in xy])
+                return pack(flat)
+        return pack([float(c) for xy in general(v) for c in xy])
 
     return parse

@@ -5,10 +5,11 @@ comparison here is ``==``.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -167,6 +168,9 @@ class TestExtrapolated:
             assert not shared.flags.writeable
             with pytest.raises(ValueError):
                 shared[0] = 0.25
+            # numpy refuses the flag back: the base is read-only too
+            with pytest.raises(ValueError):
+                shared.flags.writeable = True
 
     def test_record_after_forget_starts_afresh(self):
         cfg = _cfg(2)
@@ -365,6 +369,42 @@ class TestHeldConfidences:
             assert post_execution_entropy([(derived, 1.0, 3.0)], cfg) == expected
         assert copy.neg_logs is None and scaled.neg_logs is None
         assert view.neg_logs is not None and held.neg_logs is None
+
+
+# scales that repeat across calls, the edges of the kept-logs pass (1.0, inf,
+# a subnormal and zero below it, where the checked pass raises) and any other
+memo_scales = st.sampled_from([1.0, 2.5, 37.5, 0.3, 5e-324, 0.0, math.inf]) | scales
+
+
+def _outcome(compute):
+    """A result as its bytes, or the message it raised."""
+    try:
+        return struct.pack("<d", compute())
+    except ValueError as error:
+        return str(error)
+
+
+class TestHeldSumMemo:
+    """A held array keeps the per-human sum of its last kept-logs pass, keyed
+    by the sigma table object and the scale. Served or recomputed, every
+    pass equals the scalar reference bit for bit, across configs whose
+    tables differ at one keypoint count and the prior they share."""
+
+    @settings(max_examples=150)
+    @given(data=st.data(), count=st.sampled_from([1, 17, 133]))
+    def test_equals_scalar_through_reuse(self, data, count):
+        own = data.draw(st.lists(st.floats(1e-3, 2.0), min_size=count, max_size=count))
+        cfgs = (_cfg(count), _cfg(count, tuple(own)))
+        hist = KeypointConfidenceHistory()
+        hist.record("h", 1, data.draw(st.lists(confidences, min_size=count, max_size=count)))
+        entry = st.tuples(st.sampled_from(["h", "unseen"]), relevances, memo_scales)
+        calls = st.tuples(st.sampled_from(cfgs), st.lists(entry, min_size=1, max_size=3))
+        for k, (cfg, entries) in enumerate(data.draw(st.lists(calls, min_size=1, max_size=8))):
+            humans = [(hist.extrapolated(eid, k + 2, cfg), r, s) for eid, r, s in entries]
+            reference = [(confs.tolist(), r, s) for confs, r, s in humans]
+            assert _outcome(lambda: post_execution_entropy(humans, cfg)) == _outcome(
+                lambda: scalar_post_execution_entropy(reference, cfg)
+            )
 
 
 def _message(confs, scale, cfg):

@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -530,6 +531,51 @@ class TestEntitiesAreCheckedOnce:
             TraceFrame(index=0, entities=(good, "b"))
         frame = TraceFrame(index=0, entities=[good])
         assert frame.entities == (good,)
+
+
+class TestKeypointsAreCheckedOnce:
+    """A keypoint array the points parser packed passes a later frame's
+    check on one lookup; any other array takes the full check."""
+
+    def test_read_makes_no_range_pass_over_shared_keypoints(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, generate_trace("walking", 40, seed=3))
+        passes = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__qualname__", "") in (
+                "ndarray.min", "ndarray.max"
+            ):
+                passes.append(arg)
+
+        sys.setprofile(profile)
+        try:
+            trace = read_trace(path)
+        finally:
+            sys.setprofile(None)
+        frames = trace.frames
+        shared = [
+            pts for a, b in zip(frames, frames[1:])
+            for eid, pts in b.keypoints.items() if a.keypoints.get(eid) is pts
+        ]
+        assert shared and passes == []
+
+    @pytest.mark.parametrize("bad", [2e6, np.nan])
+    @pytest.mark.parametrize("over_bytes", [False, True], ids=["view", "over-bytes"])
+    def test_a_foreign_read_only_array_is_checked_in_full(self, bad, over_bytes):
+        points = [[1.0, 2.0], [bad, 4.0]]
+        data = np.array(points).tobytes()
+        # over bytes: laid out as the parser lays out the arrays it packs
+        foreign = (np.ndarray((2, 2), np.float64, data) if over_bytes
+                   else np.frombuffer(data).reshape(2, 2))
+        assert not foreign.flags.writeable and foreign.flags.c_contiguous
+        with pytest.raises(ValueError) as as_list:
+            _human_frame(points)
+        with pytest.raises(ValueError) as as_array:
+            _human_frame(foreign)
+        assert str(as_array.value) == str(as_list.value)
+        good = np.frombuffer(np.array([[1.0, 2.0]]).tobytes()).reshape(1, 2)
+        assert _human_frame(good).keypoints["h"] is good
 
 
 def _one_entity_trace(path: Path, records) -> None:
