@@ -10,20 +10,19 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from .config import POLICIES, ConfigError, RunConfig
-from .engine import PipelineConfig, PolicyKind, RunLog, run, run_offline
+from .engine import PolicyKind, RunLog, run, run_offline
 from .metrics import (
-    GroundTruthKeyframes,
-    KeyframeThresholds,
+    MetricsReport,
     build_report,
     extract_keyframes,
     format_comparison,
     format_report,
     report_to_dict,
 )
-from .traces import ARCHETYPES, MAX_FRAME_PERIOD_MS, Trace, TraceError, generate_trace
+from .traces import ARCHETYPES, MAX_FRAME_PERIOD_MS, TraceError, generate_trace
 from .traces import read_trace, write_trace
 
 EXIT_OK = 0
@@ -96,18 +95,23 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _ground_truth(
-    trace: Trace, pipeline: PipelineConfig, thresholds: KeyframeThresholds
-) -> GroundTruthKeyframes:
-    return extract_keyframes(run_offline(trace, pipeline), thresholds)
-
-
-def _run_one(
-    trace: Trace, policy: str, pipeline: PipelineConfig, gt: GroundTruthKeyframes
-) -> RunLog:
-    kind = PolicyKind(policy)
-    oracle_kf = gt.required if kind is PolicyKind.ORACLE else None
-    return run(trace, kind, pipeline, oracle_keyframes=oracle_kf)
+def _run_policies(cfg: RunConfig, policies: Sequence[str]) -> List[Tuple[Path, MetricsReport]]:
+    """Run each policy over the trace of ``cfg`` and write its run log to the
+    output directory: the log's path and the report of the log read back,
+    per policy."""
+    trace = read_trace(cfg.trace)
+    pipeline = cfg.pipeline(trace.header)
+    gt = extract_keyframes(run_offline(trace, pipeline), cfg.keyframes)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    runs = []
+    for policy in policies:
+        kind = PolicyKind(policy)
+        oracle_kf = gt.required if kind is PolicyKind.ORACLE else None
+        log_path = out_dir / f"{policy}-seed{cfg.seed}.runlog.jsonl"
+        run(trace, kind, pipeline, oracle_keyframes=oracle_kf).write(log_path)
+        runs.append((log_path, build_report(RunLog.read(log_path), gt, cfg.latency_denominator)))
+    return runs
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
@@ -137,16 +141,8 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    trace = read_trace(cfg.trace)
-    pipeline = cfg.pipeline(trace.header)
-    gt = _ground_truth(trace, pipeline, cfg.keyframes)
-    log = _run_one(trace, cfg.policy, pipeline, gt)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / f"{cfg.policy}-seed{cfg.seed}.runlog.jsonl"
-    log.write(log_path)
-    report = build_report(RunLog.read(log_path), gt, cfg.latency_denominator)
-    report_path = out_dir / f"{cfg.policy}-seed{cfg.seed}.metrics.json"
+    ((log_path, report),) = _run_policies(cfg, [cfg.policy])
+    report_path = Path(cfg.out_dir) / f"{cfg.policy}-seed{cfg.seed}.metrics.json"
     report_path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
     print(format_report(report))
     print(f"run log: {log_path}")
@@ -158,18 +154,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if len(args.policies) < 2:
         raise ConfigError("compare needs at least two policies")
-    trace = read_trace(cfg.trace)
-    pipeline = cfg.pipeline(trace.header)
-    gt = _ground_truth(trace, pipeline, cfg.keyframes)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for policy in args.policies:
-        log = _run_one(trace, policy, pipeline, gt)
-        log_path = out_dir / f"{policy}-seed{cfg.seed}.runlog.jsonl"
-        log.write(log_path)
-        reports.append(build_report(RunLog.read(log_path), gt, cfg.latency_denominator))
-    comparison_path = out_dir / f"comparison-seed{cfg.seed}.json"
+    reports = [report for _, report in _run_policies(cfg, args.policies)]
+    comparison_path = Path(cfg.out_dir) / f"comparison-seed{cfg.seed}.json"
     comparison_path.write_text(
         json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
     )

@@ -395,8 +395,9 @@ class RunLog:
         if tags != (RUNLOG_SCHEMA, "header"):
             raise EngineError(f"run-log line {_line_number(text, 0)} is not a run-log header")
         version = head.pop("version", None)
-        if version != RUNLOG_VERSION:
-            raise EngineError(f"unsupported run-log version {version}")
+        # bool is an int subclass and 1.0 == 1, but neither is version 1
+        if type(version) is not int or version != RUNLOG_VERSION:
+            raise EngineError(f"unsupported run-log version {version!r}")
         header = _built(RunLogHeader, head, text, 0)
         return cls(header=header, records=_frame_records(rows, text))
 

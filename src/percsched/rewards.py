@@ -24,14 +24,10 @@ extrapolation is then one multiply-add and a clamp, or nothing while the
 confidences are held: before the first sample (the prior), after one
 sample, at a frame before the last sample, and after a sample equal to the
 one before, where the slope is zero on every keypoint. Held confidences
-keep their ``-ln(conf)`` from the first pose entropy pass that validates
-them, so on later frames that pass takes one ``math.log`` per keypoint
-instead of two and skips the checks. They also keep the per-human sum of
-their last such pass, keyed by the sigma table object and the scale; while
-a human is held at an equal scale under the same table, the pass takes that
-sum and no ``math.log`` at all. The sum is a pure function of that key and
-the kept logs, so its bits are the pass's. A sample equal to the one before
-keeps the held array, and so its logs and its sum.
+keep the per-human sum of their last completed pose entropy pass, keyed by
+the sigma table object and the scale; while a human is held at an equal
+scale under the same table, the pass takes that sum and no ``math.log`` at
+all. A sample equal to the one before keeps the held array, and so its sum.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -275,14 +271,12 @@ def post_execution_entropy(
     confidence must lie in (0, 1] and every scaled base sigma be positive;
     the first keypoint that breaks either is named.
 
-    :class:`HeldConfidences` that passed once keep their ``-ln(conf)``; on
-    them the sum is ``2 * ln(max(base * scale * n, SIGMA_FLOOR))`` with the
-    kept ``n``, the same bits, since negation is exact. A scale of at least
-    1 stands for the base sigma checks; below it the checked pass runs. That
-    kept-logs sum is itself kept on the array with its table and scale, and
-    reused while a human is held at the same table object and an equal
-    scale: equal floats of at least 1 have equal bits, so the reused sum is
-    the one the pass would give. Relevance multiplies it outside the memo.
+    A read-only :class:`HeldConfidences` keeps the sum of its last completed
+    pass in ``memo``, with the table and scale it was taken at; a later pass
+    with the same table object and an equal scale returns it. A scale that
+    passed the checks is positive, and equal positive floats have equal
+    bits, so the reused sum is the one the pass would give. Relevance
+    multiplies it outside the memo.
     """
     table = sigma_table(cfg)
     count = cfg.keypoint_count
@@ -294,37 +288,11 @@ def post_execution_entropy(
         if confs.shape != (count,):
             raise ValueError(f"expected {count} confidences, got {confs.shape}")
         scale = float(scale)
-        inner = count * LN_TWO_PI_E
-        neg_logs = confs.neg_logs if held else None
-        # kept logs mean every confidence passed, and the table is positive,
-        # so at a scale of at least 1 every base * scale is at least its base
-        if neg_logs is not None and scale >= 1.0:
-            memo = confs.memo
-            if memo is not None and memo[0] is table and memo[1] == scale:
-                inner = memo[2]
-            else:
-                for n, base in zip(neg_logs, table):
-                    sigma = base * scale * n
-                    inner += 2.0 * log(SIGMA_FLOOR if sigma < SIGMA_FLOOR else sigma)
-                confs.memo = (table, scale, inner)
-        elif held:
-            # the checked pass below, keeping each -ln(conf) on the way
-            neg_logs = []
-            keep = neg_logs.append
-            for conf, base in zip(confs.tolist(), table):
-                b = base * scale
-                if not 0.0 < conf <= 1.0:
-                    raise ValueError(f"confidence must lie in (0, 1], got {conf}")
-                if not b > 0.0:
-                    raise ValueError(f"base sigma must be positive, got {b}")
-                n = -log(conf)
-                keep(n)
-                sigma = b * n
-                inner += 2.0 * log(SIGMA_FLOOR if sigma < SIGMA_FLOOR else sigma)
-            # a writeable array could change under the kept logs
-            if not confs.flags.writeable:
-                confs.neg_logs = neg_logs
+        memo = confs.memo if held else None
+        if memo is not None and memo[0] is table and memo[1] == scale:
+            inner = memo[2]
         else:
+            inner = count * LN_TWO_PI_E
             for conf, base in zip(confs.tolist(), table):
                 b = base * scale
                 # written so that NaN fails both tests
@@ -335,6 +303,9 @@ def post_execution_entropy(
                 sigma = -b * log(conf)
                 # the floor as np.maximum takes it: a NaN sigma stays NaN
                 inner += 2.0 * log(SIGMA_FLOOR if sigma < SIGMA_FLOOR else sigma)
+            # a writeable array could change under its memo
+            if held and not confs.flags.writeable:
+                confs.memo = (table, scale, inner)
         total += float(relevance) * inner
     return total
 
@@ -350,20 +321,17 @@ class HeldConfidences(np.ndarray):
     the clamped last sample that the history holds while it has no slope or
     is read at an earlier frame.
 
-    The first :func:`post_execution_entropy` pass that validates a read-only
-    one keeps its ``-ln(conf)`` values in ``neg_logs``. They depend on the
-    values alone, so every holder of a shared array may read them. A pass
-    over the kept logs then keeps its per-human sum in ``memo`` as
-    ``(table, scale, inner)``: the sum is a pure function of the kept logs,
-    the sigma table and the scale, so a later pass with the same table
-    object and an equal scale takes ``inner`` as it is. The table is keyed
-    by identity and held by the memo, so a shared array never serves one
-    config's sum to another table. An array derived from one, a view or a
-    result, starts without either.
+    A :func:`post_execution_entropy` pass that completes on a read-only one
+    keeps its per-human sum in ``memo`` as ``(table, scale, inner)``: the
+    sum is a pure function of the values, the sigma table and the scale, so
+    every holder of a shared array may read it, and a later pass with the
+    same table object and an equal scale takes ``inner`` as it is. The
+    table is keyed by identity and held by the memo, so a shared array never
+    serves one config's sum to another table. An array derived from one, a
+    view or a result, starts without a memo.
     """
 
     # class defaults need no __array_finalize__ call per array made
-    neg_logs: Optional[List[float]] = None
     memo: Optional[Tuple[Tuple[float, ...], float, float]] = None
 
 

@@ -1,6 +1,7 @@
 """Reference implementations that the tests check the library against, the
 one trace comparison they share, a run-log comparison that names where two
-logs first differ, and a config built past its checks."""
+logs first differ, a config built past its checks, and a counter of the
+``math.log`` calls of the reward kernels."""
 
 import json
 import math
@@ -12,6 +13,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from percsched import rewards as rewards_module
 from percsched.change_detect import REC601_LUMA, ChangeDetectConfig
 from percsched.engine import FrameRecord, RunLog
 from percsched.rewards import (
@@ -445,6 +447,29 @@ def scalar_post_execution_entropy(
             inner += 2.0 * math.log(sigma)
         total += relevance * inner
     return total
+
+
+class CountingMath:
+    """Inside a ``with`` block, the ``math`` module that
+    :mod:`percsched.rewards` calls, counting its ``log`` calls in ``logs``."""
+
+    def __init__(self) -> None:
+        self.logs = 0
+
+    def __getattr__(self, name: str):
+        return getattr(math, name)
+
+    def log(self, x: float) -> float:
+        self.logs += 1
+        return math.log(x)
+
+    def __enter__(self) -> "CountingMath":
+        self._saved = rewards_module.math
+        rewards_module.math = self
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        rewards_module.math = self._saved
 
 
 def scalar_extrapolated(

@@ -572,6 +572,18 @@ class TestRunLogReader:
         with pytest.raises(EngineError, match="run-log line 1 is not"):
             RunLog.from_jsonl("\n".join(lines))
 
+    @pytest.mark.parametrize(
+        "version, shown", [("true", "True"), ("1.0", "1.0"), ('"1"', "'1'"), ("null", "None")]
+    )
+    def test_a_version_other_than_the_integer_1_is_refused(self, version, shown):
+        lines = self.log_lines().splitlines()
+        lines[0] = lines[0].replace('"version":1,', f'"version":{version},')
+        assert f'"version":{version},' in lines[0]
+        with pytest.raises(EngineError) as caught:
+            RunLog.from_jsonl("\n".join(lines))
+        assert str(caught.value) == f"unsupported run-log version {shown}"
+
+
 def _level_switch_trace(level):
     """Eight uniform rasters at grey level 60, switching to ``level`` at frame 4."""
     from percsched.traces import FramePixels

@@ -36,7 +36,6 @@ import functools
 import hashlib
 import importlib.util
 import json
-import math
 import os
 import platform
 import subprocess
@@ -48,6 +47,7 @@ import pytest
 
 from oracles import (
     DECISION_VECTORS,
+    CountingMath,
     LogDifference,
     first_difference,
     numpy_rgb_histograms,
@@ -657,51 +657,38 @@ def test_pose_reward_call_counts(monkeypatch, name, variant):
 
 
 def test_held_sum_memo_traffic(monkeypatch):
-    """The pose entropy takes a held human's kept sum, with no ``math.log``,
+    """The pose entropy takes a held human's memo, with no ``math.log``,
     while its sigma table and scale repeat: at the default config it serves
     most held entries of a golden trace. Runs under another table at the
     same keypoint count, and back, read the shared prior again, and none of
     the prior's entries after a table change is served."""
-    logs = []
-
-    class CountingMath:
-        def __getattr__(self, name):
-            return getattr(math, name)
-
-        @staticmethod
-        def log(x):
-            logs.append(None)
-            return math.log(x)
-
     real_entropy = engine_module.post_execution_entropy
     served, changed = [], []
-    last_table = {}  # id of a held array: the array and the table of its last kept-logs pass
+    last_table = {}  # id of a held array: the array and the table of its last memo
 
     def entropy(humans, cfg):
         table = rewards.sigma_table(cfg)
         total = 0.0
         for confs, relevance, scale in humans:
-            kept = type(confs) is rewards.HeldConfidences and confs.neg_logs is not None
-            before = len(logs)
+            before = counting.logs
             # one human a call gives the same sum: 0.0 + x only turns -0.0 to 0.0
             total += real_entropy([(confs, relevance, scale)], cfg)
             if type(confs) is rewards.HeldConfidences:
-                served[-1].append(len(logs) == before)
-            if kept and scale >= 1.0:
+                served[-1].append(counting.logs == before)
                 seen = last_table.get(id(confs))
                 if seen is not None and seen[1] is not table:
-                    changed.append(len(logs) == before)
+                    changed.append(counting.logs == before)
                 last_table[id(confs)] = (confs, table)
         return total
 
-    monkeypatch.setattr(rewards, "math", CountingMath())
     monkeypatch.setattr(engine_module, "post_execution_entropy", entropy)
     trace = make_trace("walking")
     pipe = RunConfig(seed=SEED).pipeline(trace.header)
     own = dataclasses.replace(pipe.reward, sigma_base=(0.07,) * pipe.reward.keypoint_count)
-    for reward in (pipe.reward, own, pipe.reward):
-        served.append([])
-        run(trace, PolicyKind.SCHEDULED, dataclasses.replace(pipe, reward=reward))
+    with CountingMath() as counting:
+        for reward in (pipe.reward, own, pipe.reward):
+            served.append([])
+            run(trace, PolicyKind.SCHEDULED, dataclasses.replace(pipe, reward=reward))
     for run_served in served:
         assert len(run_served) > 100 and sum(run_served) >= 0.9 * len(run_served)
     assert len(changed) == 2 and not any(changed)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CountingMath,
     TrackState,
     bank_and_relevance,
     keypoint_sigma,
@@ -224,9 +225,9 @@ HELD_CASES = ("prior", "one sample", "zero slope", "before the last sample")
 
 
 class TestHeldConfidences:
-    """Held confidences keep their -ln(conf) from the first pose entropy
-    pass; the entropy stays the scalar one bit for bit, on first use and on
-    every reuse."""
+    """Held confidences keep the sum of their last completed pose entropy
+    pass as a memo; the entropy stays the scalar one bit for bit, on first
+    use and on every reuse."""
 
     @pytest.mark.parametrize("count", [17, 133], ids=["uniform", "packaged"])
     @pytest.mark.parametrize("case", [*HELD_CASES, "sloped", "nan sample"])
@@ -235,7 +236,6 @@ class TestHeldConfidences:
         hist, reference = _history(case, count)
         held = case in HELD_CASES
         first = None
-        # below a scale of 1 held confidences take the checked pass again
         for k, scale in zip(range(25, 29), (37.5, 12.25, 1.0, 0.3)):
             confs = hist.extrapolated("h", k, cfg)
             expected = reference(k)
@@ -244,9 +244,10 @@ class TestHeldConfidences:
             got = post_execution_entropy([(confs, 0.75, scale)], cfg)
             assert got == scalar_post_execution_entropy([(expected, 0.75, scale)], cfg)
             if held:
-                # one array, its logs kept on first use and read after
+                # one array, its memo keyed by the table and scale of this pass
                 first = confs if first is None else first
-                assert confs is first and confs.neg_logs is not None
+                assert confs is first
+                assert confs.memo[0] is sigma_table(cfg) and confs.memo[1] == scale
 
     def test_zero_slope_holds_the_last_sample(self):
         cfg = _cfg(133)
@@ -260,17 +261,20 @@ class TestHeldConfidences:
             assert got.tobytes() == held.tobytes()
             assert got.tolist() == scalar_extrapolated((13, last), (10, last), k)
 
-    def test_an_equal_sample_keeps_the_held_array_and_its_logs(self):
+    def test_an_equal_sample_keeps_the_held_array_and_its_memo(self):
         cfg = _cfg(133)
         last = _samples(133, 7)
         hist = KeypointConfidenceHistory()
         hist.record("h", 10, last)
         held = hist.extrapolated("h", 11, cfg)
         post_execution_entropy([(held, 1.0, 5.0)], cfg)
-        logs = held.neg_logs
+        memo = held.memo
         hist.record("h", 12, list(last))
         got = hist.extrapolated("h", 15, cfg)
-        assert got is held and got.neg_logs is logs
+        assert got is held and got.memo is memo
+        with CountingMath() as counting:
+            assert post_execution_entropy([(got, 1.0, 5.0)], cfg) == memo[2]
+        assert counting.logs == 0
         expected = scalar_extrapolated((12, last), (10, last), 15)
         assert got.tolist() == expected
         assert post_execution_entropy([(got, 1.0, 6.5)], cfg) == scalar_post_execution_entropy(
@@ -317,13 +321,16 @@ class TestHeldConfidences:
         confs = hist.extrapolated("h", 4, cfg)
         message = _message(list(confs), scale, cfg)
         assert "base sigma must be positive" in message
-        # before the -ln(conf) are kept, and after a good frame kept them
+        # before a memo is kept, and after a good frame kept one, which a
+        # failed pass leaves as it was
         assert _message(confs, scale, cfg) == message
-        assert confs.neg_logs is None
+        assert confs.memo is None
         post_execution_entropy([(confs, 1.0, 2.0)], cfg)
-        assert confs.neg_logs is not None
+        memo = confs.memo
+        assert memo[1] == 2.0
         for _ in range(2):
             assert _message(confs, scale, cfg) == message
+            assert confs.memo is memo
 
     @pytest.mark.parametrize("bad", [0.0, -0.25, 1.0 + 1e-12, math.nan, math.inf])
     @pytest.mark.parametrize("position", [0, 9])
@@ -339,7 +346,7 @@ class TestHeldConfidences:
             assert message.startswith("confidence must lie in (0, 1]")
         for _ in range(3):
             assert _message(confs, scale, cfg) == message
-            assert confs.neg_logs is None
+            assert confs.memo is None
 
     def test_nan_held_by_the_history_raises_on_every_frame(self):
         cfg = _cfg(17)
@@ -357,18 +364,34 @@ class TestHeldConfidences:
         for k in (3, 4):
             assert _message(hist.extrapolated("h", k, cfg), 4.0, cfg) == message
 
-    def test_only_read_only_arrays_keep_their_logs(self):
+    def test_only_read_only_arrays_keep_a_memo(self):
         cfg = _cfg(17)
         hist = KeypointConfidenceHistory()
         hist.record("h", 3, _samples(17, 6))
         held = hist.extrapolated("h", 4, cfg)
         copy, scaled, view = held.copy(), held * 0.5, held[:]
         for derived in (copy, scaled, view):
-            assert type(derived) is HeldConfidences and derived.neg_logs is None
+            assert type(derived) is HeldConfidences and derived.memo is None
             expected = scalar_post_execution_entropy([(derived.tolist(), 1.0, 3.0)], cfg)
             assert post_execution_entropy([(derived, 1.0, 3.0)], cfg) == expected
-        assert copy.neg_logs is None and scaled.neg_logs is None
-        assert view.neg_logs is not None and held.neg_logs is None
+        assert copy.memo is None and scaled.memo is None
+        assert view.memo is not None and held.memo is None
+
+    @pytest.mark.parametrize("scale", [0.3, math.inf])
+    def test_served_without_a_log_from_the_second_use(self, scale):
+        cfg = _cfg(133)
+        hist, reference = _history("one sample", 133)
+        expected = scalar_post_execution_entropy([(reference(25), 0.75, scale)], cfg)
+        logs = []
+        for k in range(25, 29):
+            confs = hist.extrapolated("h", k, cfg)
+            # an equal scale, not the same float object
+            equal = float(repr(scale))
+            with CountingMath() as counting:
+                got = post_execution_entropy([(confs, 0.75, equal)], cfg)
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
+            logs.append(counting.logs)
+        assert logs[0] > 0 and logs[1:] == [0, 0, 0]
 
 
 # scales that repeat across calls, the edges of the kept-logs pass (1.0, inf,
