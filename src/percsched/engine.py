@@ -13,29 +13,22 @@ top-up for the tracks found moving. Inference consumes no wall clock;
 module busy windows live entirely on the virtual clock, so a run is a pure
 function of (trace, policy, configs, seed).
 
-A run log's frame lines go through one codec compiled from
-:class:`FrameRecord`: a ``%``-template for the lines the engine makes, with
-the general encoder ``_line`` for any other record, and one JSON parse of
-all frame lines on the way back.
+A run log is written by one compact JSON encoder: each line is its tags,
+then a record's fields and maps in the order the record holds them, which
+for every record the engine makes is declaration order and sorted module
+ids. It is read back in one JSON parse of all its lines.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import heapq
 import json
 import math
-import operator
-from collections.abc import Mapping as AnyMapping
-from collections.abc import Sequence as AnySequence
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import (
-    Annotated, Dict, List, Literal, Mapping, Optional, Sequence, Set, Tuple, Union, get_origin,
-    get_type_hints,
-)
+from typing import Annotated, Dict, List, Literal, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +53,7 @@ from .scene import (
     MotionStatus,
 )
 from .scheduler import select
-from .schema import NonNegative, Share, check_fields
+from .schema import Count, NonNegative, Positive, PositiveCount, Share, check_fields
 from .toolkit import (
     DetectionOutput,
     NoiseConfig,
@@ -78,7 +71,7 @@ from .tracker import (
     predict,
     update,
 )
-from .traces import Trace, TraceFrame
+from .traces import FramePeriod, Trace, TraceFrame
 
 RUNLOG_SCHEMA = "percsched-runlog"
 RUNLOG_VERSION = 1
@@ -99,6 +92,10 @@ class PolicyKind(str, Enum):
         statistics. Parallel and Oracle decide from module readiness and
         ground truth, so they keep only which ids are tracked."""
         return self is PolicyKind.SCHEDULED
+
+
+# the policy values, as the run-log header's declared type
+PolicyName = Literal[tuple(kind.value for kind in PolicyKind)]
 
 
 @dataclass(frozen=True)
@@ -152,18 +149,20 @@ class FrameRecord:
     """Everything the metrics need about one frame of one policy run.
 
     The fields, in order, are the keys of a frame line of the run log, and
-    every frame line has them all.
+    every frame line has them all. The engine builds every map in sorted
+    module-id order and every applied entry as ``module``, ``issued``,
+    ``ready``; the writer keeps the order a record has.
     """
 
     index: int
-    decided: Mapping[ModuleId, bool]
-    forced: Mapping[ModuleId, bool]
-    info_gain: Mapping[ModuleId, float]
-    cost_penalty: Mapping[ModuleId, float]
-    net: Mapping[ModuleId, float]
-    honored: Mapping[ModuleId, bool]
-    dropped: Mapping[ModuleId, bool]
-    applied: Sequence[dict]
+    decided: Dict[ModuleId, bool]
+    forced: Dict[ModuleId, bool]
+    info_gain: Dict[ModuleId, float]
+    cost_penalty: Dict[ModuleId, float]
+    net: Dict[ModuleId, float]
+    honored: Dict[ModuleId, bool]
+    dropped: Dict[ModuleId, bool]
+    applied: Sequence[Dict[str, object]]
     decision_time_ms: float
     tracked: int
 
@@ -172,144 +171,21 @@ class FrameRecord:
 class RunLogHeader:
     """The fields, in order, are the keys of the header line after its tags."""
 
-    policy: str
-    seed: int
-    frame_period_ms: float
-    frame_count: int
-    module_costs: Mapping[ModuleId, float]
-    keypoint_count: int
+    policy: PolicyName
+    seed: Count
+    frame_period_ms: FramePeriod
+    frame_count: Count
+    module_costs: Mapping[ModuleId, Positive]
+    keypoint_count: PositiveCount
     config_digest: str = ""
 
-
-_encode = json.JSONEncoder(separators=(",", ":")).encode
-
-
-# ``fields()`` builds a new tuple per call, and a log asks once per record
-@functools.lru_cache(maxsize=None)
-def _field_names(cls: type) -> Tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+    __post_init__ = check_fields
 
 
-# field types that are never mappings, decided without the ABC check
-_PLAIN = frozenset({bool, int, float, str, list, tuple, type(None)})
-
-
-def _line(tags: dict, record: object) -> str:
-    """One run-log line: ``tags``, then every field of the record in
-    declaration order. Mappings are written with sorted keys, and the
-    mappings in a list (the applied entries) with ``module``, ``issued``,
-    ``ready`` first."""
-    row = dict(tags)
-    for name in _field_names(type(record)):
-        value = getattr(record, name)
-        kind = type(value)
-        if kind is dict or (kind not in _PLAIN and isinstance(value, AnyMapping)):
-            row[name] = {k: value[k] for k in sorted(value)}
-        elif kind is list or kind is tuple:
-            row[name] = [{**{k: e[k] for k in _APPLIED_KEYS if k in e}, **e} for e in value]
-        else:
-            row[name] = value
-    return _encode(row)
-
-
-# -- the frame-line codec ----------------------------------------------------
-#
-# A frame line that the engine makes is written through one %-template
-# compiled from FrameRecord's fields: a ``Mapping`` field is one value per
-# module id, in sorted order; a ``Sequence`` field is the list of applied
-# entries; any other field is one scalar. A record the template does not fit
-# is written by ``_line``, whose bytes the template reproduces.
-
-_FRAME_TAGS = {"record": "frame"}
-_MODULES = tuple(sorted((DETECTION, POSE)))
-# the keys of an applied entry, in the order ``_apply_ready_outputs`` writes them
-_APPLIED_KEYS = ("module", "issued", "ready")
-_SCALAR, _PER_MODULE, _ENTRIES = range(3)
-
-
-_FRAME_HINTS = get_type_hints(FrameRecord)
-
-
-def _frame_kind(name: str) -> int:
-    origin = get_origin(_FRAME_HINTS[name])
-    if origin is AnyMapping:
-        return _PER_MODULE
-    if origin is AnySequence:
-        return _ENTRIES
-    return _SCALAR
-
-
-# a frame line's keys, in order, as the template writes them and the reader sees them
-_FRAME_KEYS = _field_names(FrameRecord)
-_FRAME_KINDS = tuple(map(_frame_kind, _FRAME_KEYS))
-_frame_values = operator.attrgetter(*_FRAME_KEYS)
-_module_values = operator.itemgetter(*_MODULES)
-_APPLIED_SLOT = "{%s}" % ",".join(f"{_encode(k)}:%s" for k in _APPLIED_KEYS)
-
-
-@functools.lru_cache(maxsize=8)
-def _frame_template(entries: int) -> str:
-    """The %-template of a frame line with ``entries`` applied entries."""
-    parts = [f"{_encode(k)}:{_encode(v)}" for k, v in _FRAME_TAGS.items()]
-    for name, kind in zip(_FRAME_KEYS, _FRAME_KINDS):
-        if kind is _SCALAR:
-            slot = "%s"
-        elif kind is _PER_MODULE:
-            slot = "{%s}" % ",".join(f"{_encode(m)}:%s" for m in _MODULES)
-        else:
-            slot = "[%s]" % ",".join([_APPLIED_SLOT] * entries)
-        parts.append(f"{_encode(name)}:{slot}")
-    return "{%s}" % ",".join(parts)
-
-
-# the JSON text of a value by its exact type; the encoder writes the rest
-_TEXT_OF_TYPE = {bool: ("false", "true").__getitem__, int: int.__repr__, float: float.__repr__}
-# what float.__repr__ writes for NaN and the infinities, which JSON spells
-# NaN, Infinity and -Infinity
-_NON_FINITE_REPRS = frozenset({"nan", "inf", "-inf"})
-
-
-def _scalar_texts(values: List[object]) -> Tuple[str, ...]:
-    """Each value as the encoder writes it: ``true`` or ``false`` for a bool,
-    ``int.__repr__`` for an int, ``float.__repr__`` for a finite float, and
-    the encoder's own text for NaN, the infinities and any other type."""
-    texts = [_TEXT_OF_TYPE.get(type(v), _encode)(v) for v in values]
-    if not _NON_FINITE_REPRS.isdisjoint(texts):
-        texts = [_encode(v) if t in _NON_FINITE_REPRS else t for t, v in zip(texts, values)]
-    return tuple(texts)
-
-
-def _frame_line(record: FrameRecord) -> str:
-    """``_line({"record": "frame"}, record)``, through the template when the
-    record fits it: a ``FrameRecord`` whose every mapping is a ``dict`` keyed
-    by exactly the module ids, and whose every applied entry is a ``dict``
-    keyed ``module``, ``issued``, ``ready`` in that order."""
-    if type(record) is not FrameRecord:  # a subclass may add fields
-        return _line(_FRAME_TAGS, record)
-    values: List[object] = []
-    entries = 0
-    try:
-        for kind, value in zip(_FRAME_KINDS, _frame_values(record)):
-            if kind is _SCALAR:
-                values.append(value)
-            elif kind is _PER_MODULE:
-                if type(value) is not dict or len(value) != len(_MODULES):
-                    break
-                values.extend(_module_values(value))
-            else:
-                if type(value) is not list and type(value) is not tuple:
-                    break
-                if value:
-                    if not all(type(e) is dict and tuple(e) == _APPLIED_KEYS for e in value):
-                        break
-                    for entry in value:
-                        values.extend(entry.values())
-                    entries = len(value)
-        else:
-            return _frame_template(entries) % _scalar_texts(values)
-    except KeyError:  # a mapping without one of the module ids
-        pass
-    return _line(_FRAME_TAGS, record)
+# a record holds no cycle, and the check costs 3-5 ms per 3,600 frame lines
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_HEADER_TAGS = {"record": "header", "schema": RUNLOG_SCHEMA, "version": RUNLOG_VERSION}
+_FRAME_FIELDS = frozenset(f.name for f in fields(FrameRecord))
 
 
 def _line_number(text: str, row: int) -> int:
@@ -337,36 +213,29 @@ def _rows(lines: List[str], text: str) -> list:
     return rows
 
 
-def _built(cls: type, row: dict, text: str, number: int) -> object:
-    """``cls(**row)``, the ``number``-th row of a run log; a missing field or
-    an unknown key raises an ``EngineError`` naming the row's line."""
-    try:
-        return cls(**row)
-    except TypeError as exc:
-        raise EngineError(f"run-log line {_line_number(text, number)}: {exc}") from None
-
-
 def _frame_records(rows: list, text: str) -> Tuple[FrameRecord, ...]:
-    """One record per frame line. A row whose keys are the templated keys
-    in field order becomes a record without ``FrameRecord.__init__``, as
+    """One record per frame line, built without ``FrameRecord.__init__``, as
     ``TrackBank._derived`` builds a bank: FrameRecord has no
-    ``__post_init__``, so the instance dict is all ``__init__`` would set.
-    Any other row goes through ``FrameRecord(**row)``, and a row with a
-    missing field or an unknown key raises an ``EngineError`` naming its line."""
+    ``__post_init__``, so the instance dict is all ``__init__`` would set. A
+    row that is not a frame record, or whose keys are not the fields, raises
+    an ``EngineError`` naming its line."""
     records: List[FrameRecord] = []
     new = object.__new__
     for row in rows:
         if type(row) is not dict or row.pop("record", None) != "frame":
             n = _line_number(text, len(records) + 1)
             raise EngineError(f"run-log line {n} is not a frame record")
-        if "applied" in row:
-            # a tuple, so the many frames that apply nothing share one ``()``
-            row["applied"] = tuple(row["applied"])
-        if tuple(row) == _FRAME_KEYS:
-            record = new(FrameRecord)
-            record.__dict__.update(row)
-        else:
-            record = _built(FrameRecord, row, text, len(records) + 1)
+        if row.keys() != _FRAME_FIELDS:
+            n = _line_number(text, len(records) + 1)
+            missing = sorted(_FRAME_FIELDS - row.keys())
+            unknown = sorted(row.keys() - _FRAME_FIELDS)
+            raise EngineError(
+                f"run-log line {n}: frame fields missing {missing}, unknown {unknown}"
+            )
+        # a tuple, so the many frames that apply nothing share one ``()``
+        row["applied"] = tuple(row["applied"])
+        record = new(FrameRecord)
+        record.__dict__.update(row)
         records.append(record)
     return tuple(records)
 
@@ -377,9 +246,8 @@ class RunLog:
     records: Tuple[FrameRecord, ...]
 
     def to_jsonl(self) -> str:
-        tags = {"record": "header", "schema": RUNLOG_SCHEMA, "version": RUNLOG_VERSION}
-        lines = [_line(tags, self.header)]
-        lines.extend(map(_frame_line, self.records))
+        lines = [_encode({**_HEADER_TAGS, **vars(self.header)})]
+        lines.extend([_encode({"record": "frame", **vars(record)}) for record in self.records])
         return "\n".join(lines) + "\n"
 
     def write(self, path: Union[str, Path]) -> None:
@@ -398,7 +266,10 @@ class RunLog:
         # bool is an int subclass and 1.0 == 1, but neither is version 1
         if type(version) is not int or version != RUNLOG_VERSION:
             raise EngineError(f"unsupported run-log version {version!r}")
-        header = _built(RunLogHeader, head, text, 0)
+        try:
+            header = RunLogHeader(**head)
+        except (TypeError, ValueError) as exc:
+            raise EngineError(f"run-log line {_line_number(text, 0)}: {exc}") from None
         return cls(header=header, records=_frame_records(rows, text))
 
     @classmethod

@@ -21,7 +21,14 @@ from percsched.engine import (
     run,
     run_offline,
 )
-from percsched.scene import DETECTION, POSE, Entity, EntityKind, PatchRegion
+from percsched.scene import (
+    DETECTION,
+    FALSE_POSITIVE_PREFIX,
+    POSE,
+    Entity,
+    EntityKind,
+    PatchRegion,
+)
 from percsched.toolkit import NoiseConfig
 from percsched.traces import ChangeStats, Trace, TraceFrame, TraceHeader, generate_trace
 
@@ -387,6 +394,35 @@ class TestEngineMechanics:
         assert [r.index for r in log.records] == [0, 1, 2]
 
 
+class TestDefaultRelevance:
+    """``engine.default_relevance`` weighs each track that no trace entity
+    names: the detector's false positives."""
+
+    @staticmethod
+    def yolo_gains(relevance):
+        """Per frame, whether a false positive is tracked and yolo's gain."""
+        trace = static_object_trace(frames=20)
+        cfg = dataclasses.replace(
+            pipeline(default_relevance=relevance), noise=NoiseConfig(false_positive_rate=1.0)
+        )
+        engine = SimEngine(trace, PolicyKind.SCHEDULED, cfg.pipeline(trace.header))
+        gains = []
+        for frame in trace.frames:
+            record = engine.step(frame)
+            tracks_fp = any(tid.startswith(FALSE_POSITIVE_PREFIX) for tid in engine.bank.ids)
+            gains.append((tracks_fp, record.info_gain[DETECTION]))
+        return gains
+
+    def test_yolo_gain_moves_with_it_only_where_a_false_positive_is_tracked(self):
+        low, high = self.yolo_gains(0.1), self.yolo_gains(0.9)
+        first = next(k for k, (tracks_fp, _) in enumerate(low) if tracks_fp)
+        assert first == next(k for k, (tracks_fp, _) in enumerate(high) if tracks_fp)
+        assert 0 < first < len(low) - 1
+        assert low[:first] == high[:first]
+        both = [(a, b) for (fa, a), (fb, b) in zip(low, high) if fa and fb]
+        assert len(both) > 1 and all(a != b for a, b in both)
+
+
 class TestOfflineRun:
     def test_the_offline_pass_outputs_the_trace_frames(self):
         """Both modules on every frame, at zero latency and zero noise, output
@@ -398,9 +434,6 @@ class TestOfflineRun:
         ))
         assert run_offline(trace, noisy) is trace.frames
 
-
-
-FRAME_TAGS = {"record": "frame"}
 
 
 def golden_policy_logs():
@@ -415,78 +448,90 @@ def golden_policy_logs():
     ]
 
 
-def count_frame_fallbacks(monkeypatch):
-    """Frame lines written by ``_line`` rather than the template, as a list
-    that fills while the patch holds."""
-    fallbacks = []
-    real = engine_module._line
-
-    def counted(tags, record):
-        if tags == FRAME_TAGS:
-            fallbacks.append(record)
-        return real(tags, record)
-
-    monkeypatch.setattr(engine_module, "_line", counted)
-    return fallbacks
-
-
-def scheduled_record_with_an_applied_entry():
+def scheduled_log_with_an_applied_entry():
     trace = generate_trace("interaction", 20, seed=1)
-    log = run(trace, PolicyKind.SCHEDULED, pipeline().pipeline(trace.header))
-    return next(rec for rec in log.records if rec.applied)
+    return run(trace, PolicyKind.SCHEDULED, pipeline().pipeline(trace.header))
 
 
-EDGE_RECORDS = {
-    "int decision_time_ms": (dict(decision_time_ms=5), False),
-    "None decision_time_ms": (dict(decision_time_ms=None), False),
-    "non-finite gains": (
-        dict(
-            info_gain={POSE: float("nan"), DETECTION: float("inf")},
-            net={POSE: float("-inf"), DETECTION: float("nan")},
-        ),
-        False,
+def shuffled_keys(value, rng):
+    """``value`` with every object's keys in a random order: a line's, the
+    per-module maps' and the applied entries'."""
+    if isinstance(value, list):
+        return [shuffled_keys(v, rng) for v in value]
+    if not isinstance(value, dict):
+        return value
+    items = list(value.items())
+    rng.shuffle(items)
+    return {k: shuffled_keys(v, rng) for k, v in items}
+
+
+def compact(row):
+    return json.dumps(row, separators=(",", ":"))
+
+
+EDGE_FIELDS = {
+    "int decision_time_ms": dict(decision_time_ms=5),
+    "None decision_time_ms": dict(decision_time_ms=None),
+    "non-finite gains": dict(
+        info_gain={POSE: float("nan"), DETECTION: float("inf")},
+        net={POSE: float("-inf"), DETECTION: float("nan")},
     ),
-    "numpy floats": (
-        dict(info_gain={POSE: np.float64(0.1), DETECTION: np.float64(-2.5)},
-             decision_time_ms=np.float64(1.5)),
-        False,
+    "numpy floats": dict(
+        info_gain={POSE: np.float64(0.1), DETECTION: np.float64(-2.5)},
+        decision_time_ms=np.float64(1.5),
     ),
-    "applied keys reordered": (
-        dict(applied=[{"ready": 3, "module": DETECTION, "issued": 1}]), True
+    "applied keys in another order": dict(
+        applied=[{"ready": 3, "module": DETECTION, "issued": 1}]
     ),
-    "third module key": (dict(decided={POSE: True, DETECTION: False, "depth": True}), True),
-    "mapping not a dict": (
-        dict(forced=types.MappingProxyType({POSE: False, DETECTION: True})), True
-    ),
+    "a third module key": dict(decided={POSE: True, DETECTION: False, "depth": True}),
 }
 
 
-class TestFrameLineCodec:
-    """The template writes every frame line's bytes as ``_line`` does."""
+class TestRunLogCodec:
+    """One encoder writes each record's fields and maps in the order the
+    record holds them, and the reader keeps a frame line's key order, so a
+    compact log reads back to its own bytes."""
 
-    def test_golden_records_and_their_read_backs_write_encoder_bytes(self):
-        for log in golden_policy_logs():
-            back = RunLog.from_jsonl(log.to_jsonl())
-            for rec in log.records + back.records:
-                assert engine_module._frame_line(rec) == engine_module._line(FRAME_TAGS, rec)
-
-    def test_no_golden_policy_frame_line_falls_back(self, monkeypatch):
-        # a FrameRecord change that sends every line down the slow path fails here
+    def test_every_golden_log_reads_back_to_its_own_bytes(self):
         logs = golden_policy_logs()
-        fallbacks = count_frame_fallbacks(monkeypatch)
-        for log in logs:
-            RunLog.from_jsonl(log.to_jsonl()).to_jsonl()
         assert sum(len(log.records) for log in logs) > 0
-        assert fallbacks == []
+        for log in logs:
+            text = log.to_jsonl()
+            assert RunLog.from_jsonl(text).to_jsonl() == text
 
-    @pytest.mark.parametrize("edge", sorted(EDGE_RECORDS))
-    def test_edge_records_write_encoder_bytes(self, edge, monkeypatch):
-        changes, falls_back = EDGE_RECORDS[edge]
-        rec = dataclasses.replace(scheduled_record_with_an_applied_entry(), **changes)
-        expected = engine_module._line(FRAME_TAGS, rec)
-        fallbacks = count_frame_fallbacks(monkeypatch)
-        assert engine_module._frame_line(rec) == expected
-        assert fallbacks == ([rec] if falls_back else [])
+    def test_a_key_shuffled_compact_log_reads_back_to_its_own_bytes(self):
+        rng = random.Random(5)
+        canonical = scheduled_log_with_an_applied_entry().to_jsonl()
+        head, *frames = canonical.splitlines()
+        # each line's tags come first; the header is rebuilt through its
+        # constructor, so its fields stay in declaration order, but its map
+        # may take any order
+        row = json.loads(head)
+        row["module_costs"] = shuffled_keys(row["module_costs"], rng)
+        lines = [compact(row)]
+        for frame in frames:
+            row = json.loads(frame)
+            lines.append(compact({"record": row.pop("record"), **shuffled_keys(row, rng)}))
+        text = "\n".join(lines) + "\n"
+        assert text != canonical
+        assert RunLog.from_jsonl(text).to_jsonl() == text
+
+    @pytest.mark.parametrize("edge", sorted(EDGE_FIELDS))
+    def test_each_value_is_written_as_json_dumps_writes_it(self, edge):
+        log = scheduled_log_with_an_applied_entry()
+        rec = next(rec for rec in log.records if rec.applied)
+        changes = EDGE_FIELDS[edge]
+        line = RunLog(log.header, (dataclasses.replace(rec, **changes),)).to_jsonl().split("\n")[1]
+        for name, value in changes.items():
+            assert f'"{name}":{compact(value)},' in line
+
+    def test_a_mapping_that_is_not_a_dict_is_refused(self):
+        log = scheduled_log_with_an_applied_entry()
+        rec = dataclasses.replace(
+            log.records[0], forced=types.MappingProxyType({DETECTION: True, POSE: False})
+        )
+        with pytest.raises(TypeError, match="mappingproxy"):
+            RunLog(log.header, (rec,)).to_jsonl()
 
 
 class TestRunLogReader:
@@ -519,51 +564,80 @@ class TestRunLogReader:
             RunLog.from_jsonl("\n".join([head, json.dumps(row), rest]))
 
     @pytest.mark.parametrize(
-        "row, line, cls, key",
-        [(0, 1, "RunLogHeader", "keypoint_count"), (2, 4, "FrameRecord", "tracked")],
-        ids=["header", "frame"],
-    )
-    @pytest.mark.parametrize(
         "edit, text",
         [
-            (lambda rec, key: rec.pop(key), "missing 1 required positional argument: '{key}'"),
-            (lambda rec, key: rec.update(depth=1), "got an unexpected keyword argument 'depth'"),
+            (lambda rec: rec.pop("keypoint_count"),
+             "missing 1 required positional argument: 'keypoint_count'"),
+            (lambda rec: rec.update(depth=1), "got an unexpected keyword argument 'depth'"),
         ],
         ids=["missing", "unknown"],
     )
-    def test_a_line_with_a_missing_or_unknown_field_is_named(self, row, line, cls, key, edit, text):
+    def test_a_header_with_a_missing_or_unknown_field_is_named(self, edit, text):
         lines = self.log_lines().splitlines()
-        rec = json.loads(lines[row])
-        edit(rec, key)
-        lines[row] = json.dumps(rec)
+        rec = json.loads(lines[0])
+        edit(rec)
+        lines[0] = json.dumps(rec)
+        with pytest.raises(EngineError) as caught:
+            RunLog.from_jsonl("\n".join(lines))
+        assert str(caught.value) == "run-log line 1: RunLogHeader.__init__() " + text
+
+    @pytest.mark.parametrize(
+        "edit, text",
+        [
+            (lambda rec: rec.pop("tracked"), "missing ['tracked'], unknown []"),
+            (lambda rec: rec.update(depth=1), "missing [], unknown ['depth']"),
+            (lambda rec: (rec.pop("net"), rec.pop("index"), rec.update(nett=0)),
+             "missing ['index', 'net'], unknown ['nett']"),
+        ],
+        ids=["missing", "unknown", "both"],
+    )
+    def test_a_frame_with_a_missing_or_unknown_field_is_named(self, edit, text):
+        lines = self.log_lines().splitlines()
+        rec = json.loads(lines[2])
+        edit(rec)
+        lines[2] = json.dumps(rec)
         # a blank line counts in the numbering
         lines.insert(1, "")
         with pytest.raises(EngineError) as caught:
             RunLog.from_jsonl("\n".join(lines))
-        assert str(caught.value) == f"run-log line {line}: {cls}.__init__() " + text.format(key=key)
+        assert str(caught.value) == "run-log line 4: frame fields " + text
+
+    @pytest.mark.parametrize(
+        "key, value, text",
+        [
+            ("seed", True, "seed must be an integer, got True"),
+            ("frame_count", 2.5, "frame_count must be an integer, got 2.5"),
+            ("keypoint_count", "17", "keypoint_count must be an integer, got '17'"),
+            ("frame_period_ms", None, "frame_period_ms must be a number, got None"),
+            ("policy", "offline", "policy must be one of ('parallel', 'oracle', 'scheduled'), "
+             "got 'offline'"),
+            ("module_costs", {"pose": 0, "yolo": 15}, "module_costs['pose'] must be a finite "
+             "number in (0, inf), got 0"),
+        ],
+        ids=["seed", "frame_count", "keypoint_count", "frame_period_ms", "policy", "module_costs"],
+    )
+    def test_a_header_field_of_another_type_is_named(self, key, value, text):
+        lines = self.log_lines().splitlines()
+        rec = json.loads(lines[0])
+        rec[key] = value
+        lines[0] = json.dumps(rec)
+        with pytest.raises(EngineError) as caught:
+            RunLog.from_jsonl("\n".join(lines))
+        assert str(caught.value) == "run-log line 1: " + text
 
     def test_any_key_order_and_whitespace_read_back_to_the_canonical_log(self):
         text = self.log_lines()
         assert '"applied":[{"module":' in text
         rng = random.Random(3)
-
-        def shuffled(value):
-            # every object's keys: the line's, the per-module maps' and the
-            # applied entries'
-            if isinstance(value, list):
-                return [shuffled(v) for v in value]
-            if not isinstance(value, dict):
-                return value
-            items = list(value.items())
-            rng.shuffle(items)
-            return {k: shuffled(v) for k, v in items}
-
-        rows = [shuffled(json.loads(line)) for line in text.splitlines()]
-        canonical = list(engine_module._APPLIED_KEYS)
-        assert any(list(e) != canonical for row in rows for e in row.get("applied", ()))
+        rows = [shuffled_keys(json.loads(line), rng) for line in text.splitlines()]
+        assert any(
+            list(e) != ["module", "issued", "ready"] for row in rows for e in row.get("applied", ())
+        )
         loose = "\n".join(map(json.dumps, rows))
         assert loose != text
-        assert RunLog.from_jsonl(loose).to_jsonl() == text
+        got, want = RunLog.from_jsonl(loose), RunLog.from_jsonl(text)
+        assert got.header == want.header
+        assert got.records == want.records
 
     @pytest.mark.parametrize("bad", ['{"record": "header", "schema":', "[1, 2]"])
     def test_a_header_line_that_is_no_header_object_is_named(self, bad):

@@ -1,14 +1,18 @@
 """README's Input fields table lists every config field, and its Library use
-section every name the package exports; each lists only those."""
+section every name the package exports; each lists only those. Its Run log
+format section names every run-log field in declaration order."""
 
 import dataclasses
 import re
 import types
 from pathlib import Path
-from typing import Dict, Set, get_type_hints
+from typing import Dict, List, Set, get_type_hints
+
+import pytest
 
 import percsched
 from percsched.config import RunConfig
+from percsched.engine import FrameRecord, RunLogHeader
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -58,3 +62,19 @@ def test_library_use_lists_every_exported_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported_names() == public
+
+
+def run_log_names(record: str) -> List[str]:
+    """The names in backticks in the Run log format bullet that lists
+    ``record``'s fields, from that mention to the bullet's end, each at its
+    first mention."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Run log format", 1)[1].split("\n## ", 1)[0]
+    bullet = section.split(f"the `{record}` fields", 1)[1].split("\n- ", 1)[0]
+    return list(dict.fromkeys(re.findall(r"`(\w+)`", bullet.split("\n\n", 1)[0])))
+
+
+@pytest.mark.parametrize("record", [RunLogHeader, FrameRecord], ids=lambda cls: cls.__name__)
+def test_run_log_format_names_every_field_in_declaration_order(record):
+    names = [f.name for f in dataclasses.fields(record)]
+    assert [name for name in run_log_names(record.__name__) if name in names] == names

@@ -394,8 +394,9 @@ class TestHeldConfidences:
         assert logs[0] > 0 and logs[1:] == [0, 0, 0]
 
 
-# scales that repeat across calls, the edges of the kept-logs pass (1.0, inf,
-# a subnormal and zero below it, where the checked pass raises) and any other
+# scales that repeat across calls, the extremes a memo may be keyed by (inf
+# and a subnormal), zero (where the checked pass raises and no memo is
+# stored) and any other
 memo_scales = st.sampled_from([1.0, 2.5, 37.5, 0.3, 5e-324, 0.0, math.inf]) | scales
 
 
@@ -408,7 +409,7 @@ def _outcome(compute):
 
 
 class TestHeldSumMemo:
-    """A held array keeps the per-human sum of its last kept-logs pass, keyed
+    """A held array keeps the per-human sum of its last completed pass, keyed
     by the sigma table object and the scale. Served or recomputed, every
     pass equals the scalar reference bit for bit, across configs whose
     tables differ at one keypoint count and the prior they share."""
